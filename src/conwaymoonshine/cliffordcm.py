@@ -113,6 +113,7 @@ class GaussDyadic:
 
 _ONE = GaussDyadic(1)
 _ZERO = GaussDyadic(0)
+_INV_ROOT2 = (zeta(8, 1) + zeta(8, -1)) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,29 +146,6 @@ class ModeOperator:
                 )
             )
         return ModeOperator(out, self.half + other.half)
-
-    def scaled_int(self, scalar: int) -> "ModeOperator":
-        m0 = tuple(entry * scalar for entry in self.mats[0])
-        return ModeOperator((m0,) + self.mats[1:], self.half)
-
-    def apply_basis(self, mask: int):
-        """Image of m_mask: (target_mask, GaussDyadic coeff, half)."""
-        out = 0
-        coeff = _ONE
-        for k in range(PAIRS):
-            bit = mask >> k & 1
-            m00, m01, m10, m11 = self.mats[k]
-            top, bot = (m00, m10) if bit == 0 else (m01, m11)
-            if not top.is_zero():
-                if not bot.is_zero():
-                    raise ValidationError("operator is not monomial")
-                coeff = coeff * top
-            elif not bot.is_zero():
-                coeff = coeff * bot
-                out |= 1 << k
-            else:
-                return 0, _ZERO, self.half
-        return out, coeff, self.half
 
     def is_identity(self) -> bool:
         if self.half % 2:
@@ -287,23 +265,6 @@ class CliffordWord:
             m |= 1 << (i - 1)
         return m
 
-    def mode_operator(self) -> ModeOperator:
-        """Operator for the word with its scalar folded in; the scalar must
-        be a nonzero dyadic rational times a power of i."""
-        s = self.scalar
-        if isinstance(s, CycNumber):
-            if s.is_rational():
-                g = _gauss_from_fractions(s.to_rational(), Fraction(0))
-            elif 4 % s.level == 0:
-                g = _gauss_from_fractions(*s.raise_level(4).coords)
-            else:
-                raise ValidationError("engine scalars live in Q(i)")
-        else:
-            g = _gauss_from_fractions(Fraction(s), Fraction(0))
-        op = op_from_mask(self.mask())
-        m0 = tuple(entry * g for entry in op.mats[0])
-        return ModeOperator((m0,) + op.mats[1:], op.half)
-
     def __repr__(self):
         return "CliffordWord(%s, scalar=%s)" % (list(self.indices), self.scalar)
 
@@ -408,28 +369,17 @@ class SpinorState:
 
 
 def act(word: CliffordWord, state: SpinorState) -> SpinorState:
-    """Apply a Clifford word to a spinor state, exactly."""
-    if isinstance(word.scalar, CycNumber):
-        if word.scalar.is_zero():
-            return SpinorState({})
-        if not (word.scalar.level in (1, 2, 4) or word.scalar.is_rational()):
-            return _act_op(
-                CliffordWord(word.indices, 1).mode_operator(), state
-            ).scaled(word.scalar)
-    elif word.scalar == 0:
-        return SpinorState({})
-    return _act_op(word.mode_operator(), state)
-
-
-def _act_op(op: ModeOperator, state: SpinorState) -> SpinorState:
+    """Apply a Clifford word to a spinor state, exactly: the unscaled word's
+    table maps each basis vector, then the word's scalar (times 1/sqrt(2)
+    for an odd word) multiplies the image once."""
+    table = WordTable(op_from_mask(word.mask()))
     out = {}
     for mask, c in state.coords.items():
-        target, g, half = op.apply_basis(mask)
-        if g.is_zero():
-            continue
-        val = g.to_cyc(half) * c
+        target, g = table.basis_image(mask)
+        val = g * c
         out[target] = out[target] + val if target in out else val
-    return SpinorState(out)
+    scalar = word.scalar * _INV_ROOT2 if table.odd else word.scalar
+    return SpinorState(out).scaled(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +534,9 @@ class DenseState:
         emax = 0
         items = []
         for mask, c in state.coords.items():
-            c4 = c.raise_level(4) if c.level != 4 else c
-            x, y = c4.coords
+            if 4 % c.level:
+                raise ValidationError("dense engine needs Gaussian coordinates")
+            x, y = c.raise_level(4).coords
             for v in (x, y):
                 if v.denominator & (v.denominator - 1):
                     raise ValidationError("dense engine needs dyadic coordinates")
@@ -619,18 +570,25 @@ class DenseState:
             m = max(int(np.abs(self.re).max()), int(np.abs(self.im).max()))
         return m
 
+    def reduced(self) -> "DenseState":
+        """The same value with the common power of two taken out of re, im
+        and the denominator 2^e."""
+        bits = int(np.bitwise_or.reduce(self.re | self.im))
+        k = min(self.e, (bits & -bits).bit_length() - 1) if bits else self.e
+        return DenseState(self.re >> k, self.im >> k, self.e - k)
+
 
 class WordTable:
-    """Vectorized monomial word: out[S ^ toggle] += i^U(S) 2^T(S) in[S]."""
+    """Monomial word: m_S -> i^U(S) 2^T(S) (1/sqrt(2))^odd m_(S ^ toggle),
+    with U and T affine in the bits of S."""
 
-    __slots__ = ("toggle", "u0", "t0", "du", "dt")
+    __slots__ = ("toggle", "u0", "t0", "du", "dt", "odd")
 
     def __init__(self, op: ModeOperator):
-        if op.half % 2:
-            raise ValidationError("dense tables require an even word length")
+        self.odd = op.half % 2
         toggle = 0
         u0 = 0
-        t0 = -op.half // 2
+        t0 = -(op.half // 2)
         du = []
         dt = []
         for k in range(PAIRS):
@@ -657,8 +615,31 @@ class WordTable:
     def min_shift(self) -> int:
         return self.t0 + sum(d for d in self.dt if d < 0)
 
+    def basis_image(self, mask: int):
+        """(S ^ toggle, i^U(S) 2^T(S) as a level-4 number) for S = mask;
+        the odd 1/sqrt(2) is left to the caller."""
+        u, t = self.u0, self.t0
+        for k in range(PAIRS):
+            if mask >> k & 1:
+                u += self.du[k]
+                t += self.dt[k]
+        scale = Fraction(2) ** t
+        re, im = int(_SIGN_RE[u & 3]) * scale, int(_SIGN_IM[u & 3]) * scale
+        return mask ^ self.toggle, CycNumber(4, (re, im))
+
+    def apply(self, state: DenseState) -> DenseState:
+        """The word applied to a dense state, over the smallest denominator
+        that keeps every image entry integral."""
+        out_re = np.zeros(DIM, dtype=np.int64)
+        out_im = np.zeros(DIM, dtype=np.int64)
+        out_e = state.e + max(0, -self.min_shift())
+        self.apply_into(state, out_re, out_im, out_e)
+        return DenseState(out_re, out_im, out_e)
+
     def apply_into(self, state: DenseState, out_re, out_im, out_e: int):
         """Accumulate 2^out_e * (word applied to state) into out arrays."""
+        if self.odd:
+            raise ValidationError("dense tables require an even word length")
         u = np.full(DIM, self.u0, dtype=np.int64)
         t = np.full(DIM, self.t0 + out_e - state.e, dtype=np.int64)
         for k in range(PAIRS):
@@ -668,6 +649,9 @@ class WordTable:
                 t += self.dt[k] * _BITS[k]
         if int(t.min()) < 0:
             raise ValidationError("denominator headroom exhausted; raise out_e")
+        # products stay below 2^61, so adding two of them cannot wrap
+        if int(t.max()) + state.max_abs().bit_length() > 61:
+            raise ValidationError("int64 headroom exhausted")
         pow2 = np.int64(1) << t
         u &= 3
         sr = _SIGN_RE[u]
@@ -700,6 +684,10 @@ class GolayLift:
     words have doubly-even supports with pairwise even intersections, they
     commute and square to +1, so {+- s(C) e_C} is an elementary abelian
     group of order 8192 lifting the sign-change group.
+
+    Because s(C) e_C is the ordered product of the signed generator words
+    s(G_j) e_{G_j} over the generators in C, the averaging idempotent
+    factors: t = 2^(-12) sum_C s(C) e_C = prod_j (1 + s(G_j) e_{G_j})/2.
     """
 
     def __init__(self, code, frame=None, generator_signs=None):
@@ -719,6 +707,7 @@ class GolayLift:
         self._masks = sorted(section)
         self._ops = None
         self._tables = None
+        self._factors = [WordTable(self.word_operator(g)) for g in code.generators]
 
     # -- signed words ------------------------------------------------------
 
@@ -762,36 +751,24 @@ class GolayLift:
         """Order of {+- s(C) e_C}: the 4096 distinct supports, doubled."""
         return 2 * len(set(self._masks))
 
-    # -- the idempotent t = 2^(-12) * sum of lifted elements ----------------
+    # -- the idempotent t = prod_j (1 + s(G_j) e_{G_j})/2 ---------------------
 
     def idempotent_apply(self, state: SpinorState) -> SpinorState:
-        if len(state.coords) <= 16:
-            return self._apply_t_sparse(state)
         return self.apply_t_dense(DenseState.from_state(state)).to_state()
 
-    def _apply_t_sparse(self, state: SpinorState) -> SpinorState:
-        out = {}
-        for mask, c in state.coords.items():
-            for op in self.operators():
-                target, g, half = op.apply_basis(mask)
-                if g.is_zero():
-                    continue
-                val = g.to_cyc(half) * c
-                out[target] = out[target] + val if target in out else val
-        return SpinorState(out).scaled(Fraction(1, DIM))
-
     def apply_t_dense(self, dense: DenseState) -> DenseState:
+        """t applied factor by factor as (state + W_j state)/2, with the
+        common power of two removed after each factor."""
         if dense.max_abs() > _INPUT_LIMIT:
             raise ValidationError("dense state too large for the exact int64 path")
-        out_e = dense.e + 12  # covers the worst 2^(-half/2) = 2^(-12)
-        out_re = np.zeros(DIM, dtype=np.int64)
-        out_im = np.zeros(DIM, dtype=np.int64)
-        for table in self.tables():
-            table.apply_into(dense, out_re, out_im, out_e)
-        result = DenseState(out_re, out_im, out_e + 12)  # divide by 4096
-        if result.max_abs() > 1 << 62:
-            raise ValidationError("dense accumulation overflow")
-        return result
+        state = dense
+        for table in self._factors:
+            image = table.apply(state)
+            shift = image.e - state.e
+            state = DenseState(
+                (state.re << shift) + image.re, (state.im << shift) + image.im, image.e + 1
+            ).reduced()
+        return state
 
     def apply_signed_word(self, cmask: int, state: SpinorState) -> SpinorState:
         return act(self.signed_word(cmask), state)
@@ -802,8 +779,9 @@ class GolayLift:
 
 def golay_lift_section(code, frame=None) -> GolayLift:
     """Construct the lift, searching generator signs until the idempotent
-    has a nonzero image of the ground state (a property of the chosen
-    section; the extension itself always splits here)."""
+    t = prod_j (1 + s(G_j) e_{G_j})/2 over the 12 code generators has a
+    nonzero image of the ground state (a property of the chosen section;
+    the extension itself always splits here)."""
     candidates = [(1,) * 12]
     candidates += [tuple(-1 if i == j else 1 for i in range(12)) for j in range(12)]
     for signs in candidates:
@@ -852,11 +830,7 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
 
     # invariance of t v under every lifted sign change, exhaustively
     for cmask, table in zip(lift._masks, lift.tables()):
-        out_re = np.zeros(DIM, dtype=np.int64)
-        out_im = np.zeros(DIM, dtype=np.int64)
-        out_e = dense_tv.e + 12
-        table.apply_into(dense_tv, out_re, out_im, out_e)
-        if not DenseState(out_re, out_im, out_e).equals(dense_tv):
+        if not table.apply(dense_tv).equals(dense_tv):
             raise VerificationFailure("t v moved by lifted %06x" % cmask)
     report["invariance_checked"] = len(lift._masks)
 
@@ -875,12 +849,7 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
         mask = 0
         for i in csub:
             mask |= 1 << (i - 1)
-        table = WordTable(op_from_mask(mask))
-        out_re = np.zeros(DIM, dtype=np.int64)
-        out_im = np.zeros(DIM, dtype=np.int64)
-        out_e = dense_tv.e + max(0, -table.min_shift())
-        table.apply_into(dense_tv, out_re, out_im, out_e)
-        val = bilinear_dense(DenseState(out_re, out_im, out_e), dense_tv)
+        val = bilinear_dense(WordTable(op_from_mask(mask)).apply(dense_tv), dense_tv)
         if not val.is_zero():
             raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (csub,))
         checked += 1

@@ -58,14 +58,6 @@ class FrameShape:
         """Multiset of eigenvalues as {theta: multiplicity}, lambda=e^(2*pi*i*theta)."""
         return {t: m for t, m in _eigenvalue_multiset(self.exps).items() if m}
 
-    def eigenvalues_as_pairs(self):
-        """The same multiset as sorted (order, exponent, multiplicity) rows,
-        the eigenvalue being the primitive order-th root to the exponent."""
-        out = []
-        for t, mult in sorted(self.eigenvalues().items()):
-            out.append((t.denominator, t.numerator, mult))
-        return out
-
     def eigenvalue_pairs(self):
         """Split the 24 eigenvalues into 12 inverse pairs.
 

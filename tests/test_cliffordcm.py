@@ -1,26 +1,29 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
+import pytest
+
 from conwaymoonshine.classdata import registry
 from conwaymoonshine.cliffordcm import (
+    _INPUT_LIMIT,
     CliffordWord,
     DenseState,
     SpinorState,
     WordTable,
     _generator_op,
     _identity_op,
-    _zz_op,
     act,
     bilinear_cm,
     bilinear_dense,
     class_supertraces,
     gram_determinant_unit,
-    n1_checks,
     op_from_mask,
     spinor_supertrace_closed,
     spinor_supertrace_oracle,
 )
 from conwaymoonshine.cyclotomic import CycNumber, zeta
+from conwaymoonshine.errors import ValidationError
 from conwaymoonshine.frameshape import parse
 
 
@@ -75,12 +78,18 @@ def test_op_from_mask_matches_generator_composition():
 
 
 def test_zz_parity():
-    zz = _zz_op()
+    zz = CliffordWord(range(1, 25))
     for mask in (0, 1, 0b11, 0b1010101, 0xFFF):
-        target, coeff, half = zz.apply_basis(mask)
-        assert target == mask
-        expect = CycNumber.from_rational((-1) ** bin(mask).count("1"), 4)
-        assert coeff.to_cyc(half) == expect
+        m = SpinorState.basis(mask)
+        assert act(zz, m) == m.scaled((-1) ** bin(mask).count("1"))
+
+
+def test_act_with_level3_scalar():
+    rng = random.Random(12)
+    s = random_state(rng, 4)
+    w = zeta(3, 1)
+    for indices in ([1, 5, 9], [2, 3, 17, 24]):
+        assert act(CliffordWord(indices, w), s) == act(CliffordWord(indices), s).scaled(w)
 
 
 def test_bilinear_normalization():
@@ -159,20 +168,61 @@ def test_word_supertrace_of_identity_vanishes():
 
 def test_dense_word_table_matches_sparse_action(golay, lift):
     rng = random.Random(6)
-    import numpy as np
-
     for _ in range(8):
         cmask = rng.choice(list(lift.section))
         table = WordTable(lift.word_operator(cmask))
         s = random_state(rng, 5)
-        dense = DenseState.from_state(s)
-        out_re = np.zeros(4096, dtype=np.int64)
-        out_im = np.zeros(4096, dtype=np.int64)
-        out_e = dense.e + 12
-        table.apply_into(dense, out_re, out_im, out_e)
-        got = DenseState(out_re, out_im, out_e).to_state()
+        got = table.apply(DenseState.from_state(s)).to_state()
         want = lift.apply_signed_word(cmask, s)
         assert got == want
+
+
+def t_oracle(lift, dense):
+    """t = 2^(-12) * sum over all 4096 lifted words s(C) e_C, term by term."""
+    out_re = np.zeros(4096, dtype=np.int64)
+    out_im = np.zeros(4096, dtype=np.int64)
+    out_e = dense.e + 12  # covers the worst 2^(-half/2) = 2^(-12)
+    for table in lift.tables():
+        table.apply_into(dense, out_re, out_im, out_e)
+    return DenseState(out_re, out_im, out_e + 12)
+
+
+def test_factored_t_matches_4096_term_sum(lift):
+    rng = random.Random(13)
+    states = [SpinorState.vacuum(), lift.invariant_vector()]
+    states += [random_state(rng, 4) for _ in range(3)]
+    dense = [DenseState.from_state(s) for s in states]
+    big = np.random.default_rng(13).integers(-_INPUT_LIMIT, _INPUT_LIMIT + 1, size=(2, 4096))
+    dense.append(DenseState(big[0], big[1], 0))
+    for d in dense:
+        assert lift.apply_t_dense(d).equals(t_oracle(lift, d))
+
+
+def test_apply_t_dense_rejects_large_entries(lift):
+    re = np.zeros(4096, dtype=np.int64)
+    re[5] = _INPUT_LIMIT + 1
+    with pytest.raises(ValidationError):
+        lift.apply_t_dense(DenseState(re, np.zeros(4096, dtype=np.int64), 0))
+
+
+def test_apply_into_guards():
+    out = (np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64))
+    vacuum = DenseState.from_state(SpinorState.vacuum())
+    with pytest.raises(ValidationError):  # odd word: the 1/sqrt(2) is not Gaussian
+        WordTable(op_from_mask(0b1)).apply_into(vacuum, *out, 0)
+    table = WordTable(op_from_mask(0b101))  # e_1 e_3 has entries 1/2
+    assert table.min_shift() < 0
+    with pytest.raises(ValidationError):  # out_e leaves no denominator headroom
+        table.apply_into(vacuum, *out, vacuum.e)
+    big = np.full(4096, 1 << 60, dtype=np.int64)
+    huge = DenseState(big, np.zeros(4096, dtype=np.int64), 0)
+    with pytest.raises(ValidationError):  # products would pass int64
+        table.apply_into(huge, *out, -table.min_shift())
+
+
+def test_idempotent_rejects_non_gaussian_coefficient(lift):
+    with pytest.raises(ValidationError):
+        lift.idempotent_apply(SpinorState({3: zeta(3, 1)}))
 
 
 def test_lift_squares_and_closure(lift):
@@ -207,16 +257,6 @@ def test_idempotent_on_sparse_random_states(lift):
         s = random_state(rng, 4)
         ts = lift.idempotent_apply(s)
         assert lift.idempotent_apply(ts) == ts
-
-
-def test_n1_report(lift):
-    report = n1_checks(lift, seed=11, orth_samples=220)
-    assert report["passed"]
-    assert report["group_order"] == 8192
-    assert report["orthogonality_samples"] >= 200
-    assert not report["tv_norm"].is_zero()
-    alpha = report["alpha"]
-    assert alpha * alpha == report["alpha_squared"]
 
 
 def test_orthogonality_examples(lift):
