@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PairingError, ParseError, ValidationError
-from .qseries import FracPowerSeries, eta
+from .qseries import FracPowerSeries, eta_product
 
 DEGREE = 24  # rank of the lattice whose automorphisms shapes describe
 
@@ -101,20 +101,13 @@ class FrameShape:
     def eta_quotient(self, s, order) -> FracPowerSeries:
         """prod_m eta(m*s*tau)^(k_m) as an exact series valid below `order`.
 
-        The valuation is s (= s * degree/24); every factor is expanded with
-        enough slack that the product is exact below the requested order.
+        The valuation is s (= s * degree/24); an order at or below it is
+        refused.
         """
-        s = Fraction(s)
-        order = Fraction(order)
-        slack = order - s
-        if slack <= 0:
+        s, order = Fraction(s), Fraction(order)
+        if order <= s:
             raise ValidationError("order %s does not reach the valuation %s" % (order, s))
-        result = None
-        for m, k in sorted(self.exps.items()):
-            base_order = slack / (m * s) + Fraction(1, 24) + 1
-            factor = eta(base_order).scale_tau(m * s) ** k
-            result = factor if result is None else result * factor
-        return result.truncate(order)
+        return eta_product({m * s: k for m, k in self.exps.items()}, order)
 
     # -- formatting --------------------------------------------------------
 

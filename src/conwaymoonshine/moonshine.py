@@ -13,13 +13,14 @@ and pass means identically zero.  Numeric evaluation lives in modgroups.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classdata import ConjugacyClassRecord, registry
 from .errors import VerificationFailure
 from .frameshape import FrameShape
-from .qseries import FracPowerSeries
+from .qseries import FracPowerSeries, eta_product
 
 
 @dataclass
@@ -57,10 +58,9 @@ def _report(name, series: FracPowerSeries, solved=None) -> IdentityReport:
 
 def t_tilde(pi: FrameShape, order) -> FracPowerSeries:
     """eta_pi(tau/2)/eta_pi(tau), the untwisted graded super trace."""
-    order = Fraction(order)
-    num = pi.eta_quotient(Fraction(1, 2), order + 1)
-    den = pi.eta_quotient(1, order + 2)
-    return (num * den.invert()).truncate(order)
+    exps = Counter({Fraction(m, 2): k for m, k in pi.exps.items()})
+    exps.subtract(pi.exps)
+    return eta_product(exps, order)
 
 
 def T_s(pi: FrameShape, order) -> FracPowerSeries:
@@ -109,15 +109,8 @@ def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     The scalar is pinned by the q^1 coefficient; all remaining
     coefficients (about order * 48 of them) are then genuine checks.
     """
-    order = Fraction(order)
-    pi = rec.frame_shape
-    pin = pi.negate()
-    base = (
-        t_tilde(pi, order)
-        - t_tilde(pin, order)
-        - pi.eta_quotient(1, order) * rec.c_hat_g
-        + 2 * pi.chi()
-    )
+    pin = rec.frame_shape.negate()
+    base = lemma_residual(rec.frame_shape, rec.c_hat_g, 0, order)
     # eta of the partner shape has valuation exactly 1 with leading coefficient 1
     solved = -Fraction(base.coeff(1))
     residual = base + pin.eta_quotient(1, order) * solved
@@ -142,12 +135,12 @@ def verify_delta_identity(order=50) -> IdentityReport:
 
     with D = eta^24, checked as an exact residual series."""
     order = Fraction(order)
-    ident = FrameShape({1: 24})
-    d1 = ident.eta_quotient(1, order + 4)
-    d2 = ident.eta_quotient(2, order + 4)
-    dh = ident.eta_quotient(Fraction(1, 2), order + 2)
-    lhs = (d1 * d1 * (d2 * dh).invert() - dh * d1.invert()) * Fraction(1, 2)
-    rhs = d2 * d1.invert() * 2048 + 24
+    half = Fraction(1, 2)
+    # built one unit beyond `order` so that D(2t)/D(t), of valuation 1, has
+    # a known term at every positive order
+    lhs = (eta_product({1: 48, 2: -24, half: -24}, order + 1)
+           - eta_product({half: 24, 1: -24}, order + 1)) * half
+    rhs = eta_product({2: 24, 1: -24}, order + 1) * 2048 + 24
     return _report("delta-identity", (lhs - rhs).truncate(order))
 
 
@@ -157,14 +150,13 @@ def verify_hecke(order=40):
     coefficients; verify the rest of the expansion and return
     ((a, b, c), report).  The expected fit is (2048, 24, 0)."""
     order = Fraction(order)
-    shape = FrameShape({2: 24, 1: -24})
-    f = shape.eta_quotient(1, 2 * order + 2)
-    fh = f.scale_tau(Fraction(1, 2))
+    f = eta_product({2: 24, 1: -24}, order + 1)
+    fh = eta_product({1: 24, Fraction(1, 2): -24}, order + 1)  # f(tau/2)
     t2f = (fh + fh.shift_tau(1)) * Fraction(1, 2)
     f2 = f * f
     # f = q + 24 q^2 + ..., f^2 = q^2 + ...: solve on coefficients 0, 1, 2
     c = Fraction(t2f.coeff(0))
-    b = Fraction(t2f.coeff(1)) - c * 0
+    b = Fraction(t2f.coeff(1))
     a = Fraction(t2f.coeff(2)) - b * Fraction(f.coeff(2))
     residual = (t2f - (f2 * a + f * b + c)).truncate(order)
     report = _report("hecke-T2", residual, {"a": a, "b": b, "c": c})
@@ -173,13 +165,10 @@ def verify_hecke(order=40):
 
 def half_shift_relation(order=30) -> IdentityReport:
     """f((tau+1)/2) = -f(tau)/f(tau/2) for f = D(2t)/D(t)."""
-    order = Fraction(order)
-    shape = FrameShape({2: 24, 1: -24})
-    f = shape.eta_quotient(1, 2 * order + 4)
-    fh = f.scale_tau(Fraction(1, 2))
-    lhs = fh.shift_tau(1)
-    rhs = f * fh.invert() * -1
-    return _report("half-shift", (lhs - rhs).truncate(order))
+    half = Fraction(1, 2)
+    lhs = eta_product({1: 24, half: -24}, order).shift_tau(1)
+    rhs = eta_product({2: 24, half: 24, 1: -48}, order) * -1
+    return _report("half-shift", lhs - rhs)
 
 
 def normalization_reports(order=6):

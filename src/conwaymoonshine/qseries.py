@@ -10,7 +10,8 @@ promoted to CycNumber only when a tau-shift introduces roots of unity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
+from operator import mul
 
 from .cyclotomic import CycNumber, root_of_unity
 from .errors import NotInvertibleError, PrecisionError
@@ -175,12 +176,13 @@ class FracPowerSeries:
         va = min(a.terms) if a.terms else a.order * k
         vb = min(b.terms) if b.terms else b.order * k
         order_num = min(va + b.order * k, vb + a.order * k)
+        bound = ceil(order_num)
         terms = {}
         b_items = sorted(b.terms.items())
         for p, c in sorted(a.terms.items()):
             for p2, c2 in b_items:
                 e = p + p2
-                if e >= order_num:
+                if e >= bound:
                     break
                 terms[e] = terms.get(e, 0) + c * c2
         return FracPowerSeries(k, terms, Fraction(order_num, k))
@@ -283,7 +285,9 @@ class FracPowerSeries:
         return a.terms == b.terms
 
     def __hash__(self):
-        return hash((self.order, tuple(sorted(self.terms.items()))))
+        return hash((self.order, tuple(
+            (Fraction(p, self.denom), c) for p, c in sorted(self.terms.items())
+        )))
 
     def agrees_with(self, other, through=None) -> bool:
         """Equality of all coefficients below min(orders) (or `through`)."""
@@ -404,25 +408,37 @@ class FracPowerSeries:
 
 
 def eta(order) -> FracPowerSeries:
-    """Dedekind eta: q^(1/24) * prod_(n>=1) (1 - q^n), truncated below `order`.
+    """Dedekind eta: q^(1/24) * prod_(n>=1) (1 - q^n), truncated below `order`."""
+    return eta_product({1: 1}, order)
 
-    Expanded with the pentagonal number theorem; the term-by-term product
-    is kept to the tests as an independent oracle.
+
+def eta_product(exps, order) -> FracPowerSeries:
+    """prod_a eta(a*tau)^(k_a) for exps = {a: k_a}, scales a > 0, below `order`.
+
+    The product is q^v * sum_n c_n x^n with v = sum_a k_a*a/24, x = q^step
+    and step the gcd of the scales.  The integers c_n are filled by the
+    log-derivative recurrence n*c_n = -sum_(i<=n) s_i*c_(n-i), where s_i is
+    the sum of k*j over the factors (1 - x^j)^k with j | i.  The exponent
+    grid is the lcm of the denominators of the a/24.
     """
     order = Fraction(order)
-    if order <= Fraction(1, 24):
-        raise PrecisionError("eta needs order > 1/24 to hold any term")
-    terms = {}
-    limit = order - Fraction(1, 24)  # pentagonal exponents must stay below this
-    k = 0
-    while True:
-        placed = False
-        for kk in ((k, -k) if k else (0,)):
-            e = Fraction(kk * (3 * kk - 1), 2)
-            if e < limit:
-                terms[e * 24 + 1] = 1 if kk % 2 == 0 else -1
-                placed = True
-        if not placed and k > 0:
-            break
-        k += 1
-    return FracPowerSeries(24, {int(p): c for p, c in terms.items()}, order)
+    if any(Fraction(a) <= 0 for a in exps):
+        raise ValueError("eta scales must be positive")
+    scales = {Fraction(a): k for a, k in exps.items() if k}
+    denom = lcm(*((a / 24).denominator for a in scales))
+    lead = Fraction(sum(k * a for a, k in scales.items()) * denom, 24)  # valuation * denom
+    if order * denom <= lead:
+        raise PrecisionError("order %s does not reach the valuation %s" % (order, lead / denom))
+    on_grid = {int(a * denom): k for a, k in scales.items()}
+    unit = gcd(*on_grid) or 1  # step * denom; the empty map is the constant 1
+    count = ceil((order * denom - lead) / unit)
+    sigma = [0] * count  # sigma[i - 1] = s_i
+    for a, k in on_grid.items():
+        for j in range(a // unit, count, a // unit):  # eta(a*tau)^k holds (1 - x^j)^k
+            for i in range(j, count, j):
+                sigma[i - 1] += k * j
+    coeffs = [1]
+    for n in range(1, count):
+        coeffs.append(-sum(map(mul, sigma, reversed(coeffs))) // n)
+    terms = {int(lead) + n * unit: c for n, c in enumerate(coeffs)}
+    return FracPowerSeries(denom, terms, order)

@@ -27,6 +27,11 @@ def test_series_unknown_class_usage_error(capsys):
     assert code == 2
 
 
+def test_negative_order_is_usage_error(capsys):
+    assert run(capsys, "series", "--class", "2A", "--order", "-1")[0] == 2
+    assert run(capsys, "verify", "delta", "--order", "-1")[0] == 2
+
+
 def test_series_requires_selector(capsys):
     code, _ = run(capsys, "series")
     assert code == 2

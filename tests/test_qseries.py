@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
+from conwaymoonshine.classdata import lookup
 from conwaymoonshine.errors import NotInvertibleError, PrecisionError
-from conwaymoonshine.qseries import FracPowerSeries as S, eta
+from conwaymoonshine.frameshape import parse
+from conwaymoonshine.moonshine import T_s, T_s_tw
+from conwaymoonshine.qseries import FracPowerSeries as S, eta, eta_product
 
 
 def geometric(order):
@@ -24,6 +28,11 @@ def test_monomial_examples():
 def test_mul_geometric_inverse():
     one_minus_q = S.monomial(1, 0, 8) - S.monomial(1, 1, 8)
     assert (one_minus_q * geometric(8)).agrees_with(S.monomial(1, 0, 8))
+
+
+def test_mul_keeps_terms_below_an_off_grid_order():
+    half = S.monomial(1, 0, F(1, 2)) * S.monomial(1, 0, 5)
+    assert half.order == F(1, 2) and half.coeff(0) == 1
 
 
 def test_mul_by_constant_identity():
@@ -81,15 +90,106 @@ def test_eta_first_terms_and_minimal_order():
     assert eta(F(1, 12)).exponents() == [F(1, 24)]
 
 
-@pytest.mark.parametrize("order", [F(7, 2), 11, F(49, 3)])
-def test_eta_against_product_oracle(order):
-    e = eta(order)
-    prod = S.monomial(1, 0, order)
+def product_eta(order):
+    """eta by the term-by-term product q^(1/24) * prod_(n < order) (1 - q^n)."""
+    series = S.monomial(1, 0, order)
     n = 1
     while n < order:
-        prod = prod * (S.monomial(1, 0, order) - S.monomial(1, n, order))
+        series = series * (S.monomial(1, 0, order) - S.monomial(1, n, order))
         n += 1
-    assert e.agrees_with(prod.shifted(F(1, 24)))
+    return series.shifted(F(1, 24))
+
+
+def pentagonal_eta(order):
+    """eta by Euler's pentagonal theorem: sum_k (-1)^k q^(1/24 + k(3k-1)/2)."""
+    order = F(order)
+    terms = {}
+    limit = order - F(1, 24)  # pentagonal exponents must stay below this
+    k = 0
+    while True:
+        placed = False
+        for kk in ((k, -k) if k else (0,)):
+            e = F(kk * (3 * kk - 1), 2)
+            if e < limit:
+                terms[e * 24 + 1] = 1 if kk % 2 == 0 else -1
+                placed = True
+        if not placed and k > 0:
+            break
+        k += 1
+    return S(24, {int(p): c for p, c in terms.items()}, order)
+
+
+def product_eta_product(exps, order):
+    """prod_a eta(a*tau)^(k_a) from product_eta, scale_tau and powers."""
+    order = F(order)
+    valuation = F(sum(k * F(a) for a, k in exps.items()), 24)
+    base = (order - valuation) / min(map(F, exps)) + 1
+    return prod(product_eta(base).scale_tau(a) ** k for a, k in exps.items())
+
+
+@pytest.mark.parametrize("order", [F(7, 2), 11, F(49, 3)])
+def test_eta_against_product_oracle(order):
+    assert eta(order).agrees_with(product_eta(order))
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        {F(1, 2): 3, 1: -2, F(3, 2): 1, 2: -1},
+        {F(1, 2): -5, 1: 4, F(3, 2): -2, 2: 3},
+        {F(1, 2): 8, 1: 0, 2: -8},  # t~ of 1^8.2^8: the scale-1 exponents cancel
+    ],
+)
+def test_eta_product_against_product_oracle(exps):
+    order = F(13, 2)
+    got = eta_product(exps, order)
+    want = product_eta_product(exps, order)
+    assert got.order == order and want.order >= order
+    assert got.agrees_with(want)
+
+
+def test_eta_product_against_pentagonal_theorem():
+    assert eta_product({1: 1}, 500) == pentagonal_eta(500)
+    assert eta_product({3: 1}, 500) == pentagonal_eta(F(500, 3)).scale_tau(3)
+
+
+def test_eta_product_errors_and_empty_map():
+    with pytest.raises(PrecisionError):
+        eta_product({1: 24}, 1)  # valuation 1
+    with pytest.raises(PrecisionError):
+        eta_product({F(1, 2): 24, 1: -24}, F(-1, 2))
+    with pytest.raises(ValueError):
+        eta_product({0: 1}, 5)
+    with pytest.raises(ValueError):
+        eta_product({F(-1, 2): 2, 1: 1}, 5)
+    assert eta_product({}, 5) == S.monomial(1, 0, 5)
+    assert eta_product({3: 0}, F(1, 2)) == S.monomial(1, 0, F(1, 2))
+
+
+def test_eta_product_grid_is_lcm_of_factor_grids():
+    assert parse("1^24").eta_quotient(1, 3).denom == 24
+    assert eta_product({3: 8}, 4).denom == 8
+    assert eta_product({F(1, 2): 1, 3: -1}, 4).denom == 48
+    rows = {
+        "2A": (
+            [[-24, 48, 1, 1], [24, 48, 276, 1], [48, 48, 2048, 1], [72, 48, 11202, 1]],
+            [[0, 24, 24, 1], [24, 24, 4096, 1]],
+        ),
+        "30A": (
+            [[-24, 48, 1, 1], [24, 48, 3, 1], [48, 48, 1, 1]],
+            [[0, 24, 3, 1], [24, 24, 1, 1]],
+        ),
+    }
+    for name, (untwisted, twisted) in rows.items():
+        rec = lookup(name)
+        assert T_s(rec.frame_shape, 2).to_json() == {"terms": untwisted, "order": [2, 1]}
+        assert T_s_tw(rec, 2).to_json() == {"terms": twisted, "order": [2, 1]}
+
+
+def test_hash_agrees_with_equality_across_grids():
+    s = eta(5)
+    assert s == s.rescaled(48)
+    assert len({s, s.rescaled(48)}) == 1
 
 
 def test_scale_tau():
