@@ -62,9 +62,9 @@ def _parallel_map(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _order(text) -> int:
+def _non_negative(text) -> int:
     if int(text) < 0:
-        raise argparse.ArgumentTypeError("order must be non-negative")
+        raise argparse.ArgumentTypeError("must be non-negative")
     return int(text)
 
 
@@ -278,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="klass", help="class name, e.g. 2A")
     p.add_argument("--shape", help="explicit Frame shape, e.g. 2^24/1^24")
     p.add_argument("--which", choices=("s", "tw"), default="s")
-    p.add_argument("--order", type=_order, default=10)
+    p.add_argument("--order", type=_non_negative, default=10)
     p.add_argument("--c-value", type=int, default=None)
 
     p = add("verify", help="exact identity checks")
     p.add_argument("what", choices=("lemma", "delta", "hecke", "normalization"))
     p.add_argument("--class", dest="klass", default="all")
-    p.add_argument("--order", type=_order, default=None)
+    p.add_argument("--order", type=_non_negative, default=None)
 
     p = add("oracle", help="independent cross-checks")
     p.add_argument("what", choices=("fock", "spinor"))
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("lattice", help="Golay and Leech verifications")
     p.add_argument("what", choices=("golay-weights", "leech-shell", "frame-check"))
-    p.add_argument("--norm", type=int, default=4)
+    p.add_argument("--norm", type=_non_negative, default=4)
 
     p = add("invariance", help="numeric modular invariance")
     p.add_argument("--class", dest="klass", default="all")

@@ -705,8 +705,6 @@ class GolayLift:
                 masks.append(nxt)
         self.section = section
         self._masks = sorted(section)
-        self._ops = None
-        self._tables = None
         self._factors = [WordTable(self.word_operator(g)) for g in code.generators]
 
     # -- signed words ------------------------------------------------------
@@ -720,14 +718,12 @@ class GolayLift:
         return op_from_mask(cmask, self.section[cmask])
 
     def operators(self):
-        if self._ops is None:
-            self._ops = [self.word_operator(c) for c in self._masks]
-        return self._ops
+        """The 4096 lifted operators in mask order, built one at a time."""
+        return (self.word_operator(c) for c in self._masks)
 
     def tables(self):
-        if self._tables is None:
-            self._tables = [WordTable(op) for op in self.operators()]
-        return self._tables
+        """A WordTable for each lifted operator, built one at a time."""
+        return (WordTable(op) for op in self.operators())
 
     # -- group structure ----------------------------------------------------
 

@@ -58,6 +58,19 @@ def euler_phi(n: int) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _mobius(n: int) -> int:
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
 def _reduce_mod_phi(coeffs, n):
     """Reduce a rational polynomial modulo Phi_n; returns phi(n) coords."""
     phi = list(cyclotomic_polynomial(n))
@@ -215,9 +228,13 @@ class CycNumber:
         return a.coords == b.coords
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.level, self.coords))
+        """Hash of the normalized trace Tr_{K/Q}(x)/[K:Q], which does not
+        depend on the level: z^k is a primitive (N/g)-th root of unity,
+        g = gcd(k, N), with normalized trace mu(N/g)/phi(N/g).  For a
+        rational x this is hash(x), as for the equal int or Fraction."""
+        n = self.level
+        return hash(sum(c * _mobius(n // gcd(k, n)) / euler_phi(n // gcd(k, n))
+                        for k, c in enumerate(self.coords) if c))
 
     def __repr__(self):
         terms = []

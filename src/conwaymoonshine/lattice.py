@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, sqrt
+from math import floor, sqrt
+
+import numpy as np
 
 from .errors import MembershipError, ValidationError
 from .frameshape import FrameShape
@@ -128,7 +130,9 @@ class IntegerLattice:
         self.basis = tuple(tuple(int(c) for c in row) for row in basis)
         if len(self.basis) != LENGTH or any(len(r) != LENGTH for r in self.basis):
             raise ValidationError("basis must be 24 rows of 24 integers")
-        self._inv = _invert_matrix([[Fraction(c) for c in row] for row in self.basis])
+        self._echelon = _integer_row_basis(self.basis)
+        if len(self._echelon) != LENGTH:
+            raise ValidationError("basis rows are linearly dependent")
 
     def gram8(self):
         """Integer matrix of scaled dot products b_i . b_j (= 8 * Gram)."""
@@ -148,9 +152,14 @@ class IntegerLattice:
         return Fraction(sum(a * b for a, b in zip(x, y)), 8)
 
     def contains(self, x) -> bool:
-        """Exact membership: solve c . basis = x and test integrality."""
-        coords = _vec_mat(x, self._inv)
-        return all(c.denominator == 1 for c in coords)
+        """Exact membership: reduce x against the integer echelon basis."""
+        x = [int(c) for c in x]
+        for row in self._echelon:
+            col = next(j for j, c in enumerate(row) if c)
+            q = x[col] // row[col]
+            if q:
+                x = [a - q * c for a, c in zip(x, row)]
+        return not any(x)
 
     def verify(self):
         """Even, determinant one, no vectors of norm below 4."""
@@ -171,7 +180,7 @@ class IntegerLattice:
 
     def shell_count(self, norm: int) -> int:
         """Number of lattice vectors of the given norm, by exhaustive
-        depth-first enumeration with Cholesky bounds on the Gram matrix."""
+        Fincke-Pohst enumeration with exact integer norms (_shell_count)."""
         return _shell_count(self.basis, 8 * norm)
 
     def __repr__(self):
@@ -266,29 +275,7 @@ def apply_sign_change(codeword: int, x):
     return tuple(-c if codeword >> i & 1 else c for i, c in enumerate(x))
 
 
-# -- exact linear algebra helpers -------------------------------------------
-
-
-def _invert_matrix(rows):
-    n = len(rows)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValidationError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def _vec_mat(x, mat):
-    n = len(mat)
-    return [sum(Fraction(x[i]) * mat[i][j] for i in range(n)) for j in range(n)]
+# -- linear algebra helpers ---------------------------------------------------
 
 
 def _int_determinant(rows):
@@ -313,10 +300,13 @@ def _int_determinant(rows):
 
 
 def _integer_row_basis(gens):
-    """Hermite-style reduction of integer rows to a basis of their span."""
+    """Hermite-style reduction of integer rows to a basis of their span, in
+    echelon form: each row starts, at its pivot column, with a positive
+    entry, and pivot columns increase down the rows."""
     rows = [list(r) for r in gens if any(r)]
+    width = len(rows[0]) if rows else 0
     basis = []
-    for col in range(LENGTH):
+    for col in range(width):
         active = [r for r in rows if r[col] != 0]
         if not active:
             continue
@@ -328,52 +318,47 @@ def _integer_row_basis(gens):
             for r in rest:
                 q = r[col] // piv[col]
                 if q:
-                    for j in range(LENGTH):
+                    for j in range(width):
                         r[j] -= q * piv[j]
             active = [piv] + [r for r in rest if r[col] != 0]
             if len(active) == 1:
                 break
         if piv[col] < 0:
-            for j in range(LENGTH):
+            for j in range(width):
                 piv[j] = -piv[j]
         basis.append(piv)
         rows = [r for r in rows if r is not piv and any(r)]
     return basis
 
 
-def _lll_reduce(basis, delta=Fraction(3, 4)):
-    """Textbook LLL over exact rationals (integer vectors in, integers out).
+def _lll_reduce(basis, delta=0.75):
+    """LLL with integer row operations and float Gram-Schmidt data
+    (Schnorr-Euchner).
 
-    Size reductions update the mu table in place; the Gram-Schmidt data is
-    recomputed only after swaps.
+    Rows stay Python ints and change only by unimodular steps, so the
+    result spans the same lattice whatever the rounding; the float data only
+    steers.  It is recomputed from the integer rows after each swap, so
+    rounding error cannot build up.
     """
     b = [list(r) for r in basis]
     n = len(b)
 
     def gs():
-        star = []
-        norms = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(c) for c in b[i]]
-            for j in range(i):
-                mu[i][j] = sum(Fraction(x) * y for x, y in zip(b[i], star[j])) / norms[j]
-                if mu[i][j]:
-                    v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-            norms.append(sum(x * x for x in v))
-        return norms, mu
+        # b_i = sum_j r[j, i] q_j, so |b*_j|^2 = r[j, j]^2 and mu_ij = r[j, i] / r[j, j]
+        r = np.linalg.qr(np.array(b, dtype=float).T, mode="r")
+        diag = np.diag(r)
+        return (diag * diag).tolist(), (r / diag[:, None]).T.tolist()
 
     norms, mu = gs()
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            if 2 * abs(mu[k][j]) > 1:
-                r = round(mu[k][j])
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 for i in range(j):
-                    mu[k][i] -= r * mu[j][i]
-                mu[k][j] -= r
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
@@ -383,61 +368,68 @@ def _lll_reduce(basis, delta=Fraction(3, 4)):
     return b
 
 
+_BLOCK = 4096  # partial vectors that _shell_count expands in one numpy step
+_SLACK = 1e-6  # relative float slack on the enumeration budget
+
+
 def _shell_count(basis, target8: int) -> int:
-    """Count lattice vectors with scaled norm target8 = 8*norm.
+    """Count lattice vectors x.B with scaled norm |x.B|^2 == target8 (= 8*norm).
 
-    Depth-first Fincke-Pohst over the (LLL-reduced) basis: write
-    x.G.x = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 from an exact Gram
-    matrix, then walk coordinate ranges outermost-first.  Bounds carry
-    float slack; a leaf counts when its accumulated norm lands in a small
-    window around the target.  Scaled norms are integer multiples of 16,
-    so the window decides membership exactly.
+    Fincke-Pohst over the (LLL-reduced) basis: from the Cholesky form
+    x.G.x = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 of the Gram matrix, fix
+    x_{n-1} first and x_0 last.  Only half the space is walked, since x and
+    -x have the same norm: the vectors whose first nonzero coordinate in that
+    order is positive, counted twice.  Each level is expanded in numpy over
+    blocks of at most _BLOCK partial vectors held as int8.  The float bounds
+    carry slack and only prune; a full vector counts when its exact int64
+    norm equals target8.
     """
+    if target8 < 0:
+        return 0
+    if target8 == 0:
+        return 1
     n = len(basis)
-    d, m = _cholesky_data(basis)
-    eps = 1e-7
-    window = 1e-3
+    # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|
+    widest = 127 * max(sum(abs(row[k]) for row in basis) for k in range(len(basis[0])))
+    if len(basis[0]) * widest * widest >= 2**63:
+        raise ValidationError("basis entries too large for exact int64 norms")
+    b = np.array(basis, dtype=np.int64)
+    chol = np.linalg.cholesky((b @ b.T).astype(float)).T
+    d = np.diag(chol) ** 2
+    m = chol / np.diag(chol)[:, None]
+    slack = _SLACK * target8
+
+    def as_int8(values):
+        if len(values) and (values.min() < -128 or values.max() > 127):
+            raise ValidationError("enumeration coordinate outside int8")
+        return values.astype(np.int8)
+
+    # one seed block per level `top`: x_j = 0 for j > top, x_top > 0
+    stack = []
+    for top in range(n):
+        first = as_int8(np.arange(1, floor(sqrt((target8 + slack) / d[top])) + 1))
+        x = np.zeros((len(first), n), dtype=np.int8)
+        x[:, top] = first
+        stack.append((top, x, target8 - d[top] * first.astype(float) ** 2))
     count = 0
-    x = [0] * n
-
-    def walk(level: int, budget: float) -> None:
-        nonlocal count
-        c = 0.0
-        for j in range(level + 1, n):
-            if x[j]:
-                c += m[level][j] * x[j]
-        half = sqrt(max(budget, 0.0) / d[level])
-        lo = ceil(-half - c - eps)
-        hi = floor(half - c + eps)
-        for xi in range(lo, hi + 1):
-            t = xi + c
-            rem = budget - d[level] * t * t
-            if rem < -window:
-                continue
-            x[level] = xi
-            if level == 0:
-                if abs(rem) <= window:
-                    count += 1
-            else:
-                walk(level - 1, rem)
-        x[level] = 0
-
-    walk(n - 1, float(target8) + eps)
-    return count
-
-
-def _cholesky_data(basis):
-    """Float Cholesky-style (d, m) for the scaled Gram of the basis."""
-    n = len(basis)
-    q = [
-        [float(sum(a * b for a, b in zip(ri, rj))) for rj in basis]
-        for ri in basis
-    ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return [q[i][i] for i in range(n)], q
+    while stack:
+        level, x, rem = stack.pop()  # x_level .. x_{n-1} are fixed
+        if level == 0:
+            v = x.astype(np.int64) @ b
+            count += int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == target8))
+            continue
+        i = level - 1
+        c = x[:, level:] @ m[i, level:]
+        half = np.sqrt(np.maximum(rem + slack, 0.0) / d[i])
+        lo = np.ceil(-half - c).astype(np.int64)
+        width = np.maximum(np.floor(half - c).astype(np.int64) - lo + 1, 0)
+        parent = np.repeat(np.arange(len(x)), width)
+        start = np.repeat(np.cumsum(width) - width, width)
+        xi = as_int8(lo[parent] + np.arange(len(parent)) - start)
+        t = xi + c[parent]
+        child = x[parent]
+        child[:, i] = xi
+        child_rem = rem[parent] - d[i] * t * t
+        for s in range(0, len(parent), _BLOCK):
+            stack.append((i, child[s : s + _BLOCK], child_rem[s : s + _BLOCK]))
+    return 2 * count

@@ -85,21 +85,26 @@ def T_s_tw(source, order, c_value=None) -> FracPowerSeries:
     return pi.eta_quotient(1, order) * c - pi.chi()
 
 
+def _lemma_terms(pi: FrameShape, c_g, order):
+    """The lemma combination without its partner term, and eta_{negate pi}."""
+    order = Fraction(order)
+    pin = pi.negate()
+    rest = (
+        t_tilde(pi, order)
+        - t_tilde(pin, order)
+        - pi.eta_quotient(1, order) * c_g
+        + 2 * pi.chi()
+    )
+    return rest, pin.eta_quotient(1, order)
+
+
 def lemma_residual(pi: FrameShape, c_g, c_neg, order) -> FracPowerSeries:
     """The five-term combination that the eta identity asserts vanishes:
 
         2*chi + t~(pi) - t~(negate pi) + c_neg*eta_{negate pi} - c_g*eta_pi.
     """
-    order = Fraction(order)
-    pin = pi.negate()
-    series = (
-        t_tilde(pi, order)
-        - t_tilde(pin, order)
-        + pin.eta_quotient(1, order) * c_neg
-        - pi.eta_quotient(1, order) * c_g
-        + 2 * pi.chi()
-    )
-    return series
+    rest, partner = _lemma_terms(pi, c_g, order)
+    return rest + partner * c_neg
 
 
 def solve_c_neg(rec: ConjugacyClassRecord, order=25):
@@ -109,11 +114,10 @@ def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     The scalar is pinned by the q^1 coefficient; all remaining
     coefficients (about order * 48 of them) are then genuine checks.
     """
-    pin = rec.frame_shape.negate()
-    base = lemma_residual(rec.frame_shape, rec.c_hat_g, 0, order)
+    rest, partner = _lemma_terms(rec.frame_shape, rec.c_hat_g, order)
     # eta of the partner shape has valuation exactly 1 with leading coefficient 1
-    solved = -Fraction(base.coeff(1))
-    residual = base + pin.eta_quotient(1, order) * solved
+    solved = -Fraction(rest.coeff(1))
+    residual = rest + partner * solved
     report = _report("lemma:%s" % rec.co0_name, residual, {"c_neg": solved})
     return solved, report
 

@@ -215,8 +215,7 @@ class FracPowerSeries:
             if not _is_zero(acc):
                 inv[n] = -acc
         out = {p - v: c * lead_inv for p, c in inv.items()}
-        order = Fraction(int(self.order * k) - 2 * v, k)
-        return FracPowerSeries(k, out, order)
+        return FracPowerSeries(k, out, self.order - Fraction(2 * v, k))
 
     def __pow__(self, n: int) -> "FracPowerSeries":
         if n < 0:

@@ -32,6 +32,12 @@ def test_negative_order_is_usage_error(capsys):
     assert run(capsys, "verify", "delta", "--order", "-1")[0] == 2
 
 
+def test_leech_shell_norm_bounds(capsys):
+    assert run(capsys, "lattice", "leech-shell", "--norm", "-1")[0] == 2
+    code, out = run(capsys, "lattice", "leech-shell", "--norm", "0", "--format", "json")
+    assert code == 0 and json.loads(out) == {"norm": 0, "count": 1}
+
+
 def test_series_requires_selector(capsys):
     code, _ = run(capsys, "series")
     assert code == 2

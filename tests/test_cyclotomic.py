@@ -91,6 +91,13 @@ def test_level_raising_preserves_value():
     assert y == x and y.level == 24
 
 
+def test_hash_agrees_with_equality_across_levels():
+    assert len({zeta(4), zeta(4).raise_level(8)}) == 1
+    assert len({zeta(6, 1) + 2, (zeta(6, 1) + 2).raise_level(24)}) == 1
+    assert hash(CycNumber.from_rational(F(3, 7), 12)) == hash(F(3, 7))
+    assert hash(CycNumber.from_rational(5, 9)) == hash(5)
+
+
 def test_zz8_squares_to_two():
     root2 = zeta(8, 1) + zeta(8, -1)
     assert (root2 * root2).to_rational() == 2

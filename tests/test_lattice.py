@@ -1,16 +1,24 @@
+import itertools
 import random
+from math import ceil
 
+import numpy as np
 import pytest
 
 from conwaymoonshine.cliffordcm import class_supertraces
-from conwaymoonshine.errors import MembershipError
+from conwaymoonshine.errors import MembershipError, ValidationError
 from conwaymoonshine.frameshape import parse
 from conwaymoonshine.lattice import (
     LENGTH,
+    IntegerLattice,
     apply_sign_change,
     sign_change_frameshape,
+    _integer_row_basis,
     _leech_congruences,
+    _lll_reduce,
+    _shell_count,
 )
+from conwaymoonshine.qseries import FracPowerSeries, eta_product
 
 
 def test_golay_weight_distribution(golay):
@@ -43,6 +51,92 @@ def test_leech_gram(leech):
 def test_leech_no_short_vectors(leech):
     for norm in (1, 2, 3):
         assert leech.shell_count(norm) == 0
+
+
+def e8_doubled_basis():
+    """E8 in doubled coordinates: integer vectors, all even or all odd, with
+    coordinate sum divisible by 4 (norm 2 becomes 8)."""
+    gens = [[2 if j == i else -2 if j == i + 1 else 0 for j in range(8)] for i in range(7)]
+    gens.append([0] * 6 + [2, 2])
+    gens.append([1] * 8)
+    return _integer_row_basis(gens)
+
+
+def test_e8_shells_in_doubled_coordinates():
+    basis = e8_doubled_basis()
+    assert len(basis) == 8
+    for b in (basis, _lll_reduce(basis)):
+        assert [_shell_count(b, t) for t in (0, 4, 8, 12, 16)] == [1, 0, 240, 0, 2160]
+
+
+def box_norms(basis, target):
+    """Scaled norms of every x in the box |x_i| <= sqrt(target * (G^-1)_ii),
+    which holds all lattice vectors of norm at most target."""
+    b = np.array(basis, dtype=np.int64)
+    radius = np.sqrt(target * np.diag(np.linalg.inv((b @ b.T).astype(float))))
+    ranges = [range(-ceil(r) - 1, ceil(r) + 2) for r in radius]
+    v = np.array(list(itertools.product(*ranges)), dtype=np.int64) @ b
+    return (v * v).sum(axis=1)
+
+
+def test_shell_count_matches_box_enumeration():
+    rng = random.Random(31)
+    checked = 0
+    while checked < 6:
+        rank = 2 + checked % 3
+        basis = [[rng.randrange(-3, 4) for _ in range(rank)] for _ in range(rank)]
+        if abs(np.linalg.det(np.array(basis, dtype=float))) < 0.5:
+            continue
+        norms = box_norms(basis, 24)
+        for target in range(25):
+            assert _shell_count(basis, target) == np.count_nonzero(norms == target)
+        checked += 1
+
+
+def test_shell_count_guards():
+    assert _shell_count([[1]], -1) == 0
+    assert _shell_count([[1]], 127**2) == 2
+    with pytest.raises(ValidationError, match="int8"):
+        _shell_count([[1]], 128**2)
+    with pytest.raises(ValidationError, match="int64"):
+        _shell_count([[2**30, 0], [0, 1]], 4)
+
+
+def test_theta_series_second_opinion(leech):
+    """Theta of the Leech lattice is E4^3 - 720 Delta; its q^2 coefficient
+    counts the vectors of norm 4."""
+    order = 3
+    sigma3 = [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(order)]
+    e4 = FracPowerSeries(1, {0: 1, **{n: 240 * sigma3[n] for n in range(1, order)}}, order)
+    theta = e4 * e4 * e4 - eta_product({1: 24}, order) * 720
+    assert [theta.coeff(n) for n in range(order)] == [1, 0, 196560]
+    assert theta.coeff(2) == leech.shell_count(4)
+
+
+def e8_cubed():
+    """E8^3 in sqrt(8)-scaled coordinates: 2x for x mod 2 in the extended
+    Hamming code on each block of 8; even, unimodular, with 720 roots."""
+    hamming = (0b11110000, 0b11001100, 0b10101010, 0b11111111)
+    gens = []
+    for block in range(3):
+        for word in hamming:
+            row = [0] * LENGTH
+            for j in range(8):
+                row[8 * block + j] = 2 * (word >> j & 1)
+            gens.append(row)
+    gens += [[4 * (j == i) for j in range(LENGTH)] for i in range(LENGTH)]
+    return IntegerLattice(_lll_reduce(_integer_row_basis(gens)))
+
+
+def test_negative_controls(leech):
+    assert leech.contains((-3,) + (1,) * 23)
+    assert not leech.contains((1,) + (0,) * 23)
+    assert not leech.contains((3,) + (1,) * 23)
+    roots = e8_cubed()
+    assert roots.gram_determinant() == 1
+    assert roots.shell_count(2) == 720
+    with pytest.raises(ValidationError, match="norm 2"):
+        roots.verify()
 
 
 def test_frame_properties(leech, frame):

@@ -7,6 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
 from conwaymoonshine.qseries import eta_product  # noqa: E402
 
 exponent_maps = st.dictionaries(
@@ -33,3 +34,18 @@ def test_eta_product_of_negated_map_is_inverse(exps):
     v = valuation(exps)
     negated = {a: -k for a, k in exps.items()}
     assert eta_product(negated, 4 - v) == eta_product(exps, v + 4).invert()
+
+
+@st.composite
+def cyclotomic_numbers(draw):
+    level = draw(st.integers(1, 24))
+    weights = draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level))
+    return CycNumber.from_exponents(level, dict(enumerate(weights)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclotomic_numbers(), st.integers(1, 5))
+def test_cyclotomic_hash_is_level_independent(x, m):
+    y = x.raise_level(x.level * m)
+    assert x == y
+    assert hash(x) == hash(y)

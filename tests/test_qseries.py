@@ -55,6 +55,17 @@ def test_invert_examples():
         S.zero(5).invert()
 
 
+def test_invert_at_orders_off_the_grid():
+    # order * denom is not an integer here: the last computed term lies just
+    # below the order, and the inverse is the eta product of negated exponents
+    for exps, order in (({1: 1}, F(3, 48)), ({1: 1}, F(121, 48)), ({1: 24}, F(49, 48))):
+        series = eta_product(exps, order)
+        inv = series.invert()
+        assert inv.order == order - 2 * series.valuation()
+        assert inv == eta_product({a: -k for a, k in exps.items()}, inv.order)
+    assert eta(F(3, 48)).invert() == eta_product({1: -1}, F(-1, 48))
+
+
 def test_invert_matches_long_division():
     # divide 1 by eta term by term, the schoolbook way
     e = eta(8)
