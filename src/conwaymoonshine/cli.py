@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import classdata, cliffordcm, fockoracle, lattice, modgroups, moonshine
-from .errors import MoonshineError, ParseError
+from .errors import MoonshineError, ParseError, ValidationError
 from .frameshape import parse as parse_shape
 
 EXIT_OK = 0
@@ -48,9 +48,12 @@ def _emit_text(obj, indent=""):
 
 
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
+    if args.jobs:
         return args.jobs
-    return int(os.environ.get("MOONSHINE_JOBS", "1"))
+    try:
+        return _non_negative(os.environ.get("MOONSHINE_JOBS", "1"))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ValidationError("MOONSHINE_JOBS must be a non-negative integer") from None
 
 
 def _parallel_map(fn, items, jobs):
@@ -258,7 +261,9 @@ def cmd_n1(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--jobs", type=int, default=0, help="parallel workers for sweeps")
+    common.add_argument(
+        "--jobs", type=_non_negative, default=0, help="parallel workers for sweeps"
+    )
 
     top = argparse.ArgumentParser(
         prog="conway-moonshine",
@@ -297,15 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("invariance", help="numeric modular invariance")
     p.add_argument("--class", dest="klass", default="all")
-    p.add_argument("--samples", type=int, default=12, help="group elements per class")
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--samples", type=_non_negative, default=12, help="group elements per class")
+    p.add_argument("--points", type=_non_negative, default=20)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=2024)
 
     p = add("n1", help="idempotent and orthogonality checks")
     p.add_argument("what", choices=("check",))
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--samples", type=int, default=220)
+    p.add_argument("--samples", type=_non_negative, default=220)
 
     return top
 

@@ -12,10 +12,12 @@ subset of the 12 pairs, encoded as a bitmask.
 
 Engine.  In this basis every Clifford word acts as a tensor product of 12
 monomial 2x2 matrices (its Jordan-Wigner string) with entries of the form
-i^u * 2^t, times (1/sqrt(2))^(word length).  Word products, traces,
-squares and dense applications reduce to per-pair bookkeeping; nothing
-irrational is ever stored, and odd-length words use exact level-8
-cyclotomic scalars for the leftover sqrt(2).
+i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores that
+operator as the pairs it toggles and the exponents u, t as affine functions
+of the bits of S, built straight from the word's mask.  Word products,
+traces, squares and dense applications reduce to this per-pair
+bookkeeping; nothing irrational is ever stored, and odd-length words use
+exact level-8 cyclotomic scalars for the leftover sqrt(2).
 """
 
 from __future__ import annotations
@@ -36,196 +38,7 @@ NGEN = 24
 _FULL = DIM - 1
 
 
-# ---------------------------------------------------------------------------
-# dyadic Gaussian scalars (a + b*i) / 2^e
-
-
-class GaussDyadic:
-    __slots__ = ("a", "b", "e")
-
-    def __init__(self, a: int, b: int = 0, e: int = 0):
-        while e > 0 and a % 2 == 0 and b % 2 == 0:
-            a //= 2
-            b //= 2
-            e -= 1
-        self.a = a
-        self.b = b
-        self.e = e
-
-    def __add__(self, other):
-        e = max(self.e, other.e)
-        return GaussDyadic(
-            (self.a << (e - self.e)) + (other.a << (e - other.e)),
-            (self.b << (e - self.e)) + (other.b << (e - other.e)),
-            e,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GaussDyadic(self.a * other, self.b * other, self.e)
-        return GaussDyadic(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.e + other.e,
-        )
-
-    def __neg__(self):
-        return GaussDyadic(-self.a, -self.b, self.e)
-
-    def __eq__(self, other):
-        return self.a == other.a and self.b == other.b and self.e == other.e
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.e))
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def unit_and_power(self):
-        """(u, t) with value = i^u * 2^t; requires a monomial entry."""
-        if (self.a == 0) == (self.b == 0):
-            raise ValueError("not of the form i^u * 2^t: %s" % self)
-        mag = abs(self.a or self.b)
-        if mag & (mag - 1):
-            raise ValueError("magnitude %d is not a power of two" % mag)
-        t = mag.bit_length() - 1 - self.e
-        if self.a > 0:
-            u = 0
-        elif self.b > 0:
-            u = 1
-        elif self.a < 0:
-            u = 2
-        else:
-            u = 3
-        return u, t
-
-    def to_cyc(self, extra_half: int = 0) -> CycNumber:
-        """Exact cyclotomic value, times (1/sqrt(2))^extra_half."""
-        base = CycNumber(4, (Fraction(self.a, 1 << self.e), Fraction(self.b, 1 << self.e)))
-        if extra_half % 2 == 0:
-            return base * Fraction(1, 1 << (extra_half // 2))
-        root2 = zeta(8, 1) + zeta(8, -1)  # sqrt(2)
-        return base * root2 * Fraction(1, 1 << ((extra_half + 1) // 2))
-
-    def __repr__(self):
-        return "(%d%+di)/2^%d" % (self.a, self.b, self.e)
-
-
-_ONE = GaussDyadic(1)
-_ZERO = GaussDyadic(0)
 _INV_ROOT2 = (zeta(8, 1) + zeta(8, -1)) * Fraction(1, 2)
-
-
-# ---------------------------------------------------------------------------
-# mode operators: tensor products of monomial 2x2 matrices
-
-
-class ModeOperator:
-    """Tensor-factorized Clifford operator on CM.
-
-    mats[k] = (m00, m01, m10, m11) over GaussDyadic (row = output bit,
-    column = input bit); the operator is (1/sqrt(2))^half times the tensor
-    product of the twelve matrices in the m_S basis.
-    """
-
-    __slots__ = ("mats", "half")
-
-    def __init__(self, mats, half: int):
-        self.mats = tuple(mats)
-        self.half = half
-
-    def __mul__(self, other: "ModeOperator") -> "ModeOperator":
-        out = []
-        for (a00, a01, a10, a11), (b00, b01, b10, b11) in zip(self.mats, other.mats):
-            out.append(
-                (
-                    a00 * b00 + a01 * b10,
-                    a00 * b01 + a01 * b11,
-                    a10 * b00 + a11 * b10,
-                    a10 * b01 + a11 * b11,
-                )
-            )
-        return ModeOperator(out, self.half + other.half)
-
-    def is_identity(self) -> bool:
-        if self.half % 2:
-            return False
-        total = _ONE
-        for m00, m01, m10, m11 in self.mats:
-            if not (m01.is_zero() and m10.is_zero() and m00 == m11):
-                return False
-            total = total * m00
-        return total == GaussDyadic(1 << (self.half // 2))
-
-    def trace(self) -> CycNumber:
-        total = _ONE
-        for m00, m01, m10, m11 in self.mats:
-            diag = m00 + m11
-            if diag.is_zero():
-                return CycNumber.from_rational(0, 4)
-            total = total * diag
-        return total.to_cyc(self.half)
-
-    def supertrace(self) -> CycNumber:
-        """str_CM = tr(zz * self), zz the distinguished lift of -Id."""
-        return (_zz_op() * self).trace()
-
-
-def _identity_op() -> ModeOperator:
-    ident = (_ONE, _ZERO, _ZERO, _ONE)
-    return ModeOperator((ident,) * PAIRS, 0)
-
-
-@lru_cache(maxsize=NGEN + 1)
-def _generator_op(i: int) -> ModeOperator:
-    """Mode operator of e_i (1-based), with its Jordan-Wigner Z-string on
-    lower pairs and one counted factor 1/sqrt(2)."""
-    if not 1 <= i <= NGEN:
-        raise ValueError("generator index out of range: %d" % i)
-    k = (i - 1) // 2
-    zmat = (_ONE, _ZERO, _ZERO, -_ONE)
-    ident = (_ONE, _ZERO, _ZERO, _ONE)
-    mats = []
-    for j in range(PAIRS):
-        if j < k:
-            mats.append(zmat)
-        elif j > k:
-            mats.append(ident)
-        elif i % 2 == 1:  # sqrt(2) e_{2k+1} = a^+ + a^-
-            mats.append((_ZERO, GaussDyadic(-2), _ONE, _ZERO))
-        else:  # sqrt(2) e_{2k+2} = i (a^+ - a^-)
-            mats.append((_ZERO, GaussDyadic(0, -2), GaussDyadic(0, -1), _ZERO))
-    return ModeOperator(mats, 1)
-
-
-def op_from_mask(cmask: int, sign: int = 1) -> ModeOperator:
-    """Mode operator of sign * e_C, built per pair without composing
-    generators: pair j carries the local generator factors times Z to the
-    number of C-generators above it."""
-    mats = []
-    length = bin(cmask).count("1")
-    for j in range(PAIRS):
-        zsign = -1 if bin(cmask >> (2 * j + 2)).count("1") % 2 else 1
-        odd = cmask >> (2 * j) & 1  # e_{2j+1}
-        even = cmask >> (2 * j + 1) & 1  # e_{2j+2}
-        if not odd and not even:
-            mats.append((_ONE, _ZERO, _ZERO, _ONE * zsign))
-        elif odd and not even:
-            mats.append((_ZERO, GaussDyadic(-2 * zsign), _ONE, _ZERO))
-        elif even and not odd:
-            mats.append((_ZERO, GaussDyadic(0, -2 * zsign), GaussDyadic(0, -1), _ZERO))
-        else:
-            mats.append((GaussDyadic(0, 2), _ZERO, _ZERO, GaussDyadic(0, -2 * zsign)))
-    if sign != 1:
-        mats[0] = tuple(entry * sign for entry in mats[0])
-    return ModeOperator(mats, length)
-
-
-@lru_cache(maxsize=1)
-def _zz_op() -> ModeOperator:
-    """The lift z of -Id fixed by the polarization: e_1 e_2 ... e_24.
-    Acts on m_S as (-1)^|S| (the i^12 on the ground state is 1)."""
-    return op_from_mask((1 << NGEN) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +80,6 @@ class CliffordWord:
 
     def __repr__(self):
         return "CliffordWord(%s, scalar=%s)" % (list(self.indices), self.scalar)
-
-
-def _gauss_from_fractions(re: Fraction, im: Fraction) -> GaussDyadic:
-    den = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-    if den & (den - 1):
-        raise ValidationError("engine scalars need dyadic denominators")
-    e = den.bit_length() - 1
-    return GaussDyadic(int(re * den), int(im * den), e)
 
 
 def _canonicalize(indices):
@@ -372,7 +177,7 @@ def act(word: CliffordWord, state: SpinorState) -> SpinorState:
     """Apply a Clifford word to a spinor state, exactly: the unscaled word's
     table maps each basis vector, then the word's scalar (times 1/sqrt(2)
     for an odd word) multiplies the image once."""
-    table = WordTable(op_from_mask(word.mask()))
+    table = WordTable(word.mask())
     out = {}
     for mask, c in state.coords.items():
         target, g = table.basis_image(mask)
@@ -578,39 +383,110 @@ class DenseState:
         return DenseState(self.re >> k, self.im >> k, self.e - k)
 
 
+def _unit_power(u: int, t: int) -> CycNumber:
+    """i^u * 2^t as a level-4 number."""
+    scale = Fraction(2) ** t
+    return CycNumber(4, (int(_SIGN_RE[u & 3]) * scale, int(_SIGN_IM[u & 3]) * scale))
+
+
+# Pair k of sqrt(2)^|C| e_C, by which of e_(2k+1) (bit 0) and e_(2k+2) (bit 1)
+# C holds: (ua, ta, ub, tb) with input bit 0 -> i^ua 2^ta and input bit 1 ->
+# i^ub 2^tb.  A pair holding one of the two is toggled; an odd number of
+# C-generators above the pair (the Jordan-Wigner Z-string) adds 2 to ub.
+_PAIR_RULES = (
+    (0, 0, 0, 0),  # 1
+    (0, 0, 2, 1),  # a^+ + a^-
+    (3, 0, 3, 1),  # i (a^+ - a^-)
+    (1, 1, 3, 1),  # the product of the two
+)
+
+
 class WordTable:
     """Monomial word: m_S -> i^U(S) 2^T(S) (1/sqrt(2))^odd m_(S ^ toggle),
-    with U and T affine in the bits of S."""
+    with U = u0 + sum_k du_k S_k (mod 4) and T = t0 + sum_k dt_k S_k.
+
+    WordTable(cmask, sign) is sign * e_C for the 24-bit mask of C (bit i-1
+    for generator i); the fields are a normal form, so equal operators
+    compare equal."""
 
     __slots__ = ("toggle", "u0", "t0", "du", "dt", "odd")
 
-    def __init__(self, op: ModeOperator):
-        self.odd = op.half % 2
-        toggle = 0
-        u0 = 0
-        t0 = -(op.half // 2)
+    def __init__(self, cmask: int, sign: int = 1):
+        if sign not in (1, -1):
+            raise ValidationError("word sign must be +1 or -1")
+        length = bin(cmask).count("1")
+        self.odd = length % 2
+        self.toggle = 0
+        u0 = 0 if sign == 1 else 2
+        t0 = -(length // 2)
         du = []
         dt = []
         for k in range(PAIRS):
-            m00, m01, m10, m11 = op.mats[k]
-            if m00.is_zero() and m11.is_zero():
-                toggle |= 1 << k
-                ua, ta = m10.unit_and_power()  # input bit 0 -> output bit 1
-                ub, tb = m01.unit_and_power()  # input bit 1 -> output bit 0
-            elif m01.is_zero() and m10.is_zero():
-                ua, ta = m00.unit_and_power()
-                ub, tb = m11.unit_and_power()
-            else:
-                raise ValidationError("operator is not monomial")
+            code = cmask >> (2 * k) & 3
+            ua, ta, ub, tb = _PAIR_RULES[code]
+            if bin(cmask >> (2 * k + 2)).count("1") % 2:
+                ub += 2
+            if code in (1, 2):
+                self.toggle |= 1 << k
             u0 += ua
             t0 += ta
-            du.append(ub - ua)
+            du.append((ub - ua) % 4)
             dt.append(tb - ta)
-        self.toggle = toggle
-        self.u0 = u0
+        self.u0 = u0 % 4
         self.t0 = t0
         self.du = tuple(du)
         self.dt = tuple(dt)
+
+    def __mul__(self, other: "WordTable") -> "WordTable":
+        """self after other.  Where other toggles pair k, self reads the
+        flipped bit: its du_k, dt_k join u0, t0 and change sign."""
+        out = WordTable.__new__(WordTable)
+        out.toggle = self.toggle ^ other.toggle
+        out.odd = self.odd ^ other.odd
+        u0 = self.u0 + other.u0
+        t0 = self.t0 + other.t0 - (self.odd & other.odd)  # (1/sqrt(2))^2 = 1/2
+        du = []
+        dt = []
+        for k in range(PAIRS):
+            su, st = self.du[k], self.dt[k]
+            if other.toggle >> k & 1:
+                u0 += su
+                t0 += st
+                su, st = -su, -st
+            du.append((su + other.du[k]) % 4)
+            dt.append(st + other.dt[k])
+        out.u0 = u0 % 4
+        out.t0 = t0
+        out.du = tuple(du)
+        out.dt = tuple(dt)
+        return out
+
+    def _key(self):
+        return (self.toggle, self.odd, self.u0, self.t0, self.du, self.dt)
+
+    def __eq__(self, other):
+        if not isinstance(other, WordTable):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def is_identity(self) -> bool:
+        return self._key() == (0, 0, 0, 0, (0,) * PAIRS, (0,) * PAIRS)
+
+    def trace(self) -> CycNumber:
+        """0 unless no pair is toggled; then the sum over S factors as
+        i^u0 2^t0 prod_k (1 + i^du_k 2^dt_k).  An odd word holds one
+        generator of some pair, so it toggles that pair: its trace is 0."""
+        if self.toggle:
+            return CycNumber.from_rational(0, 4)
+        total = _unit_power(self.u0, self.t0)
+        for du, dt in zip(self.du, self.dt):
+            total = total * (_unit_power(du, dt) + 1)
+        return total
+
+    def supertrace(self) -> CycNumber:
+        """str_CM = tr(zz * self), zz = e_1 e_2 ... e_24 the lift of -Id
+        fixed by the polarization; it acts on m_S as (-1)^|S|."""
+        return (WordTable((1 << NGEN) - 1) * self).trace()
 
     def min_shift(self) -> int:
         return self.t0 + sum(d for d in self.dt if d < 0)
@@ -623,9 +499,7 @@ class WordTable:
             if mask >> k & 1:
                 u += self.du[k]
                 t += self.dt[k]
-        scale = Fraction(2) ** t
-        re, im = int(_SIGN_RE[u & 3]) * scale, int(_SIGN_IM[u & 3]) * scale
-        return mask ^ self.toggle, CycNumber(4, (re, im))
+        return mask ^ self.toggle, _unit_power(u, t)
 
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
@@ -705,7 +579,7 @@ class GolayLift:
                 masks.append(nxt)
         self.section = section
         self._masks = sorted(section)
-        self._factors = [WordTable(self.word_operator(g)) for g in code.generators]
+        self._factors = [self.word_table(g) for g in code.generators]
 
     # -- signed words ------------------------------------------------------
 
@@ -714,23 +588,19 @@ class GolayLift:
             raise ValidationError("mask %06x is not a codeword" % cmask)
         return word_from_mask(cmask, self.section[cmask])
 
-    def word_operator(self, cmask: int) -> ModeOperator:
-        return op_from_mask(cmask, self.section[cmask])
-
-    def operators(self):
-        """The 4096 lifted operators in mask order, built one at a time."""
-        return (self.word_operator(c) for c in self._masks)
+    def word_table(self, cmask: int) -> WordTable:
+        return WordTable(cmask, self.section[cmask])
 
     def tables(self):
-        """A WordTable for each lifted operator, built one at a time."""
-        return (WordTable(op) for op in self.operators())
+        """A WordTable for each lifted word in mask order, built one at a time."""
+        return (self.word_table(c) for c in self._masks)
 
     # -- group structure ----------------------------------------------------
 
     def verify_squares(self):
         """(s(C) e_C)^2 = +1 for all 4096 codewords, exhaustively."""
-        for c, op in zip(self._masks, self.operators()):
-            if not (op * op).is_identity():
+        for c, table in zip(self._masks, self.tables()):
+            if not (table * table).is_identity():
                 raise VerificationFailure("square of lifted %06x is not +1" % c)
         return True
 
@@ -845,7 +715,7 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
         mask = 0
         for i in csub:
             mask |= 1 << (i - 1)
-        val = bilinear_dense(WordTable(op_from_mask(mask)).apply(dense_tv), dense_tv)
+        val = bilinear_dense(WordTable(mask).apply(dense_tv), dense_tv)
         if not val.is_zero():
             raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (csub,))
         checked += 1
@@ -862,16 +732,16 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
 def _monomial_sqrt(value: CycNumber):
     """Exact square root of i^u * 2^m values, as a level-8 number; None
     when the value is not of that shape (a root still exists in C)."""
-    v4 = value.raise_level(4) if 4 % value.level == 0 else None
-    if v4 is None:
+    if 4 % value.level:
         return None
-    re, im = v4.coords
+    re, im = value.raise_level(4).coords
     if (re == 0) == (im == 0):
         return None
-    try:
-        u, m = _gauss_from_fractions(re, im).unit_and_power()
-    except ValueError:
+    mag = abs(re or im)
+    if mag.numerator & (mag.numerator - 1) or mag.denominator & (mag.denominator - 1):
         return None
+    m = mag.numerator.bit_length() - mag.denominator.bit_length()
+    u = (0 if re > 0 else 2) if re else (1 if im > 0 else 3)
     root = zeta(8, u)
     if m % 2:
         root = root * (zeta(8, 1) + zeta(8, -1))

@@ -157,14 +157,17 @@ def test_criterion_09_golay_and_leech(golay, leech):
 
 
 def test_criterion_10_n1_checks(lift):
+    t0 = time.time()
     report = n1_checks(lift, seed=11, orth_samples=220)
+    elapsed = time.time() - t0
     assert report["passed"]
     assert report["group_order"] == 8192
     assert report["idempotent_states_checked"] == 11
     assert report["orthogonality_samples"] >= 200
     assert not report["tv_norm"].is_zero()
     assert report["alpha"] * report["alpha"] == report["alpha_squared"]
-    _announce(10, "lifted group order 8192, all squares +1, idempotent and orthogonality checks")
+    assert elapsed < 10.0, "took %.1fs" % elapsed
+    _announce(10, "lifted group order 8192, all squares +1, idempotent and orthogonality in %.1fs" % elapsed)
 
 
 def test_criterion_11_numeric_invariance():

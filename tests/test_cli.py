@@ -38,6 +38,19 @@ def test_leech_shell_norm_bounds(capsys):
     assert code == 0 and json.loads(out) == {"norm": 0, "count": 1}
 
 
+def test_count_options_are_non_negative(capsys, monkeypatch):
+    assert run(capsys, "n1", "check", "--samples", "-1")[0] == 2
+    assert run(capsys, "n1", "check", "--jobs", "-3")[0] == 2
+    assert run(capsys, "invariance", "--class", "2A", "--samples", "-1")[0] == 2
+    assert run(capsys, "invariance", "--class", "2A", "--points", "-1")[0] == 2
+    lemma = ("verify", "lemma", "--class", "2A", "--order", "2")
+    for bad in ("abc", "-2"):
+        monkeypatch.setenv("MOONSHINE_JOBS", bad)
+        assert run(capsys, *lemma)[0] == 2
+    monkeypatch.setenv("MOONSHINE_JOBS", "1")
+    assert run(capsys, *lemma)[0] == 0
+
+
 def test_series_requires_selector(capsys):
     code, _ = run(capsys, "series")
     assert code == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,21 +10,20 @@ from conwaymoonshine.cliffordcm import (
     _INPUT_LIMIT,
     CliffordWord,
     DenseState,
+    GolayLift,
     SpinorState,
     WordTable,
-    _generator_op,
-    _identity_op,
+    _monomial_sqrt,
     act,
     bilinear_cm,
     bilinear_dense,
     class_supertraces,
     gram_determinant_unit,
-    op_from_mask,
     spinor_supertrace_closed,
     spinor_supertrace_oracle,
 )
 from conwaymoonshine.cyclotomic import CycNumber, zeta
-from conwaymoonshine.errors import ValidationError
+from conwaymoonshine.errors import ValidationError, VerificationFailure
 from conwaymoonshine.frameshape import parse
 
 
@@ -65,16 +65,64 @@ def test_word_canonicalization():
     assert CliffordWord([2, 1]) == -CliffordWord([1, 2])
 
 
-def test_op_from_mask_matches_generator_composition():
+def test_word_table_matches_generator_composition():
     rng = random.Random(3)
     for _ in range(25):
         mask = rng.getrandbits(24)
-        composed = _identity_op()
+        composed = WordTable(0)
         for i in range(1, 25):
             if mask >> (i - 1) & 1:
-                composed = composed * _generator_op(i)
-        direct = op_from_mask(mask)
-        assert direct.mats == composed.mats and direct.half == composed.half
+                composed = composed * WordTable(1 << (i - 1))
+        assert composed == WordTable(mask)
+        assert composed * WordTable(0, -1) == WordTable(mask, -1)
+
+
+def test_word_table_product_is_composition():
+    rng = random.Random(14)
+    x = DenseState.from_state(random_state(rng, 6))
+    masks = [m for m in (rng.getrandbits(24) for _ in range(80)) if bin(m).count("1") % 2 == 0]
+    for c, d in zip(masks[::2], masks[1::2]):
+        a, b = WordTable(c, rng.choice((1, -1))), WordTable(d)
+        assert (a * b).apply(x).equals(a.apply(b.apply(x)))
+
+
+def test_trace_is_sum_of_diagonal_images():
+    rng = random.Random(15)
+    masks = [0, (1 << 24) - 1]  # 1 and zz
+    masks += [sum(3 << (2 * k) for k in range(12) if rng.random() < 0.5) for _ in range(2)]
+    for mask in masks:
+        table = WordTable(mask, rng.choice((1, -1)))
+        assert table.toggle == 0
+        total = CycNumber.from_rational(0, 4)
+        for s in range(4096):
+            image, value = table.basis_image(s)
+            assert image == s
+            total = total + value
+        assert table.trace() == total, hex(mask)
+    assert WordTable(0, -1).trace().to_rational() == -4096
+    assert WordTable(0b1).trace().is_zero() and WordTable(0b110).trace().is_zero()
+
+
+def test_word_table_negative_controls():
+    e1_squared = WordTable(1) * WordTable(1)
+    assert not e1_squared.is_identity()  # e_1^2 = -1
+    assert e1_squared == WordTable(0, -1)
+    assert WordTable(0b11) != WordTable(0b11, -1)
+    # e_1 e_2 squares to -1, so a "code" generated by it has no +1 lift
+    with pytest.raises(VerificationFailure):
+        GolayLift(SimpleNamespace(generators=[0b11])).verify_squares()
+    assert GolayLift(SimpleNamespace(generators=[0b1111])).verify_squares()
+
+
+def test_monomial_sqrt():
+    for x, y in [(1, 0), (0, -8), (F(-1, 2), 0), (0, F(1, 32))]:
+        value = CycNumber(4, (F(x), F(y)))
+        root = _monomial_sqrt(value)
+        assert root * root == value
+    assert _monomial_sqrt(CycNumber(4, (F(1, 3), 0))) is None  # not dyadic
+    assert _monomial_sqrt(CycNumber(4, (F(3), 0))) is None
+    assert _monomial_sqrt(CycNumber(4, (F(1), F(1)))) is None
+    assert _monomial_sqrt(zeta(3, 1)) is None
 
 
 def test_zz_parity():
@@ -163,28 +211,29 @@ def test_nu_sign_choice_flips():
 
 def test_word_supertrace_of_identity_vanishes():
     # str(1) = 2048 - 2048 = 0
-    assert _identity_op().supertrace().to_rational() == 0
+    assert WordTable(0).supertrace().to_rational() == 0
 
 
 def test_dense_word_table_matches_sparse_action(golay, lift):
     rng = random.Random(6)
     for _ in range(8):
         cmask = rng.choice(list(lift.section))
-        table = WordTable(lift.word_operator(cmask))
+        table = lift.word_table(cmask)
         s = random_state(rng, 5)
         got = table.apply(DenseState.from_state(s)).to_state()
         want = lift.apply_signed_word(cmask, s)
         assert got == want
 
 
-def t_oracle(lift, dense):
-    """t = 2^(-12) * sum over all 4096 lifted words s(C) e_C, term by term."""
-    out_re = np.zeros(4096, dtype=np.int64)
-    out_im = np.zeros(4096, dtype=np.int64)
-    out_e = dense.e + 12  # covers the worst 2^(-half/2) = 2^(-12)
+def t_oracle(lift, states):
+    """t = 2^(-12) * sum over all 4096 lifted words s(C) e_C, term by term,
+    applied to each dense state; the tables are built once."""
+    outs = [(np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64)) for _ in states]
     for table in lift.tables():
-        table.apply_into(dense, out_re, out_im, out_e)
-    return DenseState(out_re, out_im, out_e + 12)
+        for dense, (out_re, out_im) in zip(states, outs):
+            # out_e = e + 12 covers the worst word factor 2^(-12)
+            table.apply_into(dense, out_re, out_im, dense.e + 12)
+    return [DenseState(re, im, dense.e + 24) for dense, (re, im) in zip(states, outs)]
 
 
 def test_factored_t_matches_4096_term_sum(lift):
@@ -194,8 +243,8 @@ def test_factored_t_matches_4096_term_sum(lift):
     dense = [DenseState.from_state(s) for s in states]
     big = np.random.default_rng(13).integers(-_INPUT_LIMIT, _INPUT_LIMIT + 1, size=(2, 4096))
     dense.append(DenseState(big[0], big[1], 0))
-    for d in dense:
-        assert lift.apply_t_dense(d).equals(t_oracle(lift, d))
+    for d, want in zip(dense, t_oracle(lift, dense)):
+        assert lift.apply_t_dense(d).equals(want)
 
 
 def test_apply_t_dense_rejects_large_entries(lift):
@@ -209,8 +258,8 @@ def test_apply_into_guards():
     out = (np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64))
     vacuum = DenseState.from_state(SpinorState.vacuum())
     with pytest.raises(ValidationError):  # odd word: the 1/sqrt(2) is not Gaussian
-        WordTable(op_from_mask(0b1)).apply_into(vacuum, *out, 0)
-    table = WordTable(op_from_mask(0b101))  # e_1 e_3 has entries 1/2
+        WordTable(0b1).apply_into(vacuum, *out, 0)
+    table = WordTable(0b101)  # e_1 e_3 has entries 1/2
     assert table.min_shift() < 0
     with pytest.raises(ValidationError):  # out_e leaves no denominator headroom
         table.apply_into(vacuum, *out, vacuum.e)

@@ -207,7 +207,7 @@ def test_spinor_bridge_for_dodecads(golay, lift):
         shape, _ = sign_change_frameshape(w, golay)
         closed, oracle = class_supertraces(shape)
         assert closed == oracle
-        word_trace = lift.word_operator(w).supertrace()
+        word_trace = lift.word_table(w).supertrace()
         assert word_trace == closed
         assert closed.to_rational() == 0
         count += 1
@@ -219,5 +219,5 @@ def test_spinor_bridge_for_dodecads(golay, lift):
 def test_octad_sign_change_word_supertrace(golay, lift):
     for w in golay.words():
         if bin(w).count("1") == 8:
-            assert lift.word_operator(w).supertrace().to_rational() == 0
+            assert lift.word_table(w).supertrace().to_rational() == 0
             break

@@ -7,6 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conwaymoonshine.cliffordcm import WordTable, reorder_sign  # noqa: E402
 from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
 from conwaymoonshine.qseries import eta_product  # noqa: E402
 
@@ -49,3 +50,12 @@ def test_cyclotomic_hash_is_level_independent(x, m):
     y = x.raise_level(x.level * m)
     assert x == y
     assert hash(x) == hash(y)
+
+
+masks = st.integers(0, (1 << 24) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks, masks)
+def test_word_tables_obey_clifford_law(c, d):
+    assert WordTable(c) * WordTable(d) == WordTable(c ^ d, reorder_sign(c, d))
