@@ -16,15 +16,14 @@ i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores that
 operator as the pairs it toggles and the exponents u, t as affine functions
 of the bits of S, built straight from the word's mask.  Word products,
 traces, squares and dense applications reduce to this per-pair
-bookkeeping; nothing irrational is ever stored, and odd-length words use
-exact level-8 cyclotomic scalars for the leftover sqrt(2).
+bookkeeping; nothing irrational is ever stored.  Odd-length words compose
+and trace; only even-length words act on dense states.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -38,76 +37,8 @@ NGEN = 24
 _FULL = DIM - 1
 
 
-_INV_ROOT2 = (zeta(8, 1) + zeta(8, -1)) * Fraction(1, 2)
-
-
 # ---------------------------------------------------------------------------
-# public Clifford words
-
-
-class CliffordWord:
-    """scalar * e_{i1} e_{i2} ... with strictly ascending indices."""
-
-    __slots__ = ("indices", "scalar")
-
-    def __init__(self, indices, scalar=1):
-        idx, sign = _canonicalize(tuple(int(i) for i in indices))
-        self.indices = idx
-        if isinstance(scalar, CycNumber):
-            self.scalar = scalar * sign
-        else:
-            self.scalar = Fraction(scalar) * sign
-
-    def __mul__(self, other: "CliffordWord") -> "CliffordWord":
-        return CliffordWord(self.indices + other.indices, self.scalar * other.scalar)
-
-    def __neg__(self):
-        return CliffordWord(self.indices, self.scalar * -1)
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordWord):
-            return NotImplemented
-        return self.indices == other.indices and self.scalar == other.scalar
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << (i - 1)
-        return m
-
-    def __repr__(self):
-        return "CliffordWord(%s, scalar=%s)" % (list(self.indices), self.scalar)
-
-
-def _canonicalize(indices):
-    idx = list(indices)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(idx) - 1):
-            if idx[i] > idx[i + 1]:
-                idx[i], idx[i + 1] = idx[i + 1], idx[i]
-                sign = -sign
-                changed = True
-    out = []
-    i = 0
-    while i < len(idx):
-        if i + 1 < len(idx) and idx[i] == idx[i + 1]:
-            sign = -sign  # e_i^2 = -1
-            i += 2
-        else:
-            out.append(idx[i])
-            i += 1
-    return tuple(out), sign
-
-
-def word_from_mask(mask: int, sign: int = 1) -> CliffordWord:
-    """e_C for a 24-bit coordinate mask (bit i-1 <-> generator i)."""
-    return CliffordWord([i + 1 for i in range(NGEN) if mask >> i & 1], sign)
+# Clifford word signs
 
 
 def reorder_sign(cmask: int, dmask: int) -> int:
@@ -118,125 +49,6 @@ def reorder_sign(cmask: int, dmask: int) -> int:
             swaps += bin(cmask >> (d + 1)).count("1")
     swaps += bin(cmask & dmask).count("1")  # repeated generators square to -1
     return -1 if swaps % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# spinor states
-
-
-class SpinorState:
-    """Element of CM: mapping from pair-subset bitmasks to CycNumber."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: dict):
-        clean = {}
-        for mask, c in coords.items():
-            if not isinstance(c, CycNumber):
-                c = CycNumber.from_rational(Fraction(c), 4)
-            if not c.is_zero():
-                clean[int(mask)] = c
-        self.coords = clean
-
-    @staticmethod
-    def basis(mask: int) -> "SpinorState":
-        return SpinorState({mask: 1})
-
-    @staticmethod
-    def vacuum() -> "SpinorState":
-        return SpinorState.basis(0)
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        for m, c in other.coords.items():
-            out[m] = out[m] + c if m in out else c
-        return SpinorState(out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "SpinorState":
-        return SpinorState({m: v * c for m, v in self.coords.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinorState):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        picks = sorted(self.coords)[:4]
-        body = ", ".join("%03x: %s" % (m, self.coords[m]) for m in picks)
-        more = "" if len(self.coords) <= 4 else ", ... (%d terms)" % len(self.coords)
-        return "SpinorState({%s%s})" % (body, more)
-
-
-def act(word: CliffordWord, state: SpinorState) -> SpinorState:
-    """Apply a Clifford word to a spinor state, exactly: the unscaled word's
-    table maps each basis vector, then the word's scalar (times 1/sqrt(2)
-    for an odd word) multiplies the image once."""
-    table = WordTable(word.mask())
-    out = {}
-    for mask, c in state.coords.items():
-        target, g = table.basis_image(mask)
-        val = g * c
-        out[target] = out[target] + val if target in out else val
-    scalar = word.scalar * _INV_ROOT2 if table.odd else word.scalar
-    return SpinorState(out).scaled(scalar)
-
-
-# ---------------------------------------------------------------------------
-# the invariant bilinear form on CM
-
-
-@lru_cache(maxsize=1)
-def _pair_signs():
-    """beta[S] = <m_S, m_(complement of S)>, the only nonzero pairings.
-
-    From the normalization <v, m_Omega> = 1 and <a^-_j x, y> = -<x, a^-_j y>:
-    peel the a^- factors of m_S from the left, apply them to the complement
-    in ascending order, and track creation signs.
-    """
-    beta = np.zeros(DIM, dtype=np.int8)
-    for mask in range(DIM):
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        current = _FULL ^ mask
-        total = 0
-        for k in range(PAIRS):
-            if mask >> k & 1:
-                total += bin(current & ((1 << k) - 1)).count("1")
-                current |= 1 << k
-        if total % 2:
-            sign = -sign
-        beta[mask] = sign
-    return beta
-
-
-def bilinear_cm(a: SpinorState, b: SpinorState) -> CycNumber:
-    """The unique form with <a1- ... a12- v, v> = 1 and <u x, y> = -<x, u y>."""
-    beta = _pair_signs()
-    total = CycNumber.from_rational(0, 4)
-    for mask, ca in a.coords.items():
-        cb = b.coords.get(_FULL ^ mask)
-        if cb is not None:
-            total = total + ca * cb * int(beta[mask])
-    return total
-
-
-def gram_determinant_unit() -> int:
-    """det of the Gram matrix of the form on the m_S basis.
-
-    The matrix is a signed permutation (S pairs only with its complement),
-    so the determinant is the permutation sign times the product of the
-    4096 pairing signs; nonzero means nondegenerate."""
-    beta = _pair_signs()
-    if not np.all(np.abs(beta) == 1):
-        return 0
-    # the permutation S -> complement(S) is a product of 2048 transpositions
-    perm_sign = 1 if (DIM // 2) % 2 == 0 else -1
-    return perm_sign * int(np.prod(beta.astype(np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -333,34 +145,11 @@ class DenseState:
         self.e = e
 
     @staticmethod
-    def from_state(state: SpinorState) -> "DenseState":
+    def basis(mask: int) -> "DenseState":
+        """The basis vector m_S for the pair-subset bitmask S."""
         re = np.zeros(DIM, dtype=np.int64)
-        im = np.zeros(DIM, dtype=np.int64)
-        emax = 0
-        items = []
-        for mask, c in state.coords.items():
-            if 4 % c.level:
-                raise ValidationError("dense engine needs Gaussian coordinates")
-            x, y = c.raise_level(4).coords
-            for v in (x, y):
-                if v.denominator & (v.denominator - 1):
-                    raise ValidationError("dense engine needs dyadic coordinates")
-                emax = max(emax, v.denominator.bit_length() - 1)
-            items.append((mask, x, y))
-        for mask, x, y in items:
-            re[mask] = x.numerator << (emax - (x.denominator.bit_length() - 1))
-            im[mask] = y.numerator << (emax - (y.denominator.bit_length() - 1))
-        return DenseState(re, im, emax)
-
-    def to_state(self) -> SpinorState:
-        coords = {}
-        den = 1 << self.e
-        for mask in np.nonzero(self.re | self.im)[0]:
-            coords[int(mask)] = CycNumber(
-                4,
-                (Fraction(int(self.re[mask]), den), Fraction(int(self.im[mask]), den)),
-            )
-        return SpinorState(coords)
+        re[mask] = 1
+        return DenseState(re, np.zeros(DIM, dtype=np.int64), 0)
 
     def equals(self, other: "DenseState") -> bool:
         e = max(self.e, other.e)
@@ -381,6 +170,9 @@ class DenseState:
         bits = int(np.bitwise_or.reduce(self.re | self.im))
         k = min(self.e, (bits & -bits).bit_length() - 1) if bits else self.e
         return DenseState(self.re >> k, self.im >> k, self.e - k)
+
+    def nonzero_count(self) -> int:
+        return int(np.count_nonzero(self.re | self.im))
 
 
 def _unit_power(u: int, t: int) -> CycNumber:
@@ -491,16 +283,6 @@ class WordTable:
     def min_shift(self) -> int:
         return self.t0 + sum(d for d in self.dt if d < 0)
 
-    def basis_image(self, mask: int):
-        """(S ^ toggle, i^U(S) 2^T(S) as a level-4 number) for S = mask;
-        the odd 1/sqrt(2) is left to the caller."""
-        u, t = self.u0, self.t0
-        for k in range(PAIRS):
-            if mask >> k & 1:
-                u += self.du[k]
-                t += self.dt[k]
-        return mask ^ self.toggle, _unit_power(u, t)
-
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
         that keeps every image entry integral."""
@@ -535,9 +317,20 @@ class WordTable:
         out_im[idx] += pow2 * (sr * state.im + si * state.re)
 
 
+# ---------------------------------------------------------------------------
+# the invariant bilinear form on CM
+
+# beta[S] = <m_S, m_(complement of S)>, the only nonzero pairings.  From
+# <v, m_Omega> = 1 and <a^-_k x, y> = -<x, a^-_k y>: move the a^- factors
+# of m_S onto the complement in ascending order; a^-_k then passes the k
+# lower pairs, all present, so beta[S] = (-1)^(sum over k in S of (k + 1)).
+_PAIR_SIGNS = 1 - 2 * (sum((k + 1) * _BITS[k] for k in range(PAIRS)) % 2)
+
+
 def bilinear_dense(a: DenseState, b: DenseState) -> CycNumber:
-    """bilinear_cm on dense states, with exact big-integer accumulation."""
-    beta = _pair_signs().astype(object)
+    """The invariant form <a, b> on dense states, with exact big-integer
+    accumulation."""
+    beta = _PAIR_SIGNS.astype(object)
     idx = _ARANGE ^ _FULL
     ar, ai = a.re.astype(object), a.im.astype(object)
     br, bi = b.re[idx].astype(object), b.im[idx].astype(object)
@@ -581,12 +374,7 @@ class GolayLift:
         self._masks = sorted(section)
         self._factors = [self.word_table(g) for g in code.generators]
 
-    # -- signed words ------------------------------------------------------
-
-    def signed_word(self, cmask: int) -> CliffordWord:
-        if cmask not in self.section:
-            raise ValidationError("mask %06x is not a codeword" % cmask)
-        return word_from_mask(cmask, self.section[cmask])
+    # -- lifted word tables -------------------------------------------------
 
     def word_table(self, cmask: int) -> WordTable:
         return WordTable(cmask, self.section[cmask])
@@ -609,7 +397,7 @@ class GolayLift:
         rng = random.Random(seed)
         for _ in range(samples):
             c, d = rng.choice(self._masks), rng.choice(self._masks)
-            if self.signed_word(c) * self.signed_word(d) != self.signed_word(c ^ d):
+            if self.word_table(c) * self.word_table(d) != self.word_table(c ^ d):
                 raise VerificationFailure("closure fails at %06x * %06x" % (c, d))
         return True
 
@@ -618,9 +406,6 @@ class GolayLift:
         return 2 * len(set(self._masks))
 
     # -- the idempotent t = prod_j (1 + s(G_j) e_{G_j})/2 ---------------------
-
-    def idempotent_apply(self, state: SpinorState) -> SpinorState:
-        return self.apply_t_dense(DenseState.from_state(state)).to_state()
 
     def apply_t_dense(self, dense: DenseState) -> DenseState:
         """t applied factor by factor as (state + W_j state)/2, with the
@@ -636,11 +421,9 @@ class GolayLift:
             ).reduced()
         return state
 
-    def apply_signed_word(self, cmask: int, state: SpinorState) -> SpinorState:
-        return act(self.signed_word(cmask), state)
-
-    def invariant_vector(self) -> SpinorState:
-        return self.idempotent_apply(SpinorState.vacuum())
+    def invariant_vector(self) -> DenseState:
+        """t v, the image of the ground state under the idempotent."""
+        return self.apply_t_dense(DenseState.basis(0))
 
 
 def golay_lift_section(code, frame=None) -> GolayLift:
@@ -652,7 +435,7 @@ def golay_lift_section(code, frame=None) -> GolayLift:
     candidates += [tuple(-1 if i == j else 1 for i in range(12)) for j in range(12)]
     for signs in candidates:
         lift = GolayLift(code, frame, signs)
-        if not lift.invariant_vector().is_zero():
+        if lift.invariant_vector().nonzero_count():
             return lift
     raise VerificationFailure("no generator-sign section with t v != 0 found")
 
@@ -674,52 +457,47 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
         raise VerificationFailure("lifted group has order %d" % report["group_order"])
 
     tv = lift.invariant_vector()
-    if tv.is_zero():
+    report["tv_components"] = tv.nonzero_count()
+    if not report["tv_components"]:
         raise VerificationFailure("t v is zero")
-    report["tv_components"] = len(tv.coords)
-    dense_tv = DenseState.from_state(tv)
 
     # idempotency on the ground state image and on random states
-    if not lift.apply_t_dense(dense_tv).equals(dense_tv):
+    if not lift.apply_t_dense(tv).equals(tv):
         raise VerificationFailure("t is not idempotent on t v")
     for _ in range(10):
-        coords = {}
+        re = np.zeros(DIM, dtype=np.int64)
+        im = np.zeros(DIM, dtype=np.int64)
         for _ in range(4):
-            coords[rng.randrange(DIM)] = CycNumber(
-                4, (Fraction(rng.randrange(-8, 9)), Fraction(rng.randrange(-8, 9)))
-            )
-        s = SpinorState(coords)
-        ts = lift.apply_t_dense(DenseState.from_state(s))
+            x, y = rng.randrange(-8, 9), rng.randrange(-8, 9)  # drawn before the mask
+            mask = rng.randrange(DIM)
+            re[mask], im[mask] = x, y
+        ts = lift.apply_t_dense(DenseState(re, im, 0))
         if not lift.apply_t_dense(ts).equals(ts):
             raise VerificationFailure("t not idempotent on a random state")
     report["idempotent_states_checked"] = 11
 
     # invariance of t v under every lifted sign change, exhaustively
     for cmask, table in zip(lift._masks, lift.tables()):
-        if not table.apply(dense_tv).equals(dense_tv):
+        if not table.apply(tv).equals(tv):
             raise VerificationFailure("t v moved by lifted %06x" % cmask)
     report["invariance_checked"] = len(lift._masks)
 
     # norm and orthogonality of the invariant vector
-    norm = bilinear_dense(dense_tv, dense_tv)
+    norm = bilinear_dense(tv, tv)
     if norm.is_zero():
         raise VerificationFailure("<t v, t v> = 0")
-    checked = 0
     seen = set()
-    while checked < orth_samples:
+    while len(seen) < orth_samples:
         size = rng.choice((2, 4))
         csub = tuple(sorted(rng.sample(range(1, NGEN + 1), size)))
         if csub in seen:
             continue
         seen.add(csub)
-        mask = 0
-        for i in csub:
-            mask |= 1 << (i - 1)
-        val = bilinear_dense(WordTable(mask).apply(dense_tv), dense_tv)
+        mask = sum(1 << (i - 1) for i in csub)
+        val = bilinear_dense(WordTable(mask).apply(tv), tv)
         if not val.is_zero():
             raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (csub,))
-        checked += 1
-    report["orthogonality_samples"] = checked
+    report["orthogonality_samples"] = len(seen)
 
     report["tv_norm"] = norm
     alpha_sq = CycNumber.from_rational(8, 4) / norm

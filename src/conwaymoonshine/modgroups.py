@@ -14,8 +14,8 @@ design: it samples
     the translation power that lands in the character kernel
 
 and measures max |f(gamma tau) - f(tau)| over sample points chosen so
-both evaluations converge.  Series evaluation is floating point with an
-explicit geometric tail bound; everything upstream stays exact.
+both evaluations converge.  Series evaluation is floating point with a
+heuristic geometric tail estimate; everything upstream stays exact.
 """
 
 from __future__ import annotations
@@ -245,10 +245,10 @@ def character_free_level(shape) -> int:
 
 
 def eval_series(series: FracPowerSeries, tau: complex, tail_bound_target: float):
-    """Numeric value of the truncated series at tau, with an explicit
-    tail bound from geometric extrapolation of the last five coefficient
-    magnitudes.  Raises PrecisionError when the bound misses the target.
-    Returns (value, bound)."""
+    """Numeric value of the truncated series at tau, with a heuristic tail
+    estimate from geometric extrapolation of the last ten coefficient
+    magnitudes, in two windows of five.  Raises PrecisionError when the
+    estimate misses the target.  Returns (value, estimate)."""
     if tau.imag <= 0:
         raise ValidationError("evaluation point must be in the upper half plane")
     items = sorted(series.terms.items())

@@ -163,9 +163,12 @@ def test_criterion_10_n1_checks(lift):
     assert report["passed"]
     assert report["group_order"] == 8192
     assert report["idempotent_states_checked"] == 11
+    assert (report["tv_components"], report["invariance_checked"]) == (2048, 4096)
     assert report["orthogonality_samples"] >= 200
     assert not report["tv_norm"].is_zero()
     assert report["alpha"] * report["alpha"] == report["alpha_squared"]
+    assert str(report["alpha"]) == "1024*z^3 @ level 8"  # as `n1 check` prints them
+    assert str(report["tv_norm"]) == "1/131072*z^1 @ level 4"
     assert elapsed < 10.0, "took %.1fs" % elapsed
     _announce(10, "lifted group order 8192, all squares +1, idempotent and orthogonality in %.1fs" % elapsed)
 

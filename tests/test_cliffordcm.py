@@ -8,17 +8,13 @@ import pytest
 from conwaymoonshine.classdata import registry
 from conwaymoonshine.cliffordcm import (
     _INPUT_LIMIT,
-    CliffordWord,
+    _PAIR_SIGNS,
     DenseState,
     GolayLift,
-    SpinorState,
     WordTable,
     _monomial_sqrt,
-    act,
-    bilinear_cm,
     bilinear_dense,
     class_supertraces,
-    gram_determinant_unit,
     spinor_supertrace_closed,
     spinor_supertrace_oracle,
 )
@@ -27,42 +23,117 @@ from conwaymoonshine.errors import ValidationError, VerificationFailure
 from conwaymoonshine.frameshape import parse
 
 
+# Sparse ladder-operator oracle, independent of WordTable: a state is {S: (x, y)},
+# the coordinate x + i y of m_S = (prod_{k in S, ascending} a^-_k) v.  Generators
+# act through a^-_k and a^+_k times sqrt(2), so coordinates stay exact integers.
+
+ONE = (1, 0)
+
+
+def ladder(k, create, state):
+    """a^-_k (create) or a^+_k: pass the a^- factors of S below pair k, sign
+    (-1)^|S & [0, k)|; then a^-_k adds pair k and a^+_k removes it, by
+    {a^-_k, a^+_k} = -2.  Each kills the m_S it cannot change (a^+_k v = 0)."""
+    out = {}
+    for mask, (x, y) in state.items():
+        if (mask >> k & 1) != create:
+            f = (-1) ** bin(mask & ((1 << k) - 1)).count("1") * (1 if create else -2)
+            out[mask ^ 1 << k] = (x * f, y * f)
+    return out
+
+
+def combine(a, b, scale=1, turns=0):
+    """a + scale * i^turns * b, without zero coordinates."""
+    out = dict(a)
+    for mask, (x, y) in b.items():
+        for _ in range(turns):
+            x, y = -y, x
+        x0, y0 = out.get(mask, (0, 0))
+        out[mask] = (x0 + scale * x, y0 + scale * y)
+    return {m: c for m, c in out.items() if c != (0, 0)}
+
+
+def scaled(state, scale, turns=0):
+    return combine({}, state, scale, turns)
+
+
+def word(indices, state):
+    """sqrt(2)^len e_(i1) e_(i2) ... on state, rightmost first, from
+    sqrt(2) e_(2k+1) = a^- + a^+ and sqrt(2) e_(2k+2) = i (a^+ - a^-)."""
+    for i in reversed(indices):
+        k, second = divmod(i - 1, 2)
+        upper, lower = ladder(k, False, state), ladder(k, True, state)
+        state = scaled(combine(upper, lower, -1 if second else 1), 1, second)
+    return state
+
+
+def support(cmask):
+    return [i + 1 for i in range(24) if cmask >> i & 1]
+
+
+def oracle_form(a, b):
+    """<a, b> from the axioms: <a^-_k x, y> = -<x, a^-_k y> moves the factors
+    of m_S onto b in ascending order; <v, m_U> is 1 for the full U, else 0."""
+    re = im = 0
+    for mask, (x, y) in a.items():
+        image = b
+        for k in range(12):
+            image = ladder(k, True, image) if mask >> k & 1 else image
+        u, w = image.get(0xFFF, (0, 0))
+        sign = (-1) ** bin(mask).count("1")
+        re, im = re + sign * (x * u - y * w), im + sign * (x * w + y * u)
+    return CycNumber(4, (re, im))
+
+
+def dense(state, e=0):
+    """An integer sparse state over the denominator 2^e."""
+    re, im = np.zeros((2, 4096), dtype=np.int64)
+    for mask, (x, y) in state.items():
+        re[mask], im[mask] = x, y
+    return DenseState(re, im, e)
+
+
+def sparse(d):
+    """2^e times a dense state."""
+    return {int(m): (int(d.re[m]), int(d.im[m])) for m in np.flatnonzero(d.re | d.im)}
+
+
+def oracle_table(cmask, sign, state):
+    """sign * e_C on state, as WordTable(cmask, sign) should give it."""
+    return dense(scaled(word(support(cmask), state), sign), bin(cmask).count("1") // 2)
+
+
 def random_state(rng, comps=3, span=7):
-    return SpinorState(
-        {rng.randrange(4096): rng.randrange(-span, span) or 1 for _ in range(comps)}
-    )
+    return {rng.randrange(4096): (rng.randrange(-span, span) or 1, 0) for _ in range(comps)}
 
 
 def test_aplus_annihilates_ground_state():
-    # a^+_k = (e_{2k-1} - i e_{2k}) / sqrt(2)
-    v = SpinorState.vacuum()
+    # sqrt(2) a^+_k = sqrt(2) (e_(2k+1) - i e_(2k+2)); e_(2k+1) e_(2k+2) is
+    # then i on v and -i on the top vector, which a^-_k kills
+    v, top = {0: ONE}, {0xFFF: ONE}
     for k in range(12):
-        image = act(CliffordWord([2 * k + 1]), v) + act(
-            CliffordWord([2 * k + 2], zeta(4, -1)), v
-        )
-        assert image.is_zero()
+        assert not combine(word([2 * k + 1], v), word([2 * k + 2], v), -1, 1)
+        assert word([2 * k + 1, 2 * k + 2], top) == scaled(top, -2, 1)
+        pair = WordTable(1 << 2 * k) * WordTable(1 << 2 * k + 1)
+        assert pair.apply(dense(top)).equals(dense(scaled(top, -1, 1)))
 
 
 def test_anticommutation_on_random_states():
     rng = random.Random(1)
     s = random_state(rng)
+    x = dense(s)
     for i, j in [(1, 2), (3, 17), (24, 23), (5, 6)]:
-        image = act(CliffordWord([i, j]), s) + act(CliffordWord([j, i]), s)
-        assert image.is_zero()
+        assert not combine(word([i, j], s), word([j, i], s))
+        product = WordTable(1 << i - 1) * WordTable(1 << j - 1)
+        assert product.apply(x).equals(dense(word([i, j], s), 1))
 
 
 def test_generator_squares_to_minus_one():
     rng = random.Random(2)
     s = random_state(rng)
     for i in (1, 2, 11, 24):
-        assert act(CliffordWord([i, i]), s) == s.scaled(-1)
-
-
-def test_word_canonicalization():
-    w = CliffordWord([3, 1, 2, 1])
-    assert w.indices == (2, 3)
-    assert w.scalar == -1  # e3 e1 e2 e1 = e3 e2 = -e2 e3
-    assert CliffordWord([2, 1]) == -CliffordWord([1, 2])
+        assert word([i, i], s) == scaled(s, -2)
+        assert WordTable(1 << i - 1) * WordTable(1 << i - 1) == WordTable(0, -1)
 
 
 def test_word_table_matches_generator_composition():
@@ -78,12 +149,17 @@ def test_word_table_matches_generator_composition():
 
 
 def test_word_table_product_is_composition():
+    # and each of the random even words against the ladder oracle
     rng = random.Random(14)
-    x = DenseState.from_state(random_state(rng, 6))
+    s = random_state(rng, 6)
+    x = dense(s)
     masks = [m for m in (rng.getrandbits(24) for _ in range(80)) if bin(m).count("1") % 2 == 0]
     for c, d in zip(masks[::2], masks[1::2]):
-        a, b = WordTable(c, rng.choice((1, -1))), WordTable(d)
+        sign = rng.choice((1, -1))
+        a, b = WordTable(c, sign), WordTable(d)
         assert (a * b).apply(x).equals(a.apply(b.apply(x)))
+        assert a.apply(x).equals(oracle_table(c, sign, s))
+        assert b.apply(x).equals(oracle_table(d, 1, s))
 
 
 def test_trace_is_sum_of_diagonal_images():
@@ -93,11 +169,9 @@ def test_trace_is_sum_of_diagonal_images():
     for mask in masks:
         table = WordTable(mask, rng.choice((1, -1)))
         assert table.toggle == 0
-        total = CycNumber.from_rational(0, 4)
-        for s in range(4096):
-            image, value = table.basis_image(s)
-            assert image == s
-            total = total + value
+        image = table.apply(dense({m: ONE for m in range(4096)}))  # the diagonal
+        den = 1 << image.e
+        total = CycNumber(4, (F(int(image.re.sum()), den), F(int(image.im.sum()), den)))
         assert table.trace() == total, hex(mask)
     assert WordTable(0, -1).trace().to_rational() == -4096
     assert WordTable(0b1).trace().is_zero() and WordTable(0b110).trace().is_zero()
@@ -126,46 +200,63 @@ def test_monomial_sqrt():
 
 
 def test_zz_parity():
-    zz = CliffordWord(range(1, 25))
+    zz = WordTable((1 << 24) - 1)
+    composed = WordTable(0)
+    for i in range(24):
+        composed = composed * WordTable(1 << i)
     for mask in (0, 1, 0b11, 0b1010101, 0xFFF):
-        m = SpinorState.basis(mask)
-        assert act(zz, m) == m.scaled((-1) ** bin(mask).count("1"))
+        m = {mask: ONE}
+        want = scaled(m, (-1) ** bin(mask).count("1") * 4096)
+        assert word(range(1, 25), m) == want
+        assert zz.apply(dense(m)).equals(dense(want, 12))
+        assert composed.apply(dense(m)).equals(dense(want, 12))
 
 
 def test_act_with_level3_scalar():
+    # the oracle on w * s is w times the table's image of the Gaussian state s
     rng = random.Random(12)
     s = random_state(rng, 4)
     w = zeta(3, 1)
-    for indices in ([1, 5, 9], [2, 3, 17, 24]):
-        assert act(CliffordWord(indices, w), s) == act(CliffordWord(indices), s).scaled(w)
+    for indices in ([1, 5, 9, 12], [2, 3, 17, 24]):
+        image = WordTable(sum(1 << i - 1 for i in indices)).apply(dense(s))
+        assert word(indices, scaled(s, w)) == scaled(sparse(image), w * F(4, 1 << image.e))
 
 
 def test_bilinear_normalization():
-    top = SpinorState.basis(0xFFF)  # a1- ... a12- v
-    v = SpinorState.vacuum()
-    assert bilinear_cm(top, v).to_rational() == 1
-    assert bilinear_cm(v, v).is_zero()
+    top, v = DenseState.basis(0xFFF), DenseState.basis(0)  # a1- ... a12- v and v
+    assert bilinear_dense(top, v).to_rational() == 1
+    assert bilinear_dense(v, v).is_zero()
+    assert oracle_form({0xFFF: ONE}, {0: ONE}) == 1
 
 
 def test_bilinear_adjointness_for_all_generators():
     rng = random.Random(4)
     for i in range(1, 25):
-        a, b = random_state(rng), random_state(rng)
-        lhs = bilinear_cm(act(CliffordWord([i]), a), b)
-        rhs = bilinear_cm(a, act(CliffordWord([i]), b))
-        assert (lhs + rhs).is_zero(), i
+        a = random_state(rng)
+        # b meets the complement of each S in e_i a, so both sides can be nonzero
+        b = combine(random_state(rng), {0xFFF ^ m: c for m, c in word([i], a).items()})
+        lhs = bilinear_dense(dense(word([i], a)), dense(b))
+        rhs = bilinear_dense(dense(a), dense(word([i], b)))
+        assert not lhs.is_zero() and (lhs + rhs).is_zero(), i
 
 
 def test_gram_determinant_nonzero():
-    assert gram_determinant_unit() != 0
-    assert abs(gram_determinant_unit()) == 1
+    # <m_S, m_T> vanishes unless T is the complement of S, so the Gram
+    # matrix is a signed permutation with determinant +-1; the oracle reads
+    # each sign from the axioms
+    assert set(np.unique(_PAIR_SIGNS)) == {-1, 1}
+    for mask in range(4096):
+        assert oracle_form({mask: ONE}, {0xFFF ^ mask: ONE}) == int(_PAIR_SIGNS[mask])
 
 
 def test_bilinear_dense_matches_sparse():
-    rng = random.Random(5)
-    a, b = random_state(rng, 6), random_state(rng, 6)
-    dense = bilinear_dense(DenseState.from_state(a), DenseState.from_state(b))
-    assert dense == bilinear_cm(a, b)
+    b = random_state(random.Random(5), 6)
+    for cmask in (0, 0b1001, 0xF0F0F0, 0x800001):
+        image = word(support(cmask), b)
+        partner = {0xFFF ^ m: (x + 1, y) for m, (x, y) in image.items()}
+        want = oracle_form(partner, image) * F(1, 2 ** (bin(cmask).count("1") // 2))
+        assert not want.is_zero()
+        assert bilinear_dense(dense(partner), WordTable(cmask).apply(dense(b))) == want
 
 
 def test_supertrace_closed_spot_values():
@@ -218,11 +309,9 @@ def test_dense_word_table_matches_sparse_action(golay, lift):
     rng = random.Random(6)
     for _ in range(8):
         cmask = rng.choice(list(lift.section))
-        table = lift.word_table(cmask)
         s = random_state(rng, 5)
-        got = table.apply(DenseState.from_state(s)).to_state()
-        want = lift.apply_signed_word(cmask, s)
-        assert got == want
+        got = lift.word_table(cmask).apply(dense(s))
+        assert got.equals(oracle_table(cmask, lift.section[cmask], s))
 
 
 def t_oracle(lift, states):
@@ -230,20 +319,19 @@ def t_oracle(lift, states):
     applied to each dense state; the tables are built once."""
     outs = [(np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64)) for _ in states]
     for table in lift.tables():
-        for dense, (out_re, out_im) in zip(states, outs):
+        for state, (out_re, out_im) in zip(states, outs):
             # out_e = e + 12 covers the worst word factor 2^(-12)
-            table.apply_into(dense, out_re, out_im, dense.e + 12)
-    return [DenseState(re, im, dense.e + 24) for dense, (re, im) in zip(states, outs)]
+            table.apply_into(state, out_re, out_im, state.e + 12)
+    return [DenseState(re, im, state.e + 24) for state, (re, im) in zip(states, outs)]
 
 
 def test_factored_t_matches_4096_term_sum(lift):
     rng = random.Random(13)
-    states = [SpinorState.vacuum(), lift.invariant_vector()]
-    states += [random_state(rng, 4) for _ in range(3)]
-    dense = [DenseState.from_state(s) for s in states]
+    states = [DenseState.basis(0), lift.invariant_vector()]
+    states += [dense(random_state(rng, 4)) for _ in range(3)]
     big = np.random.default_rng(13).integers(-_INPUT_LIMIT, _INPUT_LIMIT + 1, size=(2, 4096))
-    dense.append(DenseState(big[0], big[1], 0))
-    for d, want in zip(dense, t_oracle(lift, dense)):
+    states.append(DenseState(big[0], big[1], 0))
+    for d, want in zip(states, t_oracle(lift, states)):
         assert lift.apply_t_dense(d).equals(want)
 
 
@@ -256,7 +344,7 @@ def test_apply_t_dense_rejects_large_entries(lift):
 
 def test_apply_into_guards():
     out = (np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64))
-    vacuum = DenseState.from_state(SpinorState.vacuum())
+    vacuum = DenseState.basis(0)
     with pytest.raises(ValidationError):  # odd word: the 1/sqrt(2) is not Gaussian
         WordTable(0b1).apply_into(vacuum, *out, 0)
     table = WordTable(0b101)  # e_1 e_3 has entries 1/2
@@ -269,11 +357,6 @@ def test_apply_into_guards():
         table.apply_into(huge, *out, -table.min_shift())
 
 
-def test_idempotent_rejects_non_gaussian_coefficient(lift):
-    with pytest.raises(ValidationError):
-        lift.idempotent_apply(SpinorState({3: zeta(3, 1)}))
-
-
 def test_lift_squares_and_closure(lift):
     lift.verify_squares()
     lift.verify_closure(samples=1000, seed=7)
@@ -281,34 +364,47 @@ def test_lift_squares_and_closure(lift):
     assert lift.section[0] == 1  # s(empty) e_empty = 1
 
 
+def test_verify_closure_negative_control():
+    lift = GolayLift(SimpleNamespace(generators=[0b1111, 0b11110000]))
+    assert lift.verify_closure()
+    lift.section[0b11111111] *= -1  # the section is no longer multiplicative
+    with pytest.raises(VerificationFailure):
+        lift.verify_closure()
+
+
 def test_lift_closure_word_identity(lift):
+    # s(C) e_C s(D) e_D = s(C+D) e_(C+D), through the oracle and the tables
     rng = random.Random(8)
     masks = sorted(lift.section)
+    s = random_state(rng)
     for _ in range(50):
         c, d = rng.choice(masks), rng.choice(masks)
-        left = lift.signed_word(c) * lift.signed_word(d)
-        assert left == lift.signed_word(c ^ d)
+        want = oracle_table(c ^ d, lift.section[c ^ d], s)
+        left = scaled(word(support(c), word(support(d), s)), lift.section[c] * lift.section[d])
+        assert dense(left, (bin(c).count("1") + bin(d).count("1")) // 2).equals(want)
+        assert (lift.word_table(c) * lift.word_table(d)).apply(dense(s)).equals(want)
 
 
 def test_idempotent_and_invariance(lift):
     tv = lift.invariant_vector()
-    assert not tv.is_zero()
-    assert lift.idempotent_apply(tv) == tv
-    # fixed by every lifted sign change (spot sample; exhaustive in n1_checks)
-    rng = random.Random(9)
-    for cmask in rng.sample(sorted(lift.section), 12):
-        assert lift.apply_signed_word(cmask, tv) == tv
+    assert tv.nonzero_count()
+    assert lift.apply_t_dense(tv).equals(tv)
+    # fixed by the 12 signed generator words through the oracle, hence by the
+    # lifted group they generate (n1_checks tries all 4096 tables)
+    sv = sparse(tv)
+    for cmask in lift.code.generators:
+        assert oracle_table(cmask, lift.section[cmask], sv).equals(dense(sv))
 
 
 def test_idempotent_on_sparse_random_states(lift):
     rng = random.Random(10)
     for _ in range(3):
-        s = random_state(rng, 4)
-        ts = lift.idempotent_apply(s)
-        assert lift.idempotent_apply(ts) == ts
+        ts = lift.apply_t_dense(dense(random_state(rng, 4)))
+        assert lift.apply_t_dense(ts).equals(ts)
 
 
 def test_orthogonality_examples(lift):
     tv = lift.invariant_vector()
-    assert bilinear_cm(act(CliffordWord([1, 2]), tv), tv).is_zero()
-    assert bilinear_cm(act(CliffordWord([3, 7, 11, 20]), tv), tv).is_zero()
+    sv = sparse(tv)
+    for indices in ([1, 2], [3, 7, 11, 20]):
+        assert bilinear_dense(dense(word(indices, sv)), tv).is_zero()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conwaymoonshine.cliffordcm import WordTable, reorder_sign  # noqa: E402
 from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
-from conwaymoonshine.qseries import eta_product  # noqa: E402
+from conwaymoonshine.qseries import FracPowerSeries, eta_product  # noqa: E402
 
 exponent_maps = st.dictionaries(
     st.sampled_from([F(1, 3), F(1, 2), 1, F(3, 2), 2, 3]), st.integers(-3, 3), max_size=4
@@ -38,8 +38,8 @@ def test_eta_product_of_negated_map_is_inverse(exps):
 
 
 @st.composite
-def cyclotomic_numbers(draw):
-    level = draw(st.integers(1, 24))
+def cyclotomic_numbers(draw, levels=st.integers(1, 24)):
+    level = draw(levels)
     weights = draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level))
     return CycNumber.from_exponents(level, dict(enumerate(weights)))
 
@@ -50,6 +50,41 @@ def test_cyclotomic_hash_is_level_independent(x, m):
     y = x.raise_level(x.level * m)
     assert x == y
     assert hash(x) == hash(y)
+
+
+# levels dividing 24, so that sums and products of three stay at level 24
+ring_elements = cyclotomic_numbers(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elements, ring_elements, ring_elements)
+def test_cyclotomic_ring_laws(x, y, z):
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z  # across levels
+    assert x.is_zero() or x * x.inverse() == 1
+
+
+@st.composite
+def series(draw, order=4):
+    """Rational series on a random grid, all valid below the same order."""
+    denom = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    exponents = st.integers(-2 * denom, order * denom - 1)
+    terms = draw(st.dictionaries(exponents, st.fractions(-5, 5, max_denominator=6), max_size=6))
+    return FracPowerSeries(denom, terms, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(), series(), series())
+def test_series_multiplication_laws(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series())
+def test_series_serialization_round_trips(a):
+    assert FracPowerSeries.from_json(a.to_json()) == a
+    assert FracPowerSeries.from_text(a.to_text()) == a
 
 
 masks = st.integers(0, (1 << 24) - 1)
