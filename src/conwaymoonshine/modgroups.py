@@ -6,12 +6,13 @@ conjugated Hecke group, and +e adjoins Atkin-Lehner involutions for exact
 divisors e of n/h.  The invariance check here is sound but partial, by
 design: it samples
 
-  * Hecke-group elements at the exact character-free level N* (the
-    smallest multiple of the shape's cycle lcm killing the eta-multiplier
-    character; N* = n*h for every registry label),
+  * Hecke-group elements at level n*h, where the eta-multiplier
+    character of every registry shape dies,
   * the unit translation, and
   * one representative of each listed Atkin-Lehner coset, composed with
-    the translation power that lands in the character kernel
+    the translation T^(j/h), 0 <= j < h, that lands in the character
+    kernel (the unit translation lies in the kernel, so only j mod h
+    matters; for h = 1 the bare matrix is used)
 
 and measures max |f(gamma tau) - f(tau)| over sample points chosen so
 both evaluations converge.  Series evaluation is floating point with a
@@ -25,6 +26,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from .cyclotomic import CycNumber
 from .errors import ParseError, PrecisionError, ValidationError
@@ -171,22 +174,17 @@ def _gamma0_element(c: int, d: int) -> TestMatrix:
     )
 
 
-def sample_matrices(gl: GroupLabel, count: int = 12, seed: int = 2024, level=None):
-    """Test matrices for the label: Hecke-group samples at `level`
-    (default n*h), the unit translation, and one Atkin-Lehner matrix per
-    listed divisor (Fricke-tagged when e = n/h).
+def sample_matrices(gl: GroupLabel, count: int = 12, seed: int = 2024):
+    """Test matrices for the label: the unit translation, one Atkin-Lehner
+    matrix per listed divisor (Fricke-tagged when e = n/h), and Hecke-group
+    samples at level n*h.
 
     The Atkin-Lehner matrix for e uses the exact-divisor solve
     u*e + v*(n/(h*e)) = 1:  (u*e, -v/h; n, e)/sqrt(e).
     """
     rng = random.Random(seed)
-    level = level or gl.n * gl.h
-    out = [
-        TestMatrix(
-            Fraction(1), Fraction(1, gl.h), Fraction(0), Fraction(1), 1,
-            "translation-1/%d" % gl.h,
-        )
-    ]
+    level = gl.n * gl.h
+    out = [TestMatrix(Fraction(1), Fraction(1), Fraction(0), Fraction(1), 1, "translation-1")]
     quotient = gl.n // gl.h
     for e in sorted(gl.al_set):
         if e == quotient:
@@ -211,7 +209,7 @@ def sample_matrices(gl: GroupLabel, count: int = 12, seed: int = 2024, level=Non
         if gcd(d, c) != 1:
             continue
         out.append(_gamma0_element(c, d))
-    return out[:max(count, len(out))]
+    return out
 
 
 def _bezout(x: int, y: int):
@@ -229,65 +227,46 @@ def _bezout(x: int, y: int):
     return old_s, old_t
 
 
-def character_free_level(shape) -> int:
-    """Smallest multiple N of the cycle lcm with sum_m (N/m) k_m = 0 mod 24,
-    which makes the weight-zero eta quotient a genuine Hecke-group function
-    at level N (its multiplier character dies; the square condition holds
-    automatically since prod m^(k_m) is the square of the trace scalar)."""
-    lcm = 1
-    for m in shape.exps:
-        lcm = lcm * m // gcd(lcm, m)
-    for mult in range(1, 49):
-        n = lcm * mult
-        if sum((n // m) * k for m, k in shape.exps.items()) % 24 == 0:
-            return n
-    raise ValidationError("no character-free level below 48 * lcm for %s" % shape)
-
-
-def eval_series(series: FracPowerSeries, tau: complex, tail_bound_target: float):
-    """Numeric value of the truncated series at tau, with a heuristic tail
-    estimate from geometric extrapolation of the last ten coefficient
-    magnitudes, in two windows of five.  Raises PrecisionError when the
-    estimate misses the target.  Returns (value, estimate)."""
-    if tau.imag <= 0:
-        raise ValidationError("evaluation point must be in the upper half plane")
+def eval_series(series: FracPowerSeries, taus, tail_target: float):
+    """Numeric values of the truncated series at the points taus, with a
+    heuristic tail estimate at each.  The coefficients are converted to
+    floats once per call and each point is one dot product over the terms.
+    Raises PrecisionError at the first point whose estimate exceeds
+    tail_target.  Returns (values, estimates), one entry per point."""
     items = sorted(series.terms.items())
-    total = 0j
-    for p, coeff in items:
-        r = p / series.denom
-        if isinstance(coeff, CycNumber):
-            cval = coeff.to_complex()
-        else:
-            cval = complex(float(Fraction(coeff)))
-        total += cval * cmath.exp(2j * cmath.pi * tau * r)
-    bound = _tail_bound(series, tau)
-    if bound > tail_bound_target:
-        raise PrecisionError(
-            "tail bound %.3g exceeds target %.3g at Im(tau)=%.4f; "
-            "increase the series order" % (bound, tail_bound_target, tau.imag)
-        )
-    return total, bound
+    expos = np.array([p / series.denom for p, _ in items])
+    coeffs = np.array(
+        [c.to_complex() if isinstance(c, CycNumber) else float(c) for _, c in items],
+        dtype=complex,
+    )
+    tail = _tail_estimate(series, expos, coeffs)
+    values, estimates = [], []
+    for tau in taus:
+        if tau.imag <= 0:
+            raise ValidationError("evaluation point must be in the upper half plane")
+        values.append(complex(np.dot(coeffs, np.exp(2j * np.pi * tau * expos))))
+        estimate = tail(abs(cmath.exp(2j * cmath.pi * tau)))
+        if estimate > tail_target:
+            raise PrecisionError(
+                "tail estimate %.3g exceeds target %.3g at Im(tau)=%.4f; "
+                "increase the series order" % (estimate, tail_target, tau.imag)
+            )
+        estimates.append(estimate)
+    return values, estimates
 
 
-def _tail_bound(series: FracPowerSeries, tau: complex) -> float:
-    """Geometric extrapolation of trailing coefficient magnitudes, anchored
-    at the validity order (below it all omitted terms are zero).
+def _tail_estimate(series: FracPowerSeries, expos, coeffs):
+    """Geometric extrapolation of the last ten coefficient magnitudes,
+    anchored at the validity order (below it all omitted terms are zero);
+    returns the estimate as a function of |q|.
 
     Coefficient magnitudes of these series oscillate, so the growth rate
     is taken peak-to-peak across two trailing windows of five terms.
     """
-    mags = []
-    expos = []
-    for p, coeff in sorted(series.terms.items())[-10:]:
-        if isinstance(coeff, CycNumber):
-            m = abs(coeff.to_complex())
-        else:
-            m = abs(float(Fraction(coeff)))
-        if m:
-            mags.append(m)
-            expos.append(p / series.denom)
-    if not mags:
-        return 0.0
+    trailing = [(abs(c), r) for c, r in zip(coeffs[-10:].tolist(), expos[-10:].tolist()) if c]
+    if not trailing:
+        return lambda qabs: 0.0
+    mags, expos = zip(*trailing)
     if len(mags) >= 4:
         half = len(mags) // 2
         i1 = max(range(half), key=lambda i: mags[i])
@@ -301,13 +280,16 @@ def _tail_bound(series: FracPowerSeries, tau: complex) -> float:
         r2 = expos[mags.index(peak2)]
         growth = 1.0
         step = 1.0 / series.denom
-    qabs = abs(cmath.exp(2j * cmath.pi * tau))
-    ratio = (growth * qabs) ** step
-    if ratio >= 0.999:
-        return float("inf")
     start = float(series.order)
     anchor = peak2 * growth ** max(0.0, start - r2)
-    return 4.0 * anchor * qabs**start / (1.0 - ratio)
+
+    def estimate(qabs):
+        ratio = (growth * qabs) ** step
+        if ratio >= 0.999:
+            return float("inf")
+        return 4.0 * anchor * qabs**start / (1.0 - ratio)
+
+    return estimate
 
 
 def _sample_points(matrix: TestMatrix, count: int, rng) -> list:
@@ -329,7 +311,7 @@ def _sample_points(matrix: TestMatrix, count: int, rng) -> list:
 def invariance_check(
     series: FracPowerSeries,
     gl: GroupLabel,
-    matrices=None,
+    matrices,
     points: int = 20,
     tol: float = 1e-6,
     seed: int = 2024,
@@ -337,22 +319,22 @@ def invariance_check(
 ):
     """max |f(gamma tau) - f(tau)| over the sample; pass iff <= tol.
 
-    The series must be truncated to sufficient order for the tail bounds
-    at the sample points; tail failures raise PrecisionError.
+    The series must be truncated to sufficient order for the tail
+    estimates at the sample points; tail failures raise PrecisionError.
     """
     rng = random.Random(seed)
-    matrices = matrices if matrices is not None else sample_matrices(gl, seed=seed)
     per_matrix = max(1, -(-points // max(1, len(matrices))))
-    worst = 0.0
-    rows = []
+    taus = []
     for m in matrices:
-        dev = 0.0
         for tau in _sample_points(m, per_matrix, rng):
-            v1, _ = eval_series(series, tau, tol / 10)
-            v2, _ = eval_series(series, m.mobius(tau), tol / 10)
-            dev = max(dev, abs(v1 - v2))
+            taus += (tau, m.mobius(tau))
+    values, _ = eval_series(series, taus, tol / 10)
+    rows = []
+    for i, m in enumerate(matrices):
+        chunk = values[2 * per_matrix * i : 2 * per_matrix * (i + 1)]
+        dev = max(abs(v1 - v2) for v1, v2 in zip(chunk[::2], chunk[1::2]))
         rows.append({"matrix": m.to_json(), "deviation": dev})
-        worst = max(worst, dev)
+    worst = max((row["deviation"] for row in rows), default=0.0)
     return {
         "class": name,
         "label": str(gl),
@@ -367,41 +349,30 @@ def invariance_check(
 
 def kernel_matrices(rec, series: FracPowerSeries, seed: int = 2024, count: int = 12):
     """Sound sample of the label's group for the given twisted trace:
-    Hecke elements at the character-free level, the unit translation, and
-    each Atkin-Lehner representative composed into the character kernel
-    (searching the translation power by a one-point probe)."""
+    Hecke elements at level n*h, the unit translation, and each
+    Atkin-Lehner representative composed into the character kernel."""
     gl = parse_label(rec.gamma_tw_label)
-    level = character_free_level(rec.frame_shape)
-    base = sample_matrices(gl, count=count, seed=seed, level=level)
-    out = []
-    for m in base:
-        if m.provenance.startswith(("fricke", "atkin-lehner")):
-            out.append(_into_kernel(m, gl.h, series))
-        elif m.provenance.startswith("translation") and gl.h > 1:
-            # the bare 1/h translation carries the character; its h-th
-            # power is the unit translation, which is always invariant
-            out.append(
-                TestMatrix(Fraction(1), Fraction(1), Fraction(0), Fraction(1), 1, "translation-1")
-            )
-        else:
-            out.append(m)
-    return out
+    return [
+        _into_kernel(m, gl.h, series) if m.provenance.startswith(("fricke", "atkin-lehner")) else m
+        for m in sample_matrices(gl, count=count, seed=seed)
+    ]
 
 
 def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMatrix:
-    """Compose with translation powers in (1/h)*Z until a probe stops
-    seeing a character; the label's group is the character kernel, and the
-    character of the 1/h translation has order dividing 24h.  Each
-    candidate is probed at its own balanced point."""
-    best = matrix
-    best_dev = float("inf")
-    for j in range(24 * h):
+    """The coset matrix*T^(j/h), 0 <= j < h, whose one-point probe sees no
+    character.  The label's group is the character kernel and contains the
+    unit translation, so only j mod h matters and for h = 1 the matrix is
+    returned unprobed.  Each candidate is probed at its own balanced point;
+    the bare matrix stands when no probe converges."""
+    if h == 1:
+        return matrix
+    best, best_dev = matrix, float("inf")
+    for j in range(h):
         cand = matrix.compose_translation(Fraction(j, h)) if j else matrix
         c = max(1.0, abs(float(cand.c)))
         probe = complex((-float(cand.d) + 0.03) / c, 1.0 / c)
         try:
-            ref, _ = eval_series(series, probe, 1e-9)
-            val, _ = eval_series(series, cand.mobius(probe), 1e-9)
+            (ref, val), _ = eval_series(series, [probe, cand.mobius(probe)], 1e-9)
         except PrecisionError:
             continue
         dev = abs(val - ref)
@@ -419,14 +390,15 @@ def class_invariance_check(
     max_order: int = 8192,
 ):
     """Adaptive driver: build the twisted trace at growing order until all
-    tail bounds accept, then run the invariance check.
+    tail estimates accept, then run the invariance check.
 
     The starting order targets the crossover of coefficient growth
     (~ e^(4*pi*sqrt(r)/sqrt(N))) against decay at the balanced points
-    (Im = 1/N), which lands near N^2/16."""
+    (Im = 1/N, N = n*h), which lands near N^2/16."""
     from .moonshine import T_s_tw
 
-    level = character_free_level(rec.frame_shape)
+    gl = parse_label(rec.gamma_tw_label)
+    level = gl.n * gl.h
     order = 64
     while order < min(level * level // 16, max_order):
         order *= 2
@@ -435,13 +407,7 @@ def class_invariance_check(
         try:
             matrices = kernel_matrices(rec, series, seed=seed, count=samples)
             return invariance_check(
-                series,
-                parse_label(rec.gamma_tw_label),
-                matrices=matrices,
-                points=points,
-                tol=tol,
-                seed=seed,
-                name=rec.co0_name,
+                series, gl, matrices, points=points, tol=tol, seed=seed, name=rec.co0_name
             )
         except PrecisionError:
             if order >= max_order:

@@ -174,6 +174,7 @@ def test_criterion_10_n1_checks(lift):
 
 
 def test_criterion_11_numeric_invariance():
+    t0 = time.time()
     worst = 0.0
     for rec in registry():
         report = class_invariance_check(rec, points=20, tol=1e-6)
@@ -187,5 +188,7 @@ def test_criterion_11_numeric_invariance():
         control_series, parse_label("2-"), matrices=[wrong], points=6, tol=1e-6
     )
     assert control["max_dev"] > 1e-2
-    _announce(11, "invariance <= 1e-6 on 90 classes (worst %.2e); control deviates %.2e" % (
-        worst, control["max_dev"]))
+    elapsed = time.time() - t0
+    assert elapsed < 10.0, "took %.1fs" % elapsed
+    _announce(11, "invariance <= 1e-6 on 90 classes (worst %.2e); control deviates %.2e; %.1fs" % (
+        worst, control["max_dev"], elapsed))

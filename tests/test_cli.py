@@ -109,6 +109,14 @@ def test_invariance_report_seed_determinism(capsys):
     assert out1 == out2
 
 
+def test_invariance_sweep_same_under_process_pool(capsys):
+    args = ("invariance", "--class", "all", "--format", "json")
+    code1, out1 = run(capsys, *args, "--jobs", "1")
+    code2, out2 = run(capsys, *args, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_verify_lemma_single_class(capsys):
     code, out = run(capsys, "verify", "lemma", "--class", "6C", "--order", "10", "--format", "json")
     assert code == 0

@@ -9,10 +9,10 @@ from conwaymoonshine.modgroups import (
     GroupLabel,
     TestMatrix,
     _bezout,
-    character_free_level,
     class_invariance_check,
     eval_series,
     invariance_check,
+    kernel_matrices,
     parse_label,
     sample_matrices,
 )
@@ -85,22 +85,21 @@ def test_atkin_lehner_solve_for_12_2():
 
 
 def test_eval_constant_and_pole_examples():
-    value, bound = eval_series(S.monomial(24, 0, 6), complex(0.2, 1.3), 1e-12)
-    assert abs(value - 24) < 1e-12 and bound < 1e-12
-    value, _ = eval_series(S.monomial(1, F(-1, 2), 6), 1j, 1e-9)
+    [value], [estimate] = eval_series(S.monomial(24, 0, 6), [complex(0.2, 1.3)], 1e-12)
+    assert abs(value - 24) < 1e-12 and estimate < 1e-12
+    [value], _ = eval_series(S.monomial(1, F(-1, 2), 6), [1j], 1e-9)
     assert abs(value - math.exp(math.pi)) < 1e-9
 
 
 def test_eval_refuses_insufficient_order():
     series = T_s_tw(lookup("2A"), 6)
     with pytest.raises(PrecisionError):
-        eval_series(series, complex(0.0, 0.05), 1e-9)
+        eval_series(series, [complex(0.0, 0.05)], 1e-9)
 
 
 def test_translation_invariance_numeric():
     series = T_s_tw(lookup("2A"), 24)
-    v1, _ = eval_series(series, 1j, 1e-10)
-    v2, _ = eval_series(series, 1j + 1, 1e-10)
+    (v1, v2), _ = eval_series(series, [1j, 1j + 1], 1e-10)
     assert abs(v1 - v2) < 1e-8
 
 
@@ -135,11 +134,39 @@ def test_reports_are_seed_deterministic():
     assert a == b
 
 
-def test_character_free_levels():
-    assert character_free_level(lookup("2A").frame_shape) == 2
-    assert character_free_level(lookup("6C").frame_shape) == 6
-    assert character_free_level(lookup("12A").frame_shape) == 24
-    assert character_free_level(lookup("12B").frame_shape) == 72
+def test_level_n_h_kills_the_eta_character():
+    # every cycle length divides N = n*h and sum (N/m)*k_m = 0 mod 24, so
+    # the sampled Hecke elements at level N lie in the label's group
+    levels = {}
+    for rec in registry():
+        gl = parse_label(rec.gamma_tw_label)
+        level = gl.n * gl.h
+        exps = rec.frame_shape.exps
+        assert all(level % m == 0 for m in exps), rec.co0_name
+        assert sum((level // m) * k for m, k in exps.items()) % 24 == 0, rec.co0_name
+        levels[rec.co0_name] = level
+    assert len(levels) == 90
+    assert [levels[n] for n in ("2A", "6C", "12A", "12B")] == [2, 6, 24, 72]
+
+
+def test_kernel_coset_for_index_two_label():
+    # 20|2+5: the bare W_5 carries the order-two character, its coset
+    # W_5*T^(1/2) is in the group
+    rec = lookup("20B")
+    series = T_s_tw(rec, 512)
+    gl = parse_label(rec.gamma_tw_label)
+    picked = [m.provenance for m in kernel_matrices(rec, series)]
+    assert "atkin-lehner-5*T^(1/2)" in picked
+    bare = [m for m in sample_matrices(gl) if m.provenance == "atkin-lehner-5"]
+    report = invariance_check(series, gl, matrices=bare, points=6, tol=1e-6)
+    assert report["max_dev"] > 1e-1
+
+
+def test_kernel_matrices_unprobed_for_h_one():
+    rec = lookup("30A")
+    gl = parse_label(rec.gamma_tw_label)
+    assert gl.h == 1
+    assert kernel_matrices(rec, T_s_tw(rec, 1024)) == sample_matrices(gl)
 
 
 def test_group_label_invariants():
