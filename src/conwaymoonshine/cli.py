@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = argparse.ArgumentParser(
         prog="conway-moonshine",
-        parents=[common],
         description="Exact computations and checks for the Conway-group "
         "trace functions, their eta-quotient identities, the spinor module, "
         "and the Golay/Leech structures underneath them.",
@@ -334,6 +333,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.command == "series" and not (args.klass or args.shape):
         print("series needs --class or --shape", file=sys.stderr)
+        return EXIT_USAGE
+    if args.format == "csv" and args.command != "table":
+        print("--format csv is only defined for table", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)

@@ -82,7 +82,7 @@ def _reduce_mod_phi(coeffs, n):
             for j in range(deg + 1):
                 coeffs[k - deg + j] -= c * phi[j]
         coeffs.pop()
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
+    coeffs += [0] * (deg - len(coeffs))
     return tuple(Fraction(c) for c in coeffs[:deg])
 
 
@@ -110,9 +110,9 @@ class CycNumber:
     @staticmethod
     def from_exponents(level: int, weights: dict) -> "CycNumber":
         """Build sum_j weights[j] * zeta_level^j from an exponent dict."""
-        coeffs = [Fraction(0)] * level
+        coeffs = [0] * level
         for j, w in weights.items():
-            coeffs[j % level] += Fraction(w)
+            coeffs[j % level] += w
         return CycNumber(level, _reduce_mod_phi(coeffs, level))
 
     # -- level handling ----------------------------------------------------

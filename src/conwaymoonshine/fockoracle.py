@@ -2,9 +2,10 @@
 
 This module deliberately avoids eta functions and pentagonal-number
 shortcuts: traces are assembled mode by mode from the raw eigenvalues of
-a lattice automorphism, as products of per-mode binomials in exact
-cyclotomic arithmetic, so they can serve as an independent oracle for the
-eta-quotient formulas.
+a lattice automorphism, as products of per-mode binomials on an integer
+exponent ledger over (energy, root-of-unity power) that is converted to
+exact cyclotomic coefficients once, so they can serve as an independent
+oracle for the eta-quotient formulas.
 
 Conventions (central charge 12, so the grading prefactor is q^(-1/2)):
   untwisted sector: 24 fermionic modes at each energy n + 1/2, n >= 0;
@@ -17,14 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, lcm
 
-from .cyclotomic import CycNumber, root_of_unity
+from .cyclotomic import CycNumber
 from .errors import ValidationError
 from .qseries import FracPowerSeries
 
 UNTWISTED = "untwisted"
 TWISTED = "twisted"
+
+# sector -> (anchor, scale): a state of ledger energy x sits at q^(x/scale + anchor)
+_GRID = {UNTWISTED: (Fraction(-1, 2), 2), TWISTED: (Fraction(1), 1)}
 
 
 @dataclass(frozen=True)
@@ -55,33 +59,47 @@ class ModeSystem:
             thetas.extend([t] * mult)
         return ModeSystem(tuple(thetas), sector, Fraction(max_degree))
 
-    def negated(self) -> "ModeSystem":
-        return ModeSystem(
-            tuple((Fraction(t) + Fraction(1, 2)) % 1 for t in self.eigen_thetas),
-            self.sector,
-            self.max_degree,
-        )
 
-    def grouped(self):
-        counts = {}
-        for t in self.eigen_thetas:
-            counts[Fraction(t)] = counts.get(Fraction(t), 0) + 1
-        return sorted(counts.items())
+def _sector(ms: ModeSystem, order):
+    """Level N of the eigenvalues, the modes (x, z) in ascending energy and
+    the ledger bound.  A mode of ledger energy x and eigenvalue zeta_N^z
+    sits at q-energy x / scale; a state is kept exactly when its exponent
+    x / scale + anchor is below `order`, that is when x <= bound."""
+    anchor, scale = _GRID[ms.sector]
+    level = lcm(*(Fraction(t).denominator for t in ms.eigen_thetas))
+    zexps = [int(Fraction(t) * level) for t in ms.eigen_thetas]
+    bound = ceil((order - anchor) * scale) - 1
+    modes = [(x, z) for x in range(1, bound + 1, scale) for z in zexps]
+    return level, modes, bound
 
 
-def _level_factor(groups, energy, order) -> FracPowerSeries:
-    """prod over eigenvalues of (1 - eps * q^energy), exact."""
-    factor = FracPowerSeries.monomial(1, 0, order)
-    for theta, mult in groups:
-        if theta == 0:
-            eps = 1
-        elif 2 * theta == 1:
-            eps = -1
-        else:
-            eps = root_of_unity(theta)
-        base = FracPowerSeries.monomial(1, 0, order) - FracPowerSeries.monomial(eps, energy, order)
-        factor = factor * base**mult
-    return factor
+def _ledger_series(ms: ModeSystem, ledger, level, order, c_value) -> FracPowerSeries:
+    """The series c_value * sum_x sum_z ledger[x][z] zeta_N^z q^(x/scale +
+    anchor), valid below `order`: one conversion to cyclotomics per energy."""
+    anchor, scale = _GRID[ms.sector]
+    if isinstance(c_value, CycNumber):
+        c_value = c_value.to_rational()  # real eigenvalues: a rational zero-mode trace
+    pairs = []
+    for x, row in enumerate(ledger):
+        coeff = CycNumber.from_exponents(level, {z: w * c_value for z, w in enumerate(row) if w})
+        if not coeff.is_zero():
+            pairs.append((Fraction(x, scale) + anchor, coeff))
+    return FracPowerSeries.from_fraction_terms(pairs, order)
+
+
+def _mode_product(ms: ModeSystem, order, c_value=1) -> FracPowerSeries:
+    """prod over modes of (1 - zeta_N^z q^(x/scale)), one binomial at a
+    time, each an update of the integer ledger ledger[x][z]."""
+    level, modes, bound = _sector(ms, order)
+    ledger = [[0] * level for _ in range(bound + 1)]
+    ledger[0][0] = 1
+    for x, z in modes:
+        for t in range(bound, x - 1, -1):  # descending: read rows not yet updated
+            src, dst = ledger[t - x], ledger[t]
+            for e, count in enumerate(src):
+                if count:
+                    dst[(e + z) % level] -= count
+    return _ledger_series(ms, ledger, level, order, c_value)
 
 
 def untwisted_supertrace(ms: ModeSystem) -> FracPowerSeries:
@@ -89,14 +107,7 @@ def untwisted_supertrace(ms: ModeSystem) -> FracPowerSeries:
     eigenvalue eps contributes a factor (1 - eps q^r); prefactor q^(-1/2)."""
     if ms.sector != UNTWISTED:
         raise ValidationError("mode system is not untwisted")
-    groups = ms.grouped()
-    work_order = ms.max_degree + Fraction(1, 2)
-    total = FracPowerSeries.monomial(1, 0, work_order)
-    n = 0
-    while n + Fraction(1, 2) < work_order:
-        total = total * _level_factor(groups, n + Fraction(1, 2), work_order)
-        n += 1
-    return total.shifted(Fraction(-1, 2))
+    return _mode_product(ms, ms.max_degree)
 
 
 def twisted_supertrace(ms: ModeSystem, c_value) -> FracPowerSeries:
@@ -105,16 +116,7 @@ def twisted_supertrace(ms: ModeSystem, c_value) -> FracPowerSeries:
     energy 3/2 minus c/24 = 1/2)."""
     if ms.sector != TWISTED:
         raise ValidationError("mode system is not twisted")
-    order = ms.max_degree + 1
-    groups = ms.grouped()
-    total = FracPowerSeries.monomial(1, 0, order - 1)
-    n = 1
-    while n < order - 1:
-        total = total * _level_factor(groups, n, order - 1)
-        n += 1
-    if isinstance(c_value, CycNumber) and c_value.is_rational():
-        c_value = c_value.to_rational()
-    return (total * c_value).shifted(1)
+    return _mode_product(ms, ms.max_degree + 1, c_value)
 
 
 def assemble_supertrace(kind, g_data, neg_data, max_degree, twisted=False) -> FracPowerSeries:
@@ -122,7 +124,7 @@ def assemble_supertrace(kind, g_data, neg_data, max_degree, twisted=False) -> Fr
 
     g_data, neg_data: pairs (ModeSystem eigenvalues as tuple/shape thetas,
     zero-mode scalar) for the element and for its product with the central
-    involution (eigenvalues negated).  kind "s" selects the faithful
+    involution (eigenvalues times -1).  kind "s" selects the faithful
     module A^0 + A^1_tw; kind "f" selects A^0 + A^0_tw; `twisted` selects
     the canonically-twisted partner in either case.  All four constituent
     traces are mode products; nothing is taken from the eta formulas.
@@ -147,56 +149,25 @@ def assemble_supertrace(kind, g_data, neg_data, max_degree, twisted=False) -> Fr
 
 def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPowerSeries:
     """Second oracle: explicitly enumerate every finite set of distinct
-    fermionic modes whose state exponent is at most `budget` and sum the
+    fermionic modes whose state exponent is below the reported order,
+    `budget` plus one grid step (1/2 untwisted, 1 twisted), and sum the
     signed eigenvalue products, state by state.
 
-    Generation-independent of the mode-product expansion (no series
-    multiplication at all): the result is assembled from an exponent
-    ledger over (q-power, root-of-unity power).
+    Generation-independent of the mode products (no binomial is ever
+    multiplied in): each state is visited once and counted in the same
+    exponent ledger over (q-power, root-of-unity power).
     """
-    budget = Fraction(budget)
-    level = 1
-    for t in ms.eigen_thetas:
-        d = Fraction(t).denominator
-        level = level * d // gcd(level, d)
-    zexps = [int(Fraction(t) * level) for t in ms.eigen_thetas]
-
-    if ms.sector == UNTWISTED:
-        anchor = Fraction(-1, 2)
-        step = Fraction(1, 2)
-        scale = 2  # energies n + 1/2, doubled to integers
-    else:
-        anchor = Fraction(1)
-        step = Fraction(1)
-        scale = 1
-    cap = int((budget - anchor) * scale)
-    first = scale if ms.sector == TWISTED else 1
-    energies = list(range(first, cap + 1, scale))
-
-    # ascending energies so the scan can stop at the first overflow
-    modes = [(e, z) for e in energies for z in zexps]
-    ledger = {}
+    order = Fraction(budget) + Fraction(1, _GRID[ms.sector][1])
+    level, modes, bound = _sector(ms, order)
+    ledger = [[0] * level for _ in range(bound + 1)]
 
     def walk(idx, total, zexp, sign):
-        key = (total, zexp)
-        ledger[key] = ledger.get(key, 0) + sign
+        ledger[total][zexp] += sign
         for j in range(idx, len(modes)):
-            e, z = modes[j]
-            if total + e > cap:
+            x, z = modes[j]
+            if total + x > bound:
                 break
-            walk(j + 1, total + e, (zexp + z) % level, -sign)
+            walk(j + 1, total + x, (zexp + z) % level, -sign)
 
     walk(0, 0, 0, 1)
-
-    by_exponent = {}
-    for (total, zexp), count in ledger.items():
-        if count:
-            expo = Fraction(total, scale) + anchor
-            by_exponent.setdefault(expo, {})[zexp] = count
-    pairs = []
-    for expo, weights in by_exponent.items():
-        pairs.append((expo, CycNumber.from_exponents(level, weights)))
-    series = FracPowerSeries.from_fraction_terms(pairs, budget + step)
-    if c_value != 1:
-        series = series * c_value
-    return series
+    return _ledger_series(ms, ledger, level, order, c_value)

@@ -121,6 +121,7 @@ def test_criterion_07_delta_identity():
 
 
 def test_criterion_08_fock_oracle():
+    t0 = time.time()
     playlist = [None, "2A", "3A", "4A", "6C"]  # None = identity element
     for name in playlist:
         if name is None:
@@ -137,7 +138,10 @@ def test_criterion_08_fock_oracle():
         assert subset_enumeration_supertrace(ms3, budget=3).agrees_with(
             untwisted_supertrace(ms3)
         ), name
-    _announce(8, "mode products match eta formulas to degree 6; subset enumeration agrees to 3")
+    elapsed = time.time() - t0
+    assert elapsed < 15.0, "took %.1fs" % elapsed
+    _announce(8, "mode products match eta formulas to degree 6; subset enumeration agrees to 3"
+              " in %.1fs" % elapsed)
 
 
 def test_criterion_09_golay_and_leech(golay, leech):

@@ -80,6 +80,19 @@ def test_table_csv_round_trips(capsys):
         parse(row["frame_shape"])
 
 
+def test_shared_options_belong_to_the_subcommand(capsys):
+    # before the subcommand they would be overwritten by its defaults
+    assert run(capsys, "--format", "json", "lattice", "golay-weights")[0] == 2
+    assert run(capsys, "--jobs", "2", "verify", "lemma", "--class", "2A")[0] == 2
+    code, out = run(capsys, "lattice", "golay-weights", "--format", "json")
+    assert code == 0 and json.loads(out)["weights"]["8"] == 759
+
+
+def test_csv_format_is_table_only(capsys):
+    assert run(capsys, "lattice", "golay-weights", "--format", "csv") == (2, "")
+    assert run(capsys, "oracle", "spinor", "--class", "2A", "--format", "csv") == (2, "")
+
+
 def test_malformed_shape_is_usage_error(capsys):
     code, _ = run(capsys, "series", "--shape", "1^23")
     assert code == 2

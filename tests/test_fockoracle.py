@@ -144,6 +144,19 @@ def test_subset_enumeration_matches_mode_product_twisted():
         assert enum.agrees_with(twisted_supertrace(ms, rec.c_hat_g)), name
 
 
+def test_subset_enumeration_off_grid_budget_reaches_its_order():
+    # the enumeration is valid below budget + one grid step; an off-grid
+    # budget must not drop the states between the budget and that order
+    ms = ModeSystem.from_shape(IDENT, UNTWISTED, 2)
+    enum = subset_enumeration_supertrace(ms, budget=F(5, 4))
+    assert enum.order == F(7, 4) and enum.coeff(F(3, 2)) == 11202
+    assert enum.agrees_with(untwisted_supertrace(ms))
+    ms = ModeSystem.from_shape(IDENT, TWISTED, 3)
+    enum = subset_enumeration_supertrace(ms, budget=F(5, 2))
+    assert enum.order == F(7, 2)
+    assert enum.agrees_with(twisted_supertrace(ms, 1))
+
+
 def test_mode_system_validation():
     with pytest.raises(Exception):
         ModeSystem((F(0),) * 23, UNTWISTED, F(3))

@@ -1,12 +1,18 @@
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from conwaymoonshine.classdata import registry
 from conwaymoonshine.errors import ParseError
-from conwaymoonshine.fockoracle import ModeSystem, TWISTED, twisted_supertrace
+from conwaymoonshine.fockoracle import (
+    ModeSystem,
+    TWISTED,
+    UNTWISTED,
+    twisted_supertrace,
+    untwisted_supertrace,
+)
 from conwaymoonshine.frameshape import parse
+from conwaymoonshine.moonshine import t_tilde
 from conwaymoonshine.qseries import FracPowerSeries as S
 
 
@@ -114,15 +120,15 @@ def test_eta_quotient_valuation_scaling():
 
 
 def test_eta_quotient_matches_eigenvalue_mode_product():
-    # the defining product q * prod_n prod_i (1 - eps_i q^n), computed in
-    # cyclotomic arithmetic with no eta series at all
-    rng = random.Random(42)
-    picks = rng.sample(list(registry()), 10)
-    for rec in picks:
-        shape = rec.frame_shape
-        ms = ModeSystem.from_shape(shape, TWISTED, 4)
-        oracle = twisted_supertrace(ms, 1)
-        assert shape.eta_quotient(1, 5).agrees_with(oracle)
+    # the defining products q * prod_n prod_i (1 - eps_i q^n) and
+    # q^(-1/2) * prod_n prod_i (1 - eps_i q^(n-1/2)), computed from the
+    # eigenvalues with no eta series at all, for every class and its partner
+    for rec in registry():
+        for shape in (rec.frame_shape, rec.frame_shape.negate()):
+            ms = ModeSystem.from_shape(shape, TWISTED, 2)
+            assert shape.eta_quotient(1, 3).agrees_with(twisted_supertrace(ms, 1)), rec.co0_name
+            ms = ModeSystem.from_shape(shape, UNTWISTED, 2)
+            assert t_tilde(shape, 2).agrees_with(untwisted_supertrace(ms)), rec.co0_name
 
 
 def test_canonical_string_round_trip():
