@@ -1,5 +1,8 @@
 """Command-line interface: batch access to every pipeline and check.
 
+Each check is one parser leaf (`verify delta`, `lattice leech-shell`, ...)
+declaring only the options its handler reads, given after the leaf's name.
+
 Exit codes: 0 all requested checks pass, 1 a verification failed,
 2 usage or parse errors.  Data goes to stdout, diagnostics to stderr.
 """
@@ -15,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import classdata, cliffordcm, fockoracle, lattice, modgroups, moonshine
-from .errors import MoonshineError, ParseError, ValidationError
+from .errors import MoonshineError, ParseError, PrecisionError, ValidationError
 from .frameshape import parse as parse_shape
 
 EXIT_OK = 0
@@ -118,20 +121,13 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = []
-    if args.what == "delta":
-        reports.append(moonshine.verify_delta_identity(args.order or 50))
-    elif args.what == "hecke":
-        _, rep = moonshine.verify_hecke(args.order or 40)
-        reports.append(rep)
-    elif args.what == "lemma":
-        names = [r.co0_name for r in _resolve_classes(args.klass or "all")]
-        order = args.order or 25
-        reports.extend(
-            _parallel_map(_lemma_worker, [(n, order) for n in names], _jobs(args))
-        )
-    elif args.what == "normalization":
-        reports.extend(moonshine.normalization_reports(args.order or 6))
+    """Run the leaf's `check`; an order its identity cannot be checked at
+    is a usage error."""
+    try:
+        reports = args.check(args)
+    except PrecisionError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     out = [r.to_json() for r in reports]
     ok = all(r.passed for r in reports)
     if args.format == "json":
@@ -144,31 +140,36 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _lemma_reports(args):
+    names = [r.co0_name for r in _resolve_classes(args.klass)]
+    return _parallel_map(_lemma_worker, [(n, args.order) for n in names], _jobs(args))
+
+
 def _lemma_worker(item):
     name, order = item
-    _, rep = moonshine.solve_c_neg(classdata.lookup(name), order)
-    return rep
+    return moonshine.solve_c_neg(classdata.lookup(name), order)[1]
 
 
-def cmd_oracle(args) -> int:
-    if args.what == "spinor":
-        rec = classdata.lookup(args.klass)
-        closed, subset = cliffordcm.class_supertraces(rec.frame_shape)
-        match = closed == subset
-        closed_q = closed.to_rational()
-        table_match = abs(closed_q) == abs(rec.c_hat_g)
-        payload = {
-            "class": rec.co0_name,
-            "closed_form": str(closed_q),
-            "subset_oracle": str(subset.to_rational()),
-            "table_value": rec.c_hat_g,
-            "oracle_matches_closed": match,
-            "magnitude_matches_table": table_match,
-        }
-        _emit(payload, args.format)
-        return EXIT_OK if (match and table_match) else EXIT_FAIL
+def cmd_spinor(args) -> int:
+    rec = classdata.lookup(args.klass)
+    closed, subset = cliffordcm.class_supertraces(rec.frame_shape)
+    match = closed == subset
+    closed_q = closed.to_rational()
+    table_match = abs(closed_q) == abs(rec.c_hat_g)
+    payload = {
+        "class": rec.co0_name,
+        "closed_form": str(closed_q),
+        "subset_oracle": str(subset.to_rational()),
+        "table_value": rec.c_hat_g,
+        "oracle_matches_closed": match,
+        "magnitude_matches_table": table_match,
+    }
+    _emit(payload, args.format)
+    return EXIT_OK if (match and table_match) else EXIT_FAIL
 
-    # fock: mode-product oracle vs the eta-quotient formulas
+
+def cmd_fock(args) -> int:
+    """Mode-product oracle vs the eta-quotient formulas."""
     degree = Fraction(args.max_degree)
     if args.klass in ("identity", "1A"):
         pi, c_val, name = parse_shape("1^24"), 0, "identity"
@@ -197,31 +198,29 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if (ok_u and ok_t) else EXIT_FAIL
 
 
-def cmd_lattice(args) -> int:
-    code = lattice.build_golay()
-    if args.what == "golay-weights":
-        dist = code.weight_distribution()
-        payload = {"weights": {str(k): v for k, v in sorted(dist.items())}}
-        _emit(payload, args.format)
-        expected = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
-        return EXIT_OK if dist == expected else EXIT_FAIL
-    lat = lattice.build_leech(code)
-    if args.what == "leech-shell":
-        count = lat.shell_count(args.norm)
-        _emit({"norm": args.norm, "count": count}, args.format)
-        return EXIT_OK
-    if args.what == "frame-check":
-        lattice.coordinate_frame(lat)
-        _emit({"frame": "24 orthogonal norm-8 vectors, congruent mod 2*lattice", "pass": True}, args.format)
-        return EXIT_OK
-    return EXIT_USAGE
+def cmd_golay_weights(args) -> int:
+    dist = lattice.build_golay().weight_distribution()
+    _emit({"weights": {str(k): v for k, v in sorted(dist.items())}}, args.format)
+    expected = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+    return EXIT_OK if dist == expected else EXIT_FAIL
+
+
+def cmd_leech_shell(args) -> int:
+    count = lattice.build_leech(lattice.build_golay()).shell_count(args.norm)
+    _emit({"norm": args.norm, "count": count}, args.format)
+    return EXIT_OK
+
+
+def cmd_frame_check(args) -> int:
+    lattice.coordinate_frame(lattice.build_leech(lattice.build_golay()))
+    _emit({"frame": "24 orthogonal norm-8 vectors, congruent mod 2*lattice", "pass": True}, args.format)
+    return EXIT_OK
 
 
 def cmd_invariance(args) -> int:
     recs = _resolve_classes(args.klass)
-    jobs = _jobs(args)
     items = [(r.co0_name, args.points, args.tol, args.seed, args.samples) for r in recs]
-    reports = _parallel_map(_invariance_worker, items, jobs)
+    reports = _parallel_map(_invariance_worker, items, _jobs(args))
     ok = all(r["pass"] for r in reports)
     if args.format == "json":
         _emit({"reports": reports, "pass": ok}, "json")
@@ -236,17 +235,13 @@ def cmd_invariance(args) -> int:
 
 def _invariance_worker(item):
     name, points, tol, seed, samples = item
-    rec = classdata.lookup(name)
     return modgroups.class_invariance_check(
-        rec, points=points, tol=tol, seed=seed, samples=samples
+        classdata.lookup(name), points=points, tol=tol, seed=seed, samples=samples
     )
 
 
 def cmd_n1(args) -> int:
-    code = lattice.build_golay()
-    lat = lattice.build_leech(code)
-    frame = lattice.coordinate_frame(lat)
-    lift = cliffordcm.golay_lift_section(code, frame)
+    lift = cliffordcm.golay_lift_section(lattice.build_golay())
     report = cliffordcm.n1_checks(lift, seed=args.seed, orth_samples=args.samples)
     payload = {
         k: (str(v) if not isinstance(v, (bool, int)) else v) for k, v in report.items()
@@ -259,86 +254,82 @@ def cmd_n1(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument(
-        "--jobs", type=_non_negative, default=0, help="parallel workers for sweeps"
-    )
-
     top = argparse.ArgumentParser(
         prog="conway-moonshine",
         description="Exact computations and checks for the Conway-group "
         "trace functions, their eta-quotient identities, the spinor module, "
         "and the Golay/Leech structures underneath them.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    commands = top.add_subparsers(required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def group(name, help):
+        return commands.add_parser(name, help=help).add_subparsers(required=True)
 
-    add("table", help="emit the embedded class table")
+    def leaf(parent, name, handler, help=None, formats=("text", "json"), jobs=False):
+        p = parent.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default="text")
+        if jobs:
+            p.add_argument("--jobs", type=_non_negative, default=0, help="parallel workers")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add("series", help="q-expansions of the trace functions")
-    p.add_argument("--class", dest="klass", help="class name, e.g. 2A")
-    p.add_argument("--shape", help="explicit Frame shape, e.g. 2^24/1^24")
+    leaf(commands, "table", cmd_table, "emit the embedded class table", ("text", "json", "csv"))
+
+    p = leaf(commands, "series", cmd_series, "q-expansions of the trace functions")
+    selector = p.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--class", dest="klass", help="class name, e.g. 2A")
+    selector.add_argument("--shape", help="explicit Frame shape, e.g. 2^24/1^24")
     p.add_argument("--which", choices=("s", "tw"), default="s")
     p.add_argument("--order", type=_non_negative, default=10)
     p.add_argument("--c-value", type=int, default=None)
 
-    p = add("verify", help="exact identity checks")
-    p.add_argument("what", choices=("lemma", "delta", "hecke", "normalization"))
-    p.add_argument("--class", dest="klass", default="all")
-    p.add_argument("--order", type=_non_negative, default=None)
+    verify = group("verify", "exact identity checks")
+    checks = (
+        ("lemma", 25, _lemma_reports),
+        ("delta", 50, lambda a: [moonshine.verify_delta_identity(a.order)]),
+        ("hecke", 40, lambda a: [moonshine.verify_hecke(a.order)[1]]),
+        ("normalization", 6, lambda a: moonshine.normalization_reports(a.order)),
+    )
+    for name, order, check in checks:
+        p = leaf(verify, name, cmd_verify, jobs=name == "lemma")
+        p.add_argument("--order", type=_non_negative, default=order)
+        p.set_defaults(check=check)
+    verify.choices["lemma"].add_argument("--class", dest="klass", default="all")
 
-    p = add("oracle", help="independent cross-checks")
-    p.add_argument("what", choices=("fock", "spinor"))
+    oracle = group("oracle", "independent cross-checks")
+    p = leaf(oracle, "fock", cmd_fock, "Fock-space mode products vs eta quotients")
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--max-degree", type=int, default=6)
+    p = leaf(oracle, "spinor", cmd_spinor, "spinor super trace vs the subset sum")
+    p.add_argument("--class", dest="klass", required=True)
 
-    p = add("lattice", help="Golay and Leech verifications")
-    p.add_argument("what", choices=("golay-weights", "leech-shell", "frame-check"))
+    structures = group("lattice", "Golay and Leech verifications")
+    leaf(structures, "golay-weights", cmd_golay_weights)
+    p = leaf(structures, "leech-shell", cmd_leech_shell)
     p.add_argument("--norm", type=_non_negative, default=4)
+    leaf(structures, "frame-check", cmd_frame_check)
 
-    p = add("invariance", help="numeric modular invariance")
+    p = leaf(commands, "invariance", cmd_invariance, "numeric modular invariance", jobs=True)
     p.add_argument("--class", dest="klass", default="all")
     p.add_argument("--samples", type=_non_negative, default=12, help="group elements per class")
     p.add_argument("--points", type=_non_negative, default=20)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=2024)
 
-    p = add("n1", help="idempotent and orthogonality checks")
-    p.add_argument("what", choices=("check",))
+    p = leaf(group("n1", "idempotent and orthogonality checks"), "check", cmd_n1)
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--samples", type=_non_negative, default=220)
 
     return top
 
 
-_HANDLERS = {
-    "table": cmd_table,
-    "series": cmd_series,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
-    "lattice": cmd_lattice,
-    "invariance": cmd_invariance,
-    "n1": cmd_n1,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "series" and not (args.klass or args.shape):
-        print("series needs --class or --shape", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "csv" and args.command != "table":
-        print("--format csv is only defined for table", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

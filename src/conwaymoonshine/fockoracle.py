@@ -160,10 +160,11 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
     order = Fraction(budget) + Fraction(1, _GRID[ms.sector][1])
     level, modes, bound = _sector(ms, order)
     ledger = [[0] * level for _ in range(bound + 1)]
+    count = len(modes)
 
     def walk(idx, total, zexp, sign):
         ledger[total][zexp] += sign
-        for j in range(idx, len(modes)):
+        for j in range(idx, count):
             x, z = modes[j]
             if total + x > bound:
                 break

@@ -12,7 +12,8 @@ design: it samples
   * one representative of each listed Atkin-Lehner coset, composed with
     the translation T^(j/h), 0 <= j < h, that lands in the character
     kernel (the unit translation lies in the kernel, so only j mod h
-    matters; for h = 1 the bare matrix is used)
+    matters; for h = 1 the bare matrix is used, and a series too short
+    for every coset probe raises PrecisionError)
 
 and measures max |f(gamma tau) - f(tau)| over sample points chosen so
 both evaluations converge.  Series evaluation is floating point with a
@@ -350,7 +351,8 @@ def invariance_check(
 def kernel_matrices(rec, series: FracPowerSeries, seed: int = 2024, count: int = 12):
     """Sound sample of the label's group for the given twisted trace:
     Hecke elements at level n*h, the unit translation, and each
-    Atkin-Lehner representative composed into the character kernel."""
+    Atkin-Lehner representative composed into the character kernel.
+    Raises PrecisionError when the series is too short to find a coset."""
     gl = parse_label(rec.gamma_tw_label)
     return [
         _into_kernel(m, gl.h, series) if m.provenance.startswith(("fricke", "atkin-lehner")) else m
@@ -363,10 +365,10 @@ def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMat
     character.  The label's group is the character kernel and contains the
     unit translation, so only j mod h matters and for h = 1 the matrix is
     returned unprobed.  Each candidate is probed at its own balanced point;
-    the bare matrix stands when no probe converges."""
+    when no probe converges PrecisionError asks the caller for more order."""
     if h == 1:
         return matrix
-    best, best_dev = matrix, float("inf")
+    best, best_dev = None, float("inf")
     for j in range(h):
         cand = matrix.compose_translation(Fraction(j, h)) if j else matrix
         c = max(1.0, abs(float(cand.c)))
@@ -378,7 +380,12 @@ def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMat
         dev = abs(val - ref)
         if dev < best_dev:
             best, best_dev = cand, dev
+    if best is None:
+        raise PrecisionError("no kernel coset probe of %s converged" % matrix.provenance)
     return best
+
+
+_MAX_ORDER = 8192
 
 
 def class_invariance_check(
@@ -387,10 +394,10 @@ def class_invariance_check(
     tol: float = 1e-6,
     seed: int = 2024,
     samples: int = 12,
-    max_order: int = 8192,
 ):
-    """Adaptive driver: build the twisted trace at growing order until all
-    tail estimates accept, then run the invariance check.
+    """Adaptive driver: build the twisted trace at growing order, up to
+    _MAX_ORDER, until all tail estimates accept, then run the invariance
+    check.
 
     The starting order targets the crossover of coefficient growth
     (~ e^(4*pi*sqrt(r)/sqrt(N))) against decay at the balanced points
@@ -400,7 +407,7 @@ def class_invariance_check(
     gl = parse_label(rec.gamma_tw_label)
     level = gl.n * gl.h
     order = 64
-    while order < min(level * level // 16, max_order):
+    while order < min(level * level // 16, _MAX_ORDER):
         order *= 2
     while True:
         series = T_s_tw(rec, order)
@@ -410,6 +417,6 @@ def class_invariance_check(
                 series, gl, matrices, points=points, tol=tol, seed=seed, name=rec.co0_name
             )
         except PrecisionError:
-            if order >= max_order:
+            if order >= _MAX_ORDER:
                 raise
             order *= 2

@@ -122,14 +122,9 @@ def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     return solved, report
 
 
-def verify_lemma_all(order=25, classes=None):
+def verify_lemma_all(order=25):
     """solve_c_neg across the registry; returns list of reports."""
-    rows = registry() if classes is None else [r for r in registry() if r.co0_name in classes]
-    reports = []
-    for rec in rows:
-        _, rep = solve_c_neg(rec, order)
-        reports.append(rep)
-    return reports
+    return [solve_c_neg(rec, order)[1] for rec in registry()]
 
 
 def verify_delta_identity(order=50) -> IdentityReport:

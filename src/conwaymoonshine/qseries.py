@@ -377,9 +377,9 @@ class FracPowerSeries:
         ]
         return FracPowerSeries.from_fraction_terms(pairs, order)
 
-    def pretty(self, variable: str = "q") -> str:
+    def pretty(self) -> str:
         if not self.terms:
-            return "0 + O(%s^%s)" % (variable, self.order)
+            return "0 + O(q^%s)" % self.order
         chunks = []
         for p in sorted(self.terms):
             c = self.terms[p]
@@ -394,13 +394,13 @@ class FracPowerSeries:
                 term = body
             else:
                 power = "" if e == 1 else "^%s" % e
-                term = ("%s %s%s" % (body, variable, power)) if body != "1" else "%s%s" % (variable, power)
+                term = ("%s q%s" % (body, power)) if body != "1" else "q%s" % power
             chunks.append((sign, term))
         first_sign, first = chunks[0]
         out = ("-" if first_sign == "-" else "") + first
         for sign, term in chunks[1:]:
             out += " %s %s" % (sign, term)
-        return out + " + O(%s^%s)" % (variable, self.order)
+        return out + " + O(q^%s)" % self.order
 
     def __repr__(self):
         return "FracPowerSeries(%s)" % self.pretty()

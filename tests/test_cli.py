@@ -1,6 +1,9 @@
+import argparse
 import json
 
-from conwaymoonshine.cli import main
+import pytest
+
+from conwaymoonshine.cli import build_parser, main
 from conwaymoonshine.qseries import FracPowerSeries as S
 
 
@@ -40,7 +43,7 @@ def test_leech_shell_norm_bounds(capsys):
 
 def test_count_options_are_non_negative(capsys, monkeypatch):
     assert run(capsys, "n1", "check", "--samples", "-1")[0] == 2
-    assert run(capsys, "n1", "check", "--jobs", "-3")[0] == 2
+    assert run(capsys, "verify", "lemma", "--class", "2A", "--jobs", "-3")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--samples", "-1")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--points", "-1")[0] == 2
     lemma = ("verify", "lemma", "--class", "2A", "--order", "2")
@@ -135,3 +138,62 @@ def test_verify_lemma_single_class(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] and len(payload["reports"]) == 1
+
+
+LEAVES = [
+    "table", "series", "verify lemma", "verify delta", "verify hecke", "verify normalization",
+    "oracle fock", "oracle spinor", "lattice golay-weights", "lattice leech-shell",
+    "lattice frame-check", "invariance", "n1 check",
+]
+
+
+def _leaf_options(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), {a.option_strings[-1]: a for a in parser._actions if a.option_strings}
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_options(child, path + (name,))
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_every_leaf_has_help(capsys, leaf):
+    assert run(capsys, *leaf.split(), "--help")[0] == 0
+
+
+def test_each_leaf_declares_only_the_options_it_reads():
+    options = dict(_leaf_options(build_parser()))
+    assert sorted(options) == sorted(LEAVES)
+    assert [leaf for leaf, opts in options.items() if "--jobs" in opts] == [
+        "verify lemma", "invariance"]
+    assert [leaf for leaf, opts in options.items() if "csv" in opts["--format"].choices] == [
+        "table"]
+    assert sum(len(opts) - 1 for opts in options.values()) == 36  # less --help
+
+
+@pytest.mark.parametrize("argv", [
+    "lattice golay-weights --jobs 4",
+    "n1 check --jobs 2",
+    "table --jobs 2",
+    "verify delta --class 2A",
+    "lattice frame-check --norm 8",
+    "oracle spinor --class 2A --max-degree 3",
+    "series --class 2A --shape 1^24",
+    "verify --order 20 delta",
+    "lattice --norm 4 leech-shell",
+])
+def test_options_a_leaf_does_not_read_are_usage_errors(capsys, argv):
+    assert run(capsys, *argv.split()) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    "verify hecke --order 1",
+    "verify delta --order 0",
+    "verify normalization --order 0",
+    "verify lemma --class 2A --order 0",
+])
+def test_verify_order_too_small_is_usage_error(capsys, argv):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+

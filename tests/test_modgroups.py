@@ -162,6 +162,15 @@ def test_kernel_coset_for_index_two_label():
     assert report["max_dev"] > 1e-1
 
 
+@pytest.mark.parametrize("name, order", [("20B", 128), ("12F", 64), ("24G", 64)])
+def test_kernel_coset_probe_refuses_a_short_series(name, order):
+    # no coset probe converges at this order; the bare Atkin-Lehner matrix
+    # (the wrong coset for 20B) must not stand in for the kernel coset
+    rec = lookup(name)
+    with pytest.raises(PrecisionError):
+        kernel_matrices(rec, T_s_tw(rec, order))
+
+
 def test_kernel_matrices_unprobed_for_h_one():
     rec = lookup("30A")
     gl = parse_label(rec.gamma_tw_label)
