@@ -97,6 +97,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.c_value is not None and not (args.shape and args.which == "tw"):
+        raise ValidationError("--c-value is read only with --shape and --which tw")
     order = Fraction(args.order)
     if args.shape:
         pi = parse_shape(args.shape)

@@ -209,16 +209,6 @@ class CycNumber:
             raise NotRationalError("value is not rational: %s" % self)
         return self.coords[0]
 
-    def to_complex(self) -> complex:
-        from cmath import exp, pi
-
-        z = exp(2j * pi / self.level)
-        total = 0j
-        for j, c in enumerate(self.coords):
-            if c:
-                total += float(c) * z**j
-        return total
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coords[0] == other
@@ -256,12 +246,6 @@ def zeta(n: int, k: int = 1) -> CycNumber:
     coeffs = [Fraction(0)] * n
     coeffs[k % n] = Fraction(1)
     return CycNumber(n, _reduce_mod_phi(coeffs, n))
-
-
-def root_of_unity(theta: Fraction) -> CycNumber:
-    """e^(2*pi*i*theta) for rational theta, at level = denominator."""
-    theta = Fraction(theta)
-    return zeta(theta.denominator, theta.numerator)
 
 
 # -- small polynomial helpers over Fraction (ascending coefficients) --------

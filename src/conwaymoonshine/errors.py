@@ -14,7 +14,7 @@ class NotInvertibleError(MoonshineError):
 
 
 class NotRationalError(MoonshineError):
-    """A cyclotomic number was coerced to a rational but is not one."""
+    """A value that must be rational is not (a cyclotomic number or a tau-shift phase)."""
 
 
 class ParseError(MoonshineError):

@@ -3,9 +3,9 @@
 This module deliberately avoids eta functions and pentagonal-number
 shortcuts: traces are assembled mode by mode from the raw eigenvalues of
 a lattice automorphism, as products of per-mode binomials on an integer
-exponent ledger over (energy, root-of-unity power) that is converted to
-exact cyclotomic coefficients once, so they can serve as an independent
-oracle for the eta-quotient formulas.
+exponent ledger over (energy, root-of-unity power) that is converted once
+to rational coefficients, checked by reduction mod Phi_N, so they can
+serve as an independent oracle for the eta-quotient formulas.
 
 Conventions (central charge 12, so the grading prefactor is q^(-1/2)):
   untwisted sector: 24 fermionic modes at each energy n + 1/2, n >= 0;
@@ -75,14 +75,13 @@ def _sector(ms: ModeSystem, order):
 
 def _ledger_series(ms: ModeSystem, ledger, level, order, c_value) -> FracPowerSeries:
     """The series c_value * sum_x sum_z ledger[x][z] zeta_N^z q^(x/scale +
-    anchor), valid below `order`: one conversion to cyclotomics per energy."""
+    anchor), valid below `order`.  Each energy row is reduced mod Phi_N once
+    and must be rational (NotRationalError otherwise)."""
     anchor, scale = _GRID[ms.sector]
-    if isinstance(c_value, CycNumber):
-        c_value = c_value.to_rational()  # real eigenvalues: a rational zero-mode trace
     pairs = []
     for x, row in enumerate(ledger):
-        coeff = CycNumber.from_exponents(level, {z: w * c_value for z, w in enumerate(row) if w})
-        if not coeff.is_zero():
+        coeff = CycNumber.from_exponents(level, dict(enumerate(row))).to_rational() * c_value
+        if coeff:
             pairs.append((Fraction(x, scale) + anchor, coeff))
     return FracPowerSeries.from_fraction_terms(pairs, order)
 

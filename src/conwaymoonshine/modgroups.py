@@ -30,7 +30,6 @@ from math import gcd
 
 import numpy as np
 
-from .cyclotomic import CycNumber
 from .errors import ParseError, PrecisionError, ValidationError
 from .qseries import FracPowerSeries
 
@@ -236,10 +235,7 @@ def eval_series(series: FracPowerSeries, taus, tail_target: float):
     tail_target.  Returns (values, estimates), one entry per point."""
     items = sorted(series.terms.items())
     expos = np.array([p / series.denom for p, _ in items])
-    coeffs = np.array(
-        [c.to_complex() if isinstance(c, CycNumber) else float(c) for _, c in items],
-        dtype=complex,
-    )
+    coeffs = np.array([float(c) for _, c in items], dtype=complex)
     tail = _tail_estimate(series, expos, coeffs)
     values, estimates = [], []
     for tau in taus:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classdata import ConjugacyClassRecord, registry
-from .errors import VerificationFailure
+from .errors import PrecisionError, VerificationFailure
 from .frameshape import FrameShape
 from .qseries import FracPowerSeries, eta_product
 
@@ -134,6 +134,8 @@ def verify_delta_identity(order=50) -> IdentityReport:
 
     with D = eta^24, checked as an exact residual series."""
     order = Fraction(order)
+    if order <= 0:
+        raise PrecisionError("order %s is too small: the delta identity needs 1 or more" % order)
     half = Fraction(1, 2)
     # built one unit beyond `order` so that D(2t)/D(t), of valuation 1, has
     # a known term at every positive order
@@ -149,6 +151,8 @@ def verify_hecke(order=40):
     coefficients; verify the rest of the expansion and return
     ((a, b, c), report).  The expected fit is (2048, 24, 0)."""
     order = Fraction(order)
+    if order <= 1:
+        raise PrecisionError("order %s is too small: the Hecke fit needs 2 or more" % order)
     f = eta_product({2: 24, 1: -24}, order + 1)
     fh = eta_product({1: 24, Fraction(1, 2): -24}, order + 1)  # f(tau/2)
     t2f = (fh + fh.shift_tau(1)) * Fraction(1, 2)

@@ -3,8 +3,8 @@
 A series stores a validity order O: every term with exponent below O is
 exact, nothing at or beyond O is known.  Exponents live on the grid
 (1/K)*Z for a per-series positive integer K; binary operations renormalize
-to the lcm of the two grids.  Coefficients are Python ints or Fractions,
-promoted to CycNumber only when a tau-shift introduces roots of unity.
+to the lcm of the two grids.  Coefficients are rational: a Python int, or
+a Fraction when the value is not integral.
 """
 
 from __future__ import annotations
@@ -13,28 +13,14 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 from operator import mul
 
-from .cyclotomic import CycNumber, root_of_unity
-from .errors import NotInvertibleError, PrecisionError
+from .errors import NotInvertibleError, NotRationalError, PrecisionError
 
 
 def _norm_coeff(c):
-    """Canonical coefficient: int when possible, else Fraction/CycNumber."""
-    if isinstance(c, CycNumber):
-        if c.is_rational():
-            c = c.to_rational()
-        else:
-            return c
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return c.numerator
-        return c
+    """Canonical coefficient: an int when integral, else a Fraction."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
     return c
-
-
-def _is_zero(c):
-    if isinstance(c, CycNumber):
-        return c.is_zero()
-    return c == 0
 
 
 class FracPowerSeries:
@@ -50,7 +36,7 @@ class FracPowerSeries:
         bound_num = order * denom
         for p, c in terms.items():
             c = _norm_coeff(c)
-            if _is_zero(c):
+            if not c:
                 continue
             if p >= bound_num:
                 raise PrecisionError(
@@ -138,7 +124,7 @@ class FracPowerSeries:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
+        if isinstance(other, (int, Fraction)):
             if self.order <= 0:
                 return self
             terms = dict(self.terms)
@@ -165,8 +151,8 @@ class FracPowerSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            if _is_zero(_norm_coeff(other)):
+        if isinstance(other, (int, Fraction)):
+            if not other:
                 return FracPowerSeries(1, {}, self.order)
             return FracPowerSeries(
                 self.denom, {p: c * other for p, c in self.terms.items()}, self.order
@@ -195,11 +181,7 @@ class FracPowerSeries:
             raise NotInvertibleError("cannot invert a series with no known terms")
         k = self.denom
         v = min(self.terms)
-        lead = self.terms[v]
-        if isinstance(lead, CycNumber):
-            lead_inv = lead.inverse()
-        else:
-            lead_inv = Fraction(1, 1) / Fraction(lead)
+        lead_inv = 1 / Fraction(self.terms[v])
         # u = tail / leading term, exponents shifted to start above 0
         span = ceil(self.order * k) - v  # exponents of u run in (0, span)
         u = {p - v: c * lead_inv for p, c in self.terms.items() if p != v}
@@ -212,7 +194,7 @@ class FracPowerSeries:
                 prev = inv.get(n - p)
                 if prev is not None:
                     acc = acc + c * prev
-            if not _is_zero(acc):
+            if acc:
                 inv[n] = -acc
         out = {p - v: c * lead_inv for p, c in inv.items()}
         return FracPowerSeries(k, out, self.order - Fraction(2 * v, k))
@@ -243,17 +225,16 @@ class FracPowerSeries:
         return FracPowerSeries.from_fraction_terms(pairs, self.order * s)
 
     def shift_tau(self, t) -> "FracPowerSeries":
-        """Replace tau by tau + t: coefficient at q^r picks up e^(2*pi*i*r*t)."""
+        """Replace tau by tau + t: coefficient at q^r picks up e^(2*pi*i*r*t),
+        which must be +1 or -1 for every r present (NotRationalError if not)."""
         t = Fraction(t)
         terms = {}
         for p, c in self.terms.items():
-            frac = (Fraction(p, self.denom) * t) % 1
-            if frac == 0:
-                terms[p] = c
-            elif 2 * frac == 1:
-                terms[p] = -c
-            else:
-                terms[p] = root_of_unity(frac) * c
+            half_turns = 2 * t * p / self.denom  # the phase is (-1)^half_turns
+            if half_turns.denominator != 1:
+                raise NotRationalError("tau -> tau + %s gives q^(%s) a phase other than +-1"
+                                       % (t, Fraction(p, self.denom)))
+            terms[p] = -c if half_turns.numerator % 2 else c
         return FracPowerSeries(self.denom, terms, self.order)
 
     def shifted(self, expo) -> "FracPowerSeries":
@@ -301,33 +282,20 @@ class FracPowerSeries:
         a, b = self._common_grid(other)
         cut = bound * a.denom
         for p in set(a.terms) | set(b.terms):
-            if p < cut:
-                ca, cb = a.terms.get(p, 0), b.terms.get(p, 0)
-                if isinstance(ca, CycNumber) or isinstance(cb, CycNumber):
-                    if not _is_zero(_norm_coeff(ca - cb)):
-                        return False
-                elif ca != cb:
-                    return False
+            if p < cut and a.terms.get(p, 0) != b.terms.get(p, 0):
+                return False
         return True
 
     def max_residual(self):
-        """Largest absolute rational coefficient (0 for the zero series)."""
-        worst = Fraction(0)
-        for c in self.terms.values():
-            if isinstance(c, CycNumber):
-                c = c.to_rational()
-            worst = max(worst, abs(Fraction(c)))
-        return worst
+        """Largest absolute coefficient (0 for the zero series)."""
+        return max((abs(Fraction(c)) for c in self.terms.values()), default=Fraction(0))
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
         lines = []
         for p in sorted(self.terms):
-            c = self.terms[p]
-            if isinstance(c, CycNumber):
-                raise ValueError("text form is defined for rational coefficients only")
-            c = Fraction(c)
+            c = Fraction(self.terms[p])
             e = Fraction(p, self.denom)
             lines.append(
                 "%d/%d q^{%d/%d}" % (c.numerator, c.denominator, e.numerator, e.denominator)
@@ -359,10 +327,7 @@ class FracPowerSeries:
     def to_json(self) -> dict:
         rows = []
         for p in sorted(self.terms):
-            c = self.terms[p]
-            if isinstance(c, CycNumber):
-                raise ValueError("JSON form is defined for rational coefficients only")
-            c = Fraction(c)
+            c = Fraction(self.terms[p])
             rows.append([p, self.denom, c.numerator, c.denominator])
         return {
             "terms": rows,
@@ -384,12 +349,8 @@ class FracPowerSeries:
         for p in sorted(self.terms):
             c = self.terms[p]
             e = Fraction(p, self.denom)
-            if isinstance(c, CycNumber):
-                body = "(%s)" % c
-                sign = "+"
-            else:
-                sign = "-" if c < 0 else "+"
-                body = str(abs(c))
+            sign = "-" if c < 0 else "+"
+            body = str(abs(c))
             if e == 0:
                 term = body
             else:

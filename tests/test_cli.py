@@ -179,6 +179,8 @@ def test_each_leaf_declares_only_the_options_it_reads():
     "lattice frame-check --norm 8",
     "oracle spinor --class 2A --max-degree 3",
     "series --class 2A --shape 1^24",
+    "series --class 2A --c-value 3",
+    "series --shape 1^24 --which s --c-value 3",
     "verify --order 20 delta",
     "lattice --norm 4 leech-shell",
 ])
@@ -197,3 +199,12 @@ def test_verify_order_too_small_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
 
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify delta --order 0", "order 0 is too small: the delta identity needs 1 or more"),
+    ("verify hecke --order 0", "order 0 is too small: the Hecke fit needs 2 or more"),
+    ("verify hecke --order 1", "order 1 is too small: the Hecke fit needs 2 or more"),
+])
+def test_verify_order_too_small_names_the_given_order(capsys, argv, message):
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)

@@ -7,7 +7,6 @@ from conwaymoonshine.cyclotomic import (
     CycNumber,
     cyclotomic_polynomial,
     euler_phi,
-    root_of_unity,
     zeta,
 )
 from conwaymoonshine.errors import NotRationalError
@@ -35,7 +34,7 @@ def test_twelve_pair_product_is_729():
     prod = CycNumber.from_rational(1)
     for _ in range(12):
         prod = prod * (1 - zeta(3, -1))
-    nu = root_of_unity(F(12 * 1, 6) % 1)
+    nu = zeta(6, 12)
     assert nu == CycNumber.from_rational(1)
     assert (prod * nu).to_rational() == 729
 

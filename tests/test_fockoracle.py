@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from conwaymoonshine.classdata import derived_partner, lookup, registry
+from conwaymoonshine.errors import NotRationalError
 from conwaymoonshine.fockoracle import (
     ModeSystem,
     TWISTED,
@@ -43,6 +44,13 @@ def test_untwisted_matches_eta_formula_for_named_classes():
 def test_untwisted_matches_eta_formula_for_identity():
     ms = ModeSystem.from_shape(IDENT, UNTWISTED, 6)
     assert untwisted_supertrace(ms).agrees_with(t_tilde(IDENT, 6))
+
+
+def test_eigenvalues_not_closed_under_inversion_are_not_rational():
+    # 24 copies of e^(2*pi*i/3) without their conjugates: the mode product
+    # has non-real coefficients, which a rational series cannot hold
+    with pytest.raises(NotRationalError):
+        untwisted_supertrace(ModeSystem((F(1, 3),) * 24, UNTWISTED, F(2)))
 
 
 def test_twisted_matches_scaled_eta():
