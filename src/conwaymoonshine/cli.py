@@ -96,6 +96,20 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _twisted_scalar(pi, c_value):
+    """The C of `series --shape S --which tw`: --c-value when given, else 0
+    for a shape with fixed points and the tabulated c_hat_g for a registry
+    shape; any other fixed-point-free shape needs --c-value."""
+    if c_value is not None:
+        return c_value
+    if pi.fixed_points():
+        return 0
+    for rec in classdata.registry():
+        if rec.frame_shape == pi:
+            return rec.c_hat_g
+    raise ValidationError("%s has no fixed points and is not tabulated: give --c-value" % pi)
+
+
 def cmd_series(args) -> int:
     if args.c_value is not None and not (args.shape and args.which == "tw"):
         raise ValidationError("--c-value is read only with --shape and --which tw")
@@ -104,7 +118,7 @@ def cmd_series(args) -> int:
         pi = parse_shape(args.shape)
         name = args.shape
         if args.which == "tw":
-            series = moonshine.T_s_tw(pi, order, c_value=args.c_value or 0)
+            series = moonshine.T_s_tw(pi, order, c_value=_twisted_scalar(pi, args.c_value))
         else:
             series = moonshine.T_s(pi, order)
     else:

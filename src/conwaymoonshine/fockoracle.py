@@ -5,7 +5,10 @@ shortcuts: traces are assembled mode by mode from the raw eigenvalues of
 a lattice automorphism, as products of per-mode binomials on an integer
 exponent ledger over (energy, root-of-unity power) that is converted once
 to rational coefficients, checked by reduction mod Phi_N, so they can
-serve as an independent oracle for the eta-quotient formulas.
+serve as an independent oracle for the eta-quotient formulas.  A second,
+brute-force oracle fills the same ledger state by state: it enumerates the
+states block-wise in numpy, one row per state, with every child array
+capped at _BLOCK rows.
 
 Conventions (central charge 12, so the grading prefactor is q^(-1/2)):
   untwisted sector: 24 fermionic modes at each energy n + 1/2, n >= 0;
@@ -20,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 
+import numpy as np
+
 from .cyclotomic import CycNumber
 from .errors import ValidationError
 from .qseries import FracPowerSeries
@@ -29,6 +34,7 @@ TWISTED = "twisted"
 
 # sector -> (anchor, scale): a state of ledger energy x sits at q^(x/scale + anchor)
 _GRID = {UNTWISTED: (Fraction(-1, 2), 2), TWISTED: (Fraction(1), 1)}
+_BLOCK = 4096  # child states that one numpy step of the subset enumeration creates at most
 
 
 @dataclass(frozen=True)
@@ -153,21 +159,51 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
     signed eigenvalue products, state by state.
 
     Generation-independent of the mode products (no binomial is ever
-    multiplied in): each state is visited once and counted in the same
-    exponent ledger over (q-power, root-of-unity power).
+    multiplied in): the states are generated depth first in numpy blocks,
+    one row per state (next mode index, ledger energy, root-of-unity power
+    mod N; the rows of a block share their parity).  A row's children add
+    one mode each from its next index on, a contiguous range of the modes
+    in ascending energy, and are created in child arrays of at most _BLOCK
+    rows: a block whose children would exceed that is split, the rest going
+    back on the stack.  Each state is counted once, when it is created, in
+    per-parity int64 counts over (energy, power) whose difference is the
+    exponent ledger.
     """
     order = Fraction(budget) + Fraction(1, _GRID[ms.sector][1])
     level, modes, bound = _sector(ms, order)
-    ledger = [[0] * level for _ in range(bound + 1)]
-    count = len(modes)
-
-    def walk(idx, total, zexp, sign):
-        ledger[total][zexp] += sign
-        for j in range(idx, count):
-            x, z = modes[j]
-            if total + x > bound:
-                break
-            walk(j + 1, total + x, (zexp + z) % level, -sign)
-
-    walk(0, 0, 0, 1)
+    xs = np.array([x for x, _ in modes], dtype=np.int64)
+    zs = np.array([z for _, z in modes], dtype=np.int64)
+    # the modes a state of ledger energy e may still add are those below limit[e]
+    limit = np.searchsorted(xs, bound - np.arange(bound + 1), side="right")
+    size = (bound + 1) * level
+    counts = np.zeros((2, size), dtype=np.int64)  # [parity, energy * level + power]
+    counts[0, 0] = 1  # the vacuum
+    vacuum = np.zeros(1, dtype=np.int64)
+    stack = [(vacuum, vacuum, vacuum, 0)]  # (next mode index, energy, power) rows, parity
+    while stack:
+        nxt, energy, power, parity = stack.pop()
+        width = np.maximum(limit[energy] - nxt, 0)
+        ends = np.cumsum(width)
+        if ends[-1] > _BLOCK:
+            # row r's children cross the cap: it keeps the `fit` that fit and
+            # goes back on the stack with the rows after it, resuming there
+            r = int(np.searchsorted(ends, _BLOCK, side="right"))
+            fit = _BLOCK - int(ends[r] - width[r])
+            rest = nxt[r:].copy()
+            rest[0] += fit
+            stack.append((rest, energy[r:], power[r:], parity))
+            nxt, energy, power = nxt[: r + 1], energy[: r + 1], power[: r + 1]
+            width = width[: r + 1].copy()
+            width[r] = fit
+            ends = np.cumsum(width)
+        total = int(ends[-1])
+        if not total:
+            continue
+        parent = np.repeat(np.arange(len(width)), width)
+        mode = np.repeat(nxt - (ends - width), width) + np.arange(total)
+        child_energy = energy[parent] + xs[mode]
+        child_power = (power[parent] + zs[mode]) % level
+        counts[1 - parity] += np.bincount(child_energy * level + child_power, minlength=size)
+        stack.append((mode + 1, child_energy, child_power, 1 - parity))
+    ledger = (counts[0] - counts[1]).reshape(bound + 1, level).tolist()
     return _ledger_series(ms, ledger, level, order, c_value)

@@ -360,20 +360,25 @@ def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMat
     """The coset matrix*T^(j/h), 0 <= j < h, whose one-point probe sees no
     character.  The label's group is the character kernel and contains the
     unit translation, so only j mod h matters and for h = 1 the matrix is
-    returned unprobed.  Each candidate is probed at its own balanced point;
-    when no probe converges PrecisionError asks the caller for more order."""
+    returned unprobed.  Each candidate is probed at its own balanced point,
+    all in one evaluation; a candidate whose tail estimates exceed 1e-9 is
+    skipped, and when none is left PrecisionError asks the caller for more
+    order."""
     if h == 1:
         return matrix
-    best, best_dev = None, float("inf")
+    cands, taus = [], []
     for j in range(h):
         cand = matrix.compose_translation(Fraction(j, h)) if j else matrix
         c = max(1.0, abs(float(cand.c)))
         probe = complex((-float(cand.d) + 0.03) / c, 1.0 / c)
-        try:
-            (ref, val), _ = eval_series(series, [probe, cand.mobius(probe)], 1e-9)
-        except PrecisionError:
+        cands.append(cand)
+        taus += [probe, cand.mobius(probe)]
+    values, estimates = eval_series(series, taus, float("inf"))
+    best, best_dev = None, float("inf")
+    for j, cand in enumerate(cands):
+        if any(e > 1e-9 for e in estimates[2 * j : 2 * j + 2]):
             continue
-        dev = abs(val - ref)
+        dev = abs(values[2 * j + 1] - values[2 * j])
         if dev < best_dev:
             best, best_dev = cand, dev
     if best is None:

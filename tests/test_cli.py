@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conwaymoonshine.classdata import registry
 from conwaymoonshine.cli import build_parser, main
 from conwaymoonshine.qseries import FracPowerSeries as S
 
@@ -52,6 +53,24 @@ def test_count_options_are_non_negative(capsys, monkeypatch):
         assert run(capsys, *lemma)[0] == 2
     monkeypatch.setenv("MOONSHINE_JOBS", "1")
     assert run(capsys, *lemma)[0] == 0
+
+
+def test_series_shape_tw_takes_c_from_the_registry(capsys):
+    tw = ("--which", "tw", "--format", "json")
+    for rec in registry():
+        by_class = run(capsys, "series", "--class", rec.co0_name, *tw)
+        by_shape = run(capsys, "series", "--shape", str(rec.frame_shape), *tw)
+        assert by_class[0] == by_shape[0] == 0
+        assert json.loads(by_shape[1])["series"] == json.loads(by_class[1])["series"], rec.co0_name
+
+
+def test_series_shape_tw_scalar_without_c_value(capsys):
+    # a shape with fixed points takes C = 0, so T_s_tw is -chi = -8 here
+    code, out = run(capsys, "series", "--shape", "1^8.2^8", "--which", "tw", "--order", "3")
+    assert code == 0 and out.startswith("-8 + O(q^3)")
+    # fixed-point-free (an element of order 25) but not tabulated: C must be given
+    assert run(capsys, "series", "--shape", "25/1", "--which", "tw")[0] == 2
+    assert run(capsys, "series", "--shape", "25/1", "--which", "tw", "--c-value", "5")[0] == 0
 
 
 def test_series_requires_selector(capsys):

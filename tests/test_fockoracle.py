@@ -144,6 +144,15 @@ def test_subset_enumeration_matches_mode_product_untwisted():
     )
 
 
+def test_subset_enumeration_budget_4_matches_mode_product():
+    # 8,116,550 states per walk, far past one _BLOCK of child rows
+    for pi in (IDENT, lookup("6C").frame_shape):
+        ms = ModeSystem.from_shape(pi, UNTWISTED, 4)
+        enum = subset_enumeration_supertrace(ms, budget=4)
+        assert enum.order == F(9, 2)
+        assert enum.agrees_with(untwisted_supertrace(ms)), str(pi)
+
+
 def test_subset_enumeration_matches_mode_product_twisted():
     for name in ("2A", "3A", "4A", "6C"):
         rec = lookup(name)

@@ -1,6 +1,7 @@
 """Algebraic laws checked on random inputs with hypothesis."""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
@@ -9,6 +10,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conwaymoonshine.cliffordcm import WordTable, reorder_sign  # noqa: E402
 from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
+from conwaymoonshine.fockoracle import (  # noqa: E402
+    TWISTED,
+    UNTWISTED,
+    ModeSystem,
+    subset_enumeration_supertrace,
+    twisted_supertrace,
+    untwisted_supertrace,
+)
 from conwaymoonshine.qseries import FracPowerSeries, eta_product  # noqa: E402
 
 exponent_maps = st.dictionaries(
@@ -94,3 +103,40 @@ masks = st.integers(0, (1 << 24) - 1)
 @given(masks, masks)
 def test_word_tables_obey_clifford_law(c, d):
     assert WordTable(c) * WordTable(d) == WordTable(c ^ d, reorder_sign(c, d))
+
+
+@st.composite
+def eigen_thetas(draw):
+    """24 eigenvalues made of whole Galois orbits {k/d : gcd(k, d) = 1} at a
+    level lcm(d) <= 60: closed under theta -> -theta and, beyond that, under
+    theta -> k*theta for k prime to the level, so the traces are rational
+    (inversion alone gives real ones: z + z^4 at level 5 is irrational)."""
+    thetas, level = [], 1
+    while len(thetas) < 24:
+        room = 24 - len(thetas)
+        d = draw(st.sampled_from([
+            d for d in range(1, 61)
+            if lcm(level, d) <= 60 and sum(gcd(k, d) == 1 for k in range(d)) <= room
+        ]))
+        level = lcm(level, d)
+        thetas += [F(k, d) for k in range(d) if gcd(k, d) == 1]
+    return tuple(thetas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eigen_thetas(),
+    st.sampled_from([UNTWISTED, TWISTED]),
+    st.sampled_from([1, F(5, 4), F(3, 2), 2, F(5, 2), 3]),
+    st.integers(-4096, 4096),
+)
+def test_subset_enumeration_matches_mode_product(thetas, sector, budget, c_value):
+    step = F(1, 2) if sector == UNTWISTED else 1
+    enum = subset_enumeration_supertrace(ModeSystem(thetas, sector, budget), budget, c_value)
+    assert enum.order == budget + step
+    if sector == UNTWISTED:
+        product = untwisted_supertrace(ModeSystem(thetas, sector, budget + step)) * c_value
+    else:
+        product = twisted_supertrace(ModeSystem(thetas, sector, budget), c_value)
+    assert product.order == enum.order
+    assert enum.agrees_with(product)
