@@ -14,15 +14,16 @@ Engine.  In this basis every Clifford word acts as a tensor product of 12
 monomial 2x2 matrices (its Jordan-Wigner string) with entries of the form
 i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores that
 operator as the pairs it toggles and the exponents u, t as affine functions
-of the bits of S, built straight from the word's mask.  Word products,
-traces, squares and dense applications reduce to this per-pair
-bookkeeping; nothing irrational is ever stored.  Odd-length words compose
-and trace; only even-length words act on dense states.
+of the bits of S, built straight from the word's mask.  A batch of words is
+the same fields as arrays, one row per word: the 4096 lifted Golay words are
+one, squared in one pass and applied to a state a block at a time.  Nothing
+irrational is stored.  Only even-length words act on dense states.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -34,7 +35,6 @@ from .errors import PairingError, ValidationError, VerificationFailure
 PAIRS = 12
 DIM = 1 << PAIRS  # 4096
 NGEN = 24
-_FULL = DIM - 1
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +128,7 @@ def class_supertraces(shape, nu_choice: int = 1):
 # dense engine: Gaussian-integer arrays over a common denominator 2^e
 
 _ARANGE = np.arange(DIM, dtype=np.int64)
-_BITS = [((_ARANGE >> k) & 1).astype(np.int64) for k in range(PAIRS)]
-_SIGN_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-_SIGN_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+_PAIR_BITS = np.stack([(_ARANGE >> k & 1).astype(np.int8) for k in range(PAIRS)], 1)  # [S, k]: S_k
 _INPUT_LIMIT = 1 << 26
 
 
@@ -177,20 +175,86 @@ class DenseState:
 
 def _unit_power(u: int, t: int) -> CycNumber:
     """i^u * 2^t as a level-4 number."""
-    scale = Fraction(2) ** t
-    return CycNumber(4, (int(_SIGN_RE[u & 3]) * scale, int(_SIGN_IM[u & 3]) * scale))
+    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[u & 3]
+    return CycNumber(4, (re * Fraction(2) ** t, im * Fraction(2) ** t))
 
 
 # Pair k of sqrt(2)^|C| e_C, by which of e_(2k+1) (bit 0) and e_(2k+2) (bit 1)
 # C holds: (ua, ta, ub, tb) with input bit 0 -> i^ua 2^ta and input bit 1 ->
 # i^ub 2^tb.  A pair holding one of the two is toggled; an odd number of
 # C-generators above the pair (the Jordan-Wigner Z-string) adds 2 to ub.
-_PAIR_RULES = (
-    (0, 0, 0, 0),  # 1
-    (0, 0, 2, 1),  # a^+ + a^-
-    (3, 0, 3, 1),  # i (a^+ - a^-)
-    (1, 1, 3, 1),  # the product of the two
-)
+_PAIR_RULES = np.array([(0, 0, 0, 0),  # 1
+                        (0, 0, 2, 1),  # a^+ + a^-
+                        (3, 0, 3, 1),  # i (a^+ - a^-)
+                        (1, 1, 3, 1)])  # the product of the two
+_HALF_BITS = _PAIR_BITS[:64, :6].T.astype(np.int64)  # bits of pairs 0-5 (or 6-11)
+_BLOCK = 4  # words per batched application; blocks of 8 cost 0.5 MiB more peak RSS, no time
+
+
+_Words = namedtuple("_Words", "toggle odd u0 t0 du dt")  # WordTable fields, a row per word
+
+
+def _pair_words(cmasks, signs) -> _Words:
+    """The words signs * e_C for 24-bit masks C, over all masks one pair at a time."""
+    cmasks = np.asarray(cmasks, dtype=np.int64)
+    du, dt = np.zeros((2, len(cmasks), PAIRS), dtype=np.int8)
+    toggle, above, u0, t0 = np.zeros((4, len(cmasks)), dtype=np.int64)
+    u0[np.asarray(signs) == -1] = 2
+    for k in reversed(range(PAIRS)):
+        code = cmasks >> 2 * k & 3
+        ua, ta, ub, tb = _PAIR_RULES[code].T
+        parity = (code ^ code >> 1) & 1  # the pair holds one generator: toggled
+        toggle |= parity << k
+        u0 += ua
+        t0 += 2 * ta - (code & 1) - (code >> 1)  # twice t0, less the word length
+        du[:, k] = (ub + 2 * above - ua) % 4  # above: parity of the generators above
+        dt[:, k] = tb - ta
+        above ^= parity
+    return _Words(toggle, above, u0 % 4, (t0 + above) // 2, du, dt)
+
+
+def _compose(a: _Words, b: _Words) -> _Words:
+    """a after b, row by row.  Where b toggles pair k, a reads the flipped
+    bit: its du_k, dt_k join u0, t0 and change sign."""
+    flip = _PAIR_BITS[b.toggle]
+    u0 = a.u0 + b.u0 + (flip * a.du).sum(1)
+    t0 = a.t0 + b.t0 - (a.odd & b.odd) + (flip * a.dt).sum(1)  # (1/sqrt(2))^2 = 1/2
+    sign = 1 - 2 * flip
+    return _Words(a.toggle ^ b.toggle, a.odd ^ b.odd, u0 % 4, t0,
+                  (sign * a.du + b.du) % 4, sign * a.dt + b.dt)
+
+
+def _differ(a: _Words, b: _Words):
+    """Per row, whether a and b are different words (b's fields may be scalars)."""
+    return ((a.toggle != b.toggle) | (a.odd != b.odd) | (a.u0 != b.u0) | (a.t0 != b.t0)
+            | (a.du != b.du).any(1) | (a.dt != b.dt).any(1))
+
+
+def _affine(c0, d):
+    """c0 + sum_k d_k S_k per row and S: 64-entry tables for pairs 0-5 and 6-11, broadcast."""
+    low = d[:, :6] @ _HALF_BITS + c0[:, None]
+    high = d[:, 6:] @ _HALF_BITS
+    return (high[:, :, None] + low[:, None, :]).reshape(len(d), DIM)
+
+
+def _images(words: _Words, state: DenseState, shift):
+    """Each word's image of state as (re, im) rows over 2^(e + shift), shift
+    a scalar or one per word: entry R is i^U(S) 2^T(S) x_S for S = R ^ toggle,
+    read off the diagonal word (the word after its own toggle)."""
+    if words.odd.any():
+        raise ValidationError("dense tables require an even word length")
+    diag = _compose(words, _Words(words.toggle, 0, 0, 0, 0, 0))
+    t0 = diag.t0 + shift
+    if (t0 + np.minimum(diag.dt, 0).sum(1)).min() < 0:
+        raise ValidationError("denominator headroom exhausted; raise out_e")
+    # image entries stay below 2^61, so adding two of them cannot wrap
+    if (t0 + np.maximum(diag.dt, 0).sum(1)).max() + state.max_abs().bit_length() > 61:
+        raise ValidationError("int64 headroom exhausted")
+    t = _affine(t0, diag.dt)
+    idx = (_affine(diag.u0, diag.du) & 3) * DIM + (_ARANGE ^ words.toggle[:, None])
+    x, y = state.re, state.im
+    rotated = np.concatenate((y, x, -y, -x, y))  # Im(i^u z) at u, Re(i^u z) at u + 1
+    return rotated[DIM:][idx] << t, rotated[idx] << t
 
 
 class WordTable:
@@ -201,57 +265,24 @@ class WordTable:
     for generator i); the fields are a normal form, so equal operators
     compare equal."""
 
-    __slots__ = ("toggle", "u0", "t0", "du", "dt", "odd")
+    __slots__ = _Words._fields
 
     def __init__(self, cmask: int, sign: int = 1):
         if sign not in (1, -1):
             raise ValidationError("word sign must be +1 or -1")
-        length = bin(cmask).count("1")
-        self.odd = length % 2
-        self.toggle = 0
-        u0 = 0 if sign == 1 else 2
-        t0 = -(length // 2)
-        du = []
-        dt = []
-        for k in range(PAIRS):
-            code = cmask >> (2 * k) & 3
-            ua, ta, ub, tb = _PAIR_RULES[code]
-            if bin(cmask >> (2 * k + 2)).count("1") % 2:
-                ub += 2
-            if code in (1, 2):
-                self.toggle |= 1 << k
-            u0 += ua
-            t0 += ta
-            du.append((ub - ua) % 4)
-            dt.append(tb - ta)
-        self.u0 = u0 % 4
-        self.t0 = t0
-        self.du = tuple(du)
-        self.dt = tuple(dt)
+        self._load(_pair_words([cmask], [sign]), 0)
+
+    def _load(self, words: _Words, i: int) -> "WordTable":
+        self.toggle, self.odd, self.u0, self.t0 = (int(f[i]) for f in words[:4])
+        self.du, self.dt = (tuple(f[i].tolist()) for f in words[4:])
+        return self
+
+    def _batch(self) -> _Words:
+        return _Words(*(np.array([getattr(self, f)]) for f in _Words._fields))
 
     def __mul__(self, other: "WordTable") -> "WordTable":
-        """self after other.  Where other toggles pair k, self reads the
-        flipped bit: its du_k, dt_k join u0, t0 and change sign."""
-        out = WordTable.__new__(WordTable)
-        out.toggle = self.toggle ^ other.toggle
-        out.odd = self.odd ^ other.odd
-        u0 = self.u0 + other.u0
-        t0 = self.t0 + other.t0 - (self.odd & other.odd)  # (1/sqrt(2))^2 = 1/2
-        du = []
-        dt = []
-        for k in range(PAIRS):
-            su, st = self.du[k], self.dt[k]
-            if other.toggle >> k & 1:
-                u0 += su
-                t0 += st
-                su, st = -su, -st
-            du.append((su + other.du[k]) % 4)
-            dt.append(st + other.dt[k])
-        out.u0 = u0 % 4
-        out.t0 = t0
-        out.du = tuple(du)
-        out.dt = tuple(dt)
-        return out
+        """self after other."""
+        return WordTable.__new__(WordTable)._load(_compose(self._batch(), other._batch()), 0)
 
     def _key(self):
         return (self.toggle, self.odd, self.u0, self.t0, self.du, self.dt)
@@ -294,27 +325,9 @@ class WordTable:
 
     def apply_into(self, state: DenseState, out_re, out_im, out_e: int):
         """Accumulate 2^out_e * (word applied to state) into out arrays."""
-        if self.odd:
-            raise ValidationError("dense tables require an even word length")
-        u = np.full(DIM, self.u0, dtype=np.int64)
-        t = np.full(DIM, self.t0 + out_e - state.e, dtype=np.int64)
-        for k in range(PAIRS):
-            if self.du[k]:
-                u += self.du[k] * _BITS[k]
-            if self.dt[k]:
-                t += self.dt[k] * _BITS[k]
-        if int(t.min()) < 0:
-            raise ValidationError("denominator headroom exhausted; raise out_e")
-        # products stay below 2^61, so adding two of them cannot wrap
-        if int(t.max()) + state.max_abs().bit_length() > 61:
-            raise ValidationError("int64 headroom exhausted")
-        pow2 = np.int64(1) << t
-        u &= 3
-        sr = _SIGN_RE[u]
-        si = _SIGN_IM[u]
-        idx = _ARANGE ^ self.toggle
-        out_re[idx] += pow2 * (sr * state.re - si * state.im)
-        out_im[idx] += pow2 * (sr * state.im + si * state.re)
+        re, im = _images(self._batch(), state, out_e - state.e)
+        out_re += re[0]
+        out_im += im[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +337,17 @@ class WordTable:
 # <v, m_Omega> = 1 and <a^-_k x, y> = -<x, a^-_k y>: move the a^- factors
 # of m_S onto the complement in ascending order; a^-_k then passes the k
 # lower pairs, all present, so beta[S] = (-1)^(sum over k in S of (k + 1)).
-_PAIR_SIGNS = 1 - 2 * (sum((k + 1) * _BITS[k] for k in range(PAIRS)) % 2)
+_PAIR_SIGNS = 1 - 2 * (sum((k + 1) * (_ARANGE >> k & 1) for k in range(PAIRS)) % 2)
 
 
 def bilinear_dense(a: DenseState, b: DenseState) -> CycNumber:
-    """The invariant form <a, b> on dense states, with exact big-integer
-    accumulation."""
-    beta = _PAIR_SIGNS.astype(object)
-    idx = _ARANGE ^ _FULL
-    ar, ai = a.re.astype(object), a.im.astype(object)
-    br, bi = b.re[idx].astype(object), b.im[idx].astype(object)
-    re = int(np.sum(beta * (ar * br - ai * bi)))
-    im = int(np.sum(beta * (ar * bi + ai * br)))
+    """The invariant form <a, b> on dense states, accumulated exactly in int64."""
+    # 4096 terms of at most 2 |a| |b| < 2^50 stay below 2^62
+    if a.max_abs().bit_length() + b.max_abs().bit_length() > 49:
+        raise ValidationError("dense states too large for the exact int64 form")
+    br, bi = b.re[::-1], b.im[::-1]  # m_(complement of S) is m_(4095 - S)
+    re = int(np.sum(_PAIR_SIGNS * (a.re * br - a.im * bi)))
+    im = int(np.sum(_PAIR_SIGNS * (a.re * bi + a.im * br)))
     den = 1 << (a.e + b.e)
     return CycNumber(4, (Fraction(re, den), Fraction(im, den)))
 
@@ -372,33 +384,52 @@ class GolayLift:
                 masks.append(nxt)
         self.section = section
         self._masks = sorted(section)
+        self.words = self._lifted(self._masks)  # the 4096 lifted words, in mask order
         self._factors = [self.word_table(g) for g in code.generators]
 
     # -- lifted word tables -------------------------------------------------
+
+    def _lifted(self, cmasks) -> _Words:
+        """The words s(C) e_C for a sequence of codeword masks."""
+        return _pair_words(cmasks, [self.section[c] for c in cmasks])
 
     def word_table(self, cmask: int) -> WordTable:
         return WordTable(cmask, self.section[cmask])
 
     def tables(self):
-        """A WordTable for each lifted word in mask order, built one at a time."""
-        return (self.word_table(c) for c in self._masks)
+        """A WordTable for each lifted word in mask order."""
+        return [WordTable.__new__(WordTable)._load(self.words, i) for i in range(len(self._masks))]
 
     # -- group structure ----------------------------------------------------
 
     def verify_squares(self):
         """(s(C) e_C)^2 = +1 for all 4096 codewords, exhaustively."""
-        for c, table in zip(self._masks, self.tables()):
-            if not (table * table).is_identity():
-                raise VerificationFailure("square of lifted %06x is not +1" % c)
+        bad = _differ(_compose(self.words, self.words), _Words(0, 0, 0, 0, 0, 0))
+        if bad.any():
+            raise VerificationFailure("square of lifted %06x is not +1" % self._masks[bad.argmax()])
         return True
 
     def verify_closure(self, samples: int = 1000, seed: int = 7):
         """s(C)e_C * s(D)e_D = s(C+D)e_{C+D} on random codeword pairs."""
         rng = random.Random(seed)
-        for _ in range(samples):
-            c, d = rng.choice(self._masks), rng.choice(self._masks)
-            if self.word_table(c) * self.word_table(d) != self.word_table(c ^ d):
-                raise VerificationFailure("closure fails at %06x * %06x" % (c, d))
+        pairs = [(rng.choice(self._masks), rng.choice(self._masks)) for _ in range(samples)]
+        c, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        bad = _differ(_compose(self._lifted(c), self._lifted(d)), self._lifted(c ^ d))
+        if bad.any():
+            i = bad.argmax()
+            raise VerificationFailure("closure fails at %06x * %06x" % (c[i], d[i]))
+        return True
+
+    def verify_fixed(self, state: DenseState):
+        """All 4096 lifted words fix state, applied _BLOCK at a time; raises at the first mover."""
+        for start in range(0, len(self._masks), _BLOCK):
+            block = _Words(*(f[start:start + _BLOCK] for f in self.words))
+            shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)[:, None]  # -min T
+            re, im = _images(block, state, shift[:, 0])
+            moved = ((re != state.re << shift) | (im != state.im << shift)).any(1)
+            if moved.any():
+                first = self._masks[start + moved.argmax()]
+                raise VerificationFailure("state moved by lifted %06x" % first)
         return True
 
     def group_order(self) -> int:
@@ -477,9 +508,7 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
     report["idempotent_states_checked"] = 11
 
     # invariance of t v under every lifted sign change, exhaustively
-    for cmask, table in zip(lift._masks, lift.tables()):
-        if not table.apply(tv).equals(tv):
-            raise VerificationFailure("t v moved by lifted %06x" % cmask)
+    lift.verify_fixed(tv)
     report["invariance_checked"] = len(lift._masks)
 
     # norm and orthogonality of the invariant vector

@@ -12,7 +12,9 @@ from conwaymoonshine.cliffordcm import (
     DenseState,
     GolayLift,
     WordTable,
+    _images,
     _monomial_sqrt,
+    _Words,
     bilinear_dense,
     class_supertraces,
     spinor_supertrace_closed,
@@ -316,13 +318,18 @@ def test_dense_word_table_matches_sparse_action(golay, lift):
 
 def t_oracle(lift, states):
     """t = 2^(-12) * sum over all 4096 lifted words s(C) e_C, term by term,
-    applied to each dense state; the tables are built once."""
-    outs = [(np.zeros(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64)) for _ in states]
-    for table in lift.tables():
-        for state, (out_re, out_im) in zip(states, outs):
-            # out_e = e + 12 covers the worst word factor 2^(-12)
-            table.apply_into(state, out_re, out_im, state.e + 12)
-    return [DenseState(re, im, state.e + 24) for state, (re, im) in zip(states, outs)]
+    applied to each dense state: one image row per word, eight words at a time."""
+    outs = []
+    for state in states:
+        re, im = np.zeros((2, 4096), dtype=np.int64)
+        for start in range(0, 4096, 8):
+            block = _Words(*(f[start:start + 8] for f in lift.words))
+            # the shift 12 covers the worst word factor 2^(-12)
+            rows_re, rows_im = _images(block, state, 12)
+            re += rows_re.sum(0)
+            im += rows_im.sum(0)
+        outs.append(DenseState(re, im, state.e + 24))
+    return outs
 
 
 def test_factored_t_matches_4096_term_sum(lift):
@@ -355,6 +362,52 @@ def test_apply_into_guards():
     huge = DenseState(big, np.zeros(4096, dtype=np.int64), 0)
     with pytest.raises(ValidationError):  # products would pass int64
         table.apply_into(huge, *out, -table.min_shift())
+
+
+def first_moving(lift, x):
+    """The first lifted word in mask order with table.apply(x) != x, one at a time."""
+    for cmask, table in zip(sorted(lift.section), lift.tables()):
+        if not table.apply(x).equals(x):
+            return cmask
+
+
+def test_verify_fixed_names_first_moving_word(golay, lift):
+    tv = lift.invariant_vector()
+    assert lift.verify_fixed(tv)
+    changed, woken = (DenseState(tv.re.copy(), tv.im.copy(), tv.e) for _ in range(2))
+    changed.re[np.flatnonzero(tv.re | tv.im)[7]] += 1  # a nonzero entry changed
+    woken.im[np.flatnonzero((tv.re | tv.im) == 0)[5]] = 3  # a zero entry made nonzero
+    other = GolayLift(golay, None, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
+    assert other.nonzero_count() and not other.equals(tv)
+    for x in (changed, woken, other):
+        cmask = first_moving(lift, x)
+        assert cmask is not None
+        with pytest.raises(VerificationFailure, match="moved by lifted %06x" % cmask):
+            lift.verify_fixed(x)
+
+
+def test_batched_guards(lift):
+    huge = DenseState(np.full(4096, 1 << 58, dtype=np.int64), np.zeros(4096, dtype=np.int64), 0)
+    with pytest.raises(ValidationError):  # the image entries would pass int64
+        lift.verify_fixed(huge)
+    odd = WordTable(0b111)._batch()
+    with pytest.raises(ValidationError):
+        _images(odd, DenseState.basis(0), 1)
+    # at 25 + 24 bits the int64 sum is exact; one bit more is refused
+    a = np.full(4096, (1 << 25) - 1, dtype=np.int64)
+    b = np.full(4096, -(1 << 24) + 1, dtype=np.int64)
+    want = sum(int(s) * 2 * int(x) * int(y) for s, x, y in zip(_PAIR_SIGNS, a, b[::-1]))
+    assert bilinear_dense(DenseState(a, a, 0), DenseState(b, -b, 0)).to_rational() == want
+    with pytest.raises(ValidationError):
+        bilinear_dense(DenseState(a, a, 0), DenseState(2 * b, b, 0))
+
+
+def test_tables_are_the_lifted_words(lift):
+    tables = lift.tables()
+    masks = sorted(lift.section)
+    assert len(tables) == 4096
+    for i in range(0, 4096, 15):
+        assert tables[i] == lift.word_table(masks[i]), hex(masks[i])
 
 
 def test_lift_squares_and_closure(lift):

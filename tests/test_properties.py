@@ -8,7 +8,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conwaymoonshine.cliffordcm import WordTable, reorder_sign  # noqa: E402
+import numpy as np  # noqa: E402
+from test_cliffordcm import dense, oracle_form  # noqa: E402
+
+from conwaymoonshine.cliffordcm import (  # noqa: E402
+    DenseState,
+    WordTable,
+    _images,
+    _pair_words,
+    bilinear_dense,
+    reorder_sign,
+)
 from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
 from conwaymoonshine.fockoracle import (  # noqa: E402
     TWISTED,
@@ -103,6 +113,42 @@ masks = st.integers(0, (1 << 24) - 1)
 @given(masks, masks)
 def test_word_tables_obey_clifford_law(c, d):
     assert WordTable(c) * WordTable(d) == WordTable(c ^ d, reorder_sign(c, d))
+
+
+even_masks = masks.map(lambda m: m ^ bin(m).count("1") % 2)
+signed_words = st.lists(st.tuples(even_masks, st.sampled_from((1, -1))), min_size=1, max_size=8)
+
+
+@st.composite
+def small_states(draw):
+    """A dense state with entries in [-8, 8] on a random support, over 2^e."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = rng.integers(-8, 9, size=(2, 4096)) * (rng.random((2, 4096)) < draw(st.floats(0, 1)))
+    return DenseState(re, im, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_words, small_states())
+def test_batched_images_match_word_tables(words, state):
+    batch = _pair_words(*zip(*words))
+    shift = -np.minimum(batch.t0 + np.minimum(batch.dt, 0).sum(1), 0)
+    re, im = _images(batch, state, shift)
+    for row, (cmask, sign) in enumerate(words):
+        one = WordTable(cmask, sign).apply(state)
+        assert one.e == state.e + shift[row]
+        assert np.array_equal(one.re, re[row]) and np.array_equal(one.im, im[row])
+
+
+sparse_states = st.dictionaries(
+    st.integers(0, 4095), st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_states, sparse_states)
+def test_bilinear_dense_matches_oracle_form(a, b):
+    b = {**b, **{0xFFF ^ m: (y, x) for m, (x, y) in a.items()}}  # so the form can be nonzero
+    assert bilinear_dense(dense(a), dense(b)) == oracle_form(a, b)
 
 
 @st.composite
