@@ -51,6 +51,13 @@ def reorder_sign(cmask: int, dmask: int) -> int:
     return -1 if swaps % 2 else 1
 
 
+def _parity(x):
+    """Parity of the set bits of each 24-bit entry."""
+    for k in (16, 8, 4, 2, 1):
+        x = x ^ x >> k
+    return x & 1
+
+
 # ---------------------------------------------------------------------------
 # super traces from eigenvalue data
 
@@ -90,38 +97,26 @@ def spinor_supertrace_closed(thetas, nu_choice: int = 1) -> CycNumber:
 def spinor_supertrace_oracle(thetas, nu_choice: int = 1) -> CycNumber:
     """The same value by explicit summation over all 4096 subsets S of the
     pair set: nu * sum_S (-1)^|S| prod_{i in S} lambda_i^(-1).
-    No product formula is used; subsets are walked in Gray-code order."""
+    No product formula is used: each subset's exponent is summed from its
+    members, one pair at a time over all subsets, and the even and odd
+    subsets are counted per exponent."""
     thetas = [Fraction(t) for t in thetas]
     if len(thetas) != PAIRS:
         raise PairingError("expected 12 eigenvalue pairs, got %d" % len(thetas))
     level = _trace_level(thetas)
-    shifts = [-int(t * level) for t in thetas]
-    nu_exp = sum(int(t * level) // 2 for t in thetas)
-    weights = {nu_exp % level: nu_choice}
-    exp = 0
-    parity = 1
-    members = 0
-    for n in range(1, DIM):
-        k = (n & -n).bit_length() - 1
-        if members >> k & 1:
-            exp -= shifts[k]
-            members &= ~(1 << k)
-        else:
-            exp += shifts[k]
-            members |= 1 << k
-        parity = -parity
-        e = (nu_exp + exp) % level
-        weights[e] = weights.get(e, 0) + parity * nu_choice
-    return CycNumber.from_exponents(level, weights)
+    exps = np.array([sum(int(t * level) // 2 for t in thetas)])  # [S]: exponent of the S term
+    odd = np.zeros(1, dtype=bool)
+    for t in thetas:  # S + 2^k is S with pair k added, for the subsets S of the pairs below k
+        exps, odd = np.concatenate((exps, exps - int(t * level))), np.concatenate((odd, ~odd))
+    exps %= level
+    counts = np.bincount(exps[~odd], minlength=level) - np.bincount(exps[odd], minlength=level)
+    return CycNumber.from_exponents(level, dict(enumerate((counts * nu_choice).tolist())))
 
 
 def class_supertraces(shape, nu_choice: int = 1):
     """(closed form, subset oracle) for a Frame shape's eigenvalue pairs."""
     thetas = shape.eigenvalue_pairs()
-    return (
-        spinor_supertrace_closed(thetas, nu_choice),
-        spinor_supertrace_oracle(thetas, nu_choice),
-    )
+    return spinor_supertrace_closed(thetas, nu_choice), spinor_supertrace_oracle(thetas, nu_choice)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +146,11 @@ class DenseState:
 
     def equals(self, other: "DenseState") -> bool:
         e = max(self.e, other.e)
-        return bool(
-            np.array_equal(self.re << (e - self.e), other.re << (e - other.e))
-            and np.array_equal(self.im << (e - self.e), other.im << (e - other.e))
-        )
+        return (np.array_equal(self.re << (e - self.e), other.re << (e - other.e))
+                and np.array_equal(self.im << (e - self.e), other.im << (e - other.e)))
 
     def max_abs(self) -> int:
-        m = 0
-        if self.re.size:
-            m = max(int(np.abs(self.re).max()), int(np.abs(self.im).max()))
-        return m
+        return max(int(np.abs(self.re).max(initial=0)), int(np.abs(self.im).max(initial=0)))
 
     def reduced(self) -> "DenseState":
         """The same value with the common power of two taken out of re, im
@@ -257,6 +247,16 @@ def _images(words: _Words, state: DenseState, shift):
     return rotated[DIM:][idx] << t, rotated[idx] << t
 
 
+def _blocked_images(words: _Words, state: DenseState):
+    """(start, re, im, shift) for the words _BLOCK at a time: each word's image
+    of state over 2^(e + shift), shift = -min T, the smallest denominator
+    that keeps the image integral."""
+    for start in range(0, len(words.toggle), _BLOCK):
+        block = _Words(*(f[start:start + _BLOCK] for f in words))
+        shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)
+        yield (start, *_images(block, state, shift), shift[:, None])
+
+
 class WordTable:
     """Monomial word: m_S -> i^U(S) 2^T(S) (1/sqrt(2))^odd m_(S ^ toggle),
     with U = u0 + sum_k du_k S_k (mod 4) and T = t0 + sum_k dt_k S_k.
@@ -317,8 +317,7 @@ class WordTable:
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
         that keeps every image entry integral."""
-        out_re = np.zeros(DIM, dtype=np.int64)
-        out_im = np.zeros(DIM, dtype=np.int64)
+        out_re, out_im = np.zeros((2, DIM), dtype=np.int64)
         out_e = state.e + max(0, -self.min_shift())
         self.apply_into(state, out_re, out_im, out_e)
         return DenseState(out_re, out_im, out_e)
@@ -340,16 +339,21 @@ class WordTable:
 _PAIR_SIGNS = 1 - 2 * (sum((k + 1) * (_ARANGE >> k & 1) for k in range(PAIRS)) % 2)
 
 
-def bilinear_dense(a: DenseState, b: DenseState) -> CycNumber:
-    """The invariant form <a, b> on dense states, accumulated exactly in int64."""
+def _form(re, im, b: DenseState):
+    """Numerators over 2^(e + b.e) of <a, b> for the states a = (re + i im)/2^e,
+    one per row, accumulated exactly in int64."""
     # 4096 terms of at most 2 |a| |b| < 2^50 stay below 2^62
-    if a.max_abs().bit_length() + b.max_abs().bit_length() > 49:
+    if DenseState(re, im, 0).max_abs().bit_length() + b.max_abs().bit_length() > 49:
         raise ValidationError("dense states too large for the exact int64 form")
     br, bi = b.re[::-1], b.im[::-1]  # m_(complement of S) is m_(4095 - S)
-    re = int(np.sum(_PAIR_SIGNS * (a.re * br - a.im * bi)))
-    im = int(np.sum(_PAIR_SIGNS * (a.re * bi + a.im * br)))
+    return (_PAIR_SIGNS * (re * br - im * bi)).sum(-1), (_PAIR_SIGNS * (re * bi + im * br)).sum(-1)
+
+
+def bilinear_dense(a: DenseState, b: DenseState) -> CycNumber:
+    """The invariant form <a, b> on dense states."""
+    re, im = _form(a.re, a.im, b)
     den = 1 << (a.e + b.e)
-    return CycNumber(4, (Fraction(re, den), Fraction(im, den)))
+    return CycNumber(4, (Fraction(int(re), den), Fraction(int(im), den)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,15 +379,17 @@ class GolayLift:
         if self.frame is not None and len(self.frame) != NGEN:
             raise ValidationError("coordinate frame must have 24 vectors")
         self.generator_signs = tuple(generator_signs or (1,) * 12)
-        section = {0: 1}
-        masks = [0]
-        for j, gen in enumerate(code.generators):
-            for prev in list(masks):
-                nxt = prev ^ gen
-                section[nxt] = section[prev] * self.generator_signs[j] * reorder_sign(prev, gen)
-                masks.append(nxt)
-        self.section = section
-        self._masks = sorted(section)
+        # s(C ^ G_j) = s(C) s(G_j) reorder_sign(C, G_j) for all C in the span of
+        # G_0 .. G_(j-1) at once; reorder_sign(C, G) = (-1)^|C & P| for P the bits
+        # p with |G & [0, p]| odd, as e_p of C passes the e_q of G with q <= p
+        bits = _ARANGE[:NGEN]
+        masks, signs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        for gen, sign in zip(code.generators, self.generator_signs):
+            flips = _parity(masks & (_parity(gen & (2 << bits) - 1) << bits).sum())
+            masks = np.concatenate((masks, masks ^ gen))
+            signs = np.concatenate((signs, signs * sign * (1 - 2 * flips)))
+        self.section = dict(zip(masks.tolist(), signs.tolist()))
+        self._masks = sorted(self.section)
         self.words = self._lifted(self._masks)  # the 4096 lifted words, in mask order
         self._factors = [self.word_table(g) for g in code.generators]
 
@@ -422,14 +428,10 @@ class GolayLift:
 
     def verify_fixed(self, state: DenseState):
         """All 4096 lifted words fix state, applied _BLOCK at a time; raises at the first mover."""
-        for start in range(0, len(self._masks), _BLOCK):
-            block = _Words(*(f[start:start + _BLOCK] for f in self.words))
-            shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)[:, None]  # -min T
-            re, im = _images(block, state, shift[:, 0])
+        for start, re, im, shift in _blocked_images(self.words, state):
             moved = ((re != state.re << shift) | (im != state.im << shift)).any(1)
             if moved.any():
-                first = self._masks[start + moved.argmax()]
-                raise VerificationFailure("state moved by lifted %06x" % first)
+                raise VerificationFailure("state moved by lifted %06x" % self._masks[start + moved.argmax()])
         return True
 
     def group_order(self) -> int:
@@ -447,9 +449,8 @@ class GolayLift:
         for table in self._factors:
             image = table.apply(state)
             shift = image.e - state.e
-            state = DenseState(
-                (state.re << shift) + image.re, (state.im << shift) + image.im, image.e + 1
-            ).reduced()
+            state = DenseState((state.re << shift) + image.re, (state.im << shift) + image.im,
+                               image.e + 1).reduced()
         return state
 
     def invariant_vector(self) -> DenseState:
@@ -496,8 +497,7 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
     if not lift.apply_t_dense(tv).equals(tv):
         raise VerificationFailure("t is not idempotent on t v")
     for _ in range(10):
-        re = np.zeros(DIM, dtype=np.int64)
-        im = np.zeros(DIM, dtype=np.int64)
+        re, im = np.zeros((2, DIM), dtype=np.int64)
         for _ in range(4):
             x, y = rng.randrange(-8, 9), rng.randrange(-8, 9)  # drawn before the mask
             mask = rng.randrange(DIM)
@@ -515,18 +515,18 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
     norm = bilinear_dense(tv, tv)
     if norm.is_zero():
         raise VerificationFailure("<t v, t v> = 0")
-    seen = set()
-    while len(seen) < orth_samples:
-        size = rng.choice((2, 4))
-        csub = tuple(sorted(rng.sample(range(1, NGEN + 1), size)))
-        if csub in seen:
-            continue
-        seen.add(csub)
-        mask = sum(1 << (i - 1) for i in csub)
-        val = bilinear_dense(WordTable(mask).apply(tv), tv)
-        if not val.is_zero():
-            raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (csub,))
-    report["orthogonality_samples"] = len(seen)
+    subsets = []
+    while len(subsets) < orth_samples:
+        csub = tuple(sorted(rng.sample(range(1, NGEN + 1), rng.choice((2, 4)))))
+        if csub not in subsets:
+            subsets.append(csub)
+    words = _pair_words([sum(1 << (i - 1) for i in c) for c in subsets], [1] * len(subsets))
+    for start, re, im, _ in _blocked_images(words, tv):
+        re, im = _form(re, im, tv)
+        bad = (re | im) != 0
+        if bad.any():
+            raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (subsets[start + bad.argmax()],))
+    report["orthogonality_samples"] = len(subsets)
 
     report["tv_norm"] = norm
     alpha_sq = CycNumber.from_rational(8, 4) / norm

@@ -331,14 +331,20 @@ def _integer_row_basis(gens):
     return basis
 
 
-def _lll_reduce(basis, delta=0.75):
-    """LLL with integer row operations and float Gram-Schmidt data
-    (Schnorr-Euchner).
+_DELTA = 0.99  # the Lovasz constant of the deep insertions
 
-    Rows stay Python ints and change only by unimodular steps, so the
-    result spans the same lattice whatever the rounding; the float data only
-    steers.  It is recomputed from the integer rows after each swap, so
-    rounding error cannot build up.
+
+def _lll_reduce(basis):
+    """LLL with deep insertions (Schnorr-Euchner), integer row operations
+    and float Gram-Schmidt data.
+
+    Each row b_k in turn is size-reduced and then inserted at the first
+    position i whose Gram-Schmidt norm exceeds the norm of b_k projected
+    away from rows 0..i-1, divided by _DELTA.  Rows stay Python ints and
+    change only by unimodular steps, so the result spans the same lattice
+    whatever the rounding; the float data only steers.  It is recomputed
+    from the integer rows after each insertion, so rounding error cannot
+    build up.
     """
     b = [list(r) for r in basis]
     n = len(b)
@@ -359,16 +365,22 @@ def _lll_reduce(basis, delta=0.75):
                 for i in range(j):
                     mu[k][i] -= q * mu[j][i]
                 mu[k][j] -= q
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        rest = float(sum(x * x for x in b[k]))  # |b_k|^2 projected away from rows 0..i-1
+        i = 0
+        while i < k and rest >= _DELTA * norms[i]:
+            rest -= mu[k][i] ** 2 * norms[i]
+            i += 1
+        if i == k:
             k += 1
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
+            b.insert(i, b.pop(k))
             norms, mu = gs()
-            k = max(k - 1, 1)
+            k = max(i, 1)
     return b
 
 
-_BLOCK = 4096  # partial vectors that _shell_count expands in one numpy step
+_BLOCK = 4096  # child rows that one numpy step of _shell_count creates at most; >= 256
+_LEAF_ROWS = 512  # full vectors per float64 norm product; more make BLAS touch more memory
 _SLACK = 1e-6  # relative float slack on the enumeration budget
 
 
@@ -379,57 +391,74 @@ def _shell_count(basis, target8: int) -> int:
     x.G.x = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 of the Gram matrix, fix
     x_{n-1} first and x_0 last.  Only half the space is walked, since x and
     -x have the same norm: the vectors whose first nonzero coordinate in that
-    order is positive, counted twice.  Each level is expanded in numpy over
-    blocks of at most _BLOCK partial vectors held as int8.  The float bounds
-    carry slack and only prune; a full vector counts when its exact int64
-    norm equals target8.
+    order is positive, counted twice.  A block at level l holds partial
+    vectors as int8 rows of their fixed coordinates x_l .. x_{n-1}; its
+    children are created in arrays of at most _BLOCK rows, the parent rows
+    past the cap going back on the stack.  The float bounds carry slack and
+    only prune; a full vector counts when its exact norm equals target8.
     """
     if target8 < 0:
         return 0
     if target8 == 0:
         return 1
     n = len(basis)
-    # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|
+    # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|: every partial sum of
+    # a leaf norm is an integer below 2^53, exact in float64
     widest = 127 * max(sum(abs(row[k]) for row in basis) for k in range(len(basis[0])))
-    if len(basis[0]) * widest * widest >= 2**63:
-        raise ValidationError("basis entries too large for exact int64 norms")
-    b = np.array(basis, dtype=np.int64)
-    chol = np.linalg.cholesky((b @ b.T).astype(float)).T
+    if len(basis[0]) * widest * widest >= 2**53:
+        raise ValidationError("basis entries too large for exact float64 norms")
+    b = np.array(basis, dtype=float)
+    chol = np.linalg.cholesky(b @ b.T).T
     d = np.diag(chol) ** 2
     m = chol / np.diag(chol)[:, None]
     slack = _SLACK * target8
 
-    def as_int8(values):
-        if len(values) and (values.min() < -128 or values.max() > 127):
-            raise ValidationError("enumeration coordinate outside int8")
-        return values.astype(np.int8)
+    def leaves(x):
+        hits = 0
+        for s in range(0, len(x), _LEAF_ROWS):
+            v = x[s : s + _LEAF_ROWS] @ b
+            hits += int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == target8))
+        return hits
 
     # one seed block per level `top`: x_j = 0 for j > top, x_top > 0
+    count = 0
     stack = []
     for top in range(n):
-        first = as_int8(np.arange(1, floor(sqrt((target8 + slack) / d[top])) + 1))
-        x = np.zeros((len(first), n), dtype=np.int8)
-        x[:, top] = first
-        stack.append((top, x, target8 - d[top] * first.astype(float) ** 2))
-    count = 0
+        first = np.arange(1, floor(sqrt((target8 + slack) / d[top])) + 1)
+        if len(first) > 127:
+            raise ValidationError("enumeration coordinate outside int8")
+        x = np.zeros((len(first), n - top), dtype=np.int8)
+        x[:, 0] = first
+        if not top:
+            count += leaves(x)
+        elif len(first):
+            stack.append((top, x, target8 - d[top] * first.astype(float) ** 2))
     while stack:
-        level, x, rem = stack.pop()  # x_level .. x_{n-1} are fixed
-        if level == 0:
-            v = x.astype(np.int64) @ b
-            count += int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == target8))
-            continue
+        level, x, rem = stack.pop()
         i = level - 1
-        c = x[:, level:] @ m[i, level:]
+        c = x @ m[i, level:]
         half = np.sqrt(np.maximum(rem + slack, 0.0) / d[i])
-        lo = np.ceil(-half - c).astype(np.int64)
-        width = np.maximum(np.floor(half - c).astype(np.int64) - lo + 1, 0)
-        parent = np.repeat(np.arange(len(x)), width)
-        start = np.repeat(np.cumsum(width) - width, width)
-        xi = as_int8(lo[parent] + np.arange(len(parent)) - start)
+        lo = np.ceil(-half - c)
+        width = np.maximum(np.floor(half - c) - lo + 1, 0).astype(np.int64)
+        if width.max() > 256:
+            raise ValidationError("enumeration coordinate outside int8")
+        ends = np.cumsum(width)
+        rows = int(np.searchsorted(ends, _BLOCK, side="right"))  # >= 1: a row has <= 256 children
+        if rows < len(x):
+            stack.append((level, x[rows:], rem[rows:]))
+        total = int(ends[rows - 1])
+        if not total:
+            continue
+        parent = np.repeat(np.arange(rows), width[:rows])
+        xi = lo[parent] + np.arange(total) - np.repeat(ends[:rows] - width[:rows], width[:rows])
+        if xi.min() < -128 or xi.max() > 127:
+            raise ValidationError("enumeration coordinate outside int8")
         t = xi + c[parent]
-        child = x[parent]
-        child[:, i] = xi
-        child_rem = rem[parent] - d[i] * t * t
-        for s in range(0, len(parent), _BLOCK):
-            stack.append((i, child[s : s + _BLOCK], child_rem[s : s + _BLOCK]))
+        child = np.empty((total, n - i), dtype=np.int8)
+        child[:, 0] = xi
+        child[:, 1:] = x[parent]
+        if i:
+            stack.append((i, child, rem[parent] - d[i] * t * t))
+        else:
+            count += leaves(child)
     return 2 * count

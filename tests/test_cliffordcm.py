@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conwaymoonshine import cliffordcm
 from conwaymoonshine.classdata import registry
 from conwaymoonshine.cliffordcm import (
     _INPUT_LIMIT,
@@ -12,11 +14,16 @@ from conwaymoonshine.cliffordcm import (
     DenseState,
     GolayLift,
     WordTable,
+    _blocked_images,
+    _form,
     _images,
     _monomial_sqrt,
+    _pair_words,
     _Words,
     bilinear_dense,
     class_supertraces,
+    n1_checks,
+    reorder_sign,
     spinor_supertrace_closed,
     spinor_supertrace_oracle,
 )
@@ -276,6 +283,19 @@ def test_supertrace_oracle_agrees_on_registry():
         assert abs(closed.to_rational()) == abs(rec.c_hat_g), rec.co0_name
 
 
+def test_supertrace_oracle_on_negated_shapes_and_a_hand_list():
+    for rec in registry():
+        thetas = rec.frame_shape.negate().eigenvalue_pairs()
+        assert spinor_supertrace_oracle(thetas) == spinor_supertrace_closed(thetas), rec.co0_name
+    thetas = [F(1, 2), F(1, 3), F(1, 4), F(1, 6), F(3, 8), F(5, 12),
+              F(1, 8), F(1, 2), F(1, 3), F(5, 12), F(1, 4), F(1, 24)]
+    for nu in (1, -1):
+        value = spinor_supertrace_oracle(thetas, nu)
+        assert value == spinor_supertrace_closed(thetas, nu) and not value.is_zero()
+    # every lambda_i = -1: 2^12 subsets of one sign, nu = e^(6 pi i) = 1
+    assert spinor_supertrace_oracle([F(1, 2)] * 12).to_rational() == 4096
+
+
 def test_oracle_zz_parity_split():
     """Unfold the supertrace definition: the even-subset sum minus the
     odd-subset sum reproduces the signed total."""
@@ -400,6 +420,57 @@ def test_batched_guards(lift):
     assert bilinear_dense(DenseState(a, a, 0), DenseState(b, -b, 0)).to_rational() == want
     with pytest.raises(ValidationError):
         bilinear_dense(DenseState(a, a, 0), DenseState(2 * b, b, 0))
+
+
+def test_section_matches_scalar_recursion(golay):
+    for signs in (None, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)):
+        lift = GolayLift(golay, None, signs)
+        section = {0: 1}
+        for gen, sign in zip(golay.generators, lift.generator_signs):
+            for prev in list(section):
+                section[prev ^ gen] = section[prev] * sign * reorder_sign(prev, gen)
+        assert len(section) == 4096 and lift.section == section
+
+
+def test_batched_form_matches_single_words():
+    rng = np.random.default_rng(3)
+    b = DenseState(*rng.integers(-5, 6, (2, 4096)), 1)
+    masks = [0b11, 0b1010, 0xF00000, 0x800001, 0b110110, 0x0C0300, 0x000F00]
+    seen = 0
+    for start, re_, im_, shift in _blocked_images(_pair_words(masks, [1] * len(masks)), b):
+        rows = zip(*_form(re_, im_, b), shift[:, 0], masks[start:])
+        for got_re, got_im, sh, cmask in rows:
+            den = 1 << (2 * b.e + int(sh))
+            want = bilinear_dense(WordTable(cmask).apply(b), b)
+            assert CycNumber(4, (F(int(got_re), den), F(int(got_im), den))) == want
+            seen += not want.is_zero()
+    assert seen == 4  # <e_C b, b> = 0 for the three |C| = 2, where e_C is skew for the form
+
+
+def test_n1_orthogonality_names_first_failing_subset(lift, monkeypatch):
+    """Spoil the form of the third block's third word: the failure names
+    that word's subset, the first failing one in draw order."""
+    drawn, blocks = [], []
+
+    def words(cmasks, signs):
+        drawn.append(list(cmasks))
+        return _pair_words(cmasks, signs)
+
+    def form(re_, im_, b):
+        out = _form(re_, im_, b)
+        if re_.ndim == 2:
+            blocks.append(len(re_))
+            if len(blocks) == 3:
+                out[1][2] += 1
+        return out
+
+    monkeypatch.setattr(cliffordcm, "_pair_words", words)
+    monkeypatch.setattr(cliffordcm, "_form", form)
+    with pytest.raises(VerificationFailure) as err:
+        n1_checks(lift, seed=11, orth_samples=220)
+    assert len(drawn[-1]) == 220 and blocks == [4, 4, 4]
+    want = tuple(support(drawn[-1][10]))
+    assert re.search(re.escape("for C=%s" % (want,)), str(err.value))
 
 
 def test_tables_are_the_lifted_words(lift):

@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 from math import ceil
 
 import numpy as np
 import pytest
 
+from conwaymoonshine import lattice
 from conwaymoonshine.cliffordcm import class_supertraces
 from conwaymoonshine.errors import MembershipError, ValidationError
 from conwaymoonshine.frameshape import parse
@@ -13,6 +15,8 @@ from conwaymoonshine.lattice import (
     IntegerLattice,
     apply_sign_change,
     sign_change_frameshape,
+    _DELTA,
+    _int_determinant,
     _integer_row_basis,
     _leech_congruences,
     _lll_reduce,
@@ -89,7 +93,8 @@ def test_shell_count_matches_box_enumeration():
             continue
         norms = box_norms(basis, 24)
         for target in range(25):
-            assert _shell_count(basis, target) == np.count_nonzero(norms == target)
+            want = np.count_nonzero(norms == target)
+            assert _shell_count(basis, target) == want == _shell_count(_lll_reduce(basis), target)
         checked += 1
 
 
@@ -98,8 +103,91 @@ def test_shell_count_guards():
     assert _shell_count([[1]], 127**2) == 2
     with pytest.raises(ValidationError, match="int8"):
         _shell_count([[1]], 128**2)
-    with pytest.raises(ValidationError, match="int64"):
+    with pytest.raises(ValidationError, match="float64"):
         _shell_count([[2**30, 0], [0, 1]], 4)
+
+
+def test_float_leaf_guard_at_its_bound():
+    """Leaf norms are float64 sums, exact while 2 * (127 * 2 * s)^2 < 2^53:
+    at s = 2^18 (2^52.98) the counts equal the int64 box enumeration, at
+    2^19 the count is refused, never made."""
+    s = 2**18
+    basis = [[s, s], [0, s]]
+    norms = box_norms(basis, 5 * s * s)
+    for k in range(6):
+        assert _shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
+    assert _shell_count(basis, s * s + 1) == 0
+    with pytest.raises(ValidationError, match="float64"):
+        _shell_count([[2 * s, 2 * s], [0, 2 * s]], 4 * s * s)
+
+
+def test_children_are_created_in_capped_blocks(monkeypatch):
+    """No numpy step creates more than _BLOCK child rows, and the counts do
+    not depend on the cap: E8 shells at caps 256 (the widest a row can
+    branch) and 1024 against the default."""
+    sizes = []
+    repeat = np.repeat
+
+    def spy(a, counts, *args, **kwargs):
+        out = repeat(a, counts, *args, **kwargs)
+        sizes.append(len(out))
+        return out
+
+    basis = e8_doubled_basis()
+    want = [_shell_count(basis, t) for t in (8, 16, 24)]
+    monkeypatch.setattr(np, "repeat", spy)
+    for cap in (256, 1024):
+        sizes.clear()
+        monkeypatch.setattr(lattice, "_BLOCK", cap)
+        assert [_shell_count(basis, t) for t in (8, 16, 24)] == want
+        assert cap // 2 < max(sizes) <= cap
+
+
+def exact_gram_schmidt(basis):
+    """|b*_i|^2 and mu_ij over the rationals, from the integer Gram matrix."""
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
+    n = len(basis)
+    norms, mu = [], [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (gram[k][j] - sum(mu[j][i] * mu[k][i] * norms[i] for i in range(j))) / norms[j]
+        norms.append(gram[k][k] - sum(mu[k][i] ** 2 * norms[i] for i in range(k)))
+    return norms, mu
+
+
+def skewed_basis(rank, seed):
+    """A unimodular transform of Z^rank with large entries."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(6 * rank):
+        i, j = rng.sample(range(rank), 2)
+        q = rng.randrange(-9, 10)
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_lll_reduce_keeps_the_lattice(leech):
+    echelon = _integer_row_basis(leech.basis)  # an unreduced basis of the same lattice
+    for basis in (echelon, skewed_basis(LENGTH, 5)):
+        reduced = _lll_reduce(basis)
+        before, after = IntegerLattice(basis), IntegerLattice(reduced)
+        assert all(after.contains(row) for row in basis)
+        assert all(before.contains(row) for row in reduced)
+        # the transform from basis to reduced is integral, so det +-1 means unimodular
+        assert abs(_int_determinant(reduced)) == abs(_int_determinant(basis))
+
+
+def test_lll_reduce_meets_the_deep_insertion_condition(leech):
+    for basis in (leech.basis, _lll_reduce(skewed_basis(12, 8)), _lll_reduce(e8_doubled_basis())):
+        norms, mu = exact_gram_schmidt(basis)
+        n = len(basis)
+        for k in range(n):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) + Fraction(1, 10**9) for j in range(k))
+            # |b_k projected away from rows 0..i-1|^2 >= _DELTA |b*_i|^2 for every i < k
+            rest = norms[k] + sum(mu[k][j] ** 2 * norms[j] for j in range(k))
+            for i in range(k):
+                assert rest >= _DELTA * (1 - 1e-9) * norms[i]
+                rest -= mu[k][i] ** 2 * norms[i]
 
 
 def test_theta_series_second_opinion(leech):
