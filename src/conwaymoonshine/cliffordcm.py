@@ -12,20 +12,19 @@ subset of the 12 pairs, encoded as a bitmask.
 
 Engine.  In this basis every Clifford word acts as a tensor product of 12
 monomial 2x2 matrices (its Jordan-Wigner string) with entries of the form
-i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores that
-operator as the pairs it toggles and the exponents u, t as affine functions
-of the bits of S, built straight from the word's mask.  A batch of words is
-the same fields as arrays, one row per word: the 4096 lifted Golay words are
-one, squared in one pass and applied to a state a block at a time.  Nothing
+i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores words as
+arrays, one row per word: the pairs each toggles and the exponents u, t as
+affine functions of the bits of S, built straight from the word's mask.  A
+single word is a table of one row; the 4096 lifted Golay words are one table,
+squared in one pass and applied to a state a block at a time.  Nothing
 irrational is stored.  Only even-length words act on dense states.
 """
 
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -63,26 +62,21 @@ def _parity(x):
 
 
 def _trace_level(thetas):
-    level = 2
-    for t in thetas:
-        d = 2 * Fraction(t).denominator
-        level = level * d // gcd(level, d)
-    return level
+    return lcm(2, *(2 * t.denominator for t in thetas))
 
 
-def spinor_supertrace_closed(thetas, nu_choice: int = 1) -> CycNumber:
+def spinor_supertrace_closed(thetas) -> CycNumber:
     """nu * prod_i (1 - lambda_i^(-1)) with lambda_i = e^(2*pi*i*theta_i).
 
     thetas: 12 rationals in [0, 1/2] choosing one eigenvalue per inverse
-    pair; nu = nu_choice * prod_i e^(pi*i*theta_i) is the half-angle
-    square root of prod lambda_i.
+    pair; nu = prod_i e^(pi*i*theta_i) is the half-angle square root of
+    prod lambda_i.
     """
     thetas = [Fraction(t) for t in thetas]
     if len(thetas) != PAIRS:
         raise PairingError("expected 12 eigenvalue pairs, got %d" % len(thetas))
     level = _trace_level(thetas)
-    nu_exp = sum(int(t * level) // 2 for t in thetas)
-    weights = {nu_exp % level: nu_choice}
+    weights = {sum(int(t * level) // 2 for t in thetas) % level: 1}  # nu
     for t in thetas:
         shift = -int(t * level)
         new = {}
@@ -94,7 +88,7 @@ def spinor_supertrace_closed(thetas, nu_choice: int = 1) -> CycNumber:
     return CycNumber.from_exponents(level, weights)
 
 
-def spinor_supertrace_oracle(thetas, nu_choice: int = 1) -> CycNumber:
+def spinor_supertrace_oracle(thetas) -> CycNumber:
     """The same value by explicit summation over all 4096 subsets S of the
     pair set: nu * sum_S (-1)^|S| prod_{i in S} lambda_i^(-1).
     No product formula is used: each subset's exponent is summed from its
@@ -110,13 +104,13 @@ def spinor_supertrace_oracle(thetas, nu_choice: int = 1) -> CycNumber:
         exps, odd = np.concatenate((exps, exps - int(t * level))), np.concatenate((odd, ~odd))
     exps %= level
     counts = np.bincount(exps[~odd], minlength=level) - np.bincount(exps[odd], minlength=level)
-    return CycNumber.from_exponents(level, dict(enumerate((counts * nu_choice).tolist())))
+    return CycNumber.from_exponents(level, dict(enumerate(counts.tolist())))
 
 
-def class_supertraces(shape, nu_choice: int = 1):
+def class_supertraces(shape):
     """(closed form, subset oracle) for a Frame shape's eigenvalue pairs."""
     thetas = shape.eigenvalue_pairs()
-    return spinor_supertrace_closed(thetas, nu_choice), spinor_supertrace_oracle(thetas, nu_choice)
+    return spinor_supertrace_closed(thetas), spinor_supertrace_oracle(thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -181,45 +175,6 @@ _HALF_BITS = _PAIR_BITS[:64, :6].T.astype(np.int64)  # bits of pairs 0-5 (or 6-1
 _BLOCK = 4  # words per batched application; blocks of 8 cost 0.5 MiB more peak RSS, no time
 
 
-_Words = namedtuple("_Words", "toggle odd u0 t0 du dt")  # WordTable fields, a row per word
-
-
-def _pair_words(cmasks, signs) -> _Words:
-    """The words signs * e_C for 24-bit masks C, over all masks one pair at a time."""
-    cmasks = np.asarray(cmasks, dtype=np.int64)
-    du, dt = np.zeros((2, len(cmasks), PAIRS), dtype=np.int8)
-    toggle, above, u0, t0 = np.zeros((4, len(cmasks)), dtype=np.int64)
-    u0[np.asarray(signs) == -1] = 2
-    for k in reversed(range(PAIRS)):
-        code = cmasks >> 2 * k & 3
-        ua, ta, ub, tb = _PAIR_RULES[code].T
-        parity = (code ^ code >> 1) & 1  # the pair holds one generator: toggled
-        toggle |= parity << k
-        u0 += ua
-        t0 += 2 * ta - (code & 1) - (code >> 1)  # twice t0, less the word length
-        du[:, k] = (ub + 2 * above - ua) % 4  # above: parity of the generators above
-        dt[:, k] = tb - ta
-        above ^= parity
-    return _Words(toggle, above, u0 % 4, (t0 + above) // 2, du, dt)
-
-
-def _compose(a: _Words, b: _Words) -> _Words:
-    """a after b, row by row.  Where b toggles pair k, a reads the flipped
-    bit: its du_k, dt_k join u0, t0 and change sign."""
-    flip = _PAIR_BITS[b.toggle]
-    u0 = a.u0 + b.u0 + (flip * a.du).sum(1)
-    t0 = a.t0 + b.t0 - (a.odd & b.odd) + (flip * a.dt).sum(1)  # (1/sqrt(2))^2 = 1/2
-    sign = 1 - 2 * flip
-    return _Words(a.toggle ^ b.toggle, a.odd ^ b.odd, u0 % 4, t0,
-                  (sign * a.du + b.du) % 4, sign * a.dt + b.dt)
-
-
-def _differ(a: _Words, b: _Words):
-    """Per row, whether a and b are different words (b's fields may be scalars)."""
-    return ((a.toggle != b.toggle) | (a.odd != b.odd) | (a.u0 != b.u0) | (a.t0 != b.t0)
-            | (a.du != b.du).any(1) | (a.dt != b.dt).any(1))
-
-
 def _affine(c0, d):
     """c0 + sum_k d_k S_k per row and S: 64-entry tables for pairs 0-5 and 6-11, broadcast."""
     low = d[:, :6] @ _HALF_BITS + c0[:, None]
@@ -227,83 +182,94 @@ def _affine(c0, d):
     return (high[:, :, None] + low[:, None, :]).reshape(len(d), DIM)
 
 
-def _images(words: _Words, state: DenseState, shift):
-    """Each word's image of state as (re, im) rows over 2^(e + shift), shift
-    a scalar or one per word: entry R is i^U(S) 2^T(S) x_S for S = R ^ toggle,
-    read off the diagonal word (the word after its own toggle)."""
-    if words.odd.any():
-        raise ValidationError("dense tables require an even word length")
-    diag = _compose(words, _Words(words.toggle, 0, 0, 0, 0, 0))
-    t0 = diag.t0 + shift
-    if (t0 + np.minimum(diag.dt, 0).sum(1)).min() < 0:
-        raise ValidationError("denominator headroom exhausted; raise out_e")
-    # image entries stay below 2^61, so adding two of them cannot wrap
-    if (t0 + np.maximum(diag.dt, 0).sum(1)).max() + state.max_abs().bit_length() > 61:
-        raise ValidationError("int64 headroom exhausted")
-    t = _affine(t0, diag.dt)
-    idx = (_affine(diag.u0, diag.du) & 3) * DIM + (_ARANGE ^ words.toggle[:, None])
-    x, y = state.re, state.im
-    rotated = np.concatenate((y, x, -y, -x, y))  # Im(i^u z) at u, Re(i^u z) at u + 1
-    return rotated[DIM:][idx] << t, rotated[idx] << t
-
-
-def _blocked_images(words: _Words, state: DenseState):
-    """(start, re, im, shift) for the words _BLOCK at a time: each word's image
-    of state over 2^(e + shift), shift = -min T, the smallest denominator
-    that keeps the image integral."""
-    for start in range(0, len(words.toggle), _BLOCK):
-        block = _Words(*(f[start:start + _BLOCK] for f in words))
-        shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)
-        yield (start, *_images(block, state, shift), shift[:, None])
-
-
 class WordTable:
-    """Monomial word: m_S -> i^U(S) 2^T(S) (1/sqrt(2))^odd m_(S ^ toggle),
+    """Monomial words, one row each: row r maps
+    m_S -> i^U(S) 2^T(S) (1/sqrt(2))^odd m_(S ^ toggle),
     with U = u0 + sum_k du_k S_k (mod 4) and T = t0 + sum_k dt_k S_k.
 
-    WordTable(cmask, sign) is sign * e_C for the 24-bit mask of C (bit i-1
-    for generator i); the fields are a normal form, so equal operators
-    compare equal."""
+    WordTable(cmasks, signs) holds the words signs * e_C for 24-bit masks C
+    (bit i-1 for generator i), built over all masks one pair at a time;
+    WordTable(cmask, sign) is a table of one row.  The fields are a normal
+    form, so equal operators compare equal."""
 
-    __slots__ = _Words._fields
+    __slots__ = ("toggle", "odd", "u0", "t0", "du", "dt")
 
-    def __init__(self, cmask: int, sign: int = 1):
-        if sign not in (1, -1):
+    def __init__(self, cmasks, signs=1):
+        cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
+        signs = np.broadcast_to(signs, cmasks.shape)
+        if (np.abs(signs) != 1).any():
             raise ValidationError("word sign must be +1 or -1")
-        self._load(_pair_words([cmask], [sign]), 0)
+        du, dt = np.zeros((2, len(cmasks), PAIRS), dtype=np.int8)
+        toggle, above, u0, t0 = np.zeros((4, len(cmasks)), dtype=np.int64)
+        u0[signs == -1] = 2
+        for k in reversed(range(PAIRS)):
+            code = cmasks >> 2 * k & 3
+            ua, ta, ub, tb = _PAIR_RULES[code].T
+            parity = (code ^ code >> 1) & 1  # the pair holds one generator: toggled
+            toggle |= parity << k
+            u0 += ua
+            t0 += 2 * ta - (code & 1) - (code >> 1)  # twice t0, less the word length
+            du[:, k] = (ub + 2 * above - ua) % 4  # above: parity of the generators above
+            dt[:, k] = tb - ta
+            above ^= parity
+        self.toggle, self.odd, self.u0, self.t0, self.du, self.dt = (
+            toggle, above, u0 % 4, (t0 + above) // 2, du, dt)
 
-    def _load(self, words: _Words, i: int) -> "WordTable":
-        self.toggle, self.odd, self.u0, self.t0 = (int(f[i]) for f in words[:4])
-        self.du, self.dt = (tuple(f[i].tolist()) for f in words[4:])
-        return self
+    @staticmethod
+    def _of(toggle, odd, u0, t0, du, dt) -> "WordTable":
+        table = WordTable.__new__(WordTable)
+        table.toggle, table.odd, table.u0, table.t0, table.du, table.dt = toggle, odd, u0, t0, du, dt
+        return table
 
-    def _batch(self) -> _Words:
-        return _Words(*(np.array([getattr(self, f)]) for f in _Words._fields))
+    def __len__(self):
+        return len(self.toggle)
+
+    def __getitem__(self, rows: slice) -> "WordTable":
+        if not isinstance(rows, slice):
+            raise TypeError("WordTable rows are taken by slice")
+        return WordTable._of(self.toggle[rows], self.odd[rows], self.u0[rows], self.t0[rows],
+                             self.du[rows], self.dt[rows])
+
+    def __iter__(self):
+        """The rows as one-row tables."""
+        return (self[i:i + 1] for i in range(len(self)))
 
     def __mul__(self, other: "WordTable") -> "WordTable":
-        """self after other."""
-        return WordTable.__new__(WordTable)._load(_compose(self._batch(), other._batch()), 0)
+        """self after other, row by row; a one-row operand broadcasts.  Where
+        other toggles pair k, self reads the flipped bit: its du_k, dt_k join
+        u0, t0 and change sign."""
+        flip = _PAIR_BITS[other.toggle]
+        u0 = self.u0 + other.u0 + (flip * self.du).sum(1)
+        t0 = self.t0 + other.t0 - (self.odd & other.odd) + (flip * self.dt).sum(1)  # (1/sqrt(2))^2 = 1/2
+        sign = 1 - 2 * flip
+        return WordTable._of(
+            self.toggle ^ other.toggle, self.odd ^ other.odd, u0 % 4, t0,
+            (sign * self.du + other.du) % 4, sign * self.dt + other.dt)
 
-    def _key(self):
-        return (self.toggle, self.odd, self.u0, self.t0, self.du, self.dt)
+    def differs(self, other: "WordTable"):
+        """Per row, whether self and other are different words."""
+        return ((self.toggle != other.toggle) | (self.odd != other.odd) | (self.u0 != other.u0)
+                | (self.t0 != other.t0) | (self.du != other.du).any(1) | (self.dt != other.dt).any(1))
 
     def __eq__(self, other):
         if not isinstance(other, WordTable):
             return NotImplemented
-        return self._key() == other._key()
+        return len(self) == len(other) and not self.differs(other).any()
 
     def is_identity(self) -> bool:
-        return self._key() == (0, 0, 0, 0, (0,) * PAIRS, (0,) * PAIRS)
+        return not self.differs(WordTable(0)).item()
 
     def trace(self) -> CycNumber:
         """0 unless no pair is toggled; then the sum over S factors as
         i^u0 2^t0 prod_k (1 + i^du_k 2^dt_k).  An odd word holds one
         generator of some pair, so it toggles that pair: its trace is 0."""
-        if self.toggle:
+        (toggle,), (u0,), (t0,), (du,), (dt,) = (
+            f.tolist() for f in (self.toggle, self.u0, self.t0, self.du, self.dt))
+        if toggle:
             return CycNumber.from_rational(0, 4)
-        total = _unit_power(self.u0, self.t0)
-        for du, dt in zip(self.du, self.dt):
-            total = total * (_unit_power(du, dt) + 1)
+        total = _unit_power(u0, t0)
+        for d, t in zip(du, dt):
+            total = total * (_unit_power(d, t) + 1)
         return total
 
     def supertrace(self) -> CycNumber:
@@ -312,7 +278,7 @@ class WordTable:
         return (WordTable((1 << NGEN) - 1) * self).trace()
 
     def min_shift(self) -> int:
-        return self.t0 + sum(d for d in self.dt if d < 0)
+        return (self.t0 + np.minimum(self.dt, 0).sum(1)).item()
 
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
@@ -324,9 +290,37 @@ class WordTable:
 
     def apply_into(self, state: DenseState, out_re, out_im, out_e: int):
         """Accumulate 2^out_e * (word applied to state) into out arrays."""
-        re, im = _images(self._batch(), state, out_e - state.e)
-        out_re += re[0]
-        out_im += im[0]
+        (re,), (im,) = self.images(state, out_e - state.e)
+        out_re += re
+        out_im += im
+
+    def images(self, state: DenseState, shift):
+        """Each word's image of state as (re, im) rows over 2^(e + shift), shift
+        a scalar or one per word: entry R is i^U(S) 2^T(S) x_S for S = R ^ toggle,
+        read off the diagonal word (the word after its own toggle)."""
+        if self.odd.any():
+            raise ValidationError("dense tables require an even word length")
+        diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
+        t0 = diag.t0 + shift
+        if (t0 + np.minimum(diag.dt, 0).sum(1)).min() < 0:
+            raise ValidationError("denominator headroom exhausted; raise out_e")
+        # image entries stay below 2^61, so adding two of them cannot wrap
+        if (t0 + np.maximum(diag.dt, 0).sum(1)).max() + state.max_abs().bit_length() > 61:
+            raise ValidationError("int64 headroom exhausted")
+        t = _affine(t0, diag.dt)
+        idx = (_affine(diag.u0, diag.du) & 3) * DIM + (_ARANGE ^ self.toggle[:, None])
+        x, y = state.re, state.im
+        rotated = np.concatenate((y, x, -y, -x, y))  # Im(i^u z) at u, Re(i^u z) at u + 1
+        return rotated[DIM:][idx] << t, rotated[idx] << t
+
+    def blocked_images(self, state: DenseState):
+        """(start, re, im, shift) for the words _BLOCK at a time: each word's image
+        of state over 2^(e + shift), shift = -min T, the smallest denominator
+        that keeps the image integral."""
+        for start in range(0, len(self), _BLOCK):
+            block = self[start:start + _BLOCK]
+            shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)
+            yield (start, *block.images(state, shift), shift[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -390,27 +384,25 @@ class GolayLift:
             signs = np.concatenate((signs, signs * sign * (1 - 2 * flips)))
         self.section = dict(zip(masks.tolist(), signs.tolist()))
         self._masks = sorted(self.section)
-        self.words = self._lifted(self._masks)  # the 4096 lifted words, in mask order
-        self._factors = [self.word_table(g) for g in code.generators]
+        self.words = self.word_table(self._masks)  # the 4096 lifted words, in mask order
+        self._factors = self.word_table(code.generators)
 
     # -- lifted word tables -------------------------------------------------
 
-    def _lifted(self, cmasks) -> _Words:
-        """The words s(C) e_C for a sequence of codeword masks."""
-        return _pair_words(cmasks, [self.section[c] for c in cmasks])
-
-    def word_table(self, cmask: int) -> WordTable:
-        return WordTable(cmask, self.section[cmask])
+    def word_table(self, cmasks) -> WordTable:
+        """The words s(C) e_C for one codeword mask or a sequence of them."""
+        cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
+        return WordTable(cmasks, [self.section[c] for c in cmasks.tolist()])
 
     def tables(self):
         """A WordTable for each lifted word in mask order."""
-        return [WordTable.__new__(WordTable)._load(self.words, i) for i in range(len(self._masks))]
+        return list(self.words)
 
     # -- group structure ----------------------------------------------------
 
     def verify_squares(self):
         """(s(C) e_C)^2 = +1 for all 4096 codewords, exhaustively."""
-        bad = _differ(_compose(self.words, self.words), _Words(0, 0, 0, 0, 0, 0))
+        bad = (self.words * self.words).differs(WordTable(0))
         if bad.any():
             raise VerificationFailure("square of lifted %06x is not +1" % self._masks[bad.argmax()])
         return True
@@ -420,7 +412,7 @@ class GolayLift:
         rng = random.Random(seed)
         pairs = [(rng.choice(self._masks), rng.choice(self._masks)) for _ in range(samples)]
         c, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        bad = _differ(_compose(self._lifted(c), self._lifted(d)), self._lifted(c ^ d))
+        bad = (self.word_table(c) * self.word_table(d)).differs(self.word_table(c ^ d))
         if bad.any():
             i = bad.argmax()
             raise VerificationFailure("closure fails at %06x * %06x" % (c[i], d[i]))
@@ -428,7 +420,7 @@ class GolayLift:
 
     def verify_fixed(self, state: DenseState):
         """All 4096 lifted words fix state, applied _BLOCK at a time; raises at the first mover."""
-        for start, re, im, shift in _blocked_images(self.words, state):
+        for start, re, im, shift in self.words.blocked_images(state):
             moved = ((re != state.re << shift) | (im != state.im << shift)).any(1)
             if moved.any():
                 raise VerificationFailure("state moved by lifted %06x" % self._masks[start + moved.argmax()])
@@ -520,8 +512,8 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
         csub = tuple(sorted(rng.sample(range(1, NGEN + 1), rng.choice((2, 4)))))
         if csub not in subsets:
             subsets.append(csub)
-    words = _pair_words([sum(1 << (i - 1) for i in c) for c in subsets], [1] * len(subsets))
-    for start, re, im, _ in _blocked_images(words, tv):
+    words = WordTable([sum(1 << (i - 1) for i in c) for c in subsets])
+    for start, re, im, _ in words.blocked_images(tv):
         re, im = _form(re, im, tv)
         bad = (re | im) != 0
         if bad.any():

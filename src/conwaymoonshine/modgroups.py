@@ -305,6 +305,11 @@ def _sample_points(matrix: TestMatrix, count: int, rng) -> list:
     return pts
 
 
+def _check_tol(tol: float):
+    if not 0 < tol < float("inf"):
+        raise ValidationError("tol must be finite and positive, got %r" % tol)
+
+
 def invariance_check(
     series: FracPowerSeries,
     gl: GroupLabel,
@@ -319,6 +324,7 @@ def invariance_check(
     The series must be truncated to sufficient order for the tail
     estimates at the sample points; tail failures raise PrecisionError.
     """
+    _check_tol(tol)
     rng = random.Random(seed)
     per_matrix = max(1, -(-points // max(1, len(matrices))))
     taus = []
@@ -405,6 +411,7 @@ def class_invariance_check(
     (Im = 1/N, N = n*h), which lands near N^2/16."""
     from .moonshine import T_s_tw
 
+    _check_tol(tol)
     gl = parse_label(rec.gamma_tw_label)
     level = gl.n * gl.h
     order = 64

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import pytest
 
@@ -53,6 +54,13 @@ def test_count_options_are_non_negative(capsys, monkeypatch):
         assert run(capsys, *lemma)[0] == 2
     monkeypatch.setenv("MOONSHINE_JOBS", "1")
     assert run(capsys, *lemma)[0] == 0
+
+
+def test_invariance_tol_must_be_finite_and_positive(capsys):
+    for tol in ("inf", "-1", "0", "nan"):
+        t0 = time.perf_counter()
+        assert run(capsys, "invariance", "--class", "2A", "--tol", tol) == (2, ""), tol
+        assert time.perf_counter() - t0 < 1.0, tol
 
 
 def test_series_shape_tw_takes_c_from_the_registry(capsys):

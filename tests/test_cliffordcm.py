@@ -14,12 +14,8 @@ from conwaymoonshine.cliffordcm import (
     DenseState,
     GolayLift,
     WordTable,
-    _blocked_images,
     _form,
-    _images,
     _monomial_sqrt,
-    _pair_words,
-    _Words,
     bilinear_dense,
     class_supertraces,
     n1_checks,
@@ -197,6 +193,28 @@ def test_word_table_negative_controls():
     assert GolayLift(SimpleNamespace(generators=[0b1111])).verify_squares()
 
 
+def test_word_table_rows():
+    masks, signs = [0, 0b1111, 0xF00000, 0x0C0300], [1, -1, 1, -1]
+    table = WordTable(masks, signs)
+    rows = [WordTable(m, s) for m, s in zip(masks, signs)]
+    assert len(table) == 4 and list(table) == rows and table[1:3] == WordTable(masks[1:3], signs[1:3])
+    assert table != table[:3]  # the same rows, one fewer
+    zz = WordTable((1 << 24) - 1)  # a one-row operand broadcasts
+    assert list(table * zz) == [r * zz for r in rows] and list(zz * table) == [zz * r for r in rows]
+    assert list(table * table) == [r * r for r in rows]
+    # the single-word methods refuse a table of more rows
+    out = np.zeros((2, 4096), dtype=np.int64)
+    for call in (table.trace, table.supertrace, table.min_shift, table.is_identity,
+                 lambda: table.apply(DenseState.basis(0)),
+                 lambda: table.apply_into(DenseState.basis(0), *out, 2)):
+        with pytest.raises(ValueError):
+            call()
+    with pytest.raises(TypeError):
+        table[0]
+    with pytest.raises(ValidationError):
+        WordTable(masks, [1, -1, 0, 1])
+
+
 def test_monomial_sqrt():
     for x, y in [(1, 0), (0, -8), (F(-1, 2), 0), (0, F(1, 32))]:
         value = CycNumber(4, (F(x), F(y)))
@@ -289,9 +307,8 @@ def test_supertrace_oracle_on_negated_shapes_and_a_hand_list():
         assert spinor_supertrace_oracle(thetas) == spinor_supertrace_closed(thetas), rec.co0_name
     thetas = [F(1, 2), F(1, 3), F(1, 4), F(1, 6), F(3, 8), F(5, 12),
               F(1, 8), F(1, 2), F(1, 3), F(5, 12), F(1, 4), F(1, 24)]
-    for nu in (1, -1):
-        value = spinor_supertrace_oracle(thetas, nu)
-        assert value == spinor_supertrace_closed(thetas, nu) and not value.is_zero()
+    value = spinor_supertrace_oracle(thetas)
+    assert value == spinor_supertrace_closed(thetas) and not value.is_zero()
     # every lambda_i = -1: 2^12 subsets of one sign, nu = e^(6 pi i) = 1
     assert spinor_supertrace_oracle([F(1, 2)] * 12).to_rational() == 4096
 
@@ -317,11 +334,6 @@ def test_oracle_zz_parity_split():
     assert value == total
 
 
-def test_nu_sign_choice_flips():
-    thetas = [F(1, 2)] * 12
-    assert spinor_supertrace_closed(thetas, -1).to_rational() == -4096
-
-
 def test_word_supertrace_of_identity_vanishes():
     # str(1) = 2048 - 2048 = 0
     assert WordTable(0).supertrace().to_rational() == 0
@@ -343,9 +355,8 @@ def t_oracle(lift, states):
     for state in states:
         re, im = np.zeros((2, 4096), dtype=np.int64)
         for start in range(0, 4096, 8):
-            block = _Words(*(f[start:start + 8] for f in lift.words))
             # the shift 12 covers the worst word factor 2^(-12)
-            rows_re, rows_im = _images(block, state, 12)
+            rows_re, rows_im = lift.words[start:start + 8].images(state, 12)
             re += rows_re.sum(0)
             im += rows_im.sum(0)
         outs.append(DenseState(re, im, state.e + 24))
@@ -410,9 +421,8 @@ def test_batched_guards(lift):
     huge = DenseState(np.full(4096, 1 << 58, dtype=np.int64), np.zeros(4096, dtype=np.int64), 0)
     with pytest.raises(ValidationError):  # the image entries would pass int64
         lift.verify_fixed(huge)
-    odd = WordTable(0b111)._batch()
     with pytest.raises(ValidationError):
-        _images(odd, DenseState.basis(0), 1)
+        WordTable(0b111).images(DenseState.basis(0), 1)
     # at 25 + 24 bits the int64 sum is exact; one bit more is refused
     a = np.full(4096, (1 << 25) - 1, dtype=np.int64)
     b = np.full(4096, -(1 << 24) + 1, dtype=np.int64)
@@ -437,7 +447,7 @@ def test_batched_form_matches_single_words():
     b = DenseState(*rng.integers(-5, 6, (2, 4096)), 1)
     masks = [0b11, 0b1010, 0xF00000, 0x800001, 0b110110, 0x0C0300, 0x000F00]
     seen = 0
-    for start, re_, im_, shift in _blocked_images(_pair_words(masks, [1] * len(masks)), b):
+    for start, re_, im_, shift in WordTable(masks).blocked_images(b):
         rows = zip(*_form(re_, im_, b), shift[:, 0], masks[start:])
         for got_re, got_im, sh, cmask in rows:
             den = 1 << (2 * b.e + int(sh))
@@ -451,10 +461,11 @@ def test_n1_orthogonality_names_first_failing_subset(lift, monkeypatch):
     """Spoil the form of the third block's third word: the failure names
     that word's subset, the first failing one in draw order."""
     drawn, blocks = [], []
+    init = WordTable.__init__
 
-    def words(cmasks, signs):
-        drawn.append(list(cmasks))
-        return _pair_words(cmasks, signs)
+    def words(self, cmasks, signs=1):
+        drawn.append(np.array(cmasks, ndmin=1).tolist())
+        init(self, cmasks, signs)
 
     def form(re_, im_, b):
         out = _form(re_, im_, b)
@@ -464,7 +475,7 @@ def test_n1_orthogonality_names_first_failing_subset(lift, monkeypatch):
                 out[1][2] += 1
         return out
 
-    monkeypatch.setattr(cliffordcm, "_pair_words", words)
+    monkeypatch.setattr(WordTable, "__init__", words)
     monkeypatch.setattr(cliffordcm, "_form", form)
     with pytest.raises(VerificationFailure) as err:
         n1_checks(lift, seed=11, orth_samples=220)

@@ -227,6 +227,28 @@ def test_negative_controls(leech):
         roots.verify()
 
 
+def spy_walks(monkeypatch):
+    """The targets of the _shell_count walks made from now on."""
+    walks, count = [], lattice._shell_count
+    monkeypatch.setattr(lattice, "_shell_count", lambda basis, t: walks.append(t) or count(basis, t))
+    return walks
+
+
+def test_verify_walks_once(leech, monkeypatch):
+    walks = spy_walks(monkeypatch)
+    assert leech.verify()
+    assert walks == [16]  # norm 2; norms 1 and 3 are odd, ruled out by the Gram checks
+
+
+def test_verify_refuses_an_odd_norm_before_walking(monkeypatch):
+    # (2, 2, 0, ..., 0) has norm 1; its inner products with the rows 8 e_k are integers
+    rows = [[2, 2] + [0] * 22] + [[8 * (j == k) for j in range(LENGTH)] for k in range(1, LENGTH)]
+    walks = spy_walks(monkeypatch)
+    with pytest.raises(ValidationError, match="not an even integer"):
+        IntegerLattice(rows).verify()
+    assert walks == []
+
+
 def test_frame_properties(leech, frame):
     assert len(frame) == 24
     for i, v in enumerate(frame):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conwaymoonshine.classdata import lookup, registry
-from conwaymoonshine.errors import ParseError, PrecisionError
+from conwaymoonshine.errors import ParseError, PrecisionError, ValidationError
 from conwaymoonshine.modgroups import (
     GroupLabel,
     TestMatrix,
@@ -126,6 +126,16 @@ def test_negative_control_wrong_group():
     )
     assert not report["pass"]
     assert report["max_dev"] > 1e-2
+
+
+def test_tol_must_be_finite_and_positive():
+    # a series too short for any tail estimate: the tolerance is refused before evaluation
+    series, gl = S(1, {0: 1}, 1), parse_label("2-")
+    for tol in (float("inf"), -1.0, 0.0, float("nan")):
+        with pytest.raises(ValidationError, match="tol"):
+            invariance_check(series, gl, matrices=sample_matrices(gl), tol=tol)
+        with pytest.raises(ValidationError, match="tol"):
+            class_invariance_check(lookup("2A"), tol=tol)
 
 
 def test_reports_are_seed_deterministic():

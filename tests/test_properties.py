@@ -14,8 +14,6 @@ from test_cliffordcm import dense, oracle_form  # noqa: E402
 from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
     WordTable,
-    _images,
-    _pair_words,
     bilinear_dense,
     reorder_sign,
 )
@@ -130,9 +128,9 @@ def small_states(draw):
 @settings(max_examples=60, deadline=None)
 @given(signed_words, small_states())
 def test_batched_images_match_word_tables(words, state):
-    batch = _pair_words(*zip(*words))
+    batch = WordTable(*zip(*words))
     shift = -np.minimum(batch.t0 + np.minimum(batch.dt, 0).sum(1), 0)
-    re, im = _images(batch, state, shift)
+    re, im = batch.images(state, shift)
     for row, (cmask, sign) in enumerate(words):
         one = WordTable(cmask, sign).apply(state)
         assert one.e == state.e + shift[row]
