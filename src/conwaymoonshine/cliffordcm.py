@@ -16,8 +16,9 @@ i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores words as
 arrays, one row per word: the pairs each toggles and the exponents u, t as
 affine functions of the bits of S, built straight from the word's mask.  A
 single word is a table of one row; the 4096 lifted Golay words are one table,
-squared in one pass and applied to a state a block at a time.  Nothing
-irrational is stored.  Only even-length words act on dense states.
+squared in one pass and shown to be products of the 12 generator words, so
+only those 12 need to act on t v.  Nothing irrational is stored.  Only
+even-length words act on dense states.
 """
 
 from __future__ import annotations
@@ -139,9 +140,8 @@ class DenseState:
         return DenseState(re, np.zeros(DIM, dtype=np.int64), 0)
 
     def equals(self, other: "DenseState") -> bool:
-        e = max(self.e, other.e)
-        return (np.array_equal(self.re << (e - self.e), other.re << (e - other.e))
-                and np.array_equal(self.im << (e - self.e), other.im << (e - other.e)))
+        a, b = self.reduced(), other.reduced()  # a normal form, so no shift can wrap int64
+        return a.e == b.e and np.array_equal(a.re, b.re) and np.array_equal(a.im, b.im)
 
     def max_abs(self) -> int:
         return max(int(np.abs(self.re).max(initial=0)), int(np.abs(self.im).max(initial=0)))
@@ -172,7 +172,7 @@ _PAIR_RULES = np.array([(0, 0, 0, 0),  # 1
                         (3, 0, 3, 1),  # i (a^+ - a^-)
                         (1, 1, 3, 1)])  # the product of the two
 _HALF_BITS = _PAIR_BITS[:64, :6].T.astype(np.int64)  # bits of pairs 0-5 (or 6-11)
-_BLOCK = 4  # words per batched application; blocks of 8 cost 0.5 MiB more peak RSS, no time
+_BLOCK = 4  # words per batched image (orthogonality, verify_fixed); 8 cost 0.5 MiB more peak RSS
 
 
 def _affine(c0, d):
@@ -224,9 +224,9 @@ class WordTable:
     def __len__(self):
         return len(self.toggle)
 
-    def __getitem__(self, rows: slice) -> "WordTable":
-        if not isinstance(rows, slice):
-            raise TypeError("WordTable rows are taken by slice")
+    def __getitem__(self, rows) -> "WordTable":
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("WordTable rows are taken by slice or index array")
         return WordTable._of(self.toggle[rows], self.odd[rows], self.u0[rows], self.t0[rows],
                              self.du[rows], self.dt[rows])
 
@@ -322,6 +322,13 @@ class WordTable:
             shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)
             yield (start, *block.images(state, shift), shift[:, None])
 
+    def first_mover(self, state: DenseState):
+        """The first row whose image of state is not state, or None."""
+        for start, re, im, shift in self.blocked_images(state):
+            moved = ((re != state.re << shift) | (im != state.im << shift)).any(1)
+            if moved.any():
+                return start + int(moved.argmax())
+
 
 # ---------------------------------------------------------------------------
 # the invariant bilinear form on CM
@@ -385,6 +392,7 @@ class GolayLift:
         self.section = dict(zip(masks.tolist(), signs.tolist()))
         self._masks = sorted(self.section)
         self.words = self.word_table(self._masks)  # the 4096 lifted words, in mask order
+        self._built = np.searchsorted(self._masks, masks)  # their rows in construction order
         self._factors = self.word_table(code.generators)
 
     # -- lifted word tables -------------------------------------------------
@@ -419,11 +427,18 @@ class GolayLift:
         return True
 
     def verify_fixed(self, state: DenseState):
-        """All 4096 lifted words fix state, applied _BLOCK at a time; raises at the first mover."""
-        for start, re, im, shift in self.words.blocked_images(state):
-            moved = ((re != state.re << shift) | (im != state.im << shift)).any(1)
-            if moved.any():
-                raise VerificationFailure("state moved by lifted %06x" % self._masks[start + moved.argmax()])
+        """All 4096 lifted words fix state: built row n is row n - 2^j times generator j
+        (j the top bit of n), so from the identity at row 0 it is enough that the generators do."""
+        if not self.words[:1].is_identity():  # mask 0 is the first row
+            raise VerificationFailure("lifted 000000 is not the identity")
+        n = np.arange(1, len(self._built))
+        j = np.frexp(n)[1] - 1
+        bad = self.words[self._built[n]].differs(self.words[self._built[n - (1 << j)]] * self._factors[j])
+        if bad.any():
+            raise VerificationFailure("lifted %06x is not its parent times generator %d"
+                                      % (self._masks[self._built[bad.argmax() + 1]], j[bad.argmax()]))
+        if self._factors.first_mover(state) is not None:  # name the first mover in mask order
+            raise VerificationFailure("state moved by lifted %06x" % self._masks[self.words.first_mover(state)])
         return True
 
     def group_order(self) -> int:

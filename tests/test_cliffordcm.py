@@ -209,8 +209,10 @@ def test_word_table_rows():
                  lambda: table.apply_into(DenseState.basis(0), *out, 2)):
         with pytest.raises(ValueError):
             call()
-    with pytest.raises(TypeError):
-        table[0]
+    assert table[np.array([3, 1])] == WordTable([masks[3], masks[1]], [signs[3], signs[1]])
+    for bare in (0, np.int64(0)):
+        with pytest.raises(TypeError):
+            table[bare]
     with pytest.raises(ValidationError):
         WordTable(masks, [1, -1, 0, 1])
 
@@ -415,6 +417,33 @@ def test_verify_fixed_names_first_moving_word(golay, lift):
         assert cmask is not None
         with pytest.raises(VerificationFailure, match="moved by lifted %06x" % cmask):
             lift.verify_fixed(x)
+
+
+def test_verify_fixed_proof_negative_controls_and_cost(golay, lift, monkeypatch):
+    tv = lift.invariant_vector()
+    for row, match in ((1234, "lifted 4d2f31 is not its parent times generator 10"),
+                       (0, "lifted 000000 is not the identity")):
+        spoiled = GolayLift(golay, None, lift.generator_signs)
+        spoiled.words.u0[row] ^= 2  # the word negated
+        with pytest.raises(VerificationFailure, match=match):
+            spoiled.verify_fixed(tv)
+    # a pass applies the 12 generator words only, not the 4096 lifted words
+    rows, images = [], WordTable.images
+    monkeypatch.setattr(WordTable, "images", lambda self, *a: rows.append(len(self)) or images(self, *a))
+    assert lift.verify_fixed(tv) and sum(rows) <= 12
+
+
+def test_dense_equals_compares_values():
+    zero = np.zeros(4096, dtype=np.int64)
+    a, b = zero.copy(), zero.copy()
+    a[0], b[0] = 1 + 2**22, 2**42  # 1 + 2^22 and 1: shifting a to e = 42 would wrap int64
+    assert not DenseState(a, zero, 0).equals(DenseState(b, zero, 42))
+    assert not DenseState(b, zero, 42).equals(DenseState(a, zero, 0))
+    c = zero.copy()
+    c[[5, 9]] = 3, -6
+    assert DenseState(c, -c, 1).equals(DenseState(c << 40, -c << 40, 41))  # the same values
+    assert DenseState(zero, zero, 7).equals(DenseState(zero, zero, 0))
+    assert not DenseState(c, zero, 1).equals(DenseState(c, zero, 2))
 
 
 def test_batched_guards(lift):

@@ -2,22 +2,25 @@
 
 from fractions import Fraction as F
 from math import gcd, lcm
+from types import SimpleNamespace
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
-from test_cliffordcm import dense, oracle_form  # noqa: E402
+from test_cliffordcm import dense, first_moving, oracle_form  # noqa: E402
 
 from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
+    GolayLift,
     WordTable,
     bilinear_dense,
     reorder_sign,
 )
 from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
+from conwaymoonshine.errors import VerificationFailure  # noqa: E402
 from conwaymoonshine.fockoracle import (  # noqa: E402
     TWISTED,
     UNTWISTED,
@@ -135,6 +138,51 @@ def test_batched_images_match_word_tables(words, state):
         one = WordTable(cmask, sign).apply(state)
         assert one.e == state.e + shift[row]
         assert np.array_equal(one.re, re[row]) and np.array_equal(one.im, im[row])
+
+
+@st.composite
+def fixed_point_candidates(draw, lift, other):
+    """t v times a Gaussian integer over 2^e, or t v with one entry changed or
+    woken, a small random state, the other section's invariant vector, or a
+    small state averaged over the words of some generators, which then fix it."""
+    kind = draw(st.sampled_from(("changed", "woken", "random", "other", "averaged", "tv")))
+    if kind == "random":
+        return draw(small_states())
+    if kind == "other":
+        return other
+    if kind == "averaged":  # over the span of the first lifted words in mask order
+        gens, span = [], {0}
+        for cmask in sorted(lift.section)[:draw(st.integers(2, 300))]:
+            if cmask not in span:
+                gens.append(cmask)
+                span |= {c ^ cmask for c in span}
+        part = GolayLift(SimpleNamespace(generators=gens), None, [lift.section[c] for c in gens])
+        state = part.apply_t_dense(draw(small_states()))
+        assume(state.nonzero_count())
+        return state
+    tv = lift.invariant_vector()
+    x, y = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+    state = DenseState(x * tv.re - y * tv.im, x * tv.im + y * tv.re, tv.e + draw(st.integers(0, 2)))
+    if kind != "tv":
+        live = (state.re | state.im) != 0
+        at = np.flatnonzero(live if kind == "changed" else ~live)
+        state.re[draw(st.sampled_from(at.tolist()))] += draw(st.sampled_from((-1, 1, 5)))
+    return state
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_verify_fixed_agrees_with_direct_sweep(golay, lift, data):
+    """verify_fixed passes exactly when no lifted word moves the state, and
+    otherwise names the first mover in mask order, found one word at a time."""
+    other = GolayLift(golay, None, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
+    state = data.draw(fixed_point_candidates(lift, other))
+    cmask = first_moving(lift, state)
+    if cmask is None:
+        assert lift.verify_fixed(state)
+    else:
+        with pytest.raises(VerificationFailure, match="moved by lifted %06x$" % cmask):
+            lift.verify_fixed(state)
 
 
 sparse_states = st.dictionaries(
