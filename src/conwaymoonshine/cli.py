@@ -242,9 +242,9 @@ def cmd_invariance(args) -> int:
         _emit({"reports": reports, "pass": ok}, "json")
     else:
         for r in reports:
-            print("%-5s %-14s max_dev %.3e order %s/%s  %s" % (
-                r["class"], r["label"], r["max_dev"], r["order"][0], r["order"][1],
-                "pass" if r["pass"] else "FAIL"))
+            print("%-5s %-14s max_dev %.3e terms %d bound %.1e  %s" % (
+                r["class"], r["label"], r["max_dev"], r["product_terms"],
+                r["truncation_bound"], "pass" if r["pass"] else "FAIL"))
         print("summary: %d/%d pass" % (sum(r["pass"] for r in reports), len(reports)))
     return EXIT_OK if ok else EXIT_FAIL
 

@@ -1,5 +1,5 @@
 """Group labels of the twisted trace functions, test matrices, and
-numeric invariance checks of truncated series.
+numeric invariance checks.
 
 Labels follow the n|h+e convention: n|h- is an index-h subgroup of a
 conjugated Hecke group, and +e adjoins Atkin-Lehner involutions for exact
@@ -12,17 +12,20 @@ design: it samples
   * one representative of each listed Atkin-Lehner coset, composed with
     the translation T^(j/h), 0 <= j < h, that lands in the character
     kernel (the unit translation lies in the kernel, so only j mod h
-    matters; for h = 1 the bare matrix is used, and a series too short
-    for every coset probe raises PrecisionError)
+    matters; for h = 1 the bare matrix is used)
 
 and measures max |f(gamma tau) - f(tau)| over sample points chosen so
-both evaluations converge.  Series evaluation is floating point with a
-heuristic geometric tail estimate; everything upstream stays exact.
+both evaluations converge.  Evaluation is floating point; everything
+upstream stays exact.  The class sweep evaluates the twisted trace
+C*eta_pi - chi from the product formula of eta (TwistedTrace), whose
+truncation carries a proven bound; a truncated series can still be
+checked, with a heuristic tail estimate (eval_series).
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,6 +292,106 @@ def _tail_estimate(series: FracPowerSeries, expos, coeffs):
     return estimate
 
 
+_TAIL = 1e-15  # proven bound on the omitted tail of each eta factor's log product
+_BLOCK = 4096  # entries (points x product terms) that one evaluator temporary holds at most
+
+
+def _product_terms(log_x: float):
+    """The least M >= 0 with B(M) = x^(M+1) / ((1 - x) (1 - x^(M+1))) <= _TAIL,
+    x = e^log_x < 1, and B(M).  For |q| <= x, B(M) bounds
+    |sum_(n>M) log(1 - q^n)|: each term is at most |q|^n / (1 - |q|^n) <=
+    x^n / (1 - x^(M+1)) in modulus, and those x^n sum to x^(M+1) / (1 - x)."""
+    one_minus_x = -math.expm1(log_x)
+
+    def bound(terms):
+        return math.exp((terms + 1) * log_x) / (one_minus_x * -math.expm1((terms + 1) * log_x))
+
+    # B(M) <= _TAIL exactly when x^(M+1) <= t; start there, then undo rounding
+    t = _TAIL * one_minus_x / (1 + _TAIL * one_minus_x)
+    terms = max(0, math.ceil(math.log(t) / log_x) - 1)
+    while bound(terms) > _TAIL:
+        terms += 1
+    while terms and bound(terms - 1) <= _TAIL:
+        terms -= 1
+    return terms, bound(terms)
+
+
+def _log_product(z, first: int, last: int):
+    """sum_(first <= n <= last) log(1 - e^(2*pi*i*n*z)) at each z, with
+    temporaries of len(z) x (last - first + 1) entries.  The real part of
+    each log is log1p of a real, so a term of modulus r is accurate to about
+    r ulp; numpy's complex log1p forms 1 + w and loses all of a term below
+    one ulp of 1."""
+    n = np.arange(first, last + 1)
+    r = np.exp(np.outer(-2 * np.pi * z.imag, n))  # |q^n|
+    arg = np.outer(2 * np.pi * z.real, n)
+    re = r * np.cos(arg)
+    log_abs = 0.5 * np.log1p(r * r - 2 * re)  # |1 - q^n|^2 = 1 - 2 Re q^n + |q^n|^2
+    phase = np.arctan2(-r * np.sin(arg), 1 - re)
+    return log_abs.sum(axis=1) + 1j * phase.sum(axis=1)
+
+
+def log_eta_product(taus, m: int):
+    """sum_(n <= M) log(1 - q^(m*n)), q = e^(2*pi*i*tau), at each tau.
+
+    M is the least value whose tail bound B(M) (see _product_terms) is at
+    most _TAIL for x the largest |q|^m over taus, so at every tau the
+    omitted terms sum to at most B(M) in modulus.  Re(m*tau) is reduced
+    mod 1 first, and the terms are summed in blocks of at most _BLOCK
+    entries, whatever the number of points.  Returns (sums, M, B(M))."""
+    z = m * np.asarray(taus, dtype=complex)
+    if not z.size:
+        return np.zeros(0, dtype=complex), 0, 0.0
+    if z.imag.min() <= 0:
+        raise ValidationError("evaluation point must be in the upper half plane")
+    z = np.mod(z.real, 1.0) + 1j * z.imag
+    terms, bound = _product_terms(-2 * math.pi * float(z.imag.min()))
+    sums = np.zeros(len(z), dtype=complex)
+    if terms:
+        cols = min(terms, _BLOCK)
+        rows = _BLOCK // cols
+        for r in range(0, len(z), rows):
+            for first in range(1, terms + 1, cols):
+                sums[r : r + rows] += _log_product(z[r : r + rows], first, min(terms, first + cols - 1))
+    return sums, terms, bound
+
+
+@dataclass(frozen=True)
+class TwistedTrace:
+    """tau -> c * prod_m eta(m*tau)^(k_m) - chi for the Frame shape
+    prod_m m^(k_m), evaluated from eta(tau) = q^(1/24) prod_(n>=1) (1 - q^n)
+    with no series: the exact leading power of q times the exponential of
+    the truncated log products (log_eta_product)."""
+
+    exps: tuple  # ((m, k_m), ...)
+    c: int
+    chi: int
+
+    @classmethod
+    def of(cls, rec) -> "TwistedTrace":
+        """The twisted trace C*eta_pi - chi of a registry record."""
+        shape = rec.frame_shape
+        return cls(tuple(sorted(shape.exps.items())), rec.c_hat_g, shape.chi())
+
+    def evaluate(self, taus):
+        """(values, bounds, M): the values at taus, at each a proven bound on
+        the error that truncating the products makes, and the largest M used.
+
+        With |delta| <= b = sum_m |k_m| B_m the error of the log of the
+        product, the value is off by |C*eta_pi| * |e^delta - 1| <=
+        |C*eta_pi| * (e^b - 1)."""
+        taus = np.asarray(taus, dtype=complex)
+        logs = 2j * np.pi * sum(m * k for m, k in self.exps) / 24 * taus
+        slack, most = 0.0, 0
+        for m, k in self.exps:
+            sums, terms, bound = log_eta_product(taus, m)
+            logs += k * sums
+            slack += abs(k) * bound
+            most = max(most, terms)
+        scaled = self.c * np.exp(logs)
+        return scaled - self.chi, np.abs(scaled) * math.expm1(slack), most
+
+
 def _sample_points(matrix: TestMatrix, count: int, rng) -> list:
     """Points where both tau and matrix(tau) can be summed accurately:
     high in the strip for translations, balanced near Im = 1/|c| for
@@ -310,8 +413,24 @@ def _check_tol(tol: float):
         raise ValidationError("tol must be finite and positive, got %r" % tol)
 
 
+def _values(f, taus, target: float):
+    """f at taus, an error at each point, and the report fields that say how
+    f was evaluated.  f is a truncated FracPowerSeries, whose errors are
+    eval_series's heuristic tail estimates, or a TwistedTrace, whose errors
+    are proven truncation bounds.  Raises PrecisionError when an error
+    exceeds target."""
+    if isinstance(f, FracPowerSeries):
+        values, errors = eval_series(f, taus, target)
+        return values, errors, {"order": [f.order.numerator, f.order.denominator]}
+    values, errors, terms = f.evaluate(taus)
+    worst = float(errors.max(initial=0.0))
+    if worst > target:
+        raise PrecisionError("truncation bound %.3g exceeds target %.3g" % (worst, target))
+    return values.tolist(), errors.tolist(), {"product_terms": terms, "truncation_bound": worst}
+
+
 def invariance_check(
-    series: FracPowerSeries,
+    f,
     gl: GroupLabel,
     matrices,
     points: int = 20,
@@ -321,8 +440,10 @@ def invariance_check(
 ):
     """max |f(gamma tau) - f(tau)| over the sample; pass iff <= tol.
 
-    The series must be truncated to sufficient order for the tail
-    estimates at the sample points; tail failures raise PrecisionError.
+    f is a TwistedTrace or a truncated series (see _values); an error
+    above tol/10 at a sample point raises PrecisionError.  The report says
+    how f was evaluated: `product_terms` and `truncation_bound` for a
+    TwistedTrace, `order` for a series.
     """
     _check_tol(tol)
     rng = random.Random(seed)
@@ -331,7 +452,7 @@ def invariance_check(
     for m in matrices:
         for tau in _sample_points(m, per_matrix, rng):
             taus += (tau, m.mobius(tau))
-    values, _ = eval_series(series, taus, tol / 10)
+    values, _, accuracy = _values(f, taus, tol / 10)
     rows = []
     for i, m in enumerate(matrices):
         chunk = values[2 * per_matrix * i : 2 * per_matrix * (i + 1)]
@@ -346,30 +467,31 @@ def invariance_check(
         "pass": worst <= tol,
         "seed": seed,
         "points": per_matrix * len(matrices),
-        "order": [series.order.numerator, series.order.denominator],
+        **accuracy,
     }
 
 
-def kernel_matrices(rec, series: FracPowerSeries, seed: int = 2024, count: int = 12):
-    """Sound sample of the label's group for the given twisted trace:
-    Hecke elements at level n*h, the unit translation, and each
-    Atkin-Lehner representative composed into the character kernel.
-    Raises PrecisionError when the series is too short to find a coset."""
+def kernel_matrices(rec, f, seed: int = 2024, count: int = 12):
+    """Sound sample of the label's group for the twisted trace f (a
+    TwistedTrace or a truncated series): Hecke elements at level n*h, the
+    unit translation, and each Atkin-Lehner representative composed into
+    the character kernel.  Raises PrecisionError when a series is too short
+    to find a coset."""
     gl = parse_label(rec.gamma_tw_label)
     return [
-        _into_kernel(m, gl.h, series) if m.provenance.startswith(("fricke", "atkin-lehner")) else m
+        _into_kernel(m, gl.h, f) if m.provenance.startswith(("fricke", "atkin-lehner")) else m
         for m in sample_matrices(gl, count=count, seed=seed)
     ]
 
 
-def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMatrix:
+def _into_kernel(matrix: TestMatrix, h: int, f) -> TestMatrix:
     """The coset matrix*T^(j/h), 0 <= j < h, whose one-point probe sees no
     character.  The label's group is the character kernel and contains the
     unit translation, so only j mod h matters and for h = 1 the matrix is
     returned unprobed.  Each candidate is probed at its own balanced point,
-    all in one evaluation; a candidate whose tail estimates exceed 1e-9 is
-    skipped, and when none is left PrecisionError asks the caller for more
-    order."""
+    all in one evaluation; a candidate whose errors exceed 1e-9 is skipped,
+    and when none is left PrecisionError asks the caller for a longer
+    series."""
     if h == 1:
         return matrix
     cands, taus = [], []
@@ -379,10 +501,10 @@ def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMat
         probe = complex((-float(cand.d) + 0.03) / c, 1.0 / c)
         cands.append(cand)
         taus += [probe, cand.mobius(probe)]
-    values, estimates = eval_series(series, taus, float("inf"))
+    values, errors, _ = _values(f, taus, float("inf"))
     best, best_dev = None, float("inf")
     for j, cand in enumerate(cands):
-        if any(e > 1e-9 for e in estimates[2 * j : 2 * j + 2]):
+        if any(e > 1e-9 for e in errors[2 * j : 2 * j + 2]):
             continue
         dev = abs(values[2 * j + 1] - values[2 * j])
         if dev < best_dev:
@@ -392,9 +514,6 @@ def _into_kernel(matrix: TestMatrix, h: int, series: FracPowerSeries) -> TestMat
     return best
 
 
-_MAX_ORDER = 8192
-
-
 def class_invariance_check(
     rec,
     points: int = 20,
@@ -402,29 +521,13 @@ def class_invariance_check(
     seed: int = 2024,
     samples: int = 12,
 ):
-    """Adaptive driver: build the twisted trace at growing order, up to
-    _MAX_ORDER, until all tail estimates accept, then run the invariance
-    check.
-
-    The starting order targets the crossover of coefficient growth
-    (~ e^(4*pi*sqrt(r)/sqrt(N))) against decay at the balanced points
-    (Im = 1/N, N = n*h), which lands near N^2/16."""
-    from .moonshine import T_s_tw
-
+    """invariance_check of the record's twisted trace C*eta_pi - chi,
+    evaluated from its product formula (TwistedTrace), over kernel_matrices
+    of its label."""
     _check_tol(tol)
-    gl = parse_label(rec.gamma_tw_label)
-    level = gl.n * gl.h
-    order = 64
-    while order < min(level * level // 16, _MAX_ORDER):
-        order *= 2
-    while True:
-        series = T_s_tw(rec, order)
-        try:
-            matrices = kernel_matrices(rec, series, seed=seed, count=samples)
-            return invariance_check(
-                series, gl, matrices, points=points, tol=tol, seed=seed, name=rec.co0_name
-            )
-        except PrecisionError:
-            if order >= _MAX_ORDER:
-                raise
-            order *= 2
+    f = TwistedTrace.of(rec)
+    matrices = kernel_matrices(rec, f, seed=seed, count=samples)
+    return invariance_check(
+        f, parse_label(rec.gamma_tw_label), matrices,
+        points=points, tol=tol, seed=seed, name=rec.co0_name,
+    )

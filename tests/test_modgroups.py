@@ -1,13 +1,18 @@
+import dataclasses
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from conwaymoonshine import frameshape, modgroups, moonshine
 from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.errors import ParseError, PrecisionError, ValidationError
 from conwaymoonshine.modgroups import (
     GroupLabel,
     TestMatrix,
+    TwistedTrace,
     _bezout,
     class_invariance_check,
     eval_series,
@@ -193,3 +198,74 @@ def test_group_label_invariants():
         GroupLabel(12, 5, frozenset(), True)  # 5 does not divide 12
     with pytest.raises(Exception):
         GroupLabel(12, 2, frozenset({4}), False)  # 4 not exact in 6
+
+
+@pytest.mark.parametrize("name, order", [("2A", 128), ("30A", 1024), ("60B", 8192), ("20B", 512)])
+def test_product_evaluation_matches_the_exact_series(name, order):
+    # the sweep evaluates C*eta_pi - chi from the product; the exact series
+    # it no longer builds must give the same values wherever its tail is
+    # negligible: here Im tau from 1/N (N = n*h, the balanced points of the
+    # sweep lie near it) up to 3/2
+    rec = lookup(name)
+    gl = parse_label(rec.gamma_tw_label)
+    level = gl.n * gl.h
+    rng = random.Random(1)
+    taus = [complex(rng.uniform(-0.5, 0.5), (1.5 * level) ** rng.random() / level)
+            for _ in range(200)]
+    series_values, _ = eval_series(T_s_tw(rec, order), taus, 1e-12)
+    values, bounds, _ = TwistedTrace.of(rec).evaluate(taus)
+    assert np.max(np.abs(values - series_values)) <= 1e-9
+    assert np.max(bounds) <= 1e-9
+
+
+def test_product_path_negative_controls():
+    # 3A's shape and C under 2A's label 2-: not invariant under its Fricke
+    rec = lookup("2A")
+    wrong = dataclasses.replace(rec, frame_shape=lookup("3A").frame_shape,
+                                c_hat_g=lookup("3A").c_hat_g)
+    report = class_invariance_check(wrong)
+    assert not report["pass"] and report["max_dev"] > 1
+    # 20|2+5: the bare W_5 carries the order-two character
+    rec = lookup("20B")
+    gl = parse_label(rec.gamma_tw_label)
+    bare = [m for m in sample_matrices(gl) if m.provenance == "atkin-lehner-5"]
+    report = invariance_check(TwistedTrace.of(rec), gl, matrices=bare, points=6, tol=1e-6)
+    assert report["max_dev"] > 1e-1
+    # negating C is not a control: invariance is blind to the scale of
+    # C*eta_pi, so the negated trace passes as well
+    negated = dataclasses.replace(rec, c_hat_g=-rec.c_hat_g)
+    assert class_invariance_check(negated)["pass"]
+
+
+def test_sweep_builds_no_series(monkeypatch):
+    calls = []
+
+    def spy(original):
+        def wrapped(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(moonshine, "T_s_tw", spy(moonshine.T_s_tw))
+    monkeypatch.setattr(frameshape.FrameShape, "eta_quotient",
+                        spy(frameshape.FrameShape.eta_quotient))
+    for rec in registry():
+        assert class_invariance_check(rec)["pass"], rec.co0_name
+    assert calls == []
+
+
+def test_evaluator_temporaries_stay_within_the_block_cap(monkeypatch):
+    # 5000 points on a level-72 class: the product terms of all points
+    # would be millions of entries, each temporary holds at most _BLOCK
+    sizes = []
+    original = modgroups._log_product
+
+    def spy(z, first, last):
+        sizes.append(len(z) * (last - first + 1))
+        return original(z, first, last)
+
+    monkeypatch.setattr(modgroups, "_log_product", spy)
+    report = class_invariance_check(lookup("12B"), points=5000)
+    assert report["pass"] and report["points"] >= 5000
+    assert sum(sizes) > 50 * modgroups._BLOCK
+    assert max(sizes) <= modgroups._BLOCK

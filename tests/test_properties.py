@@ -29,6 +29,7 @@ from conwaymoonshine.fockoracle import (  # noqa: E402
     twisted_supertrace,
     untwisted_supertrace,
 )
+from conwaymoonshine.modgroups import log_eta_product  # noqa: E402
 from conwaymoonshine.qseries import FracPowerSeries, eta_product  # noqa: E402
 
 exponent_maps = st.dictionaries(
@@ -232,3 +233,19 @@ def test_subset_enumeration_matches_mode_product(thetas, sector, budget, c_value
         product = twisted_supertrace(ModeSystem(thetas, sector, budget), c_value)
     assert product.order == enum.order
     assert enum.agrees_with(product)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3, 3), st.floats(1e-3, 2), st.sampled_from([1, 2, 12]))
+def test_eta_truncation_bound_covers_the_tail(re, im, m):
+    # log prod_(n<=M) - log prod_(n<=4M) is minus the sum of log(1 - w) over
+    # w = q^(m*n), M < n <= 4M.  Each such |w| is below 1e-15, so -w - w^2/2
+    # is that log to within |w|^3, and summing it keeps every term's own
+    # precision.  For real q the bound is tight to below one rounding, so
+    # the comparison allows 1e-12 relative.
+    tau = complex(re, im)
+    _, terms, bound = log_eta_product([tau], m)
+    w = np.exp(2j * np.pi * m * tau * np.arange(terms + 1, 4 * terms + 1))
+    tail = -(w + w * w / 2).sum()
+    assert bound <= 1e-15
+    assert abs(tail) <= bound * (1 + 1e-12)
