@@ -62,8 +62,14 @@ def _parity(x):
 # super traces from eigenvalue data
 
 
-def _trace_level(thetas):
-    return lcm(2, *(2 * t.denominator for t in thetas))
+def _angle_steps(thetas):
+    """The level N of 12 pair angles theta_i, and each angle as the
+    integer step theta_i * N."""
+    thetas = [Fraction(t) for t in thetas]
+    if len(thetas) != PAIRS:
+        raise PairingError("expected 12 eigenvalue pairs, got %d" % len(thetas))
+    level = lcm(2, *(2 * t.denominator for t in thetas))
+    return level, [t.numerator * (level // t.denominator) for t in thetas]
 
 
 def spinor_supertrace_closed(thetas) -> CycNumber:
@@ -73,17 +79,13 @@ def spinor_supertrace_closed(thetas) -> CycNumber:
     pair; nu = prod_i e^(pi*i*theta_i) is the half-angle square root of
     prod lambda_i.
     """
-    thetas = [Fraction(t) for t in thetas]
-    if len(thetas) != PAIRS:
-        raise PairingError("expected 12 eigenvalue pairs, got %d" % len(thetas))
-    level = _trace_level(thetas)
-    weights = {sum(int(t * level) // 2 for t in thetas) % level: 1}  # nu
-    for t in thetas:
-        shift = -int(t * level)
+    level, steps = _angle_steps(thetas)
+    weights = {sum(step // 2 for step in steps) % level: 1}  # nu
+    for step in steps:
         new = {}
         for e, w in weights.items():
             new[e] = new.get(e, 0) + w
-            e2 = (e + shift) % level
+            e2 = (e - step) % level
             new[e2] = new.get(e2, 0) - w
         weights = new
     return CycNumber.from_exponents(level, weights)
@@ -95,14 +97,11 @@ def spinor_supertrace_oracle(thetas) -> CycNumber:
     No product formula is used: each subset's exponent is summed from its
     members, one pair at a time over all subsets, and the even and odd
     subsets are counted per exponent."""
-    thetas = [Fraction(t) for t in thetas]
-    if len(thetas) != PAIRS:
-        raise PairingError("expected 12 eigenvalue pairs, got %d" % len(thetas))
-    level = _trace_level(thetas)
-    exps = np.array([sum(int(t * level) // 2 for t in thetas)])  # [S]: exponent of the S term
+    level, steps = _angle_steps(thetas)
+    exps = np.array([sum(step // 2 for step in steps)])  # [S]: exponent of the S term
     odd = np.zeros(1, dtype=bool)
-    for t in thetas:  # S + 2^k is S with pair k added, for the subsets S of the pairs below k
-        exps, odd = np.concatenate((exps, exps - int(t * level))), np.concatenate((odd, ~odd))
+    for step in steps:  # S + 2^k is S with pair k added, for the subsets S of the pairs below k
+        exps, odd = np.concatenate((exps, exps - step)), np.concatenate((odd, ~odd))
     exps %= level
     counts = np.bincount(exps[~odd], minlength=level) - np.bincount(exps[odd], minlength=level)
     return CycNumber.from_exponents(level, dict(enumerate(counts.tolist())))

@@ -19,34 +19,25 @@ from .errors import NotRationalError
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients (ascending, integer) of the n-th cyclotomic polynomial.
 
-    Computed by dividing x^n - 1 by Phi_d for every proper divisor d of n.
+    Computed as the Mobius product prod_(d|n) (1 - x^d)^mu(n/d), negated
+    for n = 1, expanded as a power series through degree phi(n): a factor
+    1 - x^d is c_i -= c_(i-d) for descending i, its inverse c_i += c_(i-d)
+    for ascending i.
     """
     if n < 1:
         raise ValueError("level must be a positive integer")
-    # x^n - 1
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
+    deg = euler_phi(n)
+    poly = [1] + [0] * deg
+    for d in range(1, n + 1):
         if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
-
-
-def _poly_div_exact(num, den):
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[k] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[k + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+            mu = _mobius(n // d)
+            if mu == 1:
+                for i in range(deg, d - 1, -1):
+                    poly[i] -= poly[i - d]
+            elif mu == -1:
+                for i in range(d, deg + 1):
+                    poly[i] += poly[i - d]
+    return tuple(-c for c in poly) if n == 1 else tuple(poly)
 
 
 @lru_cache(maxsize=None)
@@ -92,9 +83,11 @@ class CycNumber:
     __slots__ = ("level", "coords")
 
     def __init__(self, level: int, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        deg = euler_phi(level)
-        if len(coords) != deg:
+        """coords: rational coefficients of 1, z, z^2, ...; reduced mod
+        Phi_N unless there are exactly phi(N) of them."""
+        if len(coords) == euler_phi(level):
+            coords = tuple(Fraction(c) for c in coords)
+        else:
             coords = _reduce_mod_phi(coords, level)
         self.level = level
         self.coords = coords
@@ -113,7 +106,7 @@ class CycNumber:
         coeffs = [0] * level
         for j, w in weights.items():
             coeffs[j % level] += w
-        return CycNumber(level, _reduce_mod_phi(coeffs, level))
+        return CycNumber(level, coeffs)
 
     # -- level handling ----------------------------------------------------
 
@@ -126,7 +119,7 @@ class CycNumber:
         coeffs = [Fraction(0)] * (len(self.coords) * step)
         for j, c in enumerate(self.coords):
             coeffs[j * step] = c
-        return CycNumber(m, _reduce_mod_phi(coeffs, m))
+        return CycNumber(m, coeffs)
 
     def _common(self, other):
         if not isinstance(other, CycNumber):
@@ -162,7 +155,7 @@ class CycNumber:
                 for j, y in enumerate(b.coords):
                     if y:
                         out[i + j] += x * y
-        return CycNumber(a.level, _reduce_mod_phi(out, a.level))
+        return CycNumber(a.level, out)
 
     __rmul__ = __mul__
 
@@ -194,7 +187,7 @@ class CycNumber:
         coeffs = [Fraction(0)] * n
         for j, c in enumerate(self.coords):
             coeffs[(-j) % n] += c
-        return CycNumber(n, _reduce_mod_phi(coeffs, n))
+        return CycNumber(n, coeffs)
 
     # -- predicates and coercions ------------------------------------------
 
@@ -245,7 +238,7 @@ def zeta(n: int, k: int = 1) -> CycNumber:
     """The root of unity e^(2*pi*i*k/n) as an exact cyclotomic number."""
     coeffs = [Fraction(0)] * n
     coeffs[k % n] = Fraction(1)
-    return CycNumber(n, _reduce_mod_phi(coeffs, n))
+    return CycNumber(n, coeffs)
 
 
 # -- small polynomial helpers over Fraction (ascending coefficients) --------

@@ -160,29 +160,33 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
 
     Generation-independent of the mode products (no binomial is ever
     multiplied in): the states are generated depth first in numpy blocks,
-    one row per state (next mode index, ledger energy, root-of-unity power
-    mod N; the rows of a block share their parity).  A row's children add
-    one mode each from its next index on, a contiguous range of the modes
-    in ascending energy, and are created in child arrays of at most _BLOCK
-    rows: a block whose children would exceed that is split, the rest going
-    back on the stack.  Each state is counted once, when it is created, in
-    per-parity int64 counts over (energy, power) whose difference is the
-    exponent ledger.
+    one row per state (next mode index, key; the rows of a block share
+    their parity).  A state's key is its ledger energy times `stride` plus
+    the sum of its modes' root-of-unity powers, not reduced mod N: a state
+    holds at most `bound` modes, so that sum is below stride = bound*(N-1)
+    + 1 and the key is exact.  A row's children add one mode each from its
+    next index on, a contiguous range of the modes in ascending energy, and
+    are created in child arrays of at most _BLOCK rows: a block whose
+    children would exceed that is split, the rest going back on the stack.
+    Each state is counted once, when it is created, in per-parity int64
+    counts over the keys; their difference, its power sums folded mod N,
+    is the exponent ledger.
     """
     order = Fraction(budget) + Fraction(1, _GRID[ms.sector][1])
     level, modes, bound = _sector(ms, order)
+    stride = bound * (level - 1) + 1
     xs = np.array([x for x, _ in modes], dtype=np.int64)
-    zs = np.array([z for _, z in modes], dtype=np.int64)
-    # the modes a state of ledger energy e may still add are those below limit[e]
-    limit = np.searchsorted(xs, bound - np.arange(bound + 1), side="right")
-    size = (bound + 1) * level
-    counts = np.zeros((2, size), dtype=np.int64)  # [parity, energy * level + power]
+    mode_keys = xs * stride + np.array([z for _, z in modes], dtype=np.int64)
+    # the modes a state of key k may still add are those below limit[k]
+    limit = np.repeat(np.searchsorted(xs, bound - np.arange(bound + 1), side="right"), stride)
+    size = (bound + 1) * stride
+    counts = np.zeros((2, size), dtype=np.int64)  # [parity, key]
     counts[0, 0] = 1  # the vacuum
     vacuum = np.zeros(1, dtype=np.int64)
-    stack = [(vacuum, vacuum, vacuum, 0)]  # (next mode index, energy, power) rows, parity
+    stack = [(vacuum, vacuum, 0)]  # (next mode index, key) rows, parity
     while stack:
-        nxt, energy, power, parity = stack.pop()
-        width = np.maximum(limit[energy] - nxt, 0)
+        nxt, key, parity = stack.pop()
+        width = np.maximum(limit[key] - nxt, 0)
         ends = np.cumsum(width)
         if ends[-1] > _BLOCK:
             # row r's children cross the cap: it keeps the `fit` that fit and
@@ -191,8 +195,8 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
             fit = _BLOCK - int(ends[r] - width[r])
             rest = nxt[r:].copy()
             rest[0] += fit
-            stack.append((rest, energy[r:], power[r:], parity))
-            nxt, energy, power = nxt[: r + 1], energy[: r + 1], power[: r + 1]
+            stack.append((rest, key[r:], parity))
+            nxt, key = nxt[: r + 1], key[: r + 1]
             width = width[: r + 1].copy()
             width[r] = fit
             ends = np.cumsum(width)
@@ -201,9 +205,10 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
             continue
         parent = np.repeat(np.arange(len(width)), width)
         mode = np.repeat(nxt - (ends - width), width) + np.arange(total)
-        child_energy = energy[parent] + xs[mode]
-        child_power = (power[parent] + zs[mode]) % level
-        counts[1 - parity] += np.bincount(child_energy * level + child_power, minlength=size)
-        stack.append((mode + 1, child_energy, child_power, 1 - parity))
-    ledger = (counts[0] - counts[1]).reshape(bound + 1, level).tolist()
+        child_key = key[parent] + mode_keys[mode]
+        counts[1 - parity] += np.bincount(child_key, minlength=size)
+        stack.append((mode + 1, child_key, 1 - parity))
+    diff = (counts[0] - counts[1]).reshape(bound + 1, stride)
+    diff = np.pad(diff, ((0, 0), (0, -stride % level)))  # fold the power sums mod N
+    ledger = diff.reshape(bound + 1, -1, level).sum(axis=1).tolist()
     return _ledger_series(ms, ledger, level, order, c_value)

@@ -8,6 +8,7 @@ eigenvalue multiset (no negative multiplicities after cancellation).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import PairingError, ParseError, ValidationError
 from .qseries import FracPowerSeries, eta_product
@@ -31,11 +32,11 @@ class FrameShape:
             raise ValidationError(
                 "degree %d != %d for shape %s" % (degree, DEGREE, _format(clean))
             )
-        for theta, mult in _eigenvalue_multiset(clean).items():
+        for d, mult in _root_multiplicities(clean).items():
             if mult < 0:
                 raise ValidationError(
                     "eigenvalue e^(2*pi*i*%s) has multiplicity %d in shape %s"
-                    % (theta, mult, _format(clean))
+                    % (Fraction(1, d) % 1, mult, _format(clean))
                 )
 
     def __setattr__(self, name, value):
@@ -56,7 +57,8 @@ class FrameShape:
 
     def eigenvalues(self) -> dict:
         """Multiset of eigenvalues as {theta: multiplicity}, lambda=e^(2*pi*i*theta)."""
-        return {t: m for t, m in _eigenvalue_multiset(self.exps).items() if m}
+        return {Fraction(j, d): mult for d, mult in _root_multiplicities(self.exps).items()
+                if mult for j in range(d) if gcd(j, d) == 1}
 
     def eigenvalue_pairs(self):
         """Split the 24 eigenvalues into 12 inverse pairs.
@@ -129,12 +131,15 @@ class FrameShape:
         return [[m, k] for m, k in sorted(self.exps.items())]
 
 
-def _eigenvalue_multiset(exps):
+def _root_multiplicities(exps):
+    """{d: multiplicity of each primitive d-th root of unity}.  The factor
+    (1 - x^m)^(k_m) holds every d-th root of unity with d | m, so that
+    multiplicity is the divisor sum of k_m over the m that d divides."""
     mult = {}
     for m, k in exps.items():
-        for j in range(m):
-            t = Fraction(j, m)
-            mult[t] = mult.get(t, 0) + k
+        for d in range(1, m + 1):
+            if m % d == 0:
+                mult[d] = mult.get(d, 0) + k
     return mult
 
 

@@ -19,7 +19,8 @@ both evaluations converge.  Evaluation is floating point; everything
 upstream stays exact.  The class sweep evaluates the twisted trace
 C*eta_pi - chi from the product formula of eta (TwistedTrace), whose
 truncation carries a proven bound; a truncated series can still be
-checked, with a heuristic tail estimate (eval_series).
+checked, with a heuristic tail estimate plus a rounding bound
+(eval_series).
 """
 
 from __future__ import annotations
@@ -231,25 +232,35 @@ def _bezout(x: int, y: int):
 
 
 def eval_series(series: FracPowerSeries, taus, tail_target: float):
-    """Numeric values of the truncated series at the points taus, with a
-    heuristic tail estimate at each.  The coefficients are converted to
-    floats once per call and each point is one dot product over the terms.
-    Raises PrecisionError at the first point whose estimate exceeds
-    tail_target.  Returns (values, estimates), one entry per point."""
+    """Numeric values of the truncated series at the points taus, with an
+    error estimate at each: a heuristic tail estimate plus a bound on the
+    rounding, gamma_n * sum_r |c_r| |q^r| for the float dot over n terms
+    (gamma_n = n*u/(1 - n*u), u the unit roundoff) and u times the same sum
+    for rounding the coefficients to floats.  The coefficients are
+    converted to floats once per call and each point is one dot product
+    over the terms.  Raises PrecisionError at the first point whose
+    estimate exceeds tail_target.  Returns (values, estimates), one entry
+    per point."""
     items = sorted(series.terms.items())
     expos = np.array([p / series.denom for p, _ in items])
     coeffs = np.array([float(c) for _, c in items], dtype=complex)
+    magnitudes = np.abs(coeffs)
+    u = np.finfo(float).eps / 2
+    rounding = len(items) * u / (1 - len(items) * u) + u
     tail = _tail_estimate(series, expos, coeffs)
     values, estimates = [], []
     for tau in taus:
         if tau.imag <= 0:
             raise ValidationError("evaluation point must be in the upper half plane")
-        values.append(complex(np.dot(coeffs, np.exp(2j * np.pi * tau * expos))))
-        estimate = tail(abs(cmath.exp(2j * cmath.pi * tau)))
+        powers = np.exp(2j * np.pi * tau * expos)
+        values.append(complex(np.dot(coeffs, powers)))
+        tail_part = tail(abs(cmath.exp(2j * cmath.pi * tau)))
+        round_part = rounding * float(np.dot(magnitudes, np.abs(powers)))
+        estimate = tail_part + round_part
         if estimate > tail_target:
             raise PrecisionError(
-                "tail estimate %.3g exceeds target %.3g at Im(tau)=%.4f; "
-                "increase the series order" % (estimate, tail_target, tau.imag)
+                "error estimate %.3g (tail %.3g, rounding %.3g) exceeds target %.3g "
+                "at Im(tau)=%.4f" % (estimate, tail_part, round_part, tail_target, tau.imag)
             )
         estimates.append(estimate)
     return values, estimates
@@ -416,9 +427,9 @@ def _check_tol(tol: float):
 def _values(f, taus, target: float):
     """f at taus, an error at each point, and the report fields that say how
     f was evaluated.  f is a truncated FracPowerSeries, whose errors are
-    eval_series's heuristic tail estimates, or a TwistedTrace, whose errors
-    are proven truncation bounds.  Raises PrecisionError when an error
-    exceeds target."""
+    eval_series's estimates (heuristic tail plus rounding bound), or a
+    TwistedTrace, whose errors are proven truncation bounds.  Raises
+    PrecisionError when an error exceeds target."""
     if isinstance(f, FracPowerSeries):
         values, errors = eval_series(f, taus, target)
         return values, errors, {"order": [f.order.numerator, f.order.denominator]}

@@ -23,22 +23,30 @@ def _norm_coeff(c):
     return c
 
 
+def _grid_bound(order: Fraction, denom: int) -> int:
+    """ceil(order * denom): an int exponent p on the (1/denom)-grid lies
+    below `order` exactly when p < this bound."""
+    return -(-order.numerator * denom // order.denominator)
+
+
 class FracPowerSeries:
     """A truncated Laurent series sum_r c_r q^r, r in (1/K)*Z, r < order."""
 
     __slots__ = ("denom", "terms", "order")
 
     def __init__(self, denom: int, terms: dict, order):
-        order = Fraction(order)
+        if order.__class__ is not Fraction:
+            order = Fraction(order)
         if denom <= 0:
             raise ValueError("denominator must be positive")
         clean = {}
-        bound_num = order * denom
+        bound = _grid_bound(order, denom)
         for p, c in terms.items():
-            c = _norm_coeff(c)
+            if c.__class__ is not int:
+                c = _norm_coeff(c)
             if not c:
                 continue
-            if p >= bound_num:
+            if p >= bound:
                 raise PrecisionError(
                     "term q^(%d/%d) at or beyond order %s" % (p, denom, order)
                 )
@@ -132,7 +140,7 @@ class FracPowerSeries:
             return FracPowerSeries(self.denom, terms, self.order)
         a, b = self._common_grid(other)
         order = min(a.order, b.order)
-        bound = order * a.denom
+        bound = _grid_bound(order, a.denom)
         terms = {p: c for p, c in a.terms.items() if p < bound}
         for p, c in b.terms.items():
             if p < bound:
@@ -247,7 +255,7 @@ class FracPowerSeries:
         order = Fraction(order)
         if order > self.order:
             raise PrecisionError("cannot extend validity from %s to %s" % (self.order, order))
-        bound = order * self.denom
+        bound = _grid_bound(order, self.denom)
         return FracPowerSeries(self.denom, {p: c for p, c in self.terms.items() if p < bound}, order)
 
     # -- comparison --------------------------------------------------------
@@ -280,7 +288,7 @@ class FracPowerSeries:
                 )
             bound = through
         a, b = self._common_grid(other)
-        cut = bound * a.denom
+        cut = _grid_bound(bound, a.denom)
         for p in set(a.terms) | set(b.terms):
             if p < cut and a.terms.get(p, 0) != b.terms.get(p, 0):
                 return False
@@ -382,16 +390,18 @@ def eta_product(exps, order) -> FracPowerSeries:
     grid is the lcm of the denominators of the a/24.
     """
     order = Fraction(order)
-    if any(Fraction(a) <= 0 for a in exps):
+    if any(a.numerator <= 0 for a in exps):
         raise ValueError("eta scales must be positive")
-    scales = {Fraction(a): k for a, k in exps.items() if k}
-    denom = lcm(*((a / 24).denominator for a in scales))
-    lead = Fraction(sum(k * a for a, k in scales.items()) * denom, 24)  # valuation * denom
-    if order * denom <= lead:
-        raise PrecisionError("order %s does not reach the valuation %s" % (order, lead / denom))
-    on_grid = {int(a * denom): k for a, k in scales.items()}
+    scales = {(a.numerator, a.denominator): k for a, k in exps.items() if k}  # a = n/d
+    denom = lcm(*(24 * d // gcd(n, 24) for n, d in scales))  # of each a/24 = n/(24d)
+    on_grid = {n * denom // d: k for (n, d), k in scales.items()}
+    lead = sum(k * a // 24 for a, k in on_grid.items())  # valuation * denom
+    top = _grid_bound(order, denom)
+    if top <= lead:
+        raise PrecisionError("order %s does not reach the valuation %s"
+                             % (order, Fraction(lead, denom)))
     unit = gcd(*on_grid) or 1  # step * denom; the empty map is the constant 1
-    count = ceil((order * denom - lead) / unit)
+    count = -((lead - top) // unit)
     sigma = [0] * count  # sigma[i - 1] = s_i
     for a, k in on_grid.items():
         for j in range(a // unit, count, a // unit):  # eta(a*tau)^k holds (1 - x^j)^k
@@ -400,5 +410,5 @@ def eta_product(exps, order) -> FracPowerSeries:
     coeffs = [1]
     for n in range(1, count):
         coeffs.append(-sum(map(mul, sigma, reversed(coeffs))) // n)
-    terms = {int(lead) + n * unit: c for n, c in enumerate(coeffs)}
+    terms = {lead + n * unit: c for n, c in enumerate(coeffs)}
     return FracPowerSeries(denom, terms, order)

@@ -20,6 +20,53 @@ def test_cyclotomic_polynomial_small():
     assert len(cyclotomic_polynomial(12)) - 1 == euler_phi(12) == 4
 
 
+def _poly_div_exact(num, den):
+    """Exact division of integer polynomials (ascending coefficients)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(num[k + len(den) - 1], den[-1])
+        assert r == 0, "non-exact polynomial division"
+        out[k] = q
+        if q:
+            for j, dj in enumerate(den):
+                num[k + j] -= q * dj
+    assert not any(num), "non-exact polynomial division"
+    return out
+
+
+def _cyclotomic_by_division(limit):
+    """Phi_n for n <= limit as x^n - 1 divided by Phi_d for every proper
+    divisor d of n: an oracle independent of the Mobius product."""
+    phi = {}
+    for n in range(1, limit + 1):
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly = _poly_div_exact(poly, phi[d])
+        phi[n] = tuple(poly)
+    return phi
+
+
+def test_cyclotomic_polynomial_matches_division_oracle():
+    for n, poly in _cyclotomic_by_division(300).items():
+        assert cyclotomic_polynomial(n) == poly, n
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 301):
+        prod = {0: 1}  # sparse ascending coefficients
+        for d in range(1, n + 1):
+            if n % d == 0:
+                out = {}
+                for i, a in prod.items():
+                    for j, b in enumerate(cyclotomic_polynomial(d)):
+                        if b:
+                            out[i + j] = out.get(i + j, 0) + a * b
+                prod = {e: c for e, c in out.items() if c}
+        assert prod == {0: -1, n: 1}, n
+
+
 def test_zeta_relations():
     assert (zeta(4, 1) + zeta(4, -1)).is_zero()
     v = (1 - zeta(3, 1)) * (1 - zeta(3, -1))

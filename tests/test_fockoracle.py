@@ -161,6 +161,20 @@ def test_subset_enumeration_matches_mode_product_twisted():
         assert enum.agrees_with(twisted_supertrace(ms, rec.c_hat_g)), name
 
 
+def test_subset_enumeration_at_level_84():
+    # 84A's eigenvalues need level 84, the registry's largest and above the
+    # playlist's (at most 6): a state's fused key runs to energy * stride
+    # plus a power sum up to bound * 83 before the sums are folded mod 84
+    rec = lookup("84A")
+    ms = ModeSystem.from_shape(rec.frame_shape, UNTWISTED, 3)
+    enum = subset_enumeration_supertrace(ms, budget=3)
+    assert enum.agrees_with(untwisted_supertrace(ms)) and not enum.is_zero()
+    ms = ModeSystem.from_shape(rec.frame_shape, TWISTED, 3)
+    for c_value in (rec.c_hat_g, -7):
+        enum = subset_enumeration_supertrace(ms, budget=3, c_value=c_value)
+        assert enum.agrees_with(twisted_supertrace(ms, c_value)) and not enum.is_zero()
+
+
 def test_subset_enumeration_off_grid_budget_reaches_its_order():
     # the enumeration is valid below budget + one grid step; an off-grid
     # budget must not drop the states between the budget and that order

@@ -1,3 +1,5 @@
+import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -38,6 +40,9 @@ def test_parse_rejects_negative_multiplicity():
     # degree is 24 but the -1 eigenvalue would have multiplicity -1
     with pytest.raises(ParseError):
         parse("1^26/2^1")
+    # and here 36 - 48 = -12
+    with pytest.raises(ParseError, match=re.escape("e^(2*pi*i*1/2) has multiplicity -12")):
+        parse("1^48/2^12")
 
 
 def test_parse_error_position():
@@ -71,6 +76,23 @@ def test_negate_negates_eigenvalues_pointwise():
         ev = rec.frame_shape.eigenvalues()
         flipped = {(t + F(1, 2)) % 1: m for t, m in ev.items()}
         assert rec.frame_shape.negate().eigenvalues() == flipped
+
+
+def brute_eigenvalues(exps):
+    """The eigenvalue multiset of prod_m (1 - x^m)^(k_m), one Fraction(j, m)
+    per root of each factor; multiplicities may be negative or zero."""
+    mult = Counter()
+    for m, k in exps.items():
+        for j in range(m):
+            mult[F(j, m)] += k
+    return mult
+
+
+def test_divisor_sum_eigenvalues_match_brute_force_on_registry():
+    for rec in registry():
+        for shape in (rec.frame_shape, rec.frame_shape.negate()):
+            brute = brute_eigenvalues(shape.exps)
+            assert shape.eigenvalues() == {t: k for t, k in brute.items() if k}, str(shape)
 
 
 def test_eigenvalue_examples():

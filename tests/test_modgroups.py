@@ -205,17 +205,42 @@ def test_product_evaluation_matches_the_exact_series(name, order):
     # the sweep evaluates C*eta_pi - chi from the product; the exact series
     # it no longer builds must give the same values wherever its tail is
     # negligible: here Im tau from 1/N (N = n*h, the balanced points of the
-    # sweep lie near it) up to 3/2
+    # sweep lie near it) up to 3/2.  The series' error estimate, its
+    # rounding bound included, stays below 1e-10 there (at most 5.8e-11,
+    # for 30A)
     rec = lookup(name)
     gl = parse_label(rec.gamma_tw_label)
     level = gl.n * gl.h
     rng = random.Random(1)
     taus = [complex(rng.uniform(-0.5, 0.5), (1.5 * level) ** rng.random() / level)
             for _ in range(200)]
-    series_values, _ = eval_series(T_s_tw(rec, order), taus, 1e-12)
+    series_values, _ = eval_series(T_s_tw(rec, order), taus, 1e-10)
     values, bounds, _ = TwistedTrace.of(rec).evaluate(taus)
     assert np.max(np.abs(values - series_values)) <= 1e-9
     assert np.max(bounds) <= 1e-9
+
+
+def test_eval_series_error_covers_the_rounding():
+    # at the sweep's sample points of 30A the float dot over the series'
+    # coefficients is off by up to 3.9e-9, far above the tail estimate
+    # (at most 4.4e-11): the reported error, rounding bound included,
+    # still covers the distance to 40-digit values of C*eta_pi - chi
+    mpmath = pytest.importorskip("mpmath")
+    rec = lookup("30A")
+    matrices = kernel_matrices(rec, TwistedTrace.of(rec))
+    rng = random.Random(2024)  # as class_invariance_check samples, points=20
+    per_matrix = -(-20 // len(matrices))
+    taus = [t for m in matrices for tau in modgroups._sample_points(m, per_matrix, rng)
+            for t in (tau, m.mobius(tau))]
+    values, errors = eval_series(T_s_tw(rec, 1024), taus, 1e-6)
+    with mpmath.workdps(40):
+        for tau, value, error in zip(taus, values, errors):
+            t = mpmath.mpc(tau.real, tau.imag)
+            eta_pi = mpmath.fprod(
+                (mpmath.exp(2j * mpmath.pi * m * t / 24) * mpmath.qp(mpmath.exp(2j * mpmath.pi * m * t))) ** k
+                for m, k in rec.frame_shape.exps.items())
+            exact = complex(rec.c_hat_g * eta_pi - rec.frame_shape.chi())
+            assert abs(value - exact) <= error, tau
 
 
 def test_product_path_negative_controls():

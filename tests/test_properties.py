@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 from test_cliffordcm import dense, first_moving, oracle_form  # noqa: E402
+from test_frameshape import brute_eigenvalues  # noqa: E402
 
 from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
@@ -20,7 +21,7 @@ from conwaymoonshine.cliffordcm import (  # noqa: E402
     reorder_sign,
 )
 from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
-from conwaymoonshine.errors import VerificationFailure  # noqa: E402
+from conwaymoonshine.errors import PrecisionError, ValidationError, VerificationFailure  # noqa: E402
 from conwaymoonshine.fockoracle import (  # noqa: E402
     TWISTED,
     UNTWISTED,
@@ -29,6 +30,7 @@ from conwaymoonshine.fockoracle import (  # noqa: E402
     twisted_supertrace,
     untwisted_supertrace,
 )
+from conwaymoonshine.frameshape import FrameShape  # noqa: E402
 from conwaymoonshine.modgroups import log_eta_product  # noqa: E402
 from conwaymoonshine.qseries import FracPowerSeries, eta_product  # noqa: E402
 
@@ -92,6 +94,42 @@ def series(draw, order=4):
     exponents = st.integers(-2 * denom, order * denom - 1)
     terms = draw(st.dictionaries(exponents, st.fractions(-5, 5, max_denominator=6), max_size=6))
     return FracPowerSeries(denom, terms, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 6]),
+    st.fractions(F(-2), F(4), max_denominator=12),
+    st.dictionaries(st.integers(-12, 30), st.integers(-3, 3).filter(bool), max_size=8),
+)
+def test_series_bounds_at_any_order(denom, order, terms):
+    # an exponent p/denom lies below `order` exactly when the Fraction
+    # comparison says so, whether or not the order is on the grid
+    below = {p: c for p, c in terms.items() if F(p, denom) < order}
+    if below != terms:
+        with pytest.raises(PrecisionError):
+            FracPowerSeries(denom, terms, order)
+    top = max([order, *(F(p + 1, denom) for p in terms)])
+    full = FracPowerSeries(denom, terms, top)
+    assert full.truncate(order).terms == below
+    assert (full + FracPowerSeries(1, {}, order)).rescaled(denom).terms == below
+    flipped = FracPowerSeries(denom, {p: -c for p, c in terms.items()}, top)
+    assert full.agrees_with(flipped, through=order) == (not below)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(2, 24), st.integers(-6, 6), max_size=5))
+def test_divisor_sum_eigenvalues_match_brute_force(exps):
+    # a shape of degree 24 (k_1 fills the degree) is valid exactly when no
+    # eigenvalue of the brute-force Fraction(j, m) multiset has a negative
+    # multiplicity, and then its eigenvalues are that multiset
+    exps = {**exps, 1: 24 - sum(m * k for m, k in exps.items())}
+    brute = brute_eigenvalues(exps)
+    if min(brute.values()) < 0:
+        with pytest.raises(ValidationError):
+            FrameShape(exps)
+    else:
+        assert FrameShape(exps).eigenvalues() == {t: k for t, k in brute.items() if k}
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,24 @@ def test_monomial_examples():
         S.monomial(1, 10, 10)
 
 
+def test_off_grid_order_keeps_exactly_the_terms_below_it():
+    # order 7/3 on grid 2: q^2 (p = 4) lies below it, q^(5/2) (p = 5) does not
+    order = F(7, 3)
+    assert S(2, {4: 1}, order).coeff(2) == 1
+    with pytest.raises(PrecisionError):
+        S(2, {5: 1}, order)
+    full = S(2, {4: 1, 5: 1}, 3)
+    cut = full.truncate(order)
+    assert cut.order == order and cut.terms == {4: 1}
+    total = full + S(1, {2: 1}, order)  # grids 2 and 1, order min(3, 7/3)
+    assert total.order == order and total.terms == {4: 2}
+    other = S(2, {4: 1, 5: 2}, 3)
+    assert full.agrees_with(other, through=order)
+    assert full.agrees_with(other, through=F(5, 2))  # p < 5: q^(5/2) excluded
+    assert not full.agrees_with(other, through=F(8, 3))  # p < 16/3 takes in p = 5
+    assert not full.agrees_with(S(2, {4: 2, 5: 1}, 3), through=order)
+
+
 def test_mul_geometric_inverse():
     one_minus_q = S.monomial(1, 0, 8) - S.monomial(1, 1, 8)
     assert (one_minus_q * geometric(8)).agrees_with(S.monomial(1, 0, 8))
