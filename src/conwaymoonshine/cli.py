@@ -4,7 +4,8 @@ Each check is one parser leaf (`verify delta`, `lattice leech-shell`, ...)
 declaring only the options its handler reads, given after the leaf's name.
 
 Exit codes: 0 all requested checks pass, 1 a verification failed,
-2 usage or parse errors.  Data goes to stdout, diagnostics to stderr.
+2 usage or parse errors, or an order or precision no check can reach.
+Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import argparse
 import csv as csv_mod
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import classdata, cliffordcm, fockoracle, lattice, modgroups, moonshine
-from .errors import MoonshineError, ParseError, PrecisionError, ValidationError
+from .errors import MoonshineError, ParseError, ValidationError
 from .frameshape import parse as parse_shape
 
 EXIT_OK = 0
@@ -48,24 +48,6 @@ def _emit_text(obj, indent=""):
                 print()
     else:
         print("%s%s" % (indent, obj))
-
-
-def _jobs(args) -> int:
-    if args.jobs:
-        return args.jobs
-    try:
-        return _non_negative(os.environ.get("MOONSHINE_JOBS", "1"))
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ValidationError("MOONSHINE_JOBS must be a non-negative integer") from None
-
-
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _non_negative(text) -> int:
@@ -137,13 +119,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Run the leaf's `check`; an order its identity cannot be checked at
-    is a usage error."""
-    try:
-        reports = args.check(args)
-    except PrecisionError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    reports = args.check(args)
     out = [r.to_json() for r in reports]
     ok = all(r.passed for r in reports)
     if args.format == "json":
@@ -157,13 +133,7 @@ def cmd_verify(args) -> int:
 
 
 def _lemma_reports(args):
-    names = [r.co0_name for r in _resolve_classes(args.klass)]
-    return _parallel_map(_lemma_worker, [(n, args.order) for n in names], _jobs(args))
-
-
-def _lemma_worker(item):
-    name, order = item
-    return moonshine.solve_c_neg(classdata.lookup(name), order)[1]
+    return [moonshine.solve_c_neg(rec, args.order)[1] for rec in _resolve_classes(args.klass)]
 
 
 def cmd_spinor(args) -> int:
@@ -234,9 +204,11 @@ def cmd_frame_check(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    recs = _resolve_classes(args.klass)
-    items = [(r.co0_name, args.points, args.tol, args.seed, args.samples) for r in recs]
-    reports = _parallel_map(_invariance_worker, items, _jobs(args))
+    reports = [
+        modgroups.class_invariance_check(
+            rec, points=args.points, tol=args.tol, seed=args.seed, samples=args.samples)
+        for rec in _resolve_classes(args.klass)
+    ]
     ok = all(r["pass"] for r in reports)
     if args.format == "json":
         _emit({"reports": reports, "pass": ok}, "json")
@@ -247,13 +219,6 @@ def cmd_invariance(args) -> int:
                 r["truncation_bound"], "pass" if r["pass"] else "FAIL"))
         print("summary: %d/%d pass" % (sum(r["pass"] for r in reports), len(reports)))
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _invariance_worker(item):
-    name, points, tol, seed, samples = item
-    return modgroups.class_invariance_check(
-        classdata.lookup(name), points=points, tol=tol, seed=seed, samples=samples
-    )
 
 
 def cmd_n1(args) -> int:
@@ -281,11 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     def group(name, help):
         return commands.add_parser(name, help=help).add_subparsers(required=True)
 
-    def leaf(parent, name, handler, help=None, formats=("text", "json"), jobs=False):
+    def leaf(parent, name, handler, help=None, formats=("text", "json")):
         p = parent.add_parser(name, help=help)
         p.add_argument("--format", choices=formats, default="text")
-        if jobs:
-            p.add_argument("--jobs", type=_non_negative, default=0, help="parallel workers")
         p.set_defaults(handler=handler)
         return p
 
@@ -307,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("normalization", 6, lambda a: moonshine.normalization_reports(a.order)),
     )
     for name, order, check in checks:
-        p = leaf(verify, name, cmd_verify, jobs=name == "lemma")
+        p = leaf(verify, name, cmd_verify)
         p.add_argument("--order", type=_non_negative, default=order)
         p.set_defaults(check=check)
     verify.choices["lemma"].add_argument("--class", dest="klass", default="all")
@@ -325,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm", type=_non_negative, default=4)
     leaf(structures, "frame-check", cmd_frame_check)
 
-    p = leaf(commands, "invariance", cmd_invariance, "numeric modular invariance", jobs=True)
+    p = leaf(commands, "invariance", cmd_invariance, "numeric modular invariance")
     p.add_argument("--class", dest="klass", default="all")
     p.add_argument("--samples", type=_non_negative, default=12, help="group elements per class")
     p.add_argument("--points", type=_non_negative, default=20)
@@ -350,7 +313,7 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except MoonshineError as exc:
-        if type(exc).__name__ in ("NotFoundError", "ValidationError"):
+        if type(exc).__name__ in ("NotFoundError", "ValidationError", "PrecisionError"):
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
         print("verification failure: %s" % exc, file=sys.stderr)

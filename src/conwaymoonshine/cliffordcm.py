@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -478,13 +478,21 @@ def golay_lift_section(code, frame=None) -> GolayLift:
     raise VerificationFailure("no generator-sign section with t v != 0 found")
 
 
+_ORTH_SUBSETS = comb(NGEN, 2) + comb(NGEN, 4)  # 276 + 10626 = 10902
+
+
 def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
     """Structure checks backing the supersymmetry element: lifted group of
     order 8192 with all squares +1, t idempotent, ground image invariant
     and non-isotropic, orthogonality over short subsets.
 
-    Returns a report dict; raises VerificationFailure on any failure.
+    Returns a report dict; raises VerificationFailure on any failure, and
+    ValidationError for more samples than there are 2- and 4-subsets.
     """
+    if orth_samples > _ORTH_SUBSETS:
+        raise ValidationError(
+            "orthogonality samples %d exceed the %d distinct 2- and 4-subsets"
+            % (orth_samples, _ORTH_SUBSETS))
     rng = random.Random(seed)
     report = {}
 
@@ -521,10 +529,11 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
     norm = bilinear_dense(tv, tv)
     if norm.is_zero():
         raise VerificationFailure("<t v, t v> = 0")
-    subsets = []
+    subsets, seen = [], set()
     while len(subsets) < orth_samples:
         csub = tuple(sorted(rng.sample(range(1, NGEN + 1), rng.choice((2, 4)))))
-        if csub not in subsets:
+        if csub not in seen:
+            seen.add(csub)
             subsets.append(csub)
     words = WordTable([sum(1 << (i - 1) for i in c) for c in subsets])
     for start, re, im, _ in words.blocked_images(tv):

@@ -1,13 +1,18 @@
-"""One pass of the benchmark's structures and identities workloads runs,
-and every check in it passes.
+"""One pass of each of the benchmark's three workloads runs, and every check
+in it passes.
 
 perfbench/passrun.py calls the package's public functions by name and
-signature (`golay_lift_section(code, frame)`, `n1_checks(lift, seed=...)`
-and the lattice builders among them).  A change that breaks one of those
-calls would otherwise show up only when the benchmark runs.  The identities
-pass ends in its `digest` check: the sha256 of every exact record the pass
-made (lemma reports, series texts, super traces) against the pinned
-perfbench/identities.sha256, so these outputs stay byte-identical."""
+signature (`golay_lift_section(code, frame)`, `n1_checks(lift, seed=...)`,
+the lattice builders, `TestMatrix(...)`, `invariance_check` on a
+`FracPowerSeries` and `class_invariance_check(..., seed=...)` among them).
+A change that breaks one of those calls would otherwise show up only when
+the benchmark runs.  The invariance pass ends in its Fricke negative
+control, which passes only when the check reports a large deviation.  The
+identities pass ends in its `digest` check: the sha256 of every exact
+record the pass made (lemma reports, series texts, super traces) against
+the pinned perfbench/identities.sha256, so these outputs stay
+byte-identical.  On a 2-core host a structures or identities pass takes
+about a second, an invariance pass under half a second."""
 
 import json
 import os
@@ -31,6 +36,12 @@ def _pass_checks(workload):
 def test_structures_pass_checks_ok():
     checks, stderr = _pass_checks("structures")
     assert [name for name, _, ok, _ in checks if not ok] == [], stderr
+
+
+def test_invariance_pass_checks_ok():
+    checks, stderr = _pass_checks("invariance")
+    assert [name for name, _, ok, _ in checks if not ok] == [], stderr
+    assert checks[-1][0] == "control:2A-vs-3-fricke", stderr
 
 
 def test_identities_pass_checks_ok():

@@ -513,6 +513,14 @@ def test_n1_orthogonality_names_first_failing_subset(lift, monkeypatch):
     assert re.search(re.escape("for C=%s" % (want,)), str(err.value))
 
 
+def test_n1_refuses_more_samples_than_distinct_subsets(lift, monkeypatch):
+    """C(24, 2) + C(24, 4) = 10902 subsets: one more could never be drawn,
+    and the refusal comes before any lift work."""
+    monkeypatch.setattr(type(lift), "verify_squares", lambda self: pytest.fail("lift work ran"))
+    with pytest.raises(ValidationError, match="10903 exceed the 10902"):
+        n1_checks(lift, orth_samples=10903)
+
+
 def test_tables_are_the_lifted_words(lift):
     tables = lift.tables()
     masks = sorted(lift.section)
