@@ -249,9 +249,9 @@ def coordinate_frame(lat: IntegerLattice):
         for w in frame[i + 1 :]:
             if lat.inner(v, w) != 0:
                 raise ValidationError("frame vectors %s, %s not orthogonal" % (v, w))
-            half_diff = [(a - b) // 2 for a, b in zip(v, w)]
-            if not lat.contains(half_diff):
-                raise ValidationError("frame vectors not congruent mod doubled lattice")
+        # congruence mod 2*Lattice is an equivalence relation: frame[0] stands for every pair
+        if i and not lat.contains([(a - b) // 2 for a, b in zip(v, frame[0])]):
+            raise ValidationError("frame vectors not congruent mod doubled lattice")
     return frame
 
 

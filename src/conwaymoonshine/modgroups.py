@@ -419,9 +419,11 @@ def _sample_points(matrix: TestMatrix, count: int, rng) -> list:
     return pts
 
 
-def _check_tol(tol: float):
+def _check_request(tol: float, points: int):
     if not 0 < tol < float("inf"):
         raise ValidationError("tol must be finite and positive, got %r" % tol)
+    if points < 1:
+        raise ValidationError("points must be at least 1, got %d" % points)
 
 
 def _values(f, taus, target: float):
@@ -456,9 +458,11 @@ def invariance_check(
     how f was evaluated: `product_terms` and `truncation_bound` for a
     TwistedTrace, `order` for a series.
     """
-    _check_tol(tol)
+    _check_request(tol, points)
+    if not matrices:
+        raise ValidationError("no matrices to check")
     rng = random.Random(seed)
-    per_matrix = max(1, -(-points // max(1, len(matrices))))
+    per_matrix = -(-points // len(matrices))
     taus = []
     for m in matrices:
         for tau in _sample_points(m, per_matrix, rng):
@@ -469,7 +473,7 @@ def invariance_check(
         chunk = values[2 * per_matrix * i : 2 * per_matrix * (i + 1)]
         dev = max(abs(v1 - v2) for v1, v2 in zip(chunk[::2], chunk[1::2]))
         rows.append({"matrix": m.to_json(), "deviation": dev})
-    worst = max((row["deviation"] for row in rows), default=0.0)
+    worst = max(row["deviation"] for row in rows)
     return {
         "class": name,
         "label": str(gl),
@@ -535,7 +539,9 @@ def class_invariance_check(
     """invariance_check of the record's twisted trace C*eta_pi - chi,
     evaluated from its product formula (TwistedTrace), over kernel_matrices
     of its label."""
-    _check_tol(tol)
+    _check_request(tol, points)
+    if samples < 1:
+        raise ValidationError("samples must be at least 1, got %d" % samples)
     f = TwistedTrace.of(rec)
     matrices = kernel_matrices(rec, f, seed=seed, count=samples)
     return invariance_check(

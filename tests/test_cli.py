@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import time
 
@@ -47,6 +48,18 @@ def test_count_options_are_non_negative(capsys):
     assert run(capsys, "n1", "check", "--samples", "-1")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--samples", "-1")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--points", "-1")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "invariance --class 2A --points 0",
+    "invariance --class 2A --samples 0",
+    "invariance --class 2A --points 0 --samples 0",
+    "invariance --points 0 --format json",
+])
+def test_invariance_zero_request_is_usage_error(capsys, argv):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "at least 1, got 0" in err
 
 
 def test_n1_samples_beyond_the_distinct_subsets_is_usage_error(capsys):
@@ -235,3 +248,27 @@ def test_verify_order_too_small_is_usage_error(capsys, argv):
 def test_verify_order_too_small_names_the_given_order(capsys, argv, message):
     assert main(argv.split()) == 2
     assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+# sha256 of stdout for the exact reports; a change that keeps them must keep these
+# (invariance is left out: its float deviations can move with numpy)
+PINNED_REPORTS = {
+    "n1 check --format json": "022aeecba37dee84764430315273ab38daa00c677968a5757b00eb5cfd0ce6d4",
+    "n1 check --seed 3 --samples 100 --format json": "b53721e6c2772c9169e0d09f7d0b06869be3d6323d324ba5bb9721324c54bc2a",
+    "lattice frame-check --format json": "d2b471f593a80a8ec76a91b2a6492784f957887ae5ca7560357cd57f16eddaa3",
+    "lattice golay-weights --format json": "fef23e302ed125bf46f88d84f61028e870016d0ec53d1f11f81d7cc5b222e97d",
+    "verify lemma --format json": "c5fc90afda7b7e3be5e15216bf48b85a61beaafcb28bfca55f736bc3bc1e9752",
+    "verify delta --format json": "81319869b19f59806af75aee356fc367573efcaed90a781ba19589fe6013d036",
+    "verify hecke --format json": "06546c8a163d051fcce507f9de9923097c9628611693482a0bd15331f38d0013",
+    "verify normalization --format json": "23ad3e586c826ee7a1cc815779c8694fb22141a113b28589a4b146eddfb1c26d",
+    "oracle spinor --class 2A --format json": "6b9b1848460f12665037f50b7183c482e255627362cb7e67142de12abb2c43f3",
+    "oracle fock --class 2A --format json": "e22a8190841b2ca9ec9ea556636241065ef59d09db0ee7ccfa0baf9c155c6eea",
+    "series --class 2A --which tw --format json": "6edcd1c0335148b125faf89cdc6c96a2dec54b24aaba933382d76ee7a9993f80",
+    "table --format csv": "a8460c8bfa9aead171c7241f16e528dc43a801bf96d74d9b5153ced9dd071366",
+}
+
+
+def test_exact_reports_are_pinned(capsys):
+    got = {argv: run(capsys, *argv.split()) for argv in PINNED_REPORTS}
+    got = {argv: (code, hashlib.sha256(out.encode()).hexdigest()) for argv, (code, out) in got.items()}
+    assert got == {argv: (0, digest) for argv, digest in PINNED_REPORTS.items()}

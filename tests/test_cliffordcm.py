@@ -421,10 +421,10 @@ def test_verify_fixed_names_first_moving_word(golay, lift):
 
 def test_verify_fixed_proof_negative_controls_and_cost(golay, lift, monkeypatch):
     tv = lift.invariant_vector()
-    for row, match in ((1234, "lifted 4d2f31 is not its parent times generator 10"),
-                       (0, "lifted 000000 is not the identity")):
+    for cmask, match in ((0x4d2f31, "lifted 4d2f31 is not its parent times generator 10"),
+                         (0, "lifted 000000 is not the identity")):
         spoiled = GolayLift(golay, None, lift.generator_signs)
-        spoiled.words.u0[row] ^= 2  # the word negated
+        spoiled.words.u0[spoiled.masks == cmask] ^= 2  # the word negated
         with pytest.raises(VerificationFailure, match=match):
             spoiled.verify_fixed(tv)
     # a pass applies the 12 generator words only, not the 4096 lifted words
@@ -531,17 +531,34 @@ def test_tables_are_the_lifted_words(lift):
 
 def test_lift_squares_and_closure(lift):
     lift.verify_squares()
-    lift.verify_closure(samples=1000, seed=7)
     assert lift.group_order() == 8192
     assert lift.section[0] == 1  # s(empty) e_empty = 1
+    # closure oracle: every lifted word times s(D) e_D is the lifted word of the sum
+    rng = random.Random(5)
+    for d in rng.sample(sorted(lift.section), 32):
+        assert lift.words * lift.word_table(d) == lift.word_table(lift.masks ^ d), hex(d)
 
 
-def test_verify_closure_negative_control():
-    lift = GolayLift(SimpleNamespace(generators=[0b1111, 0b11110000]))
-    assert lift.verify_closure()
-    lift.section[0b11111111] *= -1  # the section is no longer multiplicative
-    with pytest.raises(VerificationFailure):
-        lift.verify_closure()
+def test_lift_rows_are_generator_products(golay, lift):
+    assert list(lift.masks[1 << np.arange(12)]) == list(golay.generators)
+    assert len(lift.words) == 4096 and lift.words[1:2] == lift.word_table(golay.generators[0])
+    assert lift.words[5:6] == lift.word_table(golay.generators[0]) * lift.word_table(golay.generators[2])
+
+
+def test_verify_squares_negative_control():
+    # the two generators meet in one coordinate, so their words anticommute
+    lift = GolayLift(SimpleNamespace(generators=[0b1111, 0x71]))
+    with pytest.raises(VerificationFailure, match="square of lifted 00007e is not [+]1"):
+        lift.verify_squares()
+
+
+def test_generator_signs_match_the_generators(golay):
+    for signs in ((1,) * 11, (1,) * 13, ()):
+        with pytest.raises(ValidationError, match="generator signs"):
+            GolayLift(golay, None, signs)
+    one = GolayLift(SimpleNamespace(generators=[0b1111]))
+    assert one.generator_signs == (1,) and one.section == {0: 1, 0b1111: 1}
+    assert GolayLift(SimpleNamespace(generators=[0b1111]), None, [-1]).section[0b1111] == -1
 
 
 def test_lift_closure_word_identity(lift):

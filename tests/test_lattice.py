@@ -331,3 +331,17 @@ def test_octad_sign_change_word_supertrace(golay, lift):
         if bin(w).count("1") == 8:
             assert lift.word_table(w).supertrace().to_rational() == 0
             break
+
+
+def test_frame_congruence_negative_control():
+    # 8 e_i lies in 8Z^24 with norm 8, pairwise orthogonal, but 4 e_i - 4 e_j does not
+    scaled = IntegerLattice([[8 * (j == i) for j in range(LENGTH)] for i in range(LENGTH)])
+    with pytest.raises(ValidationError, match="not congruent"):
+        lattice.coordinate_frame(scaled)
+
+
+def test_frame_congruence_is_tested_against_one_vector(leech, monkeypatch):
+    calls, contains = [], IntegerLattice.contains
+    monkeypatch.setattr(IntegerLattice, "contains", lambda self, x: calls.append(x) or contains(self, x))
+    assert len(lattice.coordinate_frame(leech)) == 24
+    assert len(calls) == 24 + 23  # membership of each vector, then congruence with the first

@@ -143,6 +143,22 @@ def test_tol_must_be_finite_and_positive():
             class_invariance_check(lookup("2A"), tol=tol)
 
 
+def test_zero_requests_are_refused():
+    # no point or no matrix would make a vacuous pass
+    rec = lookup("2A")
+    f, gl = TwistedTrace.of(rec), parse_label(rec.gamma_tw_label)
+    with pytest.raises(ValidationError, match="no matrices"):
+        invariance_check(f, gl, matrices=[])
+    with pytest.raises(ValidationError, match="points must be at least 1, got 0"):
+        invariance_check(f, gl, matrices=sample_matrices(gl), points=0)
+    with pytest.raises(ValidationError, match="points must be at least 1, got 0"):
+        class_invariance_check(rec, points=0)
+    with pytest.raises(ValidationError, match="samples must be at least 1, got 0"):
+        class_invariance_check(rec, samples=0)
+    one = class_invariance_check(rec, points=1, samples=1)
+    assert one["pass"] and one["points"] == len(one["matrices"])
+
+
 def test_reports_are_seed_deterministic():
     a = class_invariance_check(lookup("6C"), points=12, tol=1e-6, seed=5)
     b = class_invariance_check(lookup("6C"), points=12, tol=1e-6, seed=5)
