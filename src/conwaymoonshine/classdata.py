@@ -82,24 +82,19 @@ def lookup(name: str) -> ConjugacyClassRecord:
     raise NotFoundError(name, near[:6])
 
 
-def derived_partner(rec: ConjugacyClassRecord, order=25):
+@lru_cache(maxsize=None)
+def derived_partner(rec: ConjugacyClassRecord):
     """Frame shape and super-trace scalar for -g, with provenance.
 
     The shape is negate(pi_g); the scalar is solved from the five-term eta
-    identity and is therefore pinned by ~order*48 coefficient constraints.
-    Results are cached per class.
+    identity at solve_c_neg's default order 25, and is therefore pinned by
+    ~25*48 coefficient constraints.  Results are cached per class.
     """
-    return _derived_partner_cached(rec.co0_name, int(order))
-
-
-@lru_cache(maxsize=None)
-def _derived_partner_cached(co0_name, order):
     from .moonshine import solve_c_neg  # local import: moonshine builds on this module
 
-    rec = lookup(co0_name)
-    scalar, report = solve_c_neg(rec, order=order)
+    scalar, report = solve_c_neg(rec)
     if not report.passed:
         raise ValidationError(
-            "eta identity residual nonzero while deriving partner of %s" % co0_name
+            "eta identity residual nonzero while deriving partner of %s" % rec.co0_name
         )
     return rec.frame_shape.negate(), scalar

@@ -187,8 +187,7 @@ def cmd_fock(args) -> int:
 def cmd_golay_weights(args) -> int:
     dist = lattice.build_golay().weight_distribution()
     _emit({"weights": {str(k): v for k, v in sorted(dist.items())}}, args.format)
-    expected = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
-    return EXIT_OK if dist == expected else EXIT_FAIL
+    return EXIT_OK  # build_golay() refuses any other distribution
 
 
 def cmd_leech_shell(args) -> int:

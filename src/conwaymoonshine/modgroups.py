@@ -48,7 +48,7 @@ class GroupLabel:
     def __post_init__(self):
         if self.n <= 0 or self.h <= 0:
             raise ValidationError("level data must be positive")
-        if self.n % self.h or (self.n * self.h) % (self.h * self.h):
+        if self.n % self.h:
             raise ValidationError("h = %d must divide n = %d" % (self.h, self.n))
         if 24 % self.h:
             raise ValidationError("h = %d must divide 24" % self.h)

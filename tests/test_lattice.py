@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from conwaymoonshine.lattice import (
     apply_sign_change,
     sign_change_frameshape,
     _DELTA,
-    _int_determinant,
     _integer_row_basis,
     _leech_congruences,
     _lll_reduce,
@@ -145,7 +144,7 @@ def test_children_are_created_in_capped_blocks(monkeypatch):
 
 def exact_gram_schmidt(basis):
     """|b*_i|^2 and mu_ij over the rationals, from the integer Gram matrix."""
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
+    gram = [[Fraction(sum(a * b for a, b in zip(r, s))) for s in basis] for r in basis]
     n = len(basis)
     norms, mu = [], [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
@@ -174,7 +173,7 @@ def test_lll_reduce_keeps_the_lattice(leech):
         assert all(after.contains(row) for row in basis)
         assert all(before.contains(row) for row in reduced)
         # the transform from basis to reduced is integral, so det +-1 means unimodular
-        assert abs(_int_determinant(reduced)) == abs(_int_determinant(basis))
+        assert prod(exact_gram_schmidt(reduced)[0]) == prod(exact_gram_schmidt(basis)[0])
 
 
 def test_lll_reduce_meets_the_deep_insertion_condition(leech):
@@ -216,6 +215,12 @@ def e8_cubed():
     return IntegerLattice(_lll_reduce(_integer_row_basis(gens)))
 
 
+def test_gram_determinant_matches_exact_gram_schmidt(leech):
+    # det Gram = prod |b*_i|^2, here over the unscaled integer rows
+    for lat in (leech, e8_cubed(), IntegerLattice(skewed_basis(LENGTH, 5))):
+        assert lat.gram_determinant() * 8**LENGTH == prod(exact_gram_schmidt(lat.basis)[0])
+
+
 def test_negative_controls(leech):
     assert leech.contains((-3,) + (1,) * 23)
     assert not leech.contains((1,) + (0,) * 23)
@@ -225,6 +230,26 @@ def test_negative_controls(leech):
     assert roots.shell_count(2) == 720
     with pytest.raises(ValidationError, match="norm 2"):
         roots.verify()
+
+
+def test_golay_refusals():
+    # three extended Hamming [8,4,4] codes side by side: 42 words of weight 4
+    hamming = (0b11110000, 0b11001100, 0b10101010, 0b11111111)
+    code = lattice.BinaryCode([w << (8 * block) for block in range(3) for w in hamming])
+    with pytest.raises(ValidationError, match="wrong weight distribution"):
+        code.verify()
+    assert code.weight_distribution()[4] == 42
+
+
+def test_lattice_refusals():
+    rows = [[8 * (j == i) for j in range(LENGTH)] for i in range(LENGTH)]
+    with pytest.raises(ValidationError, match="linearly dependent"):
+        IntegerLattice(rows[:-1] + [rows[0]])
+    # the rows 8 e_i: Gram matrix 8 I, even and integral but of determinant 8^24
+    with pytest.raises(ValidationError, match="Gram determinant 4722366482869645213696 != 1"):
+        IntegerLattice(rows).verify()
+    with pytest.raises(ValidationError, match="frame vector 0 is not in the lattice"):
+        lattice.coordinate_frame(IntegerLattice([[16] + [0] * 23] + rows[1:]))
 
 
 def spy_walks(monkeypatch):
