@@ -6,9 +6,9 @@ a lattice automorphism, as products of per-mode binomials on an integer
 exponent ledger over (energy, root-of-unity power) that is converted once
 to rational coefficients, checked by reduction mod Phi_N, so they can
 serve as an independent oracle for the eta-quotient formulas.  A second,
-brute-force oracle fills the same ledger state by state: it enumerates the
-states block-wise in numpy, one row per state, with every child array
-capped at _BLOCK rows.
+brute-force oracle fills the same ledger state by state: it lists the
+subsets of two halves of the modes and forms every state once, as the sum
+of one key from each half, in numpy chunks of at most _BLOCK keys.
 
 Conventions (central charge 12, so the grading prefactor is q^(-1/2)):
   untwisted sector: 24 fermionic modes at each energy n + 1/2, n >= 0;
@@ -34,7 +34,7 @@ TWISTED = "twisted"
 
 # sector -> (anchor, scale): a state of ledger energy x sits at q^(x/scale + anchor)
 _GRID = {UNTWISTED: (Fraction(-1, 2), 2), TWISTED: (Fraction(1), 1)}
-_BLOCK = 4096  # child states that one numpy step of the subset enumeration creates at most
+_BLOCK = 4096  # states that one bincount chunk of the subset enumeration holds at most
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,45 @@ def assemble_supertrace(kind, g_data, neg_data, max_degree, twisted=False) -> Fr
     return combo * Fraction(1, 2)
 
 
+def _half_subsets(modes, bound, stride, size):
+    """Every subset of `modes` (ascending energy) whose ledger energy is at
+    most `bound`, one list per subset size of bound + 1 key arrays, the t-th
+    holding the subsets of energy t; a key carries `size` times the parity
+    of its subset's size.  The subsets are built breadth first by size: a
+    subset's children add one mode each from its next index on, up to the
+    last mode that still fits, a contiguous range of the modes.  Grouping
+    gathers from a boolean table instead of comparing keys, which would map
+    numpy's comparison loops (about 0.1 MiB of code) into a process that
+    otherwise never runs them."""
+    xs = np.array([x for x, _ in modes], dtype=np.int64)
+    mode_keys = xs * stride + np.array([z for _, z in modes], dtype=np.int64)
+    # a subset of key k has ledger energy t exactly when in_energy[t, k], and
+    # may still add the modes below limit[k]
+    in_energy = np.zeros((bound + 1, (bound + 1) * stride), dtype=bool)
+    for t in range(bound + 1):
+        in_energy[t, t * stride:(t + 1) * stride] = True
+    limit = np.repeat(np.searchsorted(xs, bound - np.arange(bound + 1), side="right"), stride)
+    nxt = key = np.zeros(1, dtype=np.int64)  # the empty subset
+    parity = 0
+    while len(key):
+        yield [key[in_energy[t, key]] + parity for t in range(bound + 1)]
+        width = np.maximum(limit[key] - nxt, 0)
+        mode = np.repeat(nxt - (np.cumsum(width) - width), width)
+        mode += np.arange(len(mode))
+        key = np.repeat(key, width) + mode_keys[mode]
+        nxt = mode + 1
+        parity = size - parity
+
+
+def _by_energy(levels):
+    """The keys of `levels` (as _half_subsets yields them) in ascending
+    energy, and the cumulative counts: the keys of energy <= t are
+    keys[:ends[t]]."""
+    buckets = list(zip(*levels))
+    keys = np.concatenate([group for bucket in buckets for group in bucket])
+    return keys, np.cumsum([sum(map(len, bucket)) for bucket in buckets])
+
+
 def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPowerSeries:
     """Second oracle: explicitly enumerate every finite set of distinct
     fermionic modes whose state exponent is below the reported order,
@@ -159,56 +198,42 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
     signed eigenvalue products, state by state.
 
     Generation-independent of the mode products (no binomial is ever
-    multiplied in): the states are generated depth first in numpy blocks,
-    one row per state (next mode index, key; the rows of a block share
-    their parity).  A state's key is its ledger energy times `stride` plus
-    the sum of its modes' root-of-unity powers, not reduced mod N: a state
-    holds at most `bound` modes, so that sum is below stride = bound*(N-1)
-    + 1 and the key is exact.  A row's children add one mode each from its
-    next index on, a contiguous range of the modes in ascending energy, and
-    are created in child arrays of at most _BLOCK rows: a block whose
-    children would exceed that is split, the rest going back on the stack.
-    Each state is counted once, when it is created, in per-parity int64
-    counts over the keys; their difference, its power sums folded mod N,
-    is the exponent ledger.
+    multiplied in, and no two generating functions are): the states are
+    met in the middle (Horowitz-Sahni).  The modes, in ascending energy,
+    are split by position into halves A (even positions) and B (odd), and
+    every subset of each half with ledger energy at most `bound` is listed
+    (_half_subsets).  A state is a pair (a, b) with e(a) + e(b) <= bound.  A
+    key is a ledger energy times `stride` plus the sum of the modes'
+    root-of-unity powers, not reduced mod N: a state holds at most `bound`
+    modes, so that sum is below stride = bound*(N-1) + 1 and the key is
+    exact; energies and power sums add, so the state's key is key(a) +
+    key(b).  Each half-key also carries size * (its parity), so a state's
+    parity digit is 0, 1 or 2, with 0 and 2 even.  For each A-energy e the
+    outer sum of the A-keys of energy e with the B-keys of energy at most
+    bound - e forms every state once, as one key, in chunks of at most
+    _BLOCK keys; each chunk is counted with one bincount.  The even minus
+    the odd counts, their power sums folded mod N, are the exponent ledger.
+    A budget <= 0 puts the order at or below the sector's anchor, where
+    there is no state to count, and is refused.
     """
+    if budget <= 0:
+        raise ValidationError("budget must be positive")
     order = Fraction(budget) + Fraction(1, _GRID[ms.sector][1])
     level, modes, bound = _sector(ms, order)
     stride = bound * (level - 1) + 1
-    xs = np.array([x for x, _ in modes], dtype=np.int64)
-    mode_keys = xs * stride + np.array([z for _, z in modes], dtype=np.int64)
-    # the modes a state of key k may still add are those below limit[k]
-    limit = np.repeat(np.searchsorted(xs, bound - np.arange(bound + 1), side="right"), stride)
     size = (bound + 1) * stride
-    counts = np.zeros((2, size), dtype=np.int64)  # [parity, key]
-    counts[0, 0] = 1  # the vacuum
-    vacuum = np.zeros(1, dtype=np.int64)
-    stack = [(vacuum, vacuum, 0)]  # (next mode index, key) rows, parity
-    while stack:
-        nxt, key, parity = stack.pop()
-        width = np.maximum(limit[key] - nxt, 0)
-        ends = np.cumsum(width)
-        if ends[-1] > _BLOCK:
-            # row r's children cross the cap: it keeps the `fit` that fit and
-            # goes back on the stack with the rows after it, resuming there
-            r = int(np.searchsorted(ends, _BLOCK, side="right"))
-            fit = _BLOCK - int(ends[r] - width[r])
-            rest = nxt[r:].copy()
-            rest[0] += fit
-            stack.append((rest, key[r:], parity))
-            nxt, key = nxt[: r + 1], key[: r + 1]
-            width = width[: r + 1].copy()
-            width[r] = fit
-            ends = np.cumsum(width)
-        total = int(ends[-1])
-        if not total:
-            continue
-        parent = np.repeat(np.arange(len(width)), width)
-        mode = np.repeat(nxt - (ends - width), width) + np.arange(total)
-        child_key = key[parent] + mode_keys[mode]
-        counts[1 - parity] += np.bincount(child_key, minlength=size)
-        stack.append((mode + 1, child_key, 1 - parity))
-    diff = (counts[0] - counts[1]).reshape(bound + 1, stride)
-    diff = np.pad(diff, ((0, 0), (0, -stride % level)))  # fold the power sums mod N
+    b_keys, b_ends = _by_energy(_half_subsets(modes[1::2], bound, stride, size))
+    counts = np.zeros(3 * size, dtype=np.int64)  # [parity digit, key]
+    for groups in _half_subsets(modes[0::2], bound, stride, size):
+        for e, rows in enumerate(groups):
+            cols = b_keys[: b_ends[bound - e]]  # B's subsets of energy <= bound - e
+            for start in range(0, len(cols), _BLOCK):
+                block = cols[start:start + _BLOCK]
+                step = _BLOCK // len(block)
+                for row in range(0, len(rows), step):
+                    chunk = rows[row:row + step, None] + block
+                    counts += np.bincount(chunk.ravel(), minlength=3 * size)
+    even, odd, even2 = counts.reshape(3, bound + 1, stride)
+    diff = np.pad(even + even2 - odd, ((0, 0), (0, -stride % level)))  # fold the power sums mod N
     ledger = diff.reshape(bound + 1, -1, level).sum(axis=1).tolist()
     return _ledger_series(ms, ledger, level, order, c_value)

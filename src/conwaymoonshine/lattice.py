@@ -36,14 +36,17 @@ class BinaryCode:
         self._echelon, self._pivots = _gf2_echelon(self.generators)
         if len(self._echelon) != 12:
             raise ValidationError("generators are not independent")
+        self._words = None
 
-    @lru_cache(maxsize=1)
     def words(self) -> tuple:
-        """All 4096 codewords, Gray-code ordered by generator subsets."""
-        out = [0]
-        for g in self.generators:
-            out.extend(w ^ g for w in list(out))
-        return tuple(out)
+        """All 4096 codewords, Gray-code ordered by generator subsets, built
+        once per code."""
+        if self._words is None:
+            out = [0]
+            for g in self.generators:
+                out.extend(w ^ g for w in list(out))
+            self._words = tuple(out)
+        return self._words
 
     def contains(self, mask: int) -> bool:
         for row, piv in zip(self._echelon, self._pivots):

@@ -1,9 +1,13 @@
+import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
+from conwaymoonshine import fockoracle
 from conwaymoonshine.classdata import derived_partner, lookup, registry
-from conwaymoonshine.errors import NotRationalError
+from conwaymoonshine.cyclotomic import CycNumber
+from conwaymoonshine.errors import NotRationalError, ValidationError
 from conwaymoonshine.fockoracle import (
     ModeSystem,
     TWISTED,
@@ -145,7 +149,7 @@ def test_subset_enumeration_matches_mode_product_untwisted():
 
 
 def test_subset_enumeration_budget_4_matches_mode_product():
-    # 8,116,550 states per walk, far past one _BLOCK of child rows
+    # 8,116,550 states per walk, from two half-lists of 66,451 subsets each
     for pi in (IDENT, lookup("6C").frame_shape):
         ms = ModeSystem.from_shape(pi, UNTWISTED, 4)
         enum = subset_enumeration_supertrace(ms, budget=4)
@@ -186,6 +190,90 @@ def test_subset_enumeration_off_grid_budget_reaches_its_order():
     enum = subset_enumeration_supertrace(ms, budget=F(5, 2))
     assert enum.order == F(7, 2)
     assert enum.agrees_with(twisted_supertrace(ms, 1))
+
+
+def test_subset_enumeration_refuses_a_budget_at_or_below_zero():
+    # such a budget puts the order at or below the sector's anchor, where no
+    # state is counted; it is refused as ModeSystem refuses max_degree <= 0
+    for sector, budgets in ((UNTWISTED, (0, -1, -3)), (TWISTED, (0, F(-1, 2)))):
+        ms = ModeSystem.from_shape(IDENT, sector, 1)
+        for budget in budgets:
+            with pytest.raises(ValidationError):
+                subset_enumeration_supertrace(ms, budget=budget)
+
+
+def _plain_enumeration(ms, budget, c_value):
+    """The super trace below budget + one grid step, by listing the states
+    as itertools.combinations of modes (energy, root-of-unity power), with
+    energies in grid steps: 2r for q-energy r untwisted, r twisted."""
+    anchor, step = (F(-1, 2), F(1, 2)) if ms.sector == UNTWISTED else (F(1), F(1))
+    order = F(budget) + step
+    top = (order - anchor) / step  # a state's energies must sum below this
+    level = lcm(*(t.denominator for t in ms.eigen_thetas))
+    energies = range(1, int(top) + 1, 2) if ms.sector == UNTWISTED else range(1, int(top) + 1)
+    modes = [(x, int(t * level)) for x in energies for t in ms.eigen_thetas]
+    ledger = {}  # energy -> {power sum: signed count}
+    for size in range(int(top) + 1):
+        # every mode has energy >= 1, so a state of this size holds only
+        # modes below top - (size - 1)
+        fits = [m for m in modes if m[0] < top - (size - 1)]
+        for state in itertools.combinations(fits, size):
+            energy = sum(x for x, _ in state)
+            if energy < top:
+                row = ledger.setdefault(energy, {})
+                power = sum(z for _, z in state) % level
+                row[power] = row.get(power, 0) + (-1) ** size
+    pairs = [
+        (anchor + x * step, CycNumber.from_exponents(level, row).to_rational() * c_value)
+        for x, row in ledger.items()
+    ]
+    return S.from_fraction_terms(pairs, order)
+
+
+def test_subset_enumeration_matches_plain_python_enumeration():
+    # an oracle for the oracle: every state listed one by one, with no
+    # numpy, no half-lists and no keys; 84A has the registry's largest
+    # level, 84, so the walk's fused keys are largest there
+    for name in ("3A", "84A"):
+        rec = lookup(name)
+        for sector, budgets in ((UNTWISTED, (1, F(3, 2))), (TWISTED, (1, F(3, 2), 3))):
+            ms = ModeSystem.from_shape(rec.frame_shape, sector, 1)
+            c_value = 1 if sector == UNTWISTED else rec.c_hat_g
+            for budget in budgets:
+                enum = subset_enumeration_supertrace(ms, budget=budget, c_value=c_value)
+                plain = _plain_enumeration(ms, budget, c_value)
+                assert enum == plain and not enum.is_zero(), (name, sector, budget)
+
+
+@pytest.mark.parametrize("budget, states", [(3, 861_127), (4, 8_116_550)])
+def test_subset_enumeration_forms_each_state_once(monkeypatch, budget, states):
+    # every state is one key in one bincount chunk: the chunk lengths sum to
+    # the number of states (a convolution of the two halves' histograms
+    # would count far fewer entries), and no chunk outgrows one _BLOCK
+    lengths = []
+    bincount = fockoracle.np.bincount
+
+    def spy(keys, *args, **kwargs):
+        lengths.append(len(keys))
+        return bincount(keys, *args, **kwargs)
+
+    monkeypatch.setattr(fockoracle.np, "bincount", spy)
+    subset_enumeration_supertrace(ModeSystem.from_shape(IDENT, UNTWISTED, budget), budget)
+    assert sum(lengths) == states
+    assert max(lengths) <= fockoracle._BLOCK
+
+
+def test_subset_enumeration_negative_control():
+    # one eigenvalue of 3A (with its conjugate, so the trace stays rational)
+    # moved to 1: the walk follows the changed eigenvalues and so disagrees
+    # with the unchanged mode product
+    thetas = list(ModeSystem.from_shape(lookup("3A").frame_shape, UNTWISTED, 3).eigen_thetas)
+    ms = ModeSystem(tuple(thetas), UNTWISTED, F(3))
+    thetas[0] = thetas[-1] = F(0)
+    changed = ModeSystem(tuple(thetas), UNTWISTED, F(3))
+    enum = subset_enumeration_supertrace(changed, budget=3)
+    assert not enum.agrees_with(untwisted_supertrace(ms))
+    assert enum.agrees_with(untwisted_supertrace(changed))
 
 
 def test_mode_system_validation():

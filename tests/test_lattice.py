@@ -44,6 +44,15 @@ def test_golay_membership(golay):
     assert not golay.contains(0b1011)
 
 
+def test_code_words_are_held_per_code(golay):
+    # each code keeps its own word table: building another code's words
+    # must not evict the Golay code's, which would be rebuilt as a new tuple
+    first = golay.words()
+    pairs = lattice.BinaryCode([3 << 2 * i for i in range(12)])
+    assert len(set(pairs.words())) == 4096
+    assert golay.words() is first
+
+
 def test_leech_gram(leech):
     assert leech.gram_determinant() == 1
     g = leech.gram()
