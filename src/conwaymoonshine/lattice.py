@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, prod, sqrt
+from math import exp, floor, gcd, lgamma, log, pi, prod, sqrt
 
 import numpy as np
 
@@ -177,7 +177,9 @@ class IntegerLattice:
 
     def shell_count(self, norm: int) -> int:
         """Number of lattice vectors of the given norm, by exhaustive
-        Fincke-Pohst enumeration with exact integer norms (_shell_count)."""
+        Fincke-Pohst enumeration split into coset classes, counting exact
+        integer norms (_shell_count); ValidationError when the walk is
+        estimated at more than _MAX_NODES nodes."""
         return _shell_count(self.basis, 8 * norm)
 
     def __repr__(self):
@@ -348,9 +350,12 @@ def _lll_reduce(basis):
     return b
 
 
-_BLOCK = 4096  # child rows that one numpy step of _shell_count creates at most; >= 256
+_BLOCK = 4096  # child rows that one numpy step of a walk creates at most; >= 256
 _LEAF_ROWS = 512  # full vectors per float64 norm product; more make BLAS touch more memory
 _SLACK = 1e-6  # relative float slack on the enumeration budget
+_MAX_NODES = 1e8  # estimated nodes above which _shell_count refuses (Leech norm 8: 4.3e7, norm 10: 1.4e8)
+_MAX_TABLE = 2**20  # cells of the coset-class x norm table at most (8 MiB of int64)
+_EXACT = 2**53  # float64 holds every integer up to here
 
 
 def _shell_count(basis, target8: int) -> int:
@@ -358,13 +363,21 @@ def _shell_count(basis, target8: int) -> int:
 
     Fincke-Pohst over the (LLL-reduced) basis: from the Cholesky form
     x.G.x = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 of the Gram matrix, fix
-    x_{n-1} first and x_0 last.  Only half the space is walked, since x and
-    -x have the same norm: the vectors whose first nonzero coordinate in that
-    order is positive, counted twice.  A block at level l holds partial
-    vectors as int8 rows of their fixed coordinates x_l .. x_{n-1}; its
-    children are created in arrays of at most _BLOCK rows, the parent rows
-    past the cap going back on the stack.  The float bounds carry slack and
-    only prune; a full vector counts when its exact norm equals target8.
+    x_{n-1} first and x_0 last.  A block at level l holds partial vectors as
+    int8 rows of their fixed coordinates x_l .. x_{n-1}; its children are
+    created in arrays of at most _BLOCK rows, the parent rows past the cap
+    going back on the stack.  The float bounds carry slack and only prune;
+    every count is decided by exact integer norms.
+
+    The walk is split at the level k that _split_level picks: the top walk
+    fixes y = (x_k .. x_{n-1}), and the bottom coordinates then range over a
+    coset of L_k = span(b_0 .. b_{k-1}) that depends only on the class of y
+    (_Cosets).  Each class's coset is walked once, into a table of its exact
+    norms, and each y reads off its count there.  Only half the space is
+    walked at the top, since x and -x have the same norm: the y whose last
+    nonzero coordinate is positive, counted twice; y = 0 adds the vectors of
+    L_k itself.  At k = 0 the bottom is empty and the top walk counts full
+    vectors of exact norm target8.
     """
     if target8 < 0:
         return 0
@@ -374,60 +387,238 @@ def _shell_count(basis, target8: int) -> int:
     # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|: every partial sum of
     # a leaf norm is an integer below 2^53, exact in float64
     widest = 127 * max(sum(abs(row[k]) for row in basis) for k in range(len(basis[0])))
-    if len(basis[0]) * widest * widest >= 2**53:
+    if len(basis[0]) * widest * widest >= _EXACT:
         raise ValidationError("basis entries too large for exact float64 norms")
     b = np.array(basis, dtype=float)
-    chol = np.linalg.cholesky(b @ b.T).T
+    gram = b @ b.T  # integers, exact by the guard above
+    chol = np.linalg.cholesky(gram).T
     d = np.diag(chol) ** 2
     m = chol / np.diag(chol)[:, None]
     slack = _SLACK * target8
+    ints = [[int(v) for v in row] for row in gram]
+    nodes = _node_estimates(d.tolist(), target8, gcd(*(v for row in ints for v in row)))
+    k = _split_level(nodes)
+    cosets = _Cosets(basis, ints, m, k, target8) if k else None
+    if cosets is not None and not cosets.exact:
+        k, cosets = 0, None
+    if nodes[k] > _MAX_NODES:
+        raise ValidationError(
+            "norm %s needs about %.2g enumeration nodes, more than the %.0e allowed"
+            % (Fraction(target8, 8), nodes[k], _MAX_NODES)
+        )
+    if cosets is None:
+        count = 0
 
-    def leaves(x):
-        hits = 0
-        for s in range(0, len(x), _LEAF_ROWS):
-            v = x[s : s + _LEAF_ROWS] @ b
-            hits += int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == target8))
-        return hits
+        def leaf(x, _):
+            nonlocal count
+            for s in range(0, len(x), _LEAF_ROWS):
+                v = x[s : s + _LEAF_ROWS] @ b
+                count += int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == target8))
 
-    # one seed block per level `top`: x_j = 0 for j > top, x_top > 0
-    count = 0
+    else:
+        if cosets.budget % cosets.step:
+            return 0  # D^2 |x|^2 is a multiple of step for every lattice vector x
+        cosets.walk(m, d, slack)
+        leaf = cosets.lookup
+    # one seed block per level `top` >= k: x_j = 0 for j > top, x_top > 0
     stack = []
-    for top in range(n):
+    for top in range(k, n):
         first = np.arange(1, floor(sqrt((target8 + slack) / d[top])) + 1)
         if len(first) > 127:
             raise ValidationError("enumeration coordinate outside int8")
         x = np.zeros((len(first), n - top), dtype=np.int8)
         x[:, 0] = first
-        if not top:
-            count += leaves(x)
+        if top == k:
+            leaf(x, None)
         elif len(first):
-            stack.append((top, x, target8 - d[top] * first.astype(float) ** 2))
+            stack.append((top, x, target8 - d[top] * first.astype(float) ** 2, None))
+    _walk(stack, m, d, slack, k, leaf)
+    if cosets is None:
+        return 2 * count
+    return 2 * cosets.count + cosets.zero_count()
+
+
+def _walk(stack, m, d, slack, stop, leaf, offset=None):
+    """Depth-first Fincke-Pohst from the blocks (level, x, rem, cls) on the
+    stack down to level `stop`, handing each block of rows that reaches it
+    to leaf(x, cls).  Row r's centres are shifted by offset[cls[r]], the
+    coset it walks; cls is None on unshifted walks."""
     while stack:
-        level, x, rem = stack.pop()
+        level, x, rem, cls = stack.pop()
         i = level - 1
-        c = x @ m[i, level:]
+        c = x @ m[i, level : level + x.shape[1]]
+        if offset is not None:
+            c += offset[cls, i]
         half = np.sqrt(np.maximum(rem + slack, 0.0) / d[i])
         lo = np.ceil(-half - c)
         width = np.maximum(np.floor(half - c) - lo + 1, 0).astype(np.int64)
-        if width.max() > 256:
+        if width.max() > 255:
             raise ValidationError("enumeration coordinate outside int8")
         ends = np.cumsum(width)
-        rows = int(np.searchsorted(ends, _BLOCK, side="right"))  # >= 1: a row has <= 256 children
+        rows = int(np.searchsorted(ends, _BLOCK, side="right"))  # >= 1: a row has < 256 children
         if rows < len(x):
-            stack.append((level, x[rows:], rem[rows:]))
+            stack.append((level, x[rows:], rem[rows:], None if cls is None else cls[rows:]))
         total = int(ends[rows - 1])
         if not total:
             continue
         parent = np.repeat(np.arange(rows), width[:rows])
         xi = lo[parent] + np.arange(total) - np.repeat(ends[:rows] - width[:rows], width[:rows])
-        if xi.min() < -128 or xi.max() > 127:
+        if xi.min() < -127 or xi.max() > 127:
             raise ValidationError("enumeration coordinate outside int8")
         t = xi + c[parent]
-        child = np.empty((total, n - i), dtype=np.int8)
+        child = np.empty((total, x.shape[1] + 1), dtype=np.int8)
         child[:, 0] = xi
         child[:, 1:] = x[parent]
-        if i:
-            stack.append((i, child, rem[parent] - d[i] * t * t))
+        cls_child = None if cls is None else cls[parent]
+        if i > stop:
+            stack.append((i, child, rem[parent] - d[i] * t * t, cls_child))
         else:
-            count += leaves(child)
-    return 2 * count
+            leaf(child, cls_child)
+
+
+def _ball(dim: int, r2: float) -> float:
+    """Volume of the dim-dimensional ball of squared radius r2."""
+    return exp(dim / 2 * log(pi * r2) - lgamma(dim / 2 + 1))
+
+
+def _node_estimates(d, target8, scale):
+    """Gaussian-heuristic count of the nodes walked when splitting at each
+    level k = 0 .. n-1.  Level l of the top walk holds about N_l = ball(n-l)
+    / sqrt(d_l ... d_{n-1}) nodes, half of them walked; the bottom walks
+    one coset per class, at most min(classes, N_k / 2) of them, of about
+    sum_{l<k} ball(k-l) / sqrt(d_l ... d_{k-1}) nodes each.  L_k has at most
+    d_0 ... d_{k-1} / scale^k classes, scale being the gcd of the Gram
+    entries; Leech's 8 * unimodular form reaches that bound."""
+    n = len(d)
+    logd = [0.0]
+    for v in d:
+        logd.append(logd[-1] + log(v))  # logd[l] = log(d_0 ... d_{l-1})
+    level = [_ball(n - l, target8) * exp((logd[l] - logd[n]) / 2) for l in range(n)]
+    out = []
+    for k in range(n):
+        nodes = sum(level[k:]) / 2
+        if k:
+            classes = exp(logd[k] - k * log(scale))
+            coset = sum(_ball(k - l, target8) * exp((logd[l] - logd[k]) / 2) for l in range(k))
+            nodes += min(classes, level[k] / 2) * coset
+        out.append(nodes)
+    return out
+
+
+def _split_level(nodes) -> int:
+    """The split level with the fewest estimated nodes."""
+    return min(range(len(nodes)), key=nodes.__getitem__)
+
+
+def _scaled_solve(gram, k):
+    """(det, M) with det = det G_kk and M = det * G_kk^-1 G_kt, G_kk the
+    leading k x k block of the integer Gram matrix and G_kt the rest of its
+    first k rows: fraction-free Gauss-Jordan elimination, whose divisions are
+    exact.  G_kk is positive definite, so each leading minor is a nonzero
+    pivot."""
+    rows = [list(r) for r in gram[:k]]
+    prev = 1
+    for c in range(k):
+        piv = rows[c]
+        for r in range(k):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(piv[c] * u - f * v) // prev for u, v in zip(rows[r], piv)]
+        prev = piv[c]
+    return prev, [row[k:] for row in rows]
+
+
+class _Cosets:
+    """The classes of top vectors y at split level k, and the exact norms of
+    their cosets.
+
+    With A = D G_kk^-1 G_kt integral, a lattice vector with bottom u and top
+    y is ((D u + A y).B_k + y.P) / D, where P = D B_t - A^T B_k is D times
+    the part of the top rows orthogonal to L_k.  So D^2 times its norm is
+    |(D u + A y).B_k|^2 + |y.P|^2, a sum of two integers, and y names the
+    coset D Z^k + A y by its class, the residues r = A y mod D.  A class is
+    coded as the integer sum_i r_i D^i; the classes form the group
+    A Z^(n-k) + D Z^k mod D, listed from an echelon basis of that group.
+    table[c * width + h // step] counts the u with |(D u + r).B_k|^2 = h <=
+    D^2 target8 in class c, and top vector y counts table[class(y) * width
+    + key // step], key = D^2 target8 - |y.P|^2.  Every h is r.G_kk.r plus
+    a multiple of step, and so is every key when step divides D^2 target8,
+    so a slot never mixes two norms; when step does not divide it, no
+    lattice vector has the target norm.
+    """
+
+    def __init__(self, basis, gram, m, k, target8):
+        n = len(basis)
+        det, scaled = _scaled_solve(gram, k)
+        g = gcd(det, *(v for row in scaled for v in row))
+        self.D = D = det // g
+        A = [[v // g for v in row] for row in scaled]
+        low = basis[:k]
+        P = [
+            [D * v - sum(A[i][j] * low[i][c] for i in range(k)) for c, v in enumerate(basis[k + j])]
+            for j in range(n - k)
+        ]
+        # |x_i| <= 127 bounds every partial sum of |y.P|^2, |(D u + r).B_k|^2, A y and the class code
+        cols = range(len(basis[0]))
+        top_sum = sum((127 * sum(abs(row[c]) for row in P)) ** 2 for c in cols)
+        low_sum = sum((128 * D * sum(abs(row[c]) for row in low)) ** 2 for c in cols)
+        fits = max(top_sum, low_sum, D**k, 127 * (n - k) * D) < _EXACT
+        # x.G.x is a multiple of `even` for every x, and u.G_kk.r of the gcd of G_kk
+        even = gcd(*(gram[i][i] for i in range(n)), *(2 * v for row in gram for v in row))
+        self.step = gcd(D * D * even, 2 * D * gcd(*(v for row in gram[:k] for v in row[:k])))
+        self.target8, self.budget = target8, D * D * target8
+        self.width = self.budget // self.step + 1
+        residues = [[v % D for v in col] for col in zip(*A)]  # row j: A e_j mod D
+        group = _integer_row_basis(residues + [[D * (i == j) for j in range(k)] for i in range(k)])
+        classes = prod(D // row[i] for i, row in enumerate(group))
+        self.exact = fits and classes * self.width <= _MAX_TABLE
+        if not self.exact:
+            return
+        reps = np.zeros((1, k), dtype=np.int64)
+        for i, row in enumerate(group):
+            digits = np.arange(D // row[i])[:, None, None]
+            reps = ((reps + digits * np.array(row)) % D).reshape(-1, k)
+        self.weights = D ** np.arange(k, dtype=float)
+        codes = reps @ self.weights
+        order = sorted(range(classes), key=codes.__getitem__)
+        self.codes, reps = codes[order], reps[order]  # code 0, the class of L_k itself, comes first
+        # the coset of -r is minus the coset of r: walk the first class of each pair
+        self.pair = np.minimum(np.arange(classes), np.searchsorted(self.codes, (-reps % D) @ self.weights))
+        self.offset = reps @ m[:k, :k].T / D  # the coset's shift of the walk's centres
+        self.low = D * np.array(low, dtype=float)
+        self.shift = reps.astype(float) @ np.array(low, dtype=float)  # r.B_k
+        self.top = np.hstack([np.array(P, dtype=float), np.array(residues, dtype=float)])
+        self.table = np.zeros(classes * self.width, dtype=np.int64)
+        self.count = 0
+        self.k = k
+
+    def walk(self, m, d, slack):
+        """Walk the coset of every class once, with the full budget, into table."""
+        walked = np.flatnonzero(self.pair == np.arange(len(self.pair)))
+        rem = np.full(len(walked), float(self.target8))
+        seed = (self.k, np.zeros((len(walked), 0), dtype=np.int8), rem, walked)
+        _walk([seed], m, d, slack, 0, self._fill, self.offset)
+        self.table = self.table.reshape(len(self.pair), -1)[self.pair].ravel()
+
+    def _fill(self, x, cls):
+        for s in range(0, len(x), _LEAF_ROWS):
+            c = cls[s : s + _LEAF_ROWS]
+            v = x[s : s + _LEAF_ROWS] @ self.low + self.shift[c]
+            h = np.einsum("ij,ij->i", v, v).astype(np.int64)
+            keep = h <= self.budget
+            self.table += np.bincount(c[keep] * self.width + h[keep] // self.step, minlength=len(self.table))
+
+    def lookup(self, y, _):
+        """Add the counts of the top vectors y (rows x_k .. x_{n-1})."""
+        ncols = self.shift.shape[1]
+        for s in range(0, len(y), _LEAF_ROWS):
+            z = y[s : s + _LEAF_ROWS] @ self.top
+            w, a = z[:, :ncols], z[:, ncols:]  # y.P and A y
+            key = self.budget - np.einsum("ij,ij->i", w, w).astype(np.int64)
+            cls = np.searchsorted(self.codes, (a - self.D * np.floor(a / self.D)) @ self.weights)
+            hit = key >= 0
+            self.count += int(self.table[cls[hit] * self.width + key[hit] // self.step].sum())
+
+    def zero_count(self) -> int:
+        """The vectors of L_k itself with the target norm: y = 0, class 0."""
+        return int(self.table[self.budget // self.step])

@@ -44,6 +44,17 @@ def test_leech_shell_norm_bounds(capsys):
     assert code == 0 and json.loads(out) == {"norm": 0, "count": 1}
 
 
+@pytest.mark.parametrize("norm", ["40", "1000"])
+def test_leech_shell_refuses_a_walk_beyond_the_node_ceiling(capsys, norm):
+    start = time.perf_counter()
+    code = main(["lattice", "leech-shell", "--norm", norm, "--format", "json"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "norm %s needs about" % norm in err and "enumeration nodes" in err
+    assert elapsed < 1
+
+
 def test_count_options_are_non_negative(capsys):
     assert run(capsys, "n1", "check", "--samples", "-1")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--samples", "-1")[0] == 2

@@ -352,15 +352,30 @@ def test_dense_word_table_matches_sparse_action(golay, lift):
 
 def t_oracle(lift, states):
     """t = 2^(-12) * sum over all 4096 lifted words s(C) e_C, term by term,
-    applied to each dense state: one image row per word, eight words at a time."""
+    applied to each dense state: 64 words' image rows at a time or, for a
+    state with at most 64 nonzero entries, every word's image of each entry
+    at once, from the words' normal form m_S -> i^U(S) 2^T(S) m_(S ^ toggle)
+    with U = u0 + du.S and T = t0 + dt.S."""
+    words = lift.words
+    assert not words.odd.any()
     outs = []
     for state in states:
         re, im = np.zeros((2, 4096), dtype=np.int64)
-        for start in range(0, 4096, 8):
-            # the shift 12 covers the worst word factor 2^(-12)
-            rows_re, rows_im = lift.words[start:start + 8].images(state, 12)
-            re += rows_re.sum(0)
-            im += rows_im.sum(0)
+        support = np.flatnonzero(state.re | state.im)
+        if len(support) <= 64:
+            bits = cliffordcm._PAIR_BITS[support].T.astype(np.int64)
+            u = (words.u0[:, None] + words.du @ bits) & 3
+            t = words.t0[:, None] + words.dt @ bits + 12  # the shift 12 covers the worst word factor 2^(-12)
+            x, y = state.re[support], state.im[support]
+            turned = np.array([(x, y), (-y, x), (-x, -y), (y, -x)])  # i^u (x + i y)
+            at, col = support ^ words.toggle[:, None], np.arange(len(support))
+            np.add.at(re, at, turned[u, 0, col] << t)
+            np.add.at(im, at, turned[u, 1, col] << t)
+        else:
+            for start in range(0, 4096, 64):
+                rows_re, rows_im = words[start:start + 64].images(state, 12)
+                re += rows_re.sum(0)
+                im += rows_im.sum(0)
         outs.append(DenseState(re, im, state.e + 24))
     return outs
 
@@ -398,10 +413,18 @@ def test_apply_into_guards():
 
 
 def first_moving(lift, x):
-    """The first lifted word in mask order with table.apply(x) != x, one at a time."""
-    for cmask, table in zip(sorted(lift.section), lift.tables()):
-        if not table.apply(x).equals(x):
-            return cmask
+    """The first lifted word in mask order whose image of x is not x, sweeping
+    all 4096 words 64 at a time."""
+    if not x.nonzero_count():
+        return None  # every word fixes the zero state
+    masks = sorted(lift.section)
+    words = lift.word_table(masks)
+    for start in range(0, len(masks), 64):
+        # the shift 12 covers the worst word factor 2^(-12)
+        re, im = words[start:start + 64].images(x, 12)
+        moved = ((re != x.re << 12) | (im != x.im << 12)).any(1)
+        if moved.any():
+            return masks[start + int(moved.argmax())]
 
 
 def test_verify_fixed_names_first_moving_word(golay, lift):

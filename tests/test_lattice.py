@@ -151,6 +151,101 @@ def test_children_are_created_in_capped_blocks(monkeypatch):
         assert cap // 2 < max(sizes) <= cap
 
 
+def force_split(monkeypatch, k):
+    """Make _shell_count split at level k (at most rank - 1), whatever it estimates."""
+    monkeypatch.setattr(lattice, "_split_level", lambda nodes: min(k, len(nodes) - 1))
+
+
+def spy_splits(monkeypatch):
+    """The levels of the coset walks made from now on."""
+    levels, walk = [], lattice._Cosets.walk
+    monkeypatch.setattr(lattice._Cosets, "walk", lambda self, *args: levels.append(self.k) or walk(self, *args))
+    return levels
+
+
+def test_split_counts_do_not_depend_on_the_level(monkeypatch):
+    """E8 at targets 0..24 and random rank 2-4 bases against the box
+    enumeration, at every split level."""
+    e8 = e8_doubled_basis()
+    want = [_shell_count(e8, t) for t in range(25)]
+    assert want[8::8] == [240, 2160, 6720]
+    rng = random.Random(31)
+    cases = []
+    while len(cases) < 6:
+        rank = 2 + len(cases) % 3
+        basis = [[rng.randrange(-3, 4) for _ in range(rank)] for _ in range(rank)]
+        if abs(np.linalg.det(np.array(basis, dtype=float))) >= 0.5:
+            norms = box_norms(basis, 24)
+            cases.append((basis, [np.count_nonzero(norms == t) for t in range(25)]))
+    levels = spy_splits(monkeypatch)
+    for k in range(8):
+        force_split(monkeypatch, k)
+        for basis in (e8, _lll_reduce(e8)):
+            assert [_shell_count(basis, t) for t in range(25)] == want
+        for basis, counts in cases:
+            if k < len(basis):
+                assert [_shell_count(basis, t) for t in range(25)] == counts
+    # the split is walked, not always given up for the unsplit walk
+    assert set(levels) == set(range(1, 8))
+
+
+@pytest.mark.parametrize("k", [0, 6, 9, 12])
+def test_split_levels_on_leech_and_e8_cubed(leech, monkeypatch, k):
+    force_split(monkeypatch, k)
+    levels = spy_splits(monkeypatch)
+    assert leech.shell_count(4) == 196560
+    assert e8_cubed().shell_count(2) == 720
+    assert levels == ([k, k] if k else [])
+
+
+def test_split_level_follows_the_node_estimate(leech):
+    b = np.array(leech.basis, dtype=float)
+    d = (np.diag(np.linalg.cholesky(b @ b.T)) ** 2).tolist()
+    nodes = {norm: lattice._node_estimates(d, 8 * norm, 8) for norm in (2, 4, 6, 8, 10)}
+    assert [lattice._split_level(nodes[norm]) for norm in (2, 4, 6)] == [0, 9, 10]
+    assert min(nodes[8]) < lattice._MAX_NODES < min(nodes[10])
+
+
+def test_split_negative_controls(leech, monkeypatch):
+    """Cosets walked without their shift, or every top vector read from the
+    class of L_9 itself, miscount the minimal vectors."""
+    force_split(monkeypatch, 9)
+    walk = lattice._Cosets.walk
+
+    def unshifted(self, *args):
+        self.offset = np.zeros_like(self.offset)
+        walk(self, *args)
+
+    def one_class(self, *args):
+        walk(self, *args)
+        self.weights = np.zeros_like(self.weights)  # every code 0
+
+    for wrong in (unshifted, one_class):
+        monkeypatch.setattr(lattice._Cosets, "walk", wrong)
+        assert leech.shell_count(4) != 196560
+
+
+def test_split_guard_at_its_bound(monkeypatch):
+    """Split at k = 1, [[s, s], [0, s]] has D = 2 and bottom norms
+    |(2 u + r) s (1, 1)|^2: under 2^53 while 2 * (128 * 2 * s)^2 is, so at
+    s = 2^17 the split walks and at 2^18 it falls back to the unsplit walk;
+    the counts equal the box enumeration either way."""
+    force_split(monkeypatch, 1)
+    levels = spy_splits(monkeypatch)
+    for s in (2**17, 2**18):
+        basis = [[s, s], [0, s]]
+        norms = box_norms(basis, 5 * s * s)
+        for k in range(6):
+            assert _shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
+        assert _shell_count(basis, s * s + 1) == 0
+    assert levels == [1] * 5  # s = 2^17: targets 1..5; target 0 and s^2 + 1 need no walk
+
+
+def test_shell_count_refuses_beyond_the_node_ceiling(leech):
+    with pytest.raises(ValidationError, match="norm 10 needs about 1.4e[+]08 enumeration nodes"):
+        leech.shell_count(10)
+
+
 def exact_gram_schmidt(basis):
     """|b*_i|^2 and mu_ij over the rationals, from the integer Gram matrix."""
     gram = [[Fraction(sum(a * b for a, b in zip(r, s))) for s in basis] for r in basis]
