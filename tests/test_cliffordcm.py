@@ -380,21 +380,60 @@ def t_oracle(lift, states):
     return outs
 
 
+def per_factor_t(lift, state):
+    """t as (state + W_j state)/2 over the 12 signed generator words W_j, each
+    applied by WordTable.apply, which builds the word's tables on every call."""
+    for word in lift.word_table(lift.code.generators):
+        image = word.apply(state)
+        shift = image.e - state.e
+        state = DenseState((state.re << shift) + image.re, (state.im << shift) + image.im,
+                           image.e + 1).reduced()
+    return state
+
+
 def test_factored_t_matches_4096_term_sum(lift):
     rng = random.Random(13)
     states = [DenseState.basis(0), lift.invariant_vector()]
-    states += [dense(random_state(rng, 4)) for _ in range(3)]
+    states += [dense(random_state(rng, 4), e) for e in (0, 0, 0, 1, 5)]
     big = np.random.default_rng(13).integers(-_INPUT_LIMIT, _INPUT_LIMIT + 1, size=(2, 4096))
     states.append(DenseState(big[0], big[1], 0))
     for d, want in zip(states, t_oracle(lift, states)):
-        assert lift.apply_t_dense(d).equals(want)
+        got = lift.apply_t_dense(d)
+        assert got.equals(want) and got.equals(per_factor_t(lift, d))
 
 
-def test_apply_t_dense_rejects_large_entries(lift):
+def test_factor_tables_built_once_and_sign_sensitive(golay, lift, monkeypatch):
+    built, gather = [], WordTable.gather_tables
+    monkeypatch.setattr(WordTable, "gather_tables", lambda self, *a: built.append(len(self)) or gather(self, *a))
+    fresh = GolayLift(golay, None, lift.generator_signs)
+    tv = fresh.invariant_vector()
+    assert fresh.apply_t_dense(tv).equals(tv) and fresh.verify_fixed(tv)
+    assert built == [1] * 12  # one table per generator word, for every later application too
+    # one generator sign flipped: t projects onto its other eigenspace, on both paths
+    signs = list(lift.generator_signs)
+    signs[4] = -signs[4]
+    other, vacuum = GolayLift(golay, None, signs), DenseState.basis(0)
+    flipped = other.apply_t_dense(vacuum)
+    assert flipped.equals(per_factor_t(other, vacuum)) and not flipped.equals(tv)
+    assert not per_factor_t(other, vacuum).equals(per_factor_t(lift, vacuum))
+
+
+def test_apply_t_dense_rejects_large_entries(lift, monkeypatch):
     re = np.zeros(4096, dtype=np.int64)
     re[5] = _INPUT_LIMIT + 1
     with pytest.raises(ValidationError):
         lift.apply_t_dense(DenseState(re, np.zeros(4096, dtype=np.int64), 0))
+    # past the input limit, each factor's stored bound refuses entries its shifts would wrap
+    monkeypatch.setattr(cliffordcm, "_INPUT_LIMIT", 1 << 62)
+    re[5] = 1 << 60
+    with pytest.raises(ValidationError, match="int64 headroom"):
+        lift.apply_t_dense(DenseState(re, np.zeros(4096, dtype=np.int64), 0))
+
+
+def test_dense_state_refuses_negative_exponent():
+    vacuum = DenseState.basis(0)  # 2 m_0 over 2^-1 would reduce to the zero state
+    with pytest.raises(ValidationError, match="exponent -1"):
+        DenseState(vacuum.re, vacuum.im, -1)
 
 
 def test_apply_into_guards():
@@ -450,10 +489,13 @@ def test_verify_fixed_proof_negative_controls_and_cost(golay, lift, monkeypatch)
         spoiled.words.u0[spoiled.masks == cmask] ^= 2  # the word negated
         with pytest.raises(VerificationFailure, match=match):
             spoiled.verify_fixed(tv)
-    # a pass applies the 12 generator words only, not the 4096 lifted words
-    rows, images = [], WordTable.images
+    # a pass applies the 12 generator words only, from their stored tables
+    rows, factors = [], []
+    images, factor_image = WordTable.images, GolayLift._factor_image
     monkeypatch.setattr(WordTable, "images", lambda self, *a: rows.append(len(self)) or images(self, *a))
-    assert lift.verify_fixed(tv) and sum(rows) <= 12
+    monkeypatch.setattr(GolayLift, "_factor_image",
+                        lambda self, j, x: factors.append(j) or factor_image(self, j, x))
+    assert lift.verify_fixed(tv) and not rows and factors == list(range(12))
 
 
 def test_dense_equals_compares_values():
