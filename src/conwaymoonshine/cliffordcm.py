@@ -69,9 +69,9 @@ def _parity(x):
 
 
 def _angle_steps(thetas):
-    """The level N of 12 pair angles theta_i, and each angle as the
-    integer step theta_i * N."""
-    thetas = [Fraction(t) for t in thetas]
+    """The level N of 12 pair angles theta_i (ints or Fractions), and each
+    angle as the integer step theta_i * N."""
+    thetas = list(thetas)
     if len(thetas) != PAIRS:
         raise PairingError("expected 12 eigenvalue pairs, got %d" % len(thetas))
     level = lcm(2, *(2 * t.denominator for t in thetas))

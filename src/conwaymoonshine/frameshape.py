@@ -8,7 +8,7 @@ eigenvalue multiset (no negative multiplicities after cancellation).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PairingError, ParseError, ValidationError
 from .qseries import FracPowerSeries, eta_product
@@ -67,26 +67,30 @@ class FrameShape:
         (e^(2*pi*i*theta), e^(-2*pi*i*theta)).  Raises PairingError when the
         multiset does not decompose (odd multiplicity at a self-inverse
         eigenvalue, which cannot happen for determinant-one shapes).
+
+        The pairs come from the divisor sums: the self-inverse roots (d = 1
+        and 2) give mult/2 pairs each, and every other order d gives mult
+        pairs at each j/d with j < d/2 coprime to d, since j/d and 1 - j/d
+        share a multiplicity.  The count is 12 because sum_d phi(d) * mult
+        is the degree.  Angles are sorted as integer steps on the lcm of the
+        orders present, and only the 12 results are made Fractions.
         """
-        mult = self.eigenvalues()
-        pairs = []
-        for theta in sorted(mult):
-            count = mult[theta]
-            if theta == 0 or 2 * theta == 1:
-                if count % 2:
-                    raise PairingError(
-                        "eigenvalue at theta=%s has odd multiplicity %d" % (theta, count)
-                    )
-                pairs.extend([theta] * (count // 2))
-            elif theta < Fraction(1, 2):
-                if mult.get(1 - theta, 0) != count:
-                    raise PairingError(
-                        "multiplicities at theta=%s and %s differ" % (theta, 1 - theta)
-                    )
-                pairs.extend([theta] * count)
-        if len(pairs) != DEGREE // 2:
-            raise PairingError("expected 12 inverse pairs, got %d" % len(pairs))
-        return pairs
+        mult = _root_multiplicities(self.exps)
+        for d, theta in ((1, "0"), (2, "1/2")):
+            if mult.get(d, 0) % 2:
+                raise PairingError(
+                    "eigenvalue at theta=%s has odd multiplicity %d" % (theta, mult[d])
+                )
+        level = lcm(*(d for d, count in mult.items() if count))
+        steps = []
+        for d, count in mult.items():
+            if d <= 2:
+                steps += [(d - 1) * level // 2] * (count // 2)
+            else:
+                step = level // d
+                steps += [j * step for j in range(1, (d + 1) // 2) if gcd(j, d) == 1] * count
+        steps.sort()
+        return [Fraction(n, level) for n in steps]
 
     def negate(self) -> "FrameShape":
         """Shape of -g, via (1 - x^m) -> (1 + x^m) = (1 - x^(2m))/(1 - x^m)
@@ -109,6 +113,8 @@ class FrameShape:
         s, order = Fraction(s), Fraction(order)
         if order <= s:
             raise ValidationError("order %s does not reach the valuation %s" % (order, s))
+        if s.denominator == 1:  # int scales: no Fraction product per factor
+            s = s.numerator
         return eta_product({m * s: k for m, k in self.exps.items()}, order)
 
     # -- formatting --------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .classdata import ConjugacyClassRecord, registry
 from .errors import PrecisionError, VerificationFailure
@@ -86,16 +87,24 @@ def T_s_tw(source, order, c_value=None) -> FracPowerSeries:
 
 
 def _lemma_terms(pi: FrameShape, c_g, order):
-    """The lemma combination without its partner term, and eta_{negate pi}."""
+    """The lemma combination without its partner term, and eta_{negate pi}.
+
+    t~(pi) - t~(negate pi) - c_g*eta_pi + 2*chi is summed as one coefficient
+    map on the common grid of its eta products, so no intermediate series
+    (a negated copy, a scaled copy, a partial sum) is built.
+    """
     order = Fraction(order)
     pin = pi.negate()
-    rest = (
-        t_tilde(pi, order)
-        - t_tilde(pin, order)
-        - pi.eta_quotient(1, order) * c_g
-        + 2 * pi.chi()
-    )
-    return rest, pin.eta_quotient(1, order)
+    parts = ((t_tilde(pi, order), 1), (t_tilde(pin, order), -1), (pi.eta_quotient(1, order), -c_g))
+    denom = lcm(*(series.denom for series, _ in parts))
+    # eta_pi refuses orders <= 1, so q^0 lies below the order
+    terms = {0: 2 * pi.chi()}
+    for series, scale in parts:
+        step = denom // series.denom
+        for p, c in series.terms.items():
+            p *= step
+            terms[p] = terms.get(p, 0) + scale * c
+    return FracPowerSeries(denom, terms, order), pin.eta_quotient(1, order)
 
 
 def lemma_residual(pi: FrameShape, c_g, c_neg, order) -> FracPowerSeries:
@@ -117,7 +126,8 @@ def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     rest, partner = _lemma_terms(rec.frame_shape, rec.c_hat_g, order)
     # eta of the partner shape has valuation exactly 1 with leading coefficient 1
     solved = -Fraction(rest.coeff(1))
-    residual = rest + partner * solved
+    # integral for every registry row: scale by the int, not the Fraction
+    residual = rest + partner * (solved.numerator if solved.denominator == 1 else solved)
     report = _report("lemma:%s" % rec.co0_name, residual, {"c_neg": solved})
     return solved, report
 

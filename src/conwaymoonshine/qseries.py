@@ -295,19 +295,18 @@ class FracPowerSeries:
         return True
 
     def max_residual(self):
-        """Largest absolute coefficient (0 for the zero series)."""
-        return max((abs(Fraction(c)) for c in self.terms.values()), default=Fraction(0))
+        """Largest absolute coefficient as a Fraction (0 for the zero series)."""
+        return Fraction(max(map(abs, self.terms.values()), default=0))
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
+        k = self.denom
         lines = []
         for p in sorted(self.terms):
-            c = Fraction(self.terms[p])
-            e = Fraction(p, self.denom)
-            lines.append(
-                "%d/%d q^{%d/%d}" % (c.numerator, c.denominator, e.numerator, e.denominator)
-            )
+            c = self.terms[p]  # an int or a Fraction: both carry numerator and denominator
+            g = gcd(p, k)
+            lines.append("%d/%d q^{%d/%d}" % (c.numerator, c.denominator, p // g, k // g))
         lines.append("O(q^{%d/%d})" % (self.order.numerator, self.order.denominator))
         return "\n".join(lines)
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conwaymoonshine.classdata import registry
-from conwaymoonshine.errors import ParseError
+from conwaymoonshine.errors import PairingError, ParseError
 from conwaymoonshine.fockoracle import (
     ModeSystem,
     TWISTED,
@@ -93,6 +93,54 @@ def test_divisor_sum_eigenvalues_match_brute_force_on_registry():
         for shape in (rec.frame_shape, rec.frame_shape.negate()):
             brute = brute_eigenvalues(shape.exps)
             assert shape.eigenvalues() == {t: k for t, k in brute.items() if k}, str(shape)
+
+
+def fraction_eigenvalue_pairs(shape):
+    """Oracle: the 12 pair angles by sorting the Fraction eigenvalue
+    multiset and comparing each angle with 1/2."""
+    mult = shape.eigenvalues()
+    pairs = []
+    for theta in sorted(mult):
+        count = mult[theta]
+        if theta == 0 or 2 * theta == 1:
+            if count % 2:
+                raise PairingError(
+                    "eigenvalue at theta=%s has odd multiplicity %d" % (theta, count)
+                )
+            pairs.extend([theta] * (count // 2))
+        elif theta < F(1, 2):
+            if mult.get(1 - theta, 0) != count:
+                raise PairingError(
+                    "multiplicities at theta=%s and %s differ" % (theta, 1 - theta)
+                )
+            pairs.extend([theta] * count)
+    if len(pairs) != 12:
+        raise PairingError("expected 12 inverse pairs, got %d" % len(pairs))
+    return pairs
+
+
+def pairing_outcome(pairs_of, shape):
+    """The pairs, or the PairingError message."""
+    try:
+        return pairs_of(shape)
+    except PairingError as exc:
+        return str(exc)
+
+
+def test_divisor_sum_pairs_match_fraction_oracle_on_registry():
+    for rec in registry():
+        for shape in (rec.frame_shape, rec.frame_shape.negate()):
+            pairs = shape.eigenvalue_pairs()
+            assert pairs == fraction_eigenvalue_pairs(shape), str(shape)
+            assert all(type(t) is F for t in pairs)
+
+
+def test_determinant_minus_one_shape_has_no_pairing():
+    shape = parse("1^2.2^1.4^1.16^1")
+    with pytest.raises(PairingError, match=re.escape("eigenvalue at theta=0 has odd multiplicity 5")):
+        shape.eigenvalue_pairs()
+    assert pairing_outcome(fraction_eigenvalue_pairs, shape) == (
+        "eigenvalue at theta=0 has odd multiplicity 5")
 
 
 def test_eigenvalue_examples():

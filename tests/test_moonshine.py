@@ -1,12 +1,16 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.cliffordcm import spinor_supertrace_closed
+from conwaymoonshine.errors import ValidationError
 from conwaymoonshine.frameshape import parse
 from conwaymoonshine.moonshine import (
     T_s,
+    _lemma_terms,
+    _report,
     T_s_tw,
     dichotomy_check,
     half_shift_relation,
@@ -133,6 +137,69 @@ def test_solve_c_neg_magnitude_matches_closed_form():
         assert report.passed
         closed = spinor_supertrace_closed(rec.frame_shape.negate().eigenvalue_pairs())
         assert abs(solved) == abs(closed.to_rational()), name
+
+
+def operator_lemma_terms(pi, c_g, order):
+    """Oracle: the lemma's rest and partner by the chain of series operators."""
+    order = F(order)
+    pin = pi.negate()
+    rest = t_tilde(pi, order) - t_tilde(pin, order) - pi.eta_quotient(1, order) * c_g + 2 * pi.chi()
+    return rest, pin.eta_quotient(1, order)
+
+
+def operator_solve_c_neg(rec, order):
+    """Oracle: solve_c_neg on the operator chain, scaling by the Fraction."""
+    rest, partner = operator_lemma_terms(rec.frame_shape, rec.c_hat_g, order)
+    solved = -F(rest.coeff(1))
+    residual = rest + partner * solved
+    return solved, _report("lemma:%s" % rec.co0_name, residual, {"c_neg": solved})
+
+
+def assert_same_lemma(rec, order):
+    rest, partner = _lemma_terms(rec.frame_shape, rec.c_hat_g, order)
+    want_rest, want_partner = operator_lemma_terms(rec.frame_shape, rec.c_hat_g, order)
+    for got, want in ((rest, want_rest), (partner, want_partner)):
+        assert got == want and got.to_json() == want.to_json()
+    solved, report = solve_c_neg(rec, order)
+    want_solved, want_report = operator_solve_c_neg(rec, order)
+    assert solved == want_solved and type(solved) is F
+    assert report.to_json() == want_report.to_json()
+    return solved, report
+
+
+@pytest.mark.parametrize("order", [F(3, 2), 2, 6, 25])
+def test_fused_lemma_matches_operator_chain(order):
+    for rec in registry():
+        solved, report = assert_same_lemma(rec, order)
+        assert solved.denominator == 1 and report.passed, rec.co0_name
+
+
+def test_fused_lemma_negative_controls():
+    for rec in registry():
+        solved, _ = solve_c_neg(rec, 6)
+        wrong, report = assert_same_lemma(replace(rec, c_hat_g=rec.c_hat_g + 1), 6)
+        if rec.frame_shape.negate() == rec.frame_shape:
+            # only even cycles: eta_pi is the partner, which absorbs the change
+            assert report.passed and wrong == solved + 1, rec.co0_name
+        else:
+            # otherwise a wrong tabulated scalar leaves a nonzero residual
+            assert not report.passed and report.max_residual != 0, rec.co0_name
+    # c_g = 1/2 makes the solved scalar non-integral: the Fraction branch
+    solved, report = assert_same_lemma(replace(lookup("3A"), c_hat_g=F(1, 2)), 6)
+    assert solved.denominator != 1 and not report.passed
+    # c_g = 0: the chain's 0 * eta_pi sits on grid 1, the sum keeps eta_pi's
+    # grid, which divides the grid of the two t~ terms
+    for pi, c_neg in ((IDENT, 4096), (parse("2^24/1^24"), 0)):
+        got = lemma_residual(pi, 0, c_neg, 25)
+        rest, partner = operator_lemma_terms(pi, 0, 25)
+        assert got.to_json() == (rest + partner * c_neg).to_json()
+    # eta_pi refuses an order at or below its valuation 1 before 2*chi is added
+    for order in (F(-1, 4), F(1, 2), 1):
+        with pytest.raises(ValidationError) as got:
+            _lemma_terms(IDENT, 1, order)
+        with pytest.raises(ValidationError) as want:
+            operator_lemma_terms(IDENT, 1, order)
+        assert str(got.value) == str(want.value)
 
 
 def test_lemma_reduces_to_delta_identity_for_identity_element():

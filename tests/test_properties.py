@@ -11,7 +11,12 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 from test_cliffordcm import dense, first_moving, oracle_form  # noqa: E402
-from test_frameshape import brute_eigenvalues  # noqa: E402
+from test_frameshape import (  # noqa: E402
+    brute_eigenvalues,
+    fraction_eigenvalue_pairs,
+    pairing_outcome,
+)
+from test_qseries import assert_text_and_residual_match_oracle  # noqa: E402
 
 from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
@@ -20,7 +25,7 @@ from conwaymoonshine.cliffordcm import (  # noqa: E402
     bilinear_dense,
     reorder_sign,
 )
-from conwaymoonshine.cyclotomic import CycNumber  # noqa: E402
+from conwaymoonshine.cyclotomic import CycNumber, _mobius, euler_phi  # noqa: E402
 from conwaymoonshine.errors import PrecisionError, ValidationError, VerificationFailure  # noqa: E402
 from conwaymoonshine.fockoracle import (  # noqa: E402
     TWISTED,
@@ -117,19 +122,70 @@ def test_series_bounds_at_any_order(denom, order, terms):
     assert full.agrees_with(flipped, through=order) == (not below)
 
 
+# exponent maps of degree 24: k_1 fills the degree left by the other cycles
+degree_24_maps = st.dictionaries(st.integers(2, 24), st.integers(-6, 6), max_size=5).map(
+    lambda exps: {**exps, 1: 24 - sum(m * k for m, k in exps.items())}
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.integers(2, 24), st.integers(-6, 6), max_size=5))
+@given(degree_24_maps)
 def test_divisor_sum_eigenvalues_match_brute_force(exps):
-    # a shape of degree 24 (k_1 fills the degree) is valid exactly when no
-    # eigenvalue of the brute-force Fraction(j, m) multiset has a negative
-    # multiplicity, and then its eigenvalues are that multiset
-    exps = {**exps, 1: 24 - sum(m * k for m, k in exps.items())}
+    # a shape of degree 24 is valid exactly when no eigenvalue of the
+    # brute-force Fraction(j, m) multiset has a negative multiplicity, and
+    # then its eigenvalues are that multiset
     brute = brute_eigenvalues(exps)
     if min(brute.values()) < 0:
         with pytest.raises(ValidationError):
             FrameShape(exps)
     else:
         assert FrameShape(exps).eigenvalues() == {t: k for t, k in brute.items() if k}
+
+
+@st.composite
+def valid_shape_maps(draw):
+    """Exponent maps of valid shapes, every one reachable: 24 eigenvalues
+    drawn as whole orbits of primitive d-th roots, then k_m read off by
+    Moebius inversion of mult_d = sum_(d | m) k_m.  (degree_24_maps is
+    valid on about one draw in twenty, too few to filter.)"""
+    mult, room = {}, 24
+    while room:
+        d = draw(st.sampled_from([d for d in range(1, 37) if euler_phi(d) <= room]))
+        mult[d] = mult.get(d, 0) + 1
+        room -= euler_phi(d)
+    exps = {m: sum(_mobius(n // m) * c for n, c in mult.items() if n % m == 0)
+            for m in range(1, 37)}
+    roots = {F(j, d): c for d, c in mult.items() for j in range(d) if gcd(j, d) == 1}
+    assert FrameShape(exps).eigenvalues() == roots
+    return exps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(valid_shape_maps(), degree_24_maps))
+def test_divisor_sum_pairs_match_fraction_oracle(exps):
+    # on valid shapes and their negations: the same 12 angles, or the same
+    # PairingError message when a self-inverse eigenvalue has odd multiplicity
+    if min(brute_eigenvalues(exps).values()) < 0:
+        return  # not a shape: the test above covers its refusal
+    shape = FrameShape(exps)
+    for s in (shape, shape.negate()):
+        got = pairing_outcome(FrameShape.eigenvalue_pairs, s)
+        assert got == pairing_outcome(fraction_eigenvalue_pairs, s), str(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 48),
+    st.dictionaries(
+        st.integers(-96, 96),
+        st.one_of(st.integers(-10**6, 10**6), st.fractions(-50, 50, max_denominator=60)),
+        max_size=8,
+    ),
+)
+def test_text_and_max_residual_match_fraction_oracle(denom, terms):
+    # int and Fraction coefficients, negative exponents, the zero series
+    order = F(97, denom)
+    assert_text_and_residual_match_oracle(FracPowerSeries(denom, terms, order))
 
 
 @settings(max_examples=60, deadline=None)

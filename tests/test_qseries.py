@@ -316,6 +316,42 @@ def test_text_round_trip():
     assert S.from_text(a.to_text()) == a
 
 
+def fraction_text(series):
+    """Oracle: to_text with a Fraction made for each coefficient and exponent."""
+    lines = []
+    for p in sorted(series.terms):
+        c = F(series.terms[p])
+        e = F(p, series.denom)
+        lines.append("%d/%d q^{%d/%d}" % (c.numerator, c.denominator, e.numerator, e.denominator))
+    lines.append("O(q^{%d/%d})" % (series.order.numerator, series.order.denominator))
+    return "\n".join(lines)
+
+
+def fraction_max_residual(series):
+    """Oracle: max_residual over the coefficients made Fractions."""
+    return max((abs(F(c)) for c in series.terms.values()), default=F(0))
+
+
+def assert_text_and_residual_match_oracle(series):
+    assert series.to_text() == fraction_text(series)
+    worst = series.max_residual()
+    assert worst == fraction_max_residual(series) and type(worst) is F
+
+
+def test_text_and_max_residual_match_fraction_oracle():
+    zero = S(48, {}, F(-7, 3))
+    assert zero.to_text() == "O(q^{-7/3})" and zero.max_residual() == 0
+    assert_text_and_residual_match_oracle(zero)
+    cases = [
+        S(6, {-13: F(-5, 4), -6: 3, 0: -1, 4: F(7, 2), 9: 2}, 2),  # q^{-13/6} ... q^{3/2}
+        eta(7) * 3 - S.monomial(F(7, 2), F(5, 8), 4),
+        T_s(parse("1^3.6^9/2^3.3^9"), 6),
+        T_s_tw(lookup("30A"), 4) * F(1, 3),
+    ]
+    for series in cases:
+        assert_text_and_residual_match_oracle(series)
+
+
 def test_json_round_trip():
     a = eta(7).scale_tau(F(3, 2)) - S.monomial(2, -1, 5)
     assert S.from_json(a.to_json()) == a
