@@ -86,15 +86,12 @@ def spinor_supertrace_closed(thetas) -> CycNumber:
     prod lambda_i.
     """
     level, steps = _angle_steps(thetas)
-    weights = {sum(step // 2 for step in steps) % level: 1}  # nu
-    for step in steps:
-        new = {}
-        for e, w in weights.items():
-            new[e] = new.get(e, 0) + w
-            e2 = (e - step) % level
-            new[e2] = new.get(e2, 0) - w
-        weights = new
-    return CycNumber.from_exponents(level, weights)
+    weights = [0] * level  # weights[e]: the coefficient of zeta_level^e
+    weights[sum(step // 2 for step in steps) % level] = 1  # nu
+    for step in steps:  # times 1 - zeta^(-step): w_e -= w_(e + step)
+        r = step % level
+        weights = [w - v for w, v in zip(weights, weights[r:] + weights[:r])]
+    return CycNumber(level, weights)
 
 
 def spinor_supertrace_oracle(thetas) -> CycNumber:

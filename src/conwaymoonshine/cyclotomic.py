@@ -2,8 +2,9 @@
 
 Numbers are stored at a fixed level N as rational coordinate vectors in
 the power basis 1, z, ..., z^(phi(N)-1), z = e^(2*pi*i/N), reduced
-eagerly modulo the N-th cyclotomic polynomial.  Mixed-level arithmetic
-raises both operands to the lcm level first.
+eagerly modulo the N-th cyclotomic polynomial.  A coordinate is a Python
+int, or a Fraction when it is not integral.  Mixed-level arithmetic raises
+both operands to the lcm level first.
 """
 
 from __future__ import annotations
@@ -62,19 +63,36 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
+def _coord(c):
+    """Canonical coordinate: an int when integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(n: int) -> tuple:
+    """(j - phi(n), Phi_n[j]) for the nonzero coefficients below the
+    leading one of the monic Phi_n."""
+    poly = cyclotomic_polynomial(n)
+    deg = len(poly) - 1
+    return tuple((j - deg, c) for j, c in enumerate(poly[:deg]) if c)
+
+
 def _reduce_mod_phi(coeffs, n):
     """Reduce a rational polynomial modulo Phi_n; returns phi(n) coords."""
-    phi = list(cyclotomic_polynomial(n))
-    deg = len(phi) - 1
+    deg = euler_phi(n)
+    tail = _phi_tail(n)
     coeffs = list(coeffs)
     for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
+        c = coeffs.pop()  # z^k = -sum_j Phi_n[j] z^(k - deg + j)
         if c:
-            for j in range(deg + 1):
-                coeffs[k - deg + j] -= c * phi[j]
-        coeffs.pop()
+            for j, p in tail:
+                coeffs[k + j] -= c * p
     coeffs += [0] * (deg - len(coeffs))
-    return tuple(Fraction(c) for c in coeffs[:deg])
+    return tuple(map(_coord, coeffs))
 
 
 class CycNumber:
@@ -86,7 +104,7 @@ class CycNumber:
         """coords: rational coefficients of 1, z, z^2, ...; reduced mod
         Phi_N unless there are exactly phi(N) of them."""
         if len(coords) == euler_phi(level):
-            coords = tuple(Fraction(c) for c in coords)
+            coords = tuple(map(_coord, coords))
         else:
             coords = _reduce_mod_phi(coords, level)
         self.level = level
@@ -96,9 +114,7 @@ class CycNumber:
 
     @staticmethod
     def from_rational(value, level: int = 1) -> "CycNumber":
-        v = Fraction(value)
-        deg = euler_phi(level)
-        return CycNumber(level, (v,) + (Fraction(0),) * (deg - 1))
+        return CycNumber(level, (value,) + (0,) * (euler_phi(level) - 1))
 
     @staticmethod
     def from_exponents(level: int, weights: dict) -> "CycNumber":
@@ -116,9 +132,8 @@ class CycNumber:
         if m % self.level != 0:
             raise ValueError("new level must be a multiple of the old one")
         step = m // self.level
-        coeffs = [Fraction(0)] * (len(self.coords) * step)
-        for j, c in enumerate(self.coords):
-            coeffs[j * step] = c
+        coeffs = [0] * (len(self.coords) * step)
+        coeffs[::step] = self.coords
         return CycNumber(m, coeffs)
 
     def _common(self, other):
@@ -146,10 +161,9 @@ class CycNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycNumber(self.level, tuple(c * f for c in self.coords))
+            return CycNumber(self.level, tuple(c * other for c in self.coords))
         a, b = self._common(other)
-        out = [Fraction(0)] * (2 * len(a.coords))
+        out = [0] * (2 * len(a.coords))
         for i, x in enumerate(a.coords):
             if x:
                 for j, y in enumerate(b.coords):
@@ -164,7 +178,7 @@ class CycNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        r0, r1 = phi, list(self.coords)
+        r0, r1 = phi, [Fraction(c) for c in self.coords]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
             while r1 and not r1[-1]:
@@ -178,13 +192,13 @@ class CycNumber:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         return self * other.inverse()
 
     def conj(self) -> "CycNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""
         n = self.level
-        coeffs = [Fraction(0)] * n
+        coeffs = [0] * n
         for j, c in enumerate(self.coords):
             coeffs[(-j) % n] += c
         return CycNumber(n, coeffs)
@@ -200,7 +214,7 @@ class CycNumber:
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise NotRationalError("value is not rational: %s" % self)
-        return self.coords[0]
+        return Fraction(self.coords[0])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -216,7 +230,7 @@ class CycNumber:
         g = gcd(k, N), with normalized trace mu(N/g)/phi(N/g).  For a
         rational x this is hash(x), as for the equal int or Fraction."""
         n = self.level
-        return hash(sum(c * _mobius(n // gcd(k, n)) / euler_phi(n // gcd(k, n))
+        return hash(sum(Fraction(c * _mobius(n // gcd(k, n)), euler_phi(n // gcd(k, n)))
                         for k, c in enumerate(self.coords) if c))
 
     def __repr__(self):
@@ -236,8 +250,8 @@ class CycNumber:
 
 def zeta(n: int, k: int = 1) -> CycNumber:
     """The root of unity e^(2*pi*i*k/n) as an exact cyclotomic number."""
-    coeffs = [Fraction(0)] * n
-    coeffs[k % n] = Fraction(1)
+    coeffs = [0] * n
+    coeffs[k % n] = 1
     return CycNumber(n, coeffs)
 
 

@@ -379,6 +379,78 @@ def eta(order) -> FracPowerSeries:
     return eta_product({1: 1}, order)
 
 
+# sigma_1(m) = the sum of the divisors of m, at index m - 1; grown by doubling
+_SIGMA1 = [1]
+
+# The longest coefficient list made so far per eta-product key, most recently
+# used last, and the number of coefficients they hold in all: at most
+# _ETA_CACHE_TERMS, evicting the least recently used key first.
+_ETA_CACHE = {}
+_ETA_CACHE_TERMS = 1 << 16
+_eta_cached = 0
+
+
+def _sigma1(size: int) -> list:
+    """The sigma_1 table with at least `size` entries."""
+    if len(_SIGMA1) < size:
+        n = max(size, 2 * len(_SIGMA1))
+        table = [0] * n
+        for d in range(1, n + 1):
+            table[d - 1::d] = [t + d for t in table[d - 1::d]]
+        _SIGMA1[:] = table
+    return _SIGMA1
+
+
+def _log_derivative(steps, count: int) -> list:
+    """[s_1, ..., s_(count-1)] of prod (1 - x^j)^k over the j = step*m,
+    m >= 1, for steps = {step: k}: s_i sums k*j over the factors with j | i,
+    which is k*step*sigma_1(i/step) when step | i."""
+    sigma = [0] * (count - 1)  # sigma[i - 1] = s_i
+    for step, k in steps.items():
+        w = k * step
+        table = _sigma1(count // step)
+        sigma[step - 1::step] = [s + w * t for s, t in zip(sigma[step - 1::step], table)]
+    return sigma
+
+
+def _continue(coeffs: list, sigma: list, count: int) -> None:
+    """Extend coeffs = [c_0, ..., c_(n-1)] to c_(count-1) by the recurrence
+    n*c_n = -sum_(1<=i<=n) s_i*c_(n-i), sigma[i - 1] = s_i."""
+    for n in range(len(coeffs), count):
+        coeffs.append(-sum(map(mul, sigma, reversed(coeffs))) // n)
+
+
+def _grid_key(exps):
+    """(K, ((a*K, k_a), ...)) for prod_a eta(a*tau)^(k_a): the exponent grid
+    K, the lcm of the denominators of the a/24, and the scales on it, sorted,
+    with k_a = 0 dropped."""
+    if any(a.numerator <= 0 for a in exps):
+        raise ValueError("eta scales must be positive")
+    scales = {(a.numerator, a.denominator): k for a, k in exps.items() if k}  # a = n/d
+    denom = lcm(*(24 * d // gcd(n, 24) for n, d in scales))  # of each a/24 = n/(24d)
+    return denom, tuple(sorted((n * denom // d, k) for (n, d), k in scales.items()))
+
+
+def _eta_coefficients(key, unit: int, count: int) -> list:
+    """The cached list of c_n for a _grid_key, holding at least c_0 ..
+    c_(count-1); a shorter one is continued.  Callers must not change it."""
+    global _eta_cached
+    coeffs = _ETA_CACHE.pop(key, None)
+    if coeffs is None:
+        coeffs = [1]
+    else:
+        _eta_cached -= len(coeffs)
+    if len(coeffs) < count:
+        sigma = _log_derivative({a // unit: k for a, k in key[1]}, count)
+        _continue(coeffs, sigma, count)
+    if len(coeffs) <= _ETA_CACHE_TERMS:
+        _ETA_CACHE[key] = coeffs
+        _eta_cached += len(coeffs)
+        while _eta_cached > _ETA_CACHE_TERMS:
+            _eta_cached -= len(_ETA_CACHE.pop(next(iter(_ETA_CACHE))))
+    return coeffs
+
+
 def eta_product(exps, order) -> FracPowerSeries:
     """prod_a eta(a*tau)^(k_a) for exps = {a: k_a}, scales a > 0, below `order`.
 
@@ -386,28 +458,18 @@ def eta_product(exps, order) -> FracPowerSeries:
     and step the gcd of the scales.  The integers c_n are filled by the
     log-derivative recurrence n*c_n = -sum_(i<=n) s_i*c_(n-i), where s_i is
     the sum of k*j over the factors (1 - x^j)^k with j | i.  The exponent
-    grid is the lcm of the denominators of the a/24.
+    grid is the lcm of the denominators of the a/24.  The recurrence is
+    online, so the longest list of c_n made for a map is kept (see
+    _ETA_CACHE): a lower order reads a prefix of it, a higher one continues it.
     """
     order = Fraction(order)
-    if any(a.numerator <= 0 for a in exps):
-        raise ValueError("eta scales must be positive")
-    scales = {(a.numerator, a.denominator): k for a, k in exps.items() if k}  # a = n/d
-    denom = lcm(*(24 * d // gcd(n, 24) for n, d in scales))  # of each a/24 = n/(24d)
-    on_grid = {n * denom // d: k for (n, d), k in scales.items()}
-    lead = sum(k * a // 24 for a, k in on_grid.items())  # valuation * denom
+    key = denom, on_grid = _grid_key(exps)
+    lead = sum(k * a // 24 for a, k in on_grid)  # valuation * denom
     top = _grid_bound(order, denom)
     if top <= lead:
         raise PrecisionError("order %s does not reach the valuation %s"
                              % (order, Fraction(lead, denom)))
-    unit = gcd(*on_grid) or 1  # step * denom; the empty map is the constant 1
+    unit = gcd(*(a for a, _ in on_grid)) or 1  # step * denom; the empty map is the constant 1
     count = -((lead - top) // unit)
-    sigma = [0] * count  # sigma[i - 1] = s_i
-    for a, k in on_grid.items():
-        for j in range(a // unit, count, a // unit):  # eta(a*tau)^k holds (1 - x^j)^k
-            for i in range(j, count, j):
-                sigma[i - 1] += k * j
-    coeffs = [1]
-    for n in range(1, count):
-        coeffs.append(-sum(map(mul, sigma, reversed(coeffs))) // n)
-    terms = {lead + n * unit: c for n, c in enumerate(coeffs)}
-    return FracPowerSeries(denom, terms, order)
+    coeffs = _eta_coefficients(key, unit, count)
+    return FracPowerSeries(denom, dict(zip(range(lead, top, unit), coeffs)), order)

@@ -228,6 +228,23 @@ def test_monomial_sqrt():
     assert _monomial_sqrt(zeta(3, 1)) is None
 
 
+def test_monomial_sqrt_on_int_coordinates():
+    # n1 check: alpha^2 = 8 / tv_norm with tv_norm = z/131072 at level 4
+    alpha_sq = CycNumber.from_rational(8, 4) / CycNumber(4, (0, F(1, 131072)))
+    assert alpha_sq.coords == (0, -1048576) and all(type(c) is int for c in alpha_sq.coords)
+    alpha = _monomial_sqrt(alpha_sq)
+    assert str(alpha) == "1024*z^3 @ level 8" and alpha * alpha == alpha_sq
+    assert alpha.to_json() == {"level": 8, "coords": [[0, 1], [0, 1], [0, 1], [1024, 1]]}
+    for x, y in [(1, 0), (0, -8), (-2, 0), (0, 1 << 41)]:
+        value = CycNumber(4, (x, y))
+        assert all(type(c) is int for c in value.coords)
+        root = _monomial_sqrt(value)
+        assert root * root == value
+        assert all(type(c) is int or c.denominator != 1 for c in root.coords)
+    assert _monomial_sqrt(CycNumber(4, (3, 0))) is None
+    assert _monomial_sqrt(CycNumber(4, (1, -1))) is None
+
+
 def test_zz_parity():
     zz = WordTable((1 << 24) - 1)
     composed = WordTable(0)

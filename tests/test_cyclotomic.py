@@ -147,3 +147,19 @@ def test_hash_agrees_with_equality_across_levels():
 def test_zz8_squares_to_two():
     root2 = zeta(8, 1) + zeta(8, -1)
     assert (root2 * root2).to_rational() == 2
+
+
+def test_coordinates_are_ints_when_integral_and_print_as_before():
+    x = CycNumber(4, (F(6, 2), F(1, 2)))
+    assert x.coords == (3, F(1, 2)) and type(x.coords[0]) is int
+    assert repr(x) == "3 + 1/2*z^1 @ level 4"
+    assert x.to_json() == {"level": 4, "coords": [[3, 1], [1, 2]]}
+    y = zeta(8, 3) * 1024
+    assert all(type(c) is int for c in y.coords)
+    assert repr(y) == "1024*z^3 @ level 8"
+    assert y.to_json() == {"level": 8, "coords": [[0, 1], [0, 1], [0, 1], [1024, 1]]}
+    assert repr(CycNumber.from_rational(0, 3)) == "0 @ level 3"
+    minus_two = CycNumber.from_rational(F(-4, 2), 6)
+    assert minus_two.to_json() == {"level": 6, "coords": [[-2, 1], [0, 1]]}
+    value = (zeta(3, 1) + zeta(3, 2)).to_rational()
+    assert value == -1 and type(value) is F

@@ -16,7 +16,10 @@ from test_frameshape import (  # noqa: E402
     fraction_eigenvalue_pairs,
     pairing_outcome,
 )
-from test_qseries import assert_text_and_residual_match_oracle  # noqa: E402
+from test_qseries import (  # noqa: E402
+    assert_log_derivative_matches_oracle,
+    assert_text_and_residual_match_oracle,
+)
 
 from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
@@ -65,11 +68,72 @@ def test_eta_product_of_negated_map_is_inverse(exps):
     assert eta_product(negated, 4 - v) == eta_product(exps, v + 4).invert()
 
 
+@settings(max_examples=100, deadline=None)
+@given(exponent_maps, st.integers(1, 300))
+def test_log_derivative_matches_nested_divisor_loop(exps, count):
+    assert_log_derivative_matches_oracle(exps, count)
+
+
 @st.composite
 def cyclotomic_numbers(draw, levels=st.integers(1, 24)):
     level = draw(levels)
     weights = draw(st.lists(st.integers(-3, 3), min_size=level, max_size=level))
     return CycNumber.from_exponents(level, dict(enumerate(weights)))
+
+
+rationals = st.one_of(st.integers(-6, 6), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def mixed_cyclotomic_numbers(draw, levels=st.integers(1, 24)):
+    """Coordinates of both kinds, ints and Fractions (integral ones too)."""
+    level = draw(levels)
+    if draw(st.booleans()):  # reduced coordinates given directly
+        return CycNumber(level, draw(st.lists(rationals, min_size=euler_phi(level),
+                                              max_size=euler_phi(level))))
+    weights = draw(st.lists(rationals, min_size=1, max_size=2 * level))
+    return CycNumber(level, weights)
+
+
+def assert_canonical(x):
+    """Each coordinate an int, or a Fraction that is not integral; no float."""
+    for c in x.coords:
+        assert type(c) is int or (type(c) is F and c.denominator != 1), x.coords
+
+
+def fraction_trace_hash(x):
+    """Oracle: the hash of the normalized trace summed over Fractions."""
+    n = x.level
+    return hash(sum(F(c) * _mobius(n // gcd(k, n)) / euler_phi(n // gcd(k, n))
+                    for k, c in enumerate(x.coords)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_cyclotomic_numbers(), st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_mixed_coordinates_hash_and_compare_across_levels(x, factors):
+    assert_canonical(x)
+    assert hash(x) == fraction_trace_hash(x)
+    level = x.level
+    for m in factors:
+        level *= m
+        y = x.raise_level(level)
+        assert_canonical(y)
+        assert y == x and x == y and hash(y) == hash(x)
+
+
+def zeta_sum(level):
+    """sum_j zeta_level^j: 1 at level 1, else 0, given with int weights."""
+    return CycNumber.from_exponents(level, {j: 1 for j in range(level)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(rationals, st.integers(1, 30))
+def test_rational_cyclotomic_number_hashes_like_the_rational(r, level):
+    x = CycNumber.from_rational(r, level)
+    assert_canonical(x)
+    assert x == r and x == F(r) and hash(x) == hash(r) == hash(F(r))
+    assert x.to_rational() == r and type(x.to_rational()) is F
+    assert (x + zeta_sum(level)) - zeta_sum(level) == r
 
 
 @settings(max_examples=100, deadline=None)
@@ -81,7 +145,8 @@ def test_cyclotomic_hash_is_level_independent(x, m):
 
 
 # levels dividing 24, so that sums and products of three stay at level 24
-ring_elements = cyclotomic_numbers(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
+ring_levels = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])
+ring_elements = cyclotomic_numbers(ring_levels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,6 +155,22 @@ def test_cyclotomic_ring_laws(x, y, z):
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z  # across levels
     assert x.is_zero() or x * x.inverse() == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cyclotomic_numbers(ring_levels), mixed_cyclotomic_numbers(ring_levels), rationals)
+def test_arithmetic_never_makes_a_float_coordinate(x, y, r):
+    results = [x + y, x - y, x * y, x * r, x + r, x.conj(), -x]
+    if not x.is_zero():
+        results += [x.inverse(), y / x]
+    if r:
+        results.append(x / r)
+        assert (x / r) * r == x
+    for z in results:
+        assert_canonical(z)
+        assert hash(z) == fraction_trace_hash(z)
+    if not x.is_zero():
+        assert x * x.inverse() == 1 and hash(x * x.inverse()) == hash(1)
 
 
 @st.composite

@@ -1,16 +1,17 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction as F
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 
 from conwaymoonshine import modgroups, qseries
-from conwaymoonshine.classdata import lookup
+from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.errors import NotInvertibleError, NotRationalError, PrecisionError
 from conwaymoonshine.frameshape import parse
-from conwaymoonshine.moonshine import T_s, T_s_tw
+from conwaymoonshine.moonshine import T_s, T_s_tw, verify_lemma_all
 from conwaymoonshine.qseries import FracPowerSeries as S, eta, eta_product
 
 
@@ -372,3 +373,181 @@ def test_series_layer_does_not_import_cyclotomic():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name for alias in node.names)
         assert not [n for n in names if "cyclotomic" in n.split(".")], module.__name__
+
+
+# -- the eta-product coefficient cache and the s_i table ----------------------
+
+
+def fresh_eta_product(exps, order):
+    """eta_product expanded from nothing: the cache is emptied for the call
+    and restored afterwards."""
+    saved = qseries._ETA_CACHE, qseries._eta_cached
+    qseries._ETA_CACHE, qseries._eta_cached = {}, 0
+    try:
+        return eta_product(exps, order)
+    finally:
+        qseries._ETA_CACHE, qseries._eta_cached = saved
+
+
+@pytest.fixture
+def empty_eta_cache(monkeypatch):
+    monkeypatch.setattr(qseries, "_ETA_CACHE", {})
+    monkeypatch.setattr(qseries, "_eta_cached", 0)
+
+
+def assert_fresh(exps, order):
+    got = eta_product(exps, order)
+    want = fresh_eta_product(exps, order)
+    assert got == want and got.to_json() == want.to_json()
+    return got
+
+
+def assert_cache_consistent():
+    lengths = [len(c) for c in qseries._ETA_CACHE.values()]
+    assert sum(lengths) == qseries._eta_cached <= qseries._ETA_CACHE_TERMS
+
+
+CACHE_MAPS = [
+    {1: 24},
+    {F(1, 2): 8, 1: -16, 2: 8},  # t~ of 1^8.2^8
+    {F(1, 2): -5, 1: 4, F(3, 2): -2, 2: 3},
+    {F(7, 2): 1, F(5, 3): -2},
+]
+
+
+@pytest.mark.parametrize("exps", CACHE_MAPS)
+def test_eta_cache_long_then_short_and_short_then_long(empty_eta_cache, exps):
+    v = F(sum(k * F(a) for a, k in exps.items()), 24)
+    for orders in ((v + 30, v + 3, v + F(1, 7)), (v + F(1, 7), v + 3, v + 30)):
+        qseries._ETA_CACHE.clear()
+        qseries._eta_cached = 0
+        for order in orders:
+            assert_fresh(exps, order)
+        assert_cache_consistent()
+
+
+def test_eta_cache_extends_across_several_orders(empty_eta_cache):
+    exps = {F(1, 2): 24, 1: -24}
+    key = qseries._grid_key(exps)
+    lengths = []
+    for order in (F(1, 2), 2, F(13, 3), 9, 25, 60):
+        assert_fresh(exps, order)
+        lengths.append(len(qseries._ETA_CACHE[key]))
+    assert lengths == sorted(lengths) and lengths[0] < lengths[-1]
+    assert_fresh(exps, 5)  # a prefix once more
+    assert len(qseries._ETA_CACHE[key]) == lengths[-1]
+
+
+def test_eta_cache_keeps_two_maps_on_one_grid_apart(empty_eta_cache):
+    a, b = {1: 24, 2: -24}, {2: 24, 1: -24}
+    assert qseries._grid_key(a)[0] == qseries._grid_key(b)[0] == 24
+    assert qseries._grid_key(a) != qseries._grid_key(b)
+    for order in (3, 8, 2, 12):
+        assert_fresh(a, order)
+        assert_fresh(b, order)
+    assert len(qseries._ETA_CACHE) == 2
+
+
+def test_eta_cache_empty_map(empty_eta_cache):
+    for order in (5, 9, F(1, 2), 2):
+        assert assert_fresh({}, order) == S.monomial(1, 0, order)
+    assert assert_fresh({3: 0}, 4) == S.monomial(1, 0, 4)
+
+
+def test_eta_cache_invalid_orders_raise_as_before(empty_eta_cache):
+    eta_product({1: 24}, 20)
+    eta_product({F(1, 2): 24, 1: -24}, 20)
+    cases = [
+        ({1: 24}, 1, PrecisionError),
+        ({1: 24}, F(1, 2), PrecisionError),
+        ({F(1, 2): 24, 1: -24}, F(-1, 2), PrecisionError),
+        ({0: 1}, 5, ValueError),
+        ({F(-1, 2): 2, 1: 1}, 5, ValueError),
+    ]
+    for exps, order, error in cases:
+        with pytest.raises(error) as cached:
+            eta_product(exps, order)
+        with pytest.raises(error) as fresh:
+            fresh_eta_product(exps, order)
+        assert str(cached.value) == str(fresh.value)
+    assert_cache_consistent()
+
+
+def test_eta_cache_is_not_changed_through_a_returned_series(empty_eta_cache):
+    exps = {F(1, 2): 8, 1: -16, 2: 8}
+    first = eta_product(exps, 10)
+    first.terms.clear()
+    first.terms[0] = 99
+    assert_fresh(exps, 10)
+    shorter = eta_product(exps, 4)
+    shorter.terms[-12] = 7
+    assert_fresh(exps, 4)
+    assert_fresh(exps, 10)
+
+
+def test_eta_cache_bound_evicts_least_recently_used(empty_eta_cache, monkeypatch):
+    monkeypatch.setattr(qseries, "_ETA_CACHE_TERMS", 60)
+    a, b, c = {1: 1}, {1: 2}, {1: 3}
+    assert_fresh(a, 20)  # 20 coefficients
+    assert_fresh(b, 20)
+    assert_fresh(a, 10)  # a is now the most recently used
+    assert_fresh(c, 30)  # 70 > 60: b goes, a stays
+    assert_cache_consistent()
+    assert list(qseries._ETA_CACHE) == [qseries._grid_key(a), qseries._grid_key(c)]
+    assert_fresh({1: 4}, 100)  # longer than the bound: made, not kept, evicts nothing
+    assert list(qseries._ETA_CACHE) == [qseries._grid_key(a), qseries._grid_key(c)]
+    assert_cache_consistent()
+
+
+def test_normalization_after_the_lemma_sweep_runs_no_recurrence_step(
+        empty_eta_cache, monkeypatch):
+    steps = []
+    run = qseries._continue
+
+    def spy(coeffs, sigma, count):
+        steps.append(count - len(coeffs))
+        run(coeffs, sigma, count)
+
+    monkeypatch.setattr(qseries, "_continue", spy)
+    verify_lemma_all(25)
+    assert sum(steps) > 0  # the spy sees the lemma's expansions
+    del steps[:]
+    for rec in registry():
+        for pi in (rec.frame_shape, rec.frame_shape.negate()):
+            assert T_s(pi, 6).coeff(0) == 0
+    assert sum(steps) == 0
+
+
+def test_sigma1_table_matches_brute_force():
+    table = qseries._sigma1(600)
+    assert len(table) >= 600
+    assert table[:600] == [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(1, 601)]
+
+
+def nested_divisor_log_derivative(on_grid, count):
+    """Oracle: s_1 .. s_(count-1) by the nested divisor loop, s_i += k*j for
+    every factor (1 - x^j)^k with j | i."""
+    unit = gcd(*(a for a, _ in on_grid)) or 1
+    sigma = [0] * count
+    for a, k in on_grid:
+        for j in range(a // unit, count, a // unit):
+            for i in range(j, count, j):
+                sigma[i - 1] += k * j
+    return sigma[:count - 1]
+
+
+def assert_log_derivative_matches_oracle(exps, count):
+    _, on_grid = qseries._grid_key(exps)
+    unit = gcd(*(a for a, _ in on_grid)) or 1
+    got = qseries._log_derivative({a // unit: k for a, k in on_grid}, count)
+    assert got == nested_divisor_log_derivative(on_grid, count), exps
+
+
+def test_log_derivative_matches_nested_divisor_loop_on_registry_maps():
+    for rec in registry():
+        for pi in (rec.frame_shape, rec.frame_shape.negate()):
+            t_map = Counter({F(m, 2): k for m, k in pi.exps.items()})
+            t_map.subtract(pi.exps)
+            for exps in (t_map, dict(pi.exps)):
+                for count in (1, 2, 60, 400):
+                    assert_log_derivative_matches_oracle(exps, count)
