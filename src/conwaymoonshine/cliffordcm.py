@@ -19,18 +19,19 @@ single word is a table of one row; the 4096 lifted Golay words are one table,
 squared in one pass and shown to be products of the 12 generator words, so
 only those 12 need to act on t v.  A word acts on a dense state as one
 gather (the image entry's source and phase) and one shift (its power of
-two); a lift builds these tables for its 12 generator words once, as int16
-and int8 arrays, so t and the invariance sweep reuse them (the 22
-applications of t in n1_checks: 0.055-0.059 s when each factor rebuilt its
-tables, 0.016-0.019 s now, on a 2-core Xeon).  Nothing irrational is
-stored.  Only even-length words act on dense states.
+two), both built by `WordTable.images` on a table's first application, as
+int16 and int8 arrays, and kept on that table.  A lift holds its 12
+generator words as one-row tables, so t and the invariance sweep reuse
+their tables (the 22 applications of t in n1_checks: 0.055-0.059 s when
+each factor rebuilt its tables, 0.016-0.019 s with them kept, on a 2-core
+Xeon).  Nothing irrational is stored.  Only even-length words act on dense
+states.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from math import comb, lcm
 
 import numpy as np
@@ -175,13 +176,15 @@ _PAIR_RULES = np.array([(0, 0, 0, 0),  # 1
                         (0, 0, 2, 1),  # a^+ + a^-
                         (3, 0, 3, 1),  # i (a^+ - a^-)
                         (1, 1, 3, 1)])  # the product of the two
-_HALF_BITS = _PAIR_BITS[:64, :6].T.astype(np.int64)  # bits of pairs 0-5 (or 6-11)
-_BLOCK = 4  # words per batched image (orthogonality, verify_fixed); 8 cost 0.5 MiB more peak RSS
+_HALF_BITS = _PAIR_BITS[:64, :6].T.copy()  # bits of pairs 0-5 (or 6-11)
+_SOURCES = _ARANGE.astype(np.int16)  # the image entries R, as gather indices
+_BLOCK = 4  # words per batched image (orthogonality, first_mover); 8 cost 0.5 MiB more peak RSS
 
 
 def _affine(c0, d):
-    """c0 + sum_k d_k S_k per row and S: 64-entry tables for pairs 0-5 and 6-11, broadcast."""
-    low = d[:, :6] @ _HALF_BITS + c0[:, None]
+    """c0 + sum_k d_k S_k per row and S: 64-entry tables for pairs 0-5 and 6-11, broadcast.
+    In int8, as d is: a phase sum is at most 3 + 12 * 3, an exponent at most 12 in size."""
+    low = d[:, :6] @ _HALF_BITS + c0.astype(np.int8)[:, None]
     high = d[:, 6:] @ _HALF_BITS
     return (high[:, :, None] + low[:, None, :]).reshape(len(d), DIM)
 
@@ -210,7 +213,7 @@ class WordTable:
     WordTable(cmask, sign) is a table of one row.  The fields are a normal
     form, so equal operators compare equal."""
 
-    __slots__ = ("toggle", "odd", "u0", "t0", "du", "dt")
+    __slots__ = ("toggle", "odd", "u0", "t0", "du", "dt", "_gathers")
 
     def __init__(self, cmasks, signs=1):
         cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
@@ -232,11 +235,13 @@ class WordTable:
             above ^= parity
         self.toggle, self.odd, self.u0, self.t0, self.du, self.dt = (
             toggle, above, u0 % 4, (t0 + above) // 2, du, dt)
+        self._gathers = None
 
     @staticmethod
     def _of(toggle, odd, u0, t0, du, dt) -> "WordTable":
         table = WordTable.__new__(WordTable)
         table.toggle, table.odd, table.u0, table.t0, table.du, table.dt = toggle, odd, u0, t0, du, dt
+        table._gathers = None
         return table
 
     def __len__(self):
@@ -295,52 +300,53 @@ class WordTable:
         fixed by the polarization; it acts on m_S as (-1)^|S|."""
         return (WordTable((1 << NGEN) - 1) * self).trace()
 
-    def min_shift(self) -> int:
-        return (self.t0 + np.minimum(self.dt, 0).sum(1)).item()
-
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
         that keeps every image entry integral."""
-        out_re, out_im = np.zeros((2, DIM), dtype=np.int64)
-        out_e = state.e + max(0, -self.min_shift())
-        self.apply_into(state, out_re, out_im, out_e)
-        return DenseState(out_re, out_im, out_e)
+        (re,), (im,), shift = self.images(state)
+        return DenseState(re, im, state.e + shift.item())
 
     def apply_into(self, state: DenseState, out_re, out_im, out_e: int):
         """Accumulate 2^out_e * (word applied to state) into out arrays."""
-        (re,), (im,) = self.images(state, out_e - state.e)
-        out_re += re
-        out_im += im
-
-    def gather_tables(self, shift):
-        """Each word's image as one gather and one shift, over 2^(e + shift) for
-        shift a scalar or one per word: entry R is i^U(S) 2^T(S) x_S for S = R ^ toggle,
-        read off the diagonal word (the word after its own toggle).  Returns the
-        index of i^U(S) x_S into `_rotations` and the exponent T(S) + shift, both [word, R]."""
-        if self.odd.any():
-            raise ValidationError("dense tables require an even word length")
-        diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
-        idx = (_affine(diag.u0, diag.du) & 3) * DIM + (_ARANGE ^ self.toggle[:, None])
-        return idx, _affine(diag.t0 + shift, diag.dt)
-
-    def images(self, state: DenseState, shift):
-        """Each word's image of state as (re, im) rows over 2^(e + shift), shift
-        a scalar or one per word."""
-        idx, t = self.gather_tables(shift)
-        if t.min() < 0:
+        (re,), (im,), shift = self.images(state)
+        extra = out_e - state.e - shift.item()
+        if extra < 0:
             raise ValidationError("denominator headroom exhausted; raise out_e")
-        _check_headroom(int(t.max()), state)
+        _check_headroom(extra, DenseState(re, im, 0))
+        out_re += re << extra
+        out_im += im << extra
+
+    def images(self, state: DenseState):
+        """(re, im, shift): each word's image of state as a row over 2^(e + shift),
+        shift a column holding each word's -min T (floored at 0), the smallest
+        denominator that keeps its image integral.
+
+        Entry R of an image is i^U(S) 2^T(S) x_S for S = R ^ toggle, read off the
+        diagonal word (the word after its own toggle): one gather of i^U(S) x_S
+        from `_rotations` and one shift by T(S) + shift.  The first call builds
+        the gather index (int16, below 4 * DIM) and the exponents (int8, 0 to
+        PAIRS: each dt_k is -1, 0 or 1) and keeps them with the most bits they
+        add to an entry.  T runs from -m/2 to m/2 for m toggled pairs, so that
+        bound, 2 * shift, also covers the state shifted to its denominator."""
+        if self._gathers is None:
+            if self.odd.any():
+                raise ValidationError("dense tables require an even word length")
+            diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
+            toggle = self.toggle.astype(np.int16)[:, None]
+            idx = (_affine(diag.u0, diag.du) & 3) * np.int16(DIM) + (_SOURCES ^ toggle)
+            t = _affine(diag.t0, diag.dt)
+            shift = np.maximum(-t.min(1, keepdims=True), 0)
+            t += shift
+            self._gathers = idx, t, shift.astype(np.int64), int(t.max())
+        idx, t, shift, bits = self._gathers
+        _check_headroom(bits, state)
         rotated = _rotations(state)
-        return rotated[DIM:].take(idx) << t, rotated.take(idx) << t
+        return rotated[DIM:].take(idx) << t, rotated.take(idx) << t, shift
 
     def blocked_images(self, state: DenseState):
-        """(start, re, im, shift) for the words _BLOCK at a time: each word's image
-        of state over 2^(e + shift), shift = -min T, the smallest denominator
-        that keeps the image integral."""
+        """(start, re, im, shift) for the words _BLOCK at a time, as `images` gives them."""
         for start in range(0, len(self), _BLOCK):
-            block = self[start:start + _BLOCK]
-            shift = -np.minimum(block.t0 + np.minimum(block.dt, 0).sum(1), 0)
-            yield (start, *block.images(state, shift), shift[:, None])
+            yield (start, *self[start:start + _BLOCK].images(state))
 
     def first_mover(self, state: DenseState):
         """The first row whose image of state is not state, or None."""
@@ -416,6 +422,7 @@ class GolayLift:
         # construction order: row n is the product of the generator words in n, row 2^j is generator j
         self.masks, self.words = masks, WordTable(masks, signs)
         self._factors = self.words[1 << np.arange(ngen)]
+        self._generators = tuple(self._factors)  # one-row tables, each keeping its gathers
 
     # -- lifted word tables -------------------------------------------------
 
@@ -448,8 +455,8 @@ class GolayLift:
         if bad.any():
             raise VerificationFailure("lifted %06x is not its parent times generator %d"
                                       % (self.masks[bad.argmax() + 1], j[bad.argmax()]))
-        for j in range(len(self._factors)):
-            re, im, shift = self._factor_image(j, state)
+        for word in self._generators:
+            re, im, shift = word.images(state)
             if (re != state.re << shift).any() or (im != state.im << shift).any():
                 masks = sorted(self.section)  # name the first mover in mask order
                 raise VerificationFailure(
@@ -462,36 +469,16 @@ class GolayLift:
 
     # -- the idempotent t = prod_j (1 + s(G_j) e_{G_j})/2 ---------------------
 
-    @cached_property
-    def _gathers(self):
-        """Per generator word W_j, built on first use: 2^shift W_j as a gather
-        index (int16, below 4 * DIM) and exponents (int8, 0 to PAIRS: each
-        dt_k is -1, 0 or 1), for shift = -min T or 0, the smallest denominator
-        that keeps the image integral; and the most bits W_j may add to an
-        entry, in its image or in the state shifted to its denominator."""
-        gathers = []
-        for word in self._factors:
-            shift = max(0, -word.min_shift())
-            (idx,), (t,) = word.gather_tables(shift)
-            gathers.append((idx.astype(np.int16), t.astype(np.int8), shift, max(int(t.max()), shift)))
-        return gathers
-
-    def _factor_image(self, j: int, state: DenseState):
-        """(re, im, shift): the image of state under generator word j over 2^(e + shift)."""
-        idx, t, shift, bits = self._gathers[j]
-        _check_headroom(bits, state)
-        rotated = _rotations(state)
-        return rotated[DIM:].take(idx) << t, rotated.take(idx) << t, shift
-
     def apply_t_dense(self, dense: DenseState) -> DenseState:
         """t applied factor by factor as (state + W_j state)/2, with the
         common power of two removed after each factor."""
         if dense.max_abs() > _INPUT_LIMIT:
             raise ValidationError("dense state too large for the exact int64 path")
         state = dense
-        for j in range(len(self._factors)):
-            re, im, shift = self._factor_image(j, state)
-            state = DenseState((state.re << shift) + re, (state.im << shift) + im,
+        for word in self._generators:
+            re, im, shift = word.images(state)
+            shift = shift.item()
+            state = DenseState((state.re << shift) + re[0], (state.im << shift) + im[0],
                                state.e + shift + 1).reduced()
         return state
 

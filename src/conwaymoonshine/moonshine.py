@@ -166,7 +166,7 @@ def verify_hecke(order=40):
     f = eta_product({2: 24, 1: -24}, order + 1)
     fh = eta_product({1: 24, Fraction(1, 2): -24}, order + 1)  # f(tau/2)
     t2f = (fh + fh.shift_tau(1)) * Fraction(1, 2)
-    f2 = f * f
+    f2 = eta_product({2: 48, 1: -48}, order + 1)
     # f = q + 24 q^2 + ..., f^2 = q^2 + ...: solve on coefficients 0, 1, 2
     c = Fraction(t2f.coeff(0))
     b = Fraction(t2f.coeff(1))

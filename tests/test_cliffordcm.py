@@ -202,9 +202,16 @@ def test_word_table_rows():
     zz = WordTable((1 << 24) - 1)  # a one-row operand broadcasts
     assert list(table * zz) == [r * zz for r in rows] and list(zz * table) == [zz * r for r in rows]
     assert list(table * table) == [r * r for r in rows]
+    # images acts row by row, each row over its own denominator, as the rows do one at a time
+    x = DenseState(*np.random.default_rng(5).integers(-9, 10, (2, 4096)), 1)
+    re_, im_, shift = table.images(x)
+    assert shift.shape == (4, 1)
+    for r, row in enumerate(rows):
+        one = row.apply(x)
+        assert one.e == x.e + shift[r, 0] and np.array_equal(one.re, re_[r]) and np.array_equal(one.im, im_[r])
     # the single-word methods refuse a table of more rows
     out = np.zeros((2, 4096), dtype=np.int64)
-    for call in (table.trace, table.supertrace, table.min_shift, table.is_identity,
+    for call in (table.trace, table.supertrace, table.is_identity,
                  lambda: table.apply(DenseState.basis(0)),
                  lambda: table.apply_into(DenseState.basis(0), *out, 2)):
         with pytest.raises(ValueError):
@@ -390,16 +397,16 @@ def t_oracle(lift, states):
             np.add.at(im, at, turned[u, 1, col] << t)
         else:
             for start in range(0, 4096, 64):
-                rows_re, rows_im = words[start:start + 64].images(state, 12)
-                re += rows_re.sum(0)
-                im += rows_im.sum(0)
+                rows_re, rows_im, shift = words[start:start + 64].images(state)
+                re += (rows_re << 12 - shift).sum(0)  # each row from 2^(e + shift) to 2^(e + 12)
+                im += (rows_im << 12 - shift).sum(0)
         outs.append(DenseState(re, im, state.e + 24))
     return outs
 
 
 def per_factor_t(lift, state):
     """t as (state + W_j state)/2 over the 12 signed generator words W_j, each
-    applied by WordTable.apply, which builds the word's tables on every call."""
+    applied by WordTable.apply to a table built afresh on every call."""
     for word in lift.word_table(lift.code.generators):
         image = word.apply(state)
         shift = image.e - state.e
@@ -420,12 +427,15 @@ def test_factored_t_matches_4096_term_sum(lift):
 
 
 def test_factor_tables_built_once_and_sign_sensitive(golay, lift, monkeypatch):
-    built, gather = [], WordTable.gather_tables
-    monkeypatch.setattr(WordTable, "gather_tables", lambda self, *a: built.append(len(self)) or gather(self, *a))
+    built, affine = [], cliffordcm._affine
+    monkeypatch.setattr(cliffordcm, "_affine", lambda c0, d: built.append(len(d)) or affine(c0, d))
     fresh = GolayLift(golay, None, lift.generator_signs)
     tv = fresh.invariant_vector()
+    kept = [word._gathers for word in fresh._generators]
     assert fresh.apply_t_dense(tv).equals(tv) and fresh.verify_fixed(tv)
-    assert built == [1] * 12  # one table per generator word, for every later application too
+    # one index and one exponent table per generator word, kept for every later application
+    assert built == [1] * 24 and len(fresh._generators) == 12
+    assert all(word._gathers is k for word, k in zip(fresh._generators, kept))
     # one generator sign flipped: t projects onto its other eigenspace, on both paths
     signs = list(lift.generator_signs)
     signs[4] = -signs[4]
@@ -433,6 +443,32 @@ def test_factor_tables_built_once_and_sign_sensitive(golay, lift, monkeypatch):
     flipped = other.apply_t_dense(vacuum)
     assert flipped.equals(per_factor_t(other, vacuum)) and not flipped.equals(tv)
     assert not per_factor_t(other, vacuum).equals(per_factor_t(lift, vacuum))
+
+
+def test_kept_tables_follow_state_and_table():
+    """A table's kept gather tables serve every later state, and each table,
+    a slice of another included, keeps its own: every image matches a table
+    built afresh for it."""
+    masks, signs = [0b1111, 0x0C0300, 0xF00000, 0b101, 0x800001], [1, -1, -1, 1, 1]
+    rng = np.random.default_rng(7)
+    x, y = (DenseState(*rng.integers(-9, 10, (2, 4096)), e) for e in (0, 2))
+
+    def same(table, rows, state):
+        got, want = table.images(state), WordTable(*zip(*rows)).images(state)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    table, rows = WordTable(masks, signs), list(zip(masks, signs))
+    part = table[3:4]
+    z = part.apply(x)  # a state after a slice of the table has been applied
+    for state in (x, y, z):
+        same(table, rows, state)
+    same(part, rows[3:4], y)
+    same(table[1:3], rows[1:3], z)  # a slice taken after the table kept its own
+    # the same words negated: a table of the same shape, whose images are negated
+    (re_, im_, shift), (neg_re, neg_im, neg_shift) = (
+        WordTable(masks, [s * sign for s in signs]).images(y) for sign in (1, -1))
+    assert np.array_equal(neg_re, -re_) and np.array_equal(neg_im, -im_) and np.array_equal(neg_shift, shift)
+    assert re_.any()
 
 
 def test_apply_t_dense_rejects_large_entries(lift, monkeypatch):
@@ -459,13 +495,21 @@ def test_apply_into_guards():
     with pytest.raises(ValidationError):  # odd word: the 1/sqrt(2) is not Gaussian
         WordTable(0b1).apply_into(vacuum, *out, 0)
     table = WordTable(0b101)  # e_1 e_3 has entries 1/2
-    assert table.min_shift() < 0
-    with pytest.raises(ValidationError):  # out_e leaves no denominator headroom
+    assert table.apply(vacuum).e == vacuum.e + 1
+    with pytest.raises(ValidationError, match="raise out_e"):  # out_e leaves no denominator headroom
         table.apply_into(vacuum, *out, vacuum.e)
+    table.apply_into(vacuum, *out, vacuum.e + 3)  # over 2^3, four times the image over 2^1
+    image = table.apply(vacuum)
+    assert np.array_equal(out[0], image.re << 2) and np.array_equal(out[1], image.im << 2)
     big = np.full(4096, 1 << 60, dtype=np.int64)
     huge = DenseState(big, np.zeros(4096, dtype=np.int64), 0)
     with pytest.raises(ValidationError):  # products would pass int64
-        table.apply_into(huge, *out, -table.min_shift())
+        table.apply_into(huge, *out, 1)
+    # entries of 2^58 fit at the word's own denominator, but not two bits further up
+    near = DenseState(big >> 2, np.zeros(4096, dtype=np.int64), 0)
+    table.apply_into(near, *out, 1)
+    with pytest.raises(ValidationError, match="int64 headroom"):
+        table.apply_into(near, *out, 3)
 
 
 def first_moving(lift, x):
@@ -476,9 +520,8 @@ def first_moving(lift, x):
     masks = sorted(lift.section)
     words = lift.word_table(masks)
     for start in range(0, len(masks), 64):
-        # the shift 12 covers the worst word factor 2^(-12)
-        re, im = words[start:start + 64].images(x, 12)
-        moved = ((re != x.re << 12) | (im != x.im << 12)).any(1)
+        re, im, shift = words[start:start + 64].images(x)
+        moved = ((re != x.re << shift) | (im != x.im << shift)).any(1)
         if moved.any():
             return masks[start + int(moved.argmax())]
 
@@ -506,13 +549,11 @@ def test_verify_fixed_proof_negative_controls_and_cost(golay, lift, monkeypatch)
         spoiled.words.u0[spoiled.masks == cmask] ^= 2  # the word negated
         with pytest.raises(VerificationFailure, match=match):
             spoiled.verify_fixed(tv)
-    # a pass applies the 12 generator words only, from their stored tables
-    rows, factors = [], []
-    images, factor_image = WordTable.images, GolayLift._factor_image
-    monkeypatch.setattr(WordTable, "images", lambda self, *a: rows.append(len(self)) or images(self, *a))
-    monkeypatch.setattr(GolayLift, "_factor_image",
-                        lambda self, j, x: factors.append(j) or factor_image(self, j, x))
-    assert lift.verify_fixed(tv) and not rows and factors == list(range(12))
+    # a pass applies the 12 generator words only, each once, from their stored tables
+    applied, images = [], WordTable.images
+    monkeypatch.setattr(WordTable, "images", lambda self, x: applied.append(self) or images(self, x))
+    assert lift.verify_fixed(tv) and len(applied) == 12
+    assert all(word is gen for word, gen in zip(applied, lift._generators))
 
 
 def test_dense_equals_compares_values():
@@ -533,7 +574,7 @@ def test_batched_guards(lift):
     with pytest.raises(ValidationError):  # the image entries would pass int64
         lift.verify_fixed(huge)
     with pytest.raises(ValidationError):
-        WordTable(0b111).images(DenseState.basis(0), 1)
+        WordTable(0b111).images(DenseState.basis(0))  # odd word: the 1/sqrt(2) is not Gaussian
     # at 25 + 24 bits the int64 sum is exact; one bit more is refused
     a = np.full(4096, (1 << 25) - 1, dtype=np.int64)
     b = np.full(4096, -(1 << 24) + 1, dtype=np.int64)

@@ -32,6 +32,8 @@ def test_parse_label_examples():
     assert (gl.n, gl.h, set(gl.al_set)) == (12, 2, {6})
     gl = parse_label("30+6,10,15")
     assert (gl.n, gl.h, set(gl.al_set)) == (30, 1, {6, 10, 15})
+    gl = parse_label("12+3")  # 3 divides 12 exactly: 3 and 12/3 are coprime
+    assert (gl.n, gl.h, set(gl.al_set)) == (12, 1, {3})
 
 
 def test_parse_label_errors_carry_position():
@@ -41,6 +43,9 @@ def test_parse_label_errors_carry_position():
         parse_label("12*3")
     with pytest.raises(ParseError):
         parse_label("6+4")  # 4 does not exactly divide 6
+    for n in (12, 8):  # 2 divides n but not exactly: it is not prime to n/2
+        with pytest.raises(ParseError, match="2 is not an exact divisor of n/h = %d" % n):
+            parse_label("%d+2" % n)
 
 
 def test_labels_round_trip():

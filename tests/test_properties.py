@@ -308,12 +308,16 @@ def small_states(draw):
 @given(signed_words, small_states())
 def test_batched_images_match_word_tables(words, state):
     batch = WordTable(*zip(*words))
-    shift = -np.minimum(batch.t0 + np.minimum(batch.dt, 0).sum(1), 0)
-    re, im = batch.images(state, shift)
+    re, im, shift = batch.images(state)
     for row, (cmask, sign) in enumerate(words):
         one = WordTable(cmask, sign).apply(state)
-        assert one.e == state.e + shift[row]
+        assert one.e == state.e + shift[row, 0]
         assert np.array_equal(one.re, re[row]) and np.array_equal(one.im, im[row])
+    # each shift is the smallest: the image of the all-ones state, whose entries are
+    # +-2^(T + shift) or +-i 2^(T + shift), has an odd entry unless the shift is 0
+    ones = DenseState(np.ones(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64), 0)
+    ones_re, ones_im, _ = batch.images(ones)
+    assert ((shift[:, 0] == 0) | ((ones_re | ones_im) & 1).any(1)).all()
 
 
 @st.composite
