@@ -108,7 +108,7 @@ def spinor_supertrace_oracle(thetas) -> CycNumber:
         exps, odd = np.concatenate((exps, exps - step)), np.concatenate((odd, ~odd))
     exps %= level
     counts = np.bincount(exps[~odd], minlength=level) - np.bincount(exps[odd], minlength=level)
-    return CycNumber.from_exponents(level, dict(enumerate(counts.tolist())))
+    return CycNumber(level, counts.tolist())
 
 
 def class_supertraces(shape):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotRationalError
 
@@ -131,10 +131,13 @@ class CycNumber:
             return self
         if m % self.level != 0:
             raise ValueError("new level must be a multiple of the old one")
-        step = m // self.level
-        coeffs = [0] * (len(self.coords) * step)
-        coeffs[::step] = self.coords
-        return CycNumber(m, coeffs)
+        return self._map_exponents(m, m // self.level)
+
+    def _map_exponents(self, level: int, a: int) -> "CycNumber":
+        """sum_j c_j zeta_level^(a*j).  For a prime to the level this is
+        the Galois automorphism sigma_a; for a = level / self.level it is
+        the same value at the higher level."""
+        return CycNumber.from_exponents(level, {a * j: c for j, c in enumerate(self.coords) if c})
 
     def _common(self, other):
         if not isinstance(other, CycNumber):
@@ -174,21 +177,21 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse from the field norm.  With y = d * x
+        integral (d the lcm of the denominators) and rest the product of
+        the conjugates sigma_a(y), 1 < a < N prime to N, y * rest is the
+        norm N(y), a nonzero integer; so x * rest = N(y) / d is rational
+        and x^(-1) = rest / (x * rest).  Scaling first keeps the product
+        in integers."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        r0, r1 = phi, [Fraction(c) for c in self.coords]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return CycNumber(self.level, [c * inv for c in s1])
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        n = self.level
+        y = self * lcm(*(c.denominator for c in self.coords))
+        rest = CycNumber.from_rational(1, n)
+        for a in range(2, n):
+            if gcd(a, n) == 1:
+                rest = rest * y._map_exponents(n, a)
+        return rest / (self * rest).to_rational()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -197,11 +200,7 @@ class CycNumber:
 
     def conj(self) -> "CycNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""
-        n = self.level
-        coeffs = [0] * n
-        for j, c in enumerate(self.coords):
-            coeffs[(-j) % n] += c
-        return CycNumber(n, coeffs)
+        return self._map_exponents(self.level, -1)
 
     # -- predicates and coercions ------------------------------------------
 
@@ -250,41 +249,4 @@ class CycNumber:
 
 def zeta(n: int, k: int = 1) -> CycNumber:
     """The root of unity e^(2*pi*i*k/n) as an exact cyclotomic number."""
-    coeffs = [0] * n
-    coeffs[k % n] = 1
-    return CycNumber(n, coeffs)
-
-
-# -- small polynomial helpers over Fraction (ascending coefficients) --------
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+    return CycNumber.from_exponents(n, {k: 1})

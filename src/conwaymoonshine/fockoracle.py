@@ -86,7 +86,7 @@ def _ledger_series(ms: ModeSystem, ledger, level, order, c_value) -> FracPowerSe
     anchor, scale = _GRID[ms.sector]
     pairs = []
     for x, row in enumerate(ledger):
-        coeff = CycNumber.from_exponents(level, dict(enumerate(row))).to_rational() * c_value
+        coeff = CycNumber(level, row).to_rational() * c_value
         if coeff:
             pairs.append((Fraction(x, scale) + anchor, coeff))
     return FracPowerSeries.from_fraction_terms(pairs, order)

@@ -54,7 +54,7 @@ class GroupLabel:
             raise ValidationError("h = %d must divide 24" % self.h)
         quotient = self.n // self.h
         for e in self.al_set:
-            if quotient % e or gcd(e, quotient // e) != 1:
+            if e <= 0 or quotient % e or gcd(e, quotient // e) != 1:
                 raise ValidationError(
                     "%d is not an exact divisor of n/h = %d" % (e, quotient)
                 )

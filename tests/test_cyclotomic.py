@@ -163,3 +163,21 @@ def test_coordinates_are_ints_when_integral_and_print_as_before():
     assert minus_two.to_json() == {"level": 6, "coords": [[-2, 1], [0, 1]]}
     value = (zeta(3, 1) + zeta(3, 2)).to_rational()
     assert value == -1 and type(value) is F
+
+
+@pytest.mark.parametrize("level", [84, 120, 168])
+def test_inverse_and_galois_action_at_spinor_levels(level):
+    # the spinor super traces of the registry shapes reach these levels
+    rng = random.Random(level)
+    x, y = _random_cyc(rng, level), _random_cyc(rng, level)
+    x_inv, y_inv = x.inverse(), y.inverse()
+    assert x * x_inv == 1 and y * y_inv == 1
+    assert (x * y).inverse() == x_inv * y_inv
+    assert (x * y).conj() == x.conj() * y.conj()
+    k = rng.randrange(level)
+    assert zeta(level, k).inverse() == zeta(level, -k)
+    r = F(-7, 3)
+    assert CycNumber.from_rational(r, level).inverse() == 1 / r
+    assert x.raise_level(2 * level).inverse() == x_inv.raise_level(2 * level)
+    with pytest.raises(ZeroDivisionError):
+        CycNumber.from_rational(0, level).inverse()

@@ -46,6 +46,12 @@ def test_parse_label_errors_carry_position():
     for n in (12, 8):  # 2 divides n but not exactly: it is not prime to n/2
         with pytest.raises(ParseError, match="2 is not an exact divisor of n/h = %d" % n):
             parse_label("%d+2" % n)
+    for text, n in (("12+0", 12), ("6+0,2", 6)):  # 0 divides nothing
+        with pytest.raises(ParseError, match="0 is not an exact divisor of n/h = %d" % n) as err:
+            parse_label(text)
+        assert err.value.position == 0
+    with pytest.raises(ValidationError, match="-3 is not an exact divisor of n/h = 12"):
+        GroupLabel(12, 1, frozenset({-3}), False)
 
 
 def test_labels_round_trip():
