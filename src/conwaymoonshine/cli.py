@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import classdata, cliffordcm, fockoracle, lattice, modgroups, moonshine
-from .errors import MoonshineError, ParseError, ValidationError
+from .errors import MoonshineError, NotFoundError, ParseError, PrecisionError, ValidationError
 from .frameshape import parse as parse_shape
 
 EXIT_OK = 0
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except MoonshineError as exc:
-        if type(exc).__name__ in ("NotFoundError", "ValidationError", "PrecisionError"):
+        if isinstance(exc, (NotFoundError, ValidationError, PrecisionError)):
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_USAGE
         print("verification failure: %s" % exc, file=sys.stderr)

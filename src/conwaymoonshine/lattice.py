@@ -351,7 +351,7 @@ def _lll_reduce(basis):
 
 
 _BLOCK = 4096  # child rows that one numpy step of a walk creates at most; >= 256
-_LEAF_ROWS = 512  # full vectors per float64 norm product; more make BLAS touch more memory
+_LEAF_ROWS = 512  # rows per float64 norm product of a coset fill or lookup; more make BLAS touch more memory
 _SLACK = 1e-6  # relative float slack on the enumeration budget
 _MAX_NODES = 1e8  # estimated nodes above which _shell_count refuses (Leech norm 8: 4.3e7, norm 10: 1.4e8)
 _MAX_TABLE = 2**20  # cells of the coset-class x norm table at most (8 MiB of int64)
@@ -376,16 +376,18 @@ def _shell_count(basis, target8: int) -> int:
     norms, and each y reads off its count there.  Only half the space is
     walked at the top, since x and -x have the same norm: the y whose last
     nonzero coordinate is positive, counted twice; y = 0 adds the vectors of
-    L_k itself.  At k = 0 the bottom is empty and the top walk counts full
-    vectors of exact norm target8.
+    L_k itself.  At k = 0, L_0 = {0} is one class whose table holds the
+    empty bottom vector, of norm 0, so each y counts when its own exact norm
+    is target8; a level whose table is not exact falls back to k = 0.
     """
     if target8 < 0:
         return 0
     if target8 == 0:
         return 1
     n = len(basis)
-    # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|: every partial sum of
-    # a leaf norm is an integer below 2^53, exact in float64
+    # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|: the Gram matrix is
+    # exact in float64, and so, by _Cosets.fits at k = 0, where P = B, are the
+    # norms of full vectors; the fallback table at k = 0 is always exact
     widest = 127 * max(sum(abs(row[k]) for row in basis) for k in range(len(basis[0])))
     if len(basis[0]) * widest * widest >= _EXACT:
         raise ValidationError("basis entries too large for exact float64 norms")
@@ -398,43 +400,28 @@ def _shell_count(basis, target8: int) -> int:
     ints = [[int(v) for v in row] for row in gram]
     nodes = _node_estimates(d.tolist(), target8, gcd(*(v for row in ints for v in row)))
     k = _split_level(nodes)
-    cosets = _Cosets(basis, ints, m, k, target8) if k else None
-    if cosets is not None and not cosets.exact:
-        k, cosets = 0, None
+    cosets = _Cosets(basis, ints, m, k, target8)
+    if not cosets.exact:
+        k, cosets = 0, _Cosets(basis, ints, m, 0, target8)
     if nodes[k] > _MAX_NODES:
         raise ValidationError(
             "norm %s needs about %.2g enumeration nodes, more than the %.0e allowed"
             % (Fraction(target8, 8), nodes[k], _MAX_NODES)
         )
-    if cosets is None:
-        count = 0
-
-        def leaf(x, _):
-            nonlocal count
-            for s in range(0, len(x), _LEAF_ROWS):
-                v = x[s : s + _LEAF_ROWS] @ b
-                count += int(np.count_nonzero(np.einsum("ij,ij->i", v, v) == target8))
-
-    else:
-        if cosets.budget % cosets.step:
-            return 0  # D^2 |x|^2 is a multiple of step for every lattice vector x
-        cosets.walk(m, d, slack)
-        leaf = cosets.lookup
+    if cosets.budget % cosets.step:
+        return 0  # D^2 |x|^2 is a multiple of step for every lattice vector x
+    cosets.walk(m, d, slack)
     # one seed block per level `top` >= k: x_j = 0 for j > top, x_top > 0
     stack = []
     for top in range(k, n):
         first = np.arange(1, floor(sqrt((target8 + slack) / d[top])) + 1)
         if len(first) > 127:
             raise ValidationError("enumeration coordinate outside int8")
-        x = np.zeros((len(first), n - top), dtype=np.int8)
-        x[:, 0] = first
-        if top == k:
-            leaf(x, None)
-        elif len(first):
+        if len(first):
+            x = np.zeros((len(first), n - top), dtype=np.int8)
+            x[:, 0] = first
             stack.append((top, x, target8 - d[top] * first.astype(float) ** 2, None))
-    _walk(stack, m, d, slack, k, leaf)
-    if cosets is None:
-        return 2 * count
+    _walk(stack, m, d, slack, k, cosets.lookup)
     return 2 * cosets.count + cosets.zero_count()
 
 
@@ -445,6 +432,9 @@ def _walk(stack, m, d, slack, stop, leaf, offset=None):
     coset it walks; cls is None on unshifted walks."""
     while stack:
         level, x, rem, cls = stack.pop()
+        if level == stop:
+            leaf(x, cls)
+            continue
         i = level - 1
         c = x @ m[i, level : level + x.shape[1]]
         if offset is not None:
@@ -469,11 +459,7 @@ def _walk(stack, m, d, slack, stop, leaf, offset=None):
         child = np.empty((total, x.shape[1] + 1), dtype=np.int8)
         child[:, 0] = xi
         child[:, 1:] = x[parent]
-        cls_child = None if cls is None else cls[parent]
-        if i > stop:
-            stack.append((i, child, rem[parent] - d[i] * t * t, cls_child))
-        else:
-            leaf(child, cls_child)
+        stack.append((i, child, rem[parent] - d[i] * t * t, None if cls is None else cls[parent]))
 
 
 def _ball(dim: int, r2: float) -> float:
@@ -544,7 +530,9 @@ class _Cosets:
     + key // step], key = D^2 target8 - |y.P|^2.  Every h is r.G_kk.r plus
     a multiple of step, and so is every key when step divides D^2 target8,
     so a slot never mixes two norms; when step does not divide it, no
-    lattice vector has the target norm.
+    lattice vector has the target norm.  Keys past the table count nothing.
+    At k = 0 the bottom is empty: one class, one cell for the norm 0, so a
+    top vector counts exactly when its key is 0.
     """
 
     def __init__(self, basis, gram, m, k, target8):
@@ -554,20 +542,18 @@ class _Cosets:
         self.D = D = det // g
         A = [[v // g for v in row] for row in scaled]
         low = basis[:k]
-        P = [
-            [D * v - sum(A[i][j] * low[i][c] for i in range(k)) for c, v in enumerate(basis[k + j])]
-            for j in range(n - k)
-        ]
+        P = [[D * v for v in row] for row in basis[k:]]
+        for a, row in zip(A, low):
+            P = [[u - f * v for u, v in zip(p, row)] for p, f in zip(P, a)]
         # |x_i| <= 127 bounds every partial sum of |y.P|^2, |(D u + r).B_k|^2, A y and the class code
-        cols = range(len(basis[0]))
-        top_sum = sum((127 * sum(abs(row[c]) for row in P)) ** 2 for c in cols)
-        low_sum = sum((128 * D * sum(abs(row[c]) for row in low)) ** 2 for c in cols)
+        top_sum = sum((127 * sum(map(abs, col))) ** 2 for col in zip(*P))
+        low_sum = sum((128 * D * sum(map(abs, col))) ** 2 for col in zip(*low))
         fits = max(top_sum, low_sum, D**k, 127 * (n - k) * D) < _EXACT
         # x.G.x is a multiple of `even` for every x, and u.G_kk.r of the gcd of G_kk
-        even = gcd(*(gram[i][i] for i in range(n)), *(2 * v for row in gram for v in row))
+        even = gcd(*(row[i] for i, row in enumerate(gram)), *(2 * gcd(*row) for row in gram))
         self.step = gcd(D * D * even, 2 * D * gcd(*(v for row in gram[:k] for v in row[:k])))
         self.target8, self.budget = target8, D * D * target8
-        self.width = self.budget // self.step + 1
+        self.width = (self.budget if k else 0) // self.step + 1
         residues = [[v % D for v in col] for col in zip(*A)]  # row j: A e_j mod D
         group = _integer_row_basis(residues + [[D * (i == j) for j in range(k)] for i in range(k)])
         classes = prod(D // row[i] for i, row in enumerate(group))
@@ -585,9 +571,10 @@ class _Cosets:
         # the coset of -r is minus the coset of r: walk the first class of each pair
         self.pair = np.minimum(np.arange(classes), np.searchsorted(self.codes, (-reps % D) @ self.weights))
         self.offset = reps @ m[:k, :k].T / D  # the coset's shift of the walk's centres
-        self.low = D * np.array(low, dtype=float)
-        self.shift = reps.astype(float) @ np.array(low, dtype=float)  # r.B_k
-        self.top = np.hstack([np.array(P, dtype=float), np.array(residues, dtype=float)])
+        low = np.array(low, dtype=float).reshape(k, len(basis[0]))
+        self.low = D * low
+        self.shift = reps.astype(float) @ low  # r.B_k
+        self.top = np.hstack([np.array(P, dtype=float), np.array(residues, dtype=float).reshape(n - k, k)])
         self.table = np.zeros(classes * self.width, dtype=np.int64)
         self.count = 0
         self.k = k
@@ -616,9 +603,11 @@ class _Cosets:
             w, a = z[:, :ncols], z[:, ncols:]  # y.P and A y
             key = self.budget - np.einsum("ij,ij->i", w, w).astype(np.int64)
             cls = np.searchsorted(self.codes, (a - self.D * np.floor(a / self.D)) @ self.weights)
-            hit = key >= 0
+            hit = (key >= 0) & (key < self.width * self.step)
             self.count += int(self.table[cls[hit] * self.width + key[hit] // self.step].sum())
 
     def zero_count(self) -> int:
-        """The vectors of L_k itself with the target norm: y = 0, class 0."""
-        return int(self.table[self.budget // self.step])
+        """The vectors of L_k itself with the target norm: y = 0, class 0;
+        none at k = 0, where L_0 = {0} and the slot lies past the table."""
+        slot = self.budget // self.step
+        return int(self.table[slot]) if slot < self.width else 0

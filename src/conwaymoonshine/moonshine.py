@@ -13,7 +13,6 @@ and pass means identically zero.  Numeric evaluation lives in modgroups.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -59,8 +58,10 @@ def _report(name, series: FracPowerSeries, solved=None) -> IdentityReport:
 
 def t_tilde(pi: FrameShape, order) -> FracPowerSeries:
     """eta_pi(tau/2)/eta_pi(tau), the untwisted graded super trace."""
-    exps = Counter({Fraction(m, 2): k for m, k in pi.exps.items()})
-    exps.subtract(pi.exps)
+    exps = {m: -k for m, k in pi.exps.items()}
+    for m, k in pi.exps.items():
+        half = Fraction(m, 2) if m % 2 else m // 2
+        exps[half] = exps.get(half, 0) + k
     return eta_product(exps, order)
 
 

@@ -185,8 +185,8 @@ def test_split_counts_do_not_depend_on_the_level(monkeypatch):
         for basis, counts in cases:
             if k < len(basis):
                 assert [_shell_count(basis, t) for t in range(25)] == counts
-    # the split is walked, not always given up for the unsplit walk
-    assert set(levels) == set(range(1, 8))
+    # every level is walked, not given up for the one-class table at k = 0
+    assert set(levels) == set(range(8))
 
 
 @pytest.mark.parametrize("k", [0, 6, 9, 12])
@@ -195,7 +195,7 @@ def test_split_levels_on_leech_and_e8_cubed(leech, monkeypatch, k):
     levels = spy_splits(monkeypatch)
     assert leech.shell_count(4) == 196560
     assert e8_cubed().shell_count(2) == 720
-    assert levels == ([k, k] if k else [])
+    assert levels == [k, k]
 
 
 def test_split_level_follows_the_node_estimate(leech):
@@ -228,8 +228,8 @@ def test_split_negative_controls(leech, monkeypatch):
 def test_split_guard_at_its_bound(monkeypatch):
     """Split at k = 1, [[s, s], [0, s]] has D = 2 and bottom norms
     |(2 u + r) s (1, 1)|^2: under 2^53 while 2 * (128 * 2 * s)^2 is, so at
-    s = 2^17 the split walks and at 2^18 it falls back to the unsplit walk;
-    the counts equal the box enumeration either way."""
+    s = 2^17 the split walks and at 2^18 it falls back to the one-class
+    table at k = 0; the counts equal the box enumeration either way."""
     force_split(monkeypatch, 1)
     levels = spy_splits(monkeypatch)
     for s in (2**17, 2**18):
@@ -238,7 +238,22 @@ def test_split_guard_at_its_bound(monkeypatch):
         for k in range(6):
             assert _shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
         assert _shell_count(basis, s * s + 1) == 0
-    assert levels == [1] * 5  # s = 2^17: targets 1..5; target 0 and s^2 + 1 need no walk
+    assert levels == [1] * 5 + [0] * 5  # targets 1..5 per s; target 0 and s^2 + 1 need no walk
+
+
+def test_one_class_table_holds_one_cell(monkeypatch):
+    """At k = 0 the table is one cell, the empty bottom vector of norm 0,
+    whatever the budget: a full-budget table here would need about 1.2M
+    cells, past _MAX_TABLE, and leave no table to fall back to."""
+    basis = [[100, 0], [0, 101]]
+    targets = (1_210_000, 1_250_804)
+    want = [np.count_nonzero(box_norms(basis, t) == t) for t in targets]
+    assert want == [2, 4]
+    assert [_shell_count(basis, t) for t in targets] == want
+    force_split(monkeypatch, 0)
+    levels = spy_splits(monkeypatch)
+    assert [_shell_count(basis, t) for t in targets] == want
+    assert levels == [0, 0]
 
 
 def test_shell_count_refuses_beyond_the_node_ceiling(leech):
