@@ -17,10 +17,10 @@ design: it samples
 and measures max |f(gamma tau) - f(tau)| over sample points chosen so
 both evaluations converge.  Evaluation is floating point; everything
 upstream stays exact.  The class sweep evaluates the twisted trace
-C*eta_pi - chi from the product formula of eta (TwistedTrace), whose
-truncation carries a proven bound; a truncated series can still be
-checked, with a heuristic tail estimate plus a rounding bound
-(eval_series).
+C*eta_pi - chi (TwistedTrace) from one weighted sum of log(1 - q^j) over
+the j whose weight sum_(m | j) k_m is nonzero, truncated where a proven
+bound holds; a truncated series can still be checked, with a heuristic
+tail estimate plus a rounding bound (eval_series).
 """
 
 from __future__ import annotations
@@ -303,22 +303,22 @@ def _tail_estimate(series: FracPowerSeries, expos, coeffs):
     return estimate
 
 
-_TAIL = 1e-15  # proven bound on the omitted tail of each eta factor's log product
-_BLOCK = 4096  # entries (points x product terms) that one evaluator temporary holds at most
+_TAIL = 1e-15  # proven bound on the omitted tail of the weighted log product
+_BLOCK = 4096  # entries (points x summed j) that one evaluator temporary holds at most
 
 
-def _product_terms(log_x: float):
-    """The least M >= 0 with B(M) = x^(M+1) / ((1 - x) (1 - x^(M+1))) <= _TAIL,
-    x = e^log_x < 1, and B(M).  For |q| <= x, B(M) bounds
-    |sum_(n>M) log(1 - q^n)|: each term is at most |q|^n / (1 - |q|^n) <=
-    x^n / (1 - x^(M+1)) in modulus, and those x^n sum to x^(M+1) / (1 - x)."""
+def _product_terms(log_x: float, weight: int):
+    """The least J >= 0 with W*B(J) <= _TAIL, W = weight, and W*B(J), where
+    B(J) = x^(J+1) / ((1 - x) (1 - x^(J+1))), x = e^log_x < 1, bounds
+    sum_(j>J) |log(1 - q^j)| for |q| <= x: each term is at most |q|^j / (1 -
+    |q|^j) <= x^j / (1 - x^(J+1)), and those x^j sum to x^(J+1) / (1 - x)."""
     one_minus_x = -math.expm1(log_x)
 
     def bound(terms):
-        return math.exp((terms + 1) * log_x) / (one_minus_x * -math.expm1((terms + 1) * log_x))
+        return weight * math.exp((terms + 1) * log_x) / (one_minus_x * -math.expm1((terms + 1) * log_x))
 
-    # B(M) <= _TAIL exactly when x^(M+1) <= t; start there, then undo rounding
-    t = _TAIL * one_minus_x / (1 + _TAIL * one_minus_x)
+    # W*B(J) <= _TAIL exactly when x^(J+1) <= t; start there, then undo rounding
+    t = _TAIL * one_minus_x / (weight + _TAIL * one_minus_x)
     terms = max(0, math.ceil(math.log(t) / log_x) - 1)
     while bound(terms) > _TAIL:
         terms += 1
@@ -327,52 +327,58 @@ def _product_terms(log_x: float):
     return terms, bound(terms)
 
 
-def _log_product(z, first: int, last: int):
-    """sum_(first <= n <= last) log(1 - e^(2*pi*i*n*z)) at each z, with
-    temporaries of len(z) x (last - first + 1) entries.  The real part of
-    each log is log1p of a real, so a term of modulus r is accurate to about
-    r ulp; numpy's complex log1p forms 1 + w and loses all of a term below
-    one ulp of 1."""
-    n = np.arange(first, last + 1)
-    r = np.exp(np.outer(-2 * np.pi * z.imag, n))  # |q^n|
-    arg = np.outer(2 * np.pi * z.real, n)
+def _weights(exps):
+    """[w_1, ..., w_N], w_r = sum_(m | r) k_m the power of (1 - q^r) in
+    eta_pi, N = lcm(m); w_j = w_r when j = r mod N."""
+    period = math.lcm(*(m for m, _ in exps))
+    return [sum(k for m, k in exps if r % m == 0) for r in range(1, period + 1)]
+
+
+def _log_product(z, js, ws):
+    """sum_j ws_j log(1 - e^(2*pi*i*j*z)) over js at each z, with temporaries
+    of len(z) x len(js) entries.  Each real part is log1p of a real, accurate
+    for terms below one ulp of 1, which numpy's complex log1p loses."""
+    r = np.exp(np.outer(-2 * np.pi * z.imag, js))  # |q^j|
+    arg = np.outer(2 * np.pi * z.real, js)
     re = r * np.cos(arg)
-    log_abs = 0.5 * np.log1p(r * r - 2 * re)  # |1 - q^n|^2 = 1 - 2 Re q^n + |q^n|^2
+    log_abs = 0.5 * np.log1p(r * r - 2 * re)  # |1 - q^j|^2 = 1 - 2 Re q^j + |q^j|^2
     phase = np.arctan2(-r * np.sin(arg), 1 - re)
-    return log_abs.sum(axis=1) + 1j * phase.sum(axis=1)
+    return (log_abs * ws).sum(axis=1) + 1j * (phase * ws).sum(axis=1)
 
 
-def log_eta_product(taus, m: int):
-    """sum_(n <= M) log(1 - q^(m*n)), q = e^(2*pi*i*tau), at each tau.
-
-    M is the least value whose tail bound B(M) (see _product_terms) is at
-    most _TAIL for x the largest |q|^m over taus, so at every tau the
-    omitted terms sum to at most B(M) in modulus.  Re(m*tau) is reduced
-    mod 1 first, and the terms are summed in blocks of at most _BLOCK
-    entries, whatever the number of points.  Returns (sums, M, B(M))."""
-    z = m * np.asarray(taus, dtype=complex)
-    if not z.size:
-        return np.zeros(0, dtype=complex), 0, 0.0
-    if z.imag.min() <= 0:
+def log_eta_product(taus, exps):
+    """sum_(j <= J) w_j log(1 - q^j), q = e^(2*pi*i*tau), at each tau: the log
+    of eta_pi / q^(sum_m m*k_m / 24), eta_pi = prod_m eta(m*tau)^(k_m) for the
+    pairs (m, k_m) in exps, whose products prod_n (1 - q^(m*n))^(k_m) collect
+    into prod_j (1 - q^j)^(w_j) (_weights).  Only the j with w_j != 0 are
+    summed, in blocks of at most _BLOCK entries, with Re(tau) reduced mod 1.
+    J is the least value whose W*B(J) (see _product_terms), W = max |w_j|,
+    is at most _TAIL for x the largest |q| over taus, so at every tau the
+    omitted terms sum to at most W*B(J) in modulus.  Returns (sums, J, W*B(J))."""
+    z = np.asarray(taus, dtype=complex)
+    low = float(z.imag.min(initial=math.inf))  # no points: x = 0, so J = 0
+    if low <= 0:
         raise ValidationError("evaluation point must be in the upper half plane")
     z = np.mod(z.real, 1.0) + 1j * z.imag
-    terms, bound = _product_terms(-2 * math.pi * float(z.imag.min()))
+    weights = _weights(exps)
+    terms, bound = _product_terms(-2 * math.pi * low, max(map(abs, weights)))
+    tiled = (weights * (terms // len(weights) + 1))[:terms]  # w_1, ..., w_J
+    js = np.array([j for j, w in enumerate(tiled, 1) if w])  # the j <= J with w_j != 0
+    ws = np.array([w for w in tiled if w], dtype=float)
     sums = np.zeros(len(z), dtype=complex)
-    if terms:
-        cols = min(terms, _BLOCK)
-        rows = _BLOCK // cols
-        for r in range(0, len(z), rows):
-            for first in range(1, terms + 1, cols):
-                sums[r : r + rows] += _log_product(z[r : r + rows], first, min(terms, first + cols - 1))
+    cols = max(1, min(len(js), _BLOCK))
+    for r in range(0, len(z), _BLOCK // cols):
+        rows = slice(r, r + _BLOCK // cols)
+        for c in range(0, len(js), cols):
+            sums[rows] += _log_product(z[rows], js[c : c + cols], ws[c : c + cols])
     return sums, terms, bound
 
 
 @dataclass(frozen=True)
 class TwistedTrace:
     """tau -> c * prod_m eta(m*tau)^(k_m) - chi for the Frame shape
-    prod_m m^(k_m), evaluated from eta(tau) = q^(1/24) prod_(n>=1) (1 - q^n)
-    with no series: the exact leading power of q times the exponential of
-    the truncated log products (log_eta_product)."""
+    prod_m m^(k_m), evaluated with no series: the exact leading power of q
+    times the exponential of the truncated log product (log_eta_product)."""
 
     exps: tuple  # ((m, k_m), ...)
     c: int
@@ -385,22 +391,14 @@ class TwistedTrace:
         return cls(tuple(sorted(shape.exps.items())), rec.c_hat_g, shape.chi())
 
     def evaluate(self, taus):
-        """(values, bounds, M): the values at taus, at each a proven bound on
-        the error that truncating the products makes, and the largest M used.
-
-        With |delta| <= b = sum_m |k_m| B_m the error of the log of the
-        product, the value is off by |C*eta_pi| * |e^delta - 1| <=
-        |C*eta_pi| * (e^b - 1)."""
+        """(values, bounds, J): the values at taus, at each a proven bound on
+        the error that truncating the product makes, and log_eta_product's J.
+        With |delta| <= b = W*B(J) the error of the log of the product, the
+        value is off by |C*eta_pi| * |e^delta - 1| <= |C*eta_pi| * (e^b - 1)."""
         taus = np.asarray(taus, dtype=complex)
-        logs = 2j * np.pi * sum(m * k for m, k in self.exps) / 24 * taus
-        slack, most = 0.0, 0
-        for m, k in self.exps:
-            sums, terms, bound = log_eta_product(taus, m)
-            logs += k * sums
-            slack += abs(k) * bound
-            most = max(most, terms)
-        scaled = self.c * np.exp(logs)
-        return scaled - self.chi, np.abs(scaled) * math.expm1(slack), most
+        sums, terms, bound = log_eta_product(taus, self.exps)
+        scaled = self.c * np.exp(2j * np.pi * sum(m * k for m, k in self.exps) / 24 * taus + sums)
+        return scaled - self.chi, np.abs(scaled) * math.expm1(bound), terms
 
 
 def _sample_points(matrix: TestMatrix, count: int, rng) -> list:

@@ -287,6 +287,12 @@ def test_product_path_negative_controls():
     # C*eta_pi, so the negated trace passes as well
     negated = dataclasses.replace(rec, c_hat_g=-rec.c_hat_g)
     assert class_invariance_check(negated)["pass"]
+    # 30A with k_30 lowered by one: w_j changes only at the multiples of 30
+    rec = lookup("30A")
+    f = TwistedTrace.of(rec)
+    wrong = dataclasses.replace(f, exps=tuple((m, k - (m == 30)) for m, k in f.exps))
+    report = invariance_check(wrong, parse_label(rec.gamma_tw_label), kernel_matrices(rec, f))
+    assert not report["pass"] and report["max_dev"] > 1
 
 
 def test_sweep_builds_no_series(monkeypatch):
@@ -312,12 +318,75 @@ def test_evaluator_temporaries_stay_within_the_block_cap(monkeypatch):
     sizes = []
     original = modgroups._log_product
 
-    def spy(z, first, last):
-        sizes.append(len(z) * (last - first + 1))
-        return original(z, first, last)
+    def spy(z, js, ws):
+        sizes.append(len(z) * len(js))
+        return original(z, js, ws)
 
     monkeypatch.setattr(modgroups, "_log_product", spy)
     report = class_invariance_check(lookup("12B"), points=5000)
     assert report["pass"] and report["points"] >= 5000
     assert sum(sizes) > 50 * modgroups._BLOCK
     assert max(sizes) <= modgroups._BLOCK
+
+
+def per_factor_log(taus, exps):
+    """The evaluation that the weighted sum replaced, kept as its oracle:
+    sum_m k_m sum_(n <= M_m) log(1 - q^(m*n)), each cycle length's product
+    truncated where its own tail bound B(M_m) is at most 1e-15."""
+    taus = np.asarray(taus, dtype=complex)
+    total = np.zeros(len(taus), dtype=complex)
+    for m, k in exps:
+        z = m * taus
+        z = np.mod(z.real, 1.0) + 1j * z.imag
+        terms, _ = modgroups._product_terms(-2 * math.pi * z.imag.min(), 1)
+        q = np.exp(2j * np.pi * np.outer(z, np.arange(1, terms + 1)))
+        log_abs = 0.5 * np.log1p(np.abs(q) ** 2 - 2 * q.real)
+        total += k * (log_abs + 1j * np.arctan2(-q.imag, 1 - q.real)).sum(axis=1)
+    return total
+
+
+def test_weighted_sum_matches_the_per_factor_products(monkeypatch):
+    # every point that the sweep of all 90 classes evaluates, kernel probes
+    # included: the one weighted sum over the j with w_j != 0 gives eta_pi
+    # to 1e-12 relative of the per-factor products
+    calls = []
+    original = modgroups.log_eta_product
+
+    def spy(taus, exps):
+        sums, terms, bound = original(taus, exps)
+        calls.append((taus, exps, sums))
+        return sums, terms, bound
+
+    monkeypatch.setattr(modgroups, "log_eta_product", spy)
+    for rec in registry():
+        assert class_invariance_check(rec)["pass"], rec.co0_name
+    assert len(calls) >= 90
+    for taus, exps, sums in calls:
+        assert np.max(np.abs(np.expm1(sums - per_factor_log(taus, exps)))) <= 1e-12, exps
+
+
+def test_weights_are_divisor_sums_with_period_the_lcm():
+    for rec in registry():
+        exps = rec.frame_shape.exps
+        weights = modgroups._weights(exps.items())
+        assert len(weights) == math.lcm(*exps)
+        for j in range(1, 3 * len(weights) + 1):
+            assert weights[(j - 1) % len(weights)] == sum(k for m, k in exps.items() if j % m == 0)
+
+
+def test_no_points_give_empty_arrays():
+    sums, terms, bound = modgroups.log_eta_product([], ((1, -3), (30, 3)))
+    assert sums.shape == (0,) and (terms, bound) == (0, 0.0)
+    values, bounds, terms = TwistedTrace.of(lookup("30A")).evaluate([])
+    assert values.shape == bounds.shape == (0,) and terms == 0
+
+
+def test_log_product_reduces_the_real_part_mod_one():
+    # a shift by 2^20 is exact in floats; unreduced, the phases 2*pi*j*Re(tau)
+    # of the j up to J = 300 would move the sums by about 1e-8
+    exps = TwistedTrace.of(lookup("30A")).exps
+    taus = np.array([0.375 + 0.02j, -0.125 + 0.05j])
+    near, terms, _ = modgroups.log_eta_product(taus, exps)
+    far, _, _ = modgroups.log_eta_product(taus + 2**20, exps)
+    assert terms == 300
+    assert np.max(np.abs(far - near)) <= 1e-12

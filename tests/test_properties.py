@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 from test_cliffordcm import dense, first_moving, oracle_form  # noqa: E402
@@ -415,16 +415,27 @@ def test_subset_enumeration_matches_mode_product(thetas, sector, budget, c_value
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(-3, 3), st.floats(1e-3, 2), st.sampled_from([1, 2, 12]))
-def test_eta_truncation_bound_covers_the_tail(re, im, m):
-    # log prod_(n<=M) - log prod_(n<=4M) is minus the sum of log(1 - w) over
-    # w = q^(m*n), M < n <= 4M.  Each such |w| is below 1e-15, so -w - w^2/2
-    # is that log to within |w|^3, and summing it keeps every term's own
-    # precision.  For real q the bound is tight to below one rounding, so
-    # the comparison allows 1e-12 relative.
+@given(
+    st.floats(-3, 3),
+    st.floats(1e-3, 2),
+    st.one_of(
+        st.sampled_from([{1: 1}, {2: 1}, {12: 1}]),  # one cycle length: W = 1
+        st.dictionaries(st.sampled_from([d for d in range(1, 61) if 60 % d == 0]),
+                        st.integers(-24, 24), min_size=1),
+    ),
+)
+@example(0.0, 0.1, {1: 24})  # real q, every w_j = 24: the tail is W times that of one factor
+def test_eta_truncation_bound_covers_the_tail(re, im, exps):
+    # log prod_(j<=J) - log prod_(j<=4J) is minus the sum of w_j log(1 - u)
+    # over u = q^j, J < j <= 4J.  Each such |u| is below 1e-15, so -u - u^2/2
+    # is that log to within |u|^3, and summing it keeps every term's own
+    # precision.  For real q and equal weights the bound is tight to below
+    # one rounding, so the comparison allows 1e-12 relative.
     tau = complex(re, im)
-    _, terms, bound = log_eta_product([tau], m)
-    w = np.exp(2j * np.pi * m * tau * np.arange(terms + 1, 4 * terms + 1))
-    tail = -(w + w * w / 2).sum()
+    _, terms, bound = log_eta_product([tau], exps.items())
+    j = np.arange(terms + 1, 4 * terms + 1)
+    w = sum(k * (j % m == 0) for m, k in exps.items())
+    u = np.exp(2j * np.pi * tau * j)
+    tail = -(w * (u + u * u / 2)).sum()
     assert bound <= 1e-15
     assert abs(tail) <= bound * (1 + 1e-12)
