@@ -7,9 +7,9 @@ ships as a checked-in CSV (data/tsgtw_table.csv) parsed at first use; every
 row is validated on load (degree 24, genuine eigenvalue multiset, no fixed
 points).
 
-Untwisted-side constants for the partner -g are never tabulated here; they
-are derived: the Frame shape by negation, the scalar by solving the
-five-term eta identity (moonshine.solve_c_neg), cross-checked against the
+Untwisted-side constants for the partner -g are never tabulated here;
+moonshine.derived_partner derives them: the Frame shape by negation, the
+scalar by solving the five-term eta identity, cross-checked against the
 spinor closed form.
 """
 
@@ -32,9 +32,6 @@ class ConjugacyClassRecord:
     c_hat_g: int
     gamma_tw_label: str
     monster_class: str
-
-    def chi(self) -> int:
-        return self.frame_shape.chi()
 
     def to_json(self) -> dict:
         return {
@@ -81,20 +78,3 @@ def lookup(name: str) -> ConjugacyClassRecord:
     near = [r.co0_name for r in registry() if r.co0_name.rstrip("ABCDEFGHIJKLR") == name.rstrip("ABCDEFGHIJKLR")]
     raise NotFoundError(name, near[:6])
 
-
-@lru_cache(maxsize=None)
-def derived_partner(rec: ConjugacyClassRecord):
-    """Frame shape and super-trace scalar for -g, with provenance.
-
-    The shape is negate(pi_g); the scalar is solved from the five-term eta
-    identity at solve_c_neg's default order 25, and is therefore pinned by
-    ~25*48 coefficient constraints.  Results are cached per class.
-    """
-    from .moonshine import solve_c_neg  # local import: moonshine builds on this module
-
-    scalar, report = solve_c_neg(rec)
-    if not report.passed:
-        raise ValidationError(
-            "eta identity residual nonzero while deriving partner of %s" % rec.co0_name
-        )
-    return rec.frame_shape.negate(), scalar

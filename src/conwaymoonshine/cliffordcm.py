@@ -36,8 +36,8 @@ from math import comb, lcm
 
 import numpy as np
 
-from .cyclotomic import CycNumber, zeta
-from .errors import PairingError, ValidationError, VerificationFailure
+from .cyclotomic import CycNumber
+from .errors import MembershipError, PairingError, ValidationError, VerificationFailure
 
 PAIRS = 12
 DIM = 1 << PAIRS  # 4096
@@ -178,7 +178,7 @@ _PAIR_RULES = np.array([(0, 0, 0, 0),  # 1
                         (1, 1, 3, 1)])  # the product of the two
 _HALF_BITS = _PAIR_BITS[:64, :6].T.copy()  # bits of pairs 0-5 (or 6-11)
 _SOURCES = _ARANGE.astype(np.int16)  # the image entries R, as gather indices
-_BLOCK = 4  # words per batched image (orthogonality, first_mover); 8 cost 0.5 MiB more peak RSS
+_BLOCK = 4  # words per batched image (orthogonality); 8 cost 0.5 MiB more peak RSS
 
 
 def _affine(c0, d):
@@ -348,13 +348,6 @@ class WordTable:
         for start in range(0, len(self), _BLOCK):
             yield (start, *self[start:start + _BLOCK].images(state))
 
-    def first_mover(self, state: DenseState):
-        """The first row whose image of state is not state, or None."""
-        for start, re, im, shift in self.blocked_images(state):
-            moved = ((re != state.re << shift) | (im != state.im << shift)).any(1)
-            if moved.any():
-                return start + int(moved.argmax())
-
 
 # ---------------------------------------------------------------------------
 # the invariant bilinear form on CM
@@ -421,15 +414,18 @@ class GolayLift:
         self.section = dict(zip(masks.tolist(), signs.tolist()))
         # construction order: row n is the product of the generator words in n, row 2^j is generator j
         self.masks, self.words = masks, WordTable(masks, signs)
-        self._factors = self.words[1 << np.arange(ngen)]
-        self._generators = tuple(self._factors)  # one-row tables, each keeping its gathers
+        self._generators = tuple(self.words[1 << np.arange(ngen)])  # one-row tables, each keeping its gathers
 
     # -- lifted word tables -------------------------------------------------
 
     def word_table(self, cmasks) -> WordTable:
         """The words s(C) e_C for one codeword mask or a sequence of them."""
         cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
-        return WordTable(cmasks, [self.section[c] for c in cmasks.tolist()])
+        try:
+            signs = [self.section[c] for c in cmasks.tolist()]
+        except KeyError as exc:
+            raise MembershipError("mask %06x is not a word of the lifted code" % exc.args[0]) from None
+        return WordTable(cmasks, signs)
 
     def tables(self):
         """A WordTable for each lifted word in mask order."""
@@ -446,21 +442,20 @@ class GolayLift:
 
     def verify_fixed(self, state: DenseState):
         """All 4096 lifted words fix state: row n is row n - 2^j times generator j
-        (j the top bit of n), so from the identity at row 0 it is enough that the generators do."""
+        (j the top bit of n), so from the identity at row 0 it is enough that the generators do;
+        the first generator in the code's order that moves state is named."""
         if not self.words[:1].is_identity():
             raise VerificationFailure("lifted 000000 is not the identity")
         n = np.arange(1, len(self.words))
         j = np.frexp(n)[1] - 1
-        bad = self.words[1:].differs(self.words[n - (1 << j)] * self._factors[j])
+        bad = self.words[1:].differs(self.words[n - (1 << j)] * self.words[1 << j])
         if bad.any():
             raise VerificationFailure("lifted %06x is not its parent times generator %d"
                                       % (self.masks[bad.argmax() + 1], j[bad.argmax()]))
-        for word in self._generators:
+        for gen, word in zip(self.code.generators, self._generators):
             re, im, shift = word.images(state)
             if (re != state.re << shift).any() or (im != state.im << shift).any():
-                masks = sorted(self.section)  # name the first mover in mask order
-                raise VerificationFailure(
-                    "state moved by lifted %06x" % masks[self.word_table(masks).first_mover(state)])
+                raise VerificationFailure("state moved by lifted %06x" % gen)
         return True
 
     def group_order(self) -> int:
@@ -581,10 +576,5 @@ def _monomial_sqrt(value: CycNumber):
         return None
     m = mag.numerator.bit_length() - mag.denominator.bit_length()
     u = (0 if re > 0 else 2) if re else (1 if im > 0 else 3)
-    root = zeta(8, u)
-    if m % 2:
-        root = root * (zeta(8, 1) + zeta(8, -1))
-        m -= 1
-    half = m // 2
-    scale = Fraction(1 << half) if half >= 0 else Fraction(1, 1 << (-half))
-    return root * scale
+    s = Fraction(2) ** (m // 2)  # and for odd m, sqrt(2) = zeta_8 + zeta_8^(-1)
+    return CycNumber.from_exponents(8, {u - 1: s, u + 1: s} if m % 2 else {u: s})

@@ -101,14 +101,9 @@ class CycNumber:
     __slots__ = ("level", "coords")
 
     def __init__(self, level: int, coords):
-        """coords: rational coefficients of 1, z, z^2, ...; reduced mod
-        Phi_N unless there are exactly phi(N) of them."""
-        if len(coords) == euler_phi(level):
-            coords = tuple(map(_coord, coords))
-        else:
-            coords = _reduce_mod_phi(coords, level)
+        """coords: rational coefficients of 1, z, z^2, ..., reduced mod Phi_N."""
         self.level = level
-        self.coords = coords
+        self.coords = _reduce_mod_phi(coords, level)
 
     # -- constructors ------------------------------------------------------
 

@@ -41,9 +41,9 @@ _BLOCK = 4096  # states that one bincount chunk of the subset enumeration holds 
 class ModeSystem:
     """Eigenvalue data for one automorphism and one sector.
 
-    eigen_thetas: the 24 eigenvalues as rationals theta (eigenvalue
-    e^(2*pi*i*theta)), with repetition.  max_degree: exponent up to which
-    the trace series is to be exact.
+    eigen_thetas: the 24 eigenvalues as rationals theta, ints or Fractions
+    (eigenvalue e^(2*pi*i*theta)), with repetition.  max_degree: exponent
+    up to which the trace series is to be exact.
     """
 
     eigen_thetas: tuple
@@ -53,6 +53,9 @@ class ModeSystem:
     def __post_init__(self):
         if len(self.eigen_thetas) != 24:
             raise ValidationError("expected 24 eigenvalues, got %d" % len(self.eigen_thetas))
+        if not all(isinstance(t, (int, Fraction)) for t in self.eigen_thetas):
+            # a float's exact Fraction has a denominator near 2^55: the level of the ledger
+            raise ValidationError("eigenvalue angles must be ints or Fractions")
         if self.sector not in (UNTWISTED, TWISTED):
             raise ValidationError("unknown sector %r" % self.sector)
         if self.max_degree <= 0:
@@ -72,8 +75,8 @@ def _sector(ms: ModeSystem, order):
     sits at q-energy x / scale; a state is kept exactly when its exponent
     x / scale + anchor is below `order`, that is when x <= bound."""
     anchor, scale = _GRID[ms.sector]
-    level = lcm(*(Fraction(t).denominator for t in ms.eigen_thetas))
-    zexps = [int(Fraction(t) * level) for t in ms.eigen_thetas]
+    level = lcm(*(t.denominator for t in ms.eigen_thetas))
+    zexps = [int(t * level) for t in ms.eigen_thetas]
     bound = ceil((order - anchor) * scale) - 1
     modes = [(x, z) for x in range(1, bound + 1, scale) for z in zexps]
     return level, modes, bound
@@ -124,15 +127,15 @@ def twisted_supertrace(ms: ModeSystem, c_value) -> FracPowerSeries:
     return _mode_product(ms, ms.max_degree + 1, c_value)
 
 
-def assemble_supertrace(kind, g_data, neg_data, max_degree, twisted=False) -> FracPowerSeries:
-    """Graded super trace on a Z/2-orbifold module, from mode products.
+def assemble_supertrace(g_data, neg_data, max_degree, twisted=False) -> FracPowerSeries:
+    """Graded super trace on the faithful Z/2-orbifold module A^0 + A^1_tw,
+    from mode products.
 
     g_data, neg_data: pairs (ModeSystem eigenvalues as tuple/shape thetas,
     zero-mode scalar) for the element and for its product with the central
-    involution (eigenvalues times -1).  kind "s" selects the faithful
-    module A^0 + A^1_tw; kind "f" selects A^0 + A^0_tw; `twisted` selects
-    the canonically-twisted partner in either case.  All four constituent
-    traces are mode products; nothing is taken from the eta formulas.
+    involution (eigenvalues times -1).  `twisted` selects the
+    canonically-twisted partner.  All four constituent traces are mode
+    products; nothing is taken from the eta formulas.
     """
     max_degree = Fraction(max_degree)
     (thetas_g, c_g) = g_data
@@ -143,12 +146,7 @@ def assemble_supertrace(kind, g_data, neg_data, max_degree, twisted=False) -> Fr
     tn = untwisted_supertrace(ms_n)
     tg_tw = twisted_supertrace(ModeSystem(tuple(thetas_g), TWISTED, max_degree), c_g)
     tn_tw = twisted_supertrace(ModeSystem(tuple(thetas_n), TWISTED, max_degree), c_n)
-    if kind == "s":
-        combo = (tg + tn + tg_tw - tn_tw) if not twisted else (tg - tn + tg_tw + tn_tw)
-    elif kind == "f":
-        combo = (tg + tn - tg_tw - tn_tw) if not twisted else (tg - tn - tg_tw + tn_tw)
-    else:
-        raise ValidationError("kind must be 's' or 'f'")
+    combo = (tg + tn + tg_tw - tn_tw) if not twisted else (tg - tn + tg_tw + tn_tw)
     return combo * Fraction(1, 2)
 
 

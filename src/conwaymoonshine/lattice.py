@@ -138,16 +138,10 @@ class IntegerLattice:
             for ri in self.basis
         ]
 
-    def gram(self):
-        return [[Fraction(v, 8) for v in row] for row in self.gram8()]
-
     def gram_determinant(self) -> Fraction:
         """det Gram = (det basis)^2 / 8^24, read off the echelon diagonal."""
         det = prod(row[i] for i, row in enumerate(self._echelon))
         return Fraction(det * det, 8**LENGTH)
-
-    def inner(self, x, y) -> Fraction:
-        return Fraction(sum(a * b for a, b in zip(x, y)), 8)
 
     def contains(self, x) -> bool:
         """Exact membership: reduce x against the integer echelon basis."""
@@ -187,7 +181,7 @@ class IntegerLattice:
 
 
 @lru_cache(maxsize=4)
-def build_leech(code: BinaryCode | None = None) -> IntegerLattice:
+def build_leech(code: BinaryCode) -> IntegerLattice:
     """Standard Golay-code construction of the Leech lattice.
 
     In scaled coordinates the lattice is generated by 2*chi_C for code
@@ -195,8 +189,6 @@ def build_leech(code: BinaryCode | None = None) -> IntegerLattice:
     (-3, 1, ..., 1); the spanning set is reduced to a 24-row basis over Z
     and all lattice invariants are verified.
     """
-    if code is None:
-        code = build_golay()
     gens = []
     gens.append([-3] + [1] * 23)
     for c in code.generators:
@@ -247,14 +239,12 @@ def coordinate_frame(lat: IntegerLattice):
     return frame
 
 
-def sign_change_frameshape(codeword: int, code: BinaryCode | None = None):
+def sign_change_frameshape(codeword: int, code: BinaryCode):
     """Frame shape and trace of the sign change supported on a codeword.
 
     The diagonal matrix with -1 on the support has characteristic
     polynomial (1-x)^(24-w) (1+x)^w = (1-x)^(24-2w) (1-x^2)^w.
     """
-    if code is None:
-        code = build_golay()
     if not code.contains(codeword):
         raise MembershipError("mask %06x is not a Golay codeword" % codeword)
     w = _popcount(codeword)

@@ -72,9 +72,10 @@ class GroupLabel:
 
 
 def parse_label(text: str) -> GroupLabel:
-    """Parse labels like "2-", "12|2+6", "30+6,10,15"."""
-    s = text.strip()
-    i = 0
+    """Parse labels like "2-", "12|2+6", "30+6,10,15".  Surrounding
+    whitespace is skipped; error positions index `text`."""
+    s = text.rstrip()
+    i = lead = len(s) - len(s.lstrip())  # the label begins at `lead`
 
     def read_int(ctx):
         nonlocal i
@@ -99,7 +100,7 @@ def parse_label(text: str) -> GroupLabel:
         try:
             return GroupLabel(n, h, frozenset(), True)
         except ValidationError as exc:
-            raise ParseError(str(exc), text, 0) from exc
+            raise ParseError(str(exc), text, lead) from exc
     if s[i] != "+":
         raise ParseError("expected '-' or '+'", text, i)
     i += 1
@@ -115,7 +116,7 @@ def parse_label(text: str) -> GroupLabel:
     try:
         return GroupLabel(n, h, frozenset(al), False)
     except ValidationError as exc:
-        raise ParseError(str(exc), text, 0) from exc
+        raise ParseError(str(exc), text, lead) from exc
 
 
 @dataclass(frozen=True)

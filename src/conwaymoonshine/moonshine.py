@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .classdata import ConjugacyClassRecord, registry
-from .errors import PrecisionError, VerificationFailure
+from .errors import PrecisionError, ValidationError, VerificationFailure
 from .frameshape import FrameShape
 from .qseries import FracPowerSeries, eta_product
 
@@ -133,9 +134,20 @@ def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     return solved, report
 
 
-def verify_lemma_all(order=25):
-    """solve_c_neg across the registry; returns list of reports."""
-    return [solve_c_neg(rec, order)[1] for rec in registry()]
+@lru_cache(maxsize=None)
+def derived_partner(rec: ConjugacyClassRecord):
+    """Frame shape and super-trace scalar for -g, with provenance.
+
+    The shape is negate(pi_g); the scalar is solved from the five-term eta
+    identity at solve_c_neg's default order 25, and is therefore pinned by
+    ~25*48 coefficient constraints.  Results are cached per class.
+    """
+    scalar, report = solve_c_neg(rec)
+    if not report.passed:
+        raise ValidationError(
+            "eta identity residual nonzero while deriving partner of %s" % rec.co0_name
+        )
+    return rec.frame_shape.negate(), scalar
 
 
 def verify_delta_identity(order=50) -> IdentityReport:
@@ -187,35 +199,23 @@ def half_shift_relation(order=30) -> IdentityReport:
 
 def normalization_reports(order=6):
     """Constant term of T^s vanishes for every registry shape and partner."""
-    reports = []
-    for rec in registry():
-        for tag, pi in (("", rec.frame_shape), ("-partner", rec.frame_shape.negate())):
-            series = T_s(pi, order)
-            const = Fraction(series.coeff(0))
-            reports.append(
-                IdentityReport(
-                    name="normalization:%s%s" % (rec.co0_name, tag),
-                    checked_order=Fraction(order),
-                    max_residual=abs(const),
-                    passed=(const == 0),
-                )
-            )
-    return reports
-
-
-def is_constant_series(series: FracPowerSeries) -> bool:
-    return all(p == 0 for p in series.terms)
+    return [
+        _report("normalization:%s%s" % (rec.co0_name, tag),
+                FracPowerSeries(1, {0: T_s(pi, order).coeff(0)}, order))
+        for rec in registry()
+        for tag, pi in (("", rec.frame_shape), ("-partner", rec.frame_shape.negate()))
+    ]
 
 
 def dichotomy_check(pi: FrameShape, c_value, order=8):
     """Twisted trace is the constant -chi exactly when the shape has fixed
     points (then c_value must be 0); non-constant otherwise."""
     series = T_s_tw(pi, order, c_value)
+    constant = all(p == 0 for p in series.terms)
     if pi.fixed_points() > 0:
-        ok = is_constant_series(series) and Fraction(series.coeff(0)) == -pi.chi()
-        if not ok:
+        if not constant or series.coeff(0) != -pi.chi():
             raise VerificationFailure("twisted trace not constant -chi for %s" % pi)
         return "constant"
-    if is_constant_series(series):
+    if constant:
         raise VerificationFailure("twisted trace unexpectedly constant for %s" % pi)
     return "non-constant"

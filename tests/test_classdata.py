@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from conwaymoonshine.classdata import derived_partner, lookup, registry
+import conwaymoonshine
+from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.cliffordcm import spinor_supertrace_closed
-from conwaymoonshine.errors import NotFoundError
+from conwaymoonshine.errors import NotFoundError, ValidationError
 from conwaymoonshine.frameshape import parse
 from conwaymoonshine.modgroups import parse_label
+from conwaymoonshine.moonshine import derived_partner
 
 
 def test_registry_size_and_uniqueness():
@@ -85,6 +93,25 @@ def test_derived_partner_2a_vanishes():
     shape, scalar = derived_partner(lookup("2A"))
     assert shape == parse("1^24")
     assert scalar == 0
+
+
+def test_derived_partner_refuses_a_wrong_scalar():
+    """Negative control: with a tabulated C off by one or more, the solved
+    partner scalar leaves a nonzero lemma residual and no partner is derived."""
+    for name, c_hat_g in (("3A", 730), ("2A", 4095), ("6C", -6)):
+        with pytest.raises(ValidationError,
+                           match="eta identity residual nonzero while deriving partner of %s" % name):
+            derived_partner(replace(lookup(name), c_hat_g=c_hat_g))
+
+
+def test_classdata_is_a_leaf_module():
+    """Loading the registry imports nothing that builds series."""
+    probe = ("import sys; import conwaymoonshine.classdata as c; c.registry(); "
+             "print('conwaymoonshine.moonshine' in sys.modules)")
+    src = str(Path(conwaymoonshine.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert run.stdout.strip() == "False"
 
 
 def test_partner_scalar_matches_paired_row():

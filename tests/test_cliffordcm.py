@@ -24,7 +24,7 @@ from conwaymoonshine.cliffordcm import (
     spinor_supertrace_oracle,
 )
 from conwaymoonshine.cyclotomic import CycNumber, zeta
-from conwaymoonshine.errors import ValidationError, VerificationFailure
+from conwaymoonshine.errors import MembershipError, ValidationError, VerificationFailure
 from conwaymoonshine.frameshape import parse
 
 
@@ -229,6 +229,13 @@ def test_monomial_sqrt():
         value = CycNumber(4, (F(x), F(y)))
         root = _monomial_sqrt(value)
         assert root * root == value
+    # sqrt(i^u 2^m) = zeta_8^u sqrt(2)^m, with sqrt(2) = zeta_8 + zeta_8^(-1) built by products
+    sqrt2 = zeta(8, 1) + zeta(8, -1)
+    for u in range(4):
+        for m in range(-12, 13):
+            expected = zeta(8, u) * F(2) ** (m // 2) * (sqrt2 if m % 2 else 1)
+            root = _monomial_sqrt(zeta(4, u) * F(2) ** m)
+            assert root.coords == expected.coords and repr(root) == repr(expected), (u, m)
     assert _monomial_sqrt(CycNumber(4, (F(1, 3), 0))) is None  # not dyadic
     assert _monomial_sqrt(CycNumber(4, (F(3), 0))) is None
     assert _monomial_sqrt(CycNumber(4, (F(1), F(1)))) is None
@@ -526,6 +533,13 @@ def first_moving(lift, x):
             return masks[start + int(moved.argmax())]
 
 
+def first_moving_generator(lift, x):
+    """The first generator mask, in the code's order, whose lifted word moves x, or None."""
+    for gen in lift.code.generators:
+        if not lift.word_table(gen).apply(x).equals(x):
+            return gen
+
+
 def test_verify_fixed_names_first_moving_word(golay, lift):
     tv = lift.invariant_vector()
     assert lift.verify_fixed(tv)
@@ -535,9 +549,9 @@ def test_verify_fixed_names_first_moving_word(golay, lift):
     other = GolayLift(golay, None, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
     assert other.nonzero_count() and not other.equals(tv)
     for x in (changed, woken, other):
-        cmask = first_moving(lift, x)
-        assert cmask is not None
-        with pytest.raises(VerificationFailure, match="moved by lifted %06x" % cmask):
+        assert first_moving(lift, x) is not None  # the sweep over all 4096 words finds a mover
+        gen = first_moving_generator(lift, x)
+        with pytest.raises(VerificationFailure, match="moved by lifted %06x$" % gen):
             lift.verify_fixed(x)
 
 
@@ -650,6 +664,12 @@ def test_tables_are_the_lifted_words(lift):
     assert len(tables) == 4096
     for i in range(0, 4096, 15):
         assert tables[i] == lift.word_table(masks[i]), hex(masks[i])
+
+
+def test_word_table_refuses_a_mask_outside_the_code(lift):
+    for masks in (0b111, [0, 0b111, 0b1011]):
+        with pytest.raises(MembershipError, match="mask 000007 is not a word of the lifted code"):
+            lift.word_table(masks)
 
 
 def test_lift_squares_and_closure(lift):

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 from conwaymoonshine import fockoracle
-from conwaymoonshine.classdata import derived_partner, lookup, registry
+from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.cyclotomic import CycNumber
 from conwaymoonshine.errors import NotRationalError, ValidationError
 from conwaymoonshine.fockoracle import (
@@ -18,7 +18,7 @@ from conwaymoonshine.fockoracle import (
     untwisted_supertrace,
 )
 from conwaymoonshine.frameshape import parse
-from conwaymoonshine.moonshine import T_s, t_tilde
+from conwaymoonshine.moonshine import T_s, derived_partner, t_tilde
 from conwaymoonshine.qseries import FracPowerSeries as S
 
 IDENT = parse("1^24")
@@ -92,7 +92,7 @@ def _assembly_data(rec, degree):
 def test_assemble_identity_class_matches_t2b_expansion():
     thetas_e = ModeSystem.from_shape(IDENT, UNTWISTED, 4).eigen_thetas
     thetas_z = ModeSystem.from_shape(parse("2^24/1^24"), UNTWISTED, 4).eigen_thetas
-    series = assemble_supertrace("s", (thetas_e, 0), (thetas_z, 4096), 4)
+    series = assemble_supertrace((thetas_e, 0), (thetas_z, 4096), 4)
     assert series.coeff(F(-1, 2)) == 1
     assert series.coeff(0) == 0
     assert series.coeff(F(1, 2)) == 276
@@ -102,7 +102,7 @@ def test_assemble_identity_class_matches_t2b_expansion():
 def test_module_weight_one_space_has_dimension_276():
     thetas_e = ModeSystem.from_shape(IDENT, UNTWISTED, 2).eigen_thetas
     thetas_z = ModeSystem.from_shape(parse("2^24/1^24"), UNTWISTED, 2).eigen_thetas
-    series = assemble_supertrace("s", (thetas_e, 0), (thetas_z, 4096), 2)
+    series = assemble_supertrace((thetas_e, 0), (thetas_z, 4096), 2)
     # L(0) = 1 sits at exponent 1/2; the graded piece is a Lie algebra of
     # dimension 276 and is purely even
     assert series.coeff(F(1, 2)) == 276
@@ -111,7 +111,7 @@ def test_module_weight_one_space_has_dimension_276():
 def test_assemble_constant_term_vanishes_for_all_registry_classes():
     for rec in registry():
         g_data, n_data = _assembly_data(rec, 1)
-        series = assemble_supertrace("s", g_data, n_data, 1)
+        series = assemble_supertrace(g_data, n_data, 1)
         assert series.coeff(0) == 0, rec.co0_name
 
 
@@ -119,7 +119,7 @@ def test_assemble_equals_closed_form_trace():
     for name in ("2A", "3A", "6C", "12A"):
         rec = lookup(name)
         g_data, n_data = _assembly_data(rec, 4)
-        series = assemble_supertrace("s", g_data, n_data, 4)
+        series = assemble_supertrace(g_data, n_data, 4)
         assert series.agrees_with(T_s(rec.frame_shape, 4)), name
 
 
@@ -128,8 +128,8 @@ def test_projection_identity():
     # recover the plain sector super traces
     rec = lookup("3A")
     g_data, n_data = _assembly_data(rec, 3)
-    main = assemble_supertrace("s", g_data, n_data, 3)
-    tw = assemble_supertrace("s", g_data, n_data, 3, twisted=True)
+    main = assemble_supertrace(g_data, n_data, 3)
+    tw = assemble_supertrace(g_data, n_data, 3, twisted=True)
     ms_u = ModeSystem(g_data[0], UNTWISTED, F(3))
     ms_t = ModeSystem(g_data[0], TWISTED, F(3))
     total = untwisted_supertrace(ms_u) + twisted_supertrace(ms_t, rec.c_hat_g)
@@ -281,3 +281,10 @@ def test_mode_system_validation():
         ModeSystem((F(0),) * 23, UNTWISTED, F(3))
     with pytest.raises(Exception):
         ModeSystem.from_shape(IDENT, "sideways", 3)
+    # a float angle is refused when the system is built: Fraction(0.1) has
+    # denominator 2^55, which would become the ledger's level
+    for thetas in ((0.1,) * 24, (F(1, 2),) * 23 + (0.5,)):
+        with pytest.raises(ValidationError, match="ints or Fractions"):
+            ModeSystem(thetas, UNTWISTED, 1)
+    ints = untwisted_supertrace(ModeSystem((0,) * 24, UNTWISTED, F(3)))  # int angles are exact too
+    assert ints.agrees_with(untwisted_supertrace(ModeSystem((F(0),) * 24, UNTWISTED, F(3))))

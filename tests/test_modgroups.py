@@ -50,6 +50,14 @@ def test_parse_label_errors_carry_position():
         with pytest.raises(ParseError, match="0 is not an exact divisor of n/h = %d" % n) as err:
             parse_label(text)
         assert err.value.position == 0
+    # surrounding whitespace is accepted, and positions index the text as given
+    with pytest.raises(ParseError, match=r"expected '-' or '\+' \(at position 3 in '  2x'\)") as err:
+        parse_label("  2x")
+    assert err.value.position == 3 and err.value.text[3] == "x"
+    with pytest.raises(ParseError, match="5 is not an exact divisor of n/h = 6") as err:
+        parse_label(" 12|2+5")
+    assert err.value.position == 1  # the label's first character
+    assert str(parse_label("  12|2+6 ")) == "12|2+6"
     with pytest.raises(ValidationError, match="-3 is not an exact divisor of n/h = 12"):
         GroupLabel(12, 1, frozenset({-3}), False)
 

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
-from test_cliffordcm import dense, first_moving, oracle_form  # noqa: E402
+from test_cliffordcm import dense, first_moving, first_moving_generator, oracle_form  # noqa: E402
 from test_frameshape import (  # noqa: E402
     brute_eigenvalues,
     fraction_eigenvalue_pairs,
@@ -353,15 +353,16 @@ def fixed_point_candidates(draw, lift, other):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_verify_fixed_agrees_with_direct_sweep(golay, lift, data):
-    """verify_fixed passes exactly when no lifted word moves the state, and
-    otherwise names the first mover in mask order, found one word at a time."""
+    """verify_fixed passes exactly when no lifted word moves the state, as a
+    sweep over all 4096 words finds, and otherwise names the first generator
+    in the code's order that moves it."""
     other = GolayLift(golay, None, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
     state = data.draw(fixed_point_candidates(lift, other))
-    cmask = first_moving(lift, state)
-    if cmask is None:
+    if first_moving(lift, state) is None:
         assert lift.verify_fixed(state)
     else:
-        with pytest.raises(VerificationFailure, match="moved by lifted %06x$" % cmask):
+        gen = first_moving_generator(lift, state)
+        with pytest.raises(VerificationFailure, match="moved by lifted %06x$" % gen):
             lift.verify_fixed(state)
 
 
