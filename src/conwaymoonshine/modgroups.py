@@ -46,18 +46,9 @@ class GroupLabel:
     minus: bool
 
     def __post_init__(self):
-        if self.n <= 0 or self.h <= 0:
-            raise ValidationError("level data must be positive")
-        if self.n % self.h:
-            raise ValidationError("h = %d must divide n = %d" % (self.h, self.n))
-        if 24 % self.h:
-            raise ValidationError("h = %d must divide 24" % self.h)
-        quotient = self.n // self.h
-        for e in self.al_set:
-            if e <= 0 or quotient % e or gcd(e, quotient // e) != 1:
-                raise ValidationError(
-                    "%d is not an exact divisor of n/h = %d" % (e, quotient)
-                )
+        fault = _label_fault(self.n, self.h, self.al_set)
+        if fault:
+            raise ValidationError(fault[1])
 
     def __str__(self):
         base = str(self.n) if self.h == 1 else "%d|%d" % (self.n, self.h)
@@ -71,11 +62,32 @@ class GroupLabel:
         return {"n": self.n, "h": self.h, "al": sorted(self.al_set), "minus": self.minus}
 
 
+def _label_fault(n: int, h: int, al) -> tuple | None:
+    """The first of n, h and the Atkin-Lehner divisors `al` (in their order)
+    that breaks a condition on a group label, as (its index in (n, h, *al),
+    the message); None when they make a valid label."""
+    if n <= 0:
+        return 0, "level data must be positive"
+    if h <= 0:
+        return 1, "level data must be positive"
+    if n % h:
+        return 1, "h = %d must divide n = %d" % (h, n)
+    if 24 % h:
+        return 1, "h = %d must divide 24" % h
+    quotient = n // h
+    for index, e in enumerate(al, 2):
+        if e <= 0 or quotient % e or gcd(e, quotient // e) != 1:
+            return index, "%d is not an exact divisor of n/h = %d" % (e, quotient)
+    return None
+
+
 def parse_label(text: str) -> GroupLabel:
     """Parse labels like "2-", "12|2+6", "30+6,10,15".  Surrounding
-    whitespace is skipped; error positions index `text`."""
+    whitespace is skipped; error positions index `text`, and a label whose
+    numbers break a condition of GroupLabel points at the number at fault."""
     s = text.rstrip()
-    i = lead = len(s) - len(s.lstrip())  # the label begins at `lead`
+    i = len(s) - len(s.lstrip())  # the label begins here
+    starts = []  # where n, h and each Atkin-Lehner divisor begin
 
     def read_int(ctx):
         nonlocal i
@@ -84,6 +96,7 @@ def parse_label(text: str) -> GroupLabel:
             i += 1
         if start == i:
             raise ParseError("expected an integer (%s)" % ctx, text, start)
+        starts.append(start)
         return int(s[start:i])
 
     n = read_int("level")
@@ -91,32 +104,32 @@ def parse_label(text: str) -> GroupLabel:
     if i < len(s) and s[i] == "|":
         i += 1
         h = read_int("index divisor")
+    else:
+        starts.append(None)  # h = 1 breaks no condition
     if i >= len(s):
         raise ParseError("expected '-' or '+'", text, i)
-    if s[i] == "-":
+    al = []
+    minus = s[i] == "-"
+    if minus:
         i += 1
         if i != len(s):
             raise ParseError("trailing input after '-'", text, i)
-        try:
-            return GroupLabel(n, h, frozenset(), True)
-        except ValidationError as exc:
-            raise ParseError(str(exc), text, lead) from exc
-    if s[i] != "+":
+    elif s[i] != "+":
         raise ParseError("expected '-' or '+'", text, i)
-    i += 1
-    al = []
-    if i < len(s):
-        while True:
-            al.append(read_int("Atkin-Lehner divisor"))
-            if i == len(s):
-                break
-            if s[i] != ",":
-                raise ParseError("expected ','", text, i)
-            i += 1
-    try:
-        return GroupLabel(n, h, frozenset(al), False)
-    except ValidationError as exc:
-        raise ParseError(str(exc), text, lead) from exc
+    else:
+        i += 1
+        if i < len(s):
+            while True:
+                al.append(read_int("Atkin-Lehner divisor"))
+                if i == len(s):
+                    break
+                if s[i] != ",":
+                    raise ParseError("expected ','", text, i)
+                i += 1
+    fault = _label_fault(n, h, al)
+    if fault:
+        raise ParseError(fault[1], text, starts[fault[0]])
+    return GroupLabel(n, h, frozenset(al), minus)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 from operator import mul
 
+import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
 from .errors import NotInvertibleError, NotRationalError, PrecisionError
 
 
@@ -389,6 +392,16 @@ _ETA_CACHE = {}
 _ETA_CACHE_TERMS = 1 << 16
 _eta_cached = 0
 
+# _continue makes _BLOCK outputs at a time once a list passes _CROSSOVER
+# coefficients.  Against the plain loop (best of 5 on a 2-core Xeon, Python
+# 3.11.7, numpy 2.4.6) blocks of 32 from 128 ran 1.1-1.25x at 160, 3.6-5.3x
+# at 511 and 4.4-10x at 1024 coefficients; blocks of 16 ran the same and of
+# 64 2-21% slower.  Blocks from 64 already ran 1.0-1.1x at 103: the crossover
+# at 128 keeps every expansion of the lemma sweep and the identity reports
+# (at most 103 coefficients) on the plain loop.
+_CROSSOVER = 128
+_BLOCK = 32
+
 
 def _sigma1(size: int) -> list:
     """The sigma_1 table with at least `size` entries."""
@@ -413,11 +426,56 @@ def _log_derivative(steps, count: int) -> list:
     return sigma
 
 
+def _limbs(values: list, width: int):
+    """The ints c of `values` as rows of balanced limbs of `width` bits:
+    c = sum_k row[k] << (width*k), every |row[k]| <= 2^(width-1).  The limbs
+    are the width-bit digits of c + H, H = 2^(width-1) * sum_k 2^(width*k),
+    each less 2^(width-1); the row is long enough that 0 <= c + H < 2^(width*len)."""
+    size = (max(map(abs, values)).bit_length() + 1) // width + 1  # |c| < 2^(width*size - 2)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    shifted = np.array(values, dtype=object) + half * ((1 << width * size) - 1) // mask
+    rows = np.empty((len(values), size), dtype=np.int64)
+    for k in range(size):
+        rows[:, k] = (shifted >> width * k) & mask
+    return rows - half
+
+
 def _continue(coeffs: list, sigma: list, count: int) -> None:
     """Extend coeffs = [c_0, ..., c_(n-1)] to c_(count-1) by the recurrence
-    n*c_n = -sum_(1<=i<=n) s_i*c_(n-i), sigma[i - 1] = s_i."""
-    for n in range(len(coeffs), count):
+    n*c_n = -sum_(1<=i<=n) s_i*c_(n-i), sigma[i - 1] = s_i.
+
+    Up to _CROSSOVER coefficients each sum is one Python dot product.  Past
+    it the outputs come in blocks of _BLOCK.  For the block m0 <= m < m0 + b
+    the far parts sum_(j<m0) s_(m-j)*c_j are one int64 matrix product: a
+    window of the Toeplitz matrix of the s_i (a strided view, no copy) times
+    the c_j as balanced limbs of `width` bits (_limbs), recombined exactly
+    in Python ints.  Only the near part, m0 <= j < m, stays a dot product.
+    The width is 63 - bit_length(sum |s_i|), so with every limb at most
+    2^(width-1) in size no partial sum of the product reaches 2^62; when no
+    width of 2 bits or more fits, the plain loop runs throughout."""
+    width = 63 - sum(map(abs, sigma)).bit_length() if count > _CROSSOVER else 0
+    stop = min(count, max(len(coeffs), _CROSSOVER)) if width >= 2 else count
+    for n in range(len(coeffs), stop):
         coeffs.append(-sum(map(mul, sigma, reversed(coeffs))) // n)
+    if stop == count:
+        return
+    padded = np.zeros(2 * count, dtype=np.int64)
+    padded[count + 1:] = sigma[:count - 1]  # padded[count + i] = s_i, 0 for i <= 0
+    toeplitz = as_strided(padded[count:], shape=(count, count),
+                          strides=(padded.itemsize, -padded.itemsize))  # [m, j] = s_(m-j)
+    limbs = np.zeros((count, 0), dtype=np.int64)  # row j: the limbs of c_j
+    done = 0
+    for m0 in range(stop, count, _BLOCK):
+        new = _limbs(coeffs[done:m0], width)
+        if new.shape[1] > limbs.shape[1]:
+            limbs = np.hstack((limbs, np.zeros((count, new.shape[1] - limbs.shape[1]), np.int64)))
+        limbs[done:m0, :new.shape[1]] = new
+        done = m0
+        for m, row in enumerate((toeplitz[m0:m0 + _BLOCK, :m0] @ limbs[:m0]).tolist(), m0):
+            far = 0
+            for v in reversed(row):
+                far = (far << width) + v
+            coeffs.append(-(far + sum(map(mul, sigma, reversed(coeffs[m0:])))) // m)
 
 
 def _grid_key(exps):
@@ -461,6 +519,11 @@ def eta_product(exps, order) -> FracPowerSeries:
     grid is the lcm of the denominators of the a/24.  The recurrence is
     online, so the longest list of c_n made for a map is kept (see
     _ETA_CACHE): a lower order reads a prefix of it, a higher one continues it.
+    Up to 128 coefficients each sum is a Python dot product; past that they
+    come in blocks of 32, each block's far part (the c_j made before it) one
+    int64 matrix product over limbs of the c_j whose width keeps every sum
+    below 2^62, and only the near part a dot product (see _continue): 3.6-5.3x
+    faster than the dot products alone at 511 coefficients, the same lists.
     """
     order = Fraction(order)
     key = denom, on_grid = _grid_key(exps)

@@ -41,22 +41,34 @@ def test_parse_label_errors_carry_position():
         parse_label("12|")
     with pytest.raises(ParseError):
         parse_label("12*3")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_label("6+4")  # 4 does not exactly divide 6
+    assert err.value.position == 2
     for n in (12, 8):  # 2 divides n but not exactly: it is not prime to n/2
         with pytest.raises(ParseError, match="2 is not an exact divisor of n/h = %d" % n):
             parse_label("%d+2" % n)
-    for text, n in (("12+0", 12), ("6+0,2", 6)):  # 0 divides nothing
+    for text, n, at in (("12+0", 12, 3), ("6+0,2", 6, 2)):  # 0 divides nothing
         with pytest.raises(ParseError, match="0 is not an exact divisor of n/h = %d" % n) as err:
             parse_label(text)
-        assert err.value.position == 0
+        assert err.value.position == at  # the 0
+    # a refused label points at the number at fault: the first in the text
+    for text, message, at in (
+        ("6+2,4", "4 is not an exact divisor of n/h = 6", 4),
+        ("12|5+", "h = 5 must divide n = 12", 3),
+        ("16|16-", "h = 16 must divide 24", 3),
+        ("12|0+", "level data must be positive", 3),
+        ("0-", "level data must be positive", 0),
+    ):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_label(text)
+        assert err.value.position == at, text
     # surrounding whitespace is accepted, and positions index the text as given
     with pytest.raises(ParseError, match=r"expected '-' or '\+' \(at position 3 in '  2x'\)") as err:
         parse_label("  2x")
     assert err.value.position == 3 and err.value.text[3] == "x"
     with pytest.raises(ParseError, match="5 is not an exact divisor of n/h = 6") as err:
         parse_label(" 12|2+5")
-    assert err.value.position == 1  # the label's first character
+    assert err.value.position == 6 and err.value.text[6] == "5"
     assert str(parse_label("  12|2+6 ")) == "12|2+6"
     with pytest.raises(ValidationError, match="-3 is not an exact divisor of n/h = 12"):
         GroupLabel(12, 1, frozenset({-3}), False)

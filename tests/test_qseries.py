@@ -2,7 +2,8 @@ import ast
 import random
 from collections import Counter
 from fractions import Fraction as F
-from math import gcd, prod
+from math import comb, gcd, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -182,8 +183,29 @@ def test_eta_product_against_product_oracle(exps):
 
 
 def test_eta_product_against_pentagonal_theorem():
+    # 500 coefficients: past the crossover, so the blocked recurrence
     assert eta_product({1: 1}, 500) == pentagonal_eta(500)
     assert eta_product({3: 1}, 500) == pentagonal_eta(F(500, 3)).scale_tau(3)
+
+
+def binomial_product_24(count):
+    """c_0 .. c_(count-1) of prod_(n>=1) (1 + x^n)^24, one sparse binomial
+    (1 + x^n)^24 = sum_k C(24, k) x^(nk) at a time."""
+    coeffs = [1] + [0] * (count - 1)
+    for n in range(1, count):
+        out = coeffs[:]
+        for k in range(1, min(24, (count - 1) // n) + 1):
+            ck, shift = comb(24, k), n * k
+            out[shift:] = [o + ck * c for o, c in zip(out[shift:], coeffs)]
+        coeffs = out
+    return coeffs
+
+
+def test_eta_product_past_the_crossover_against_binomial_product():
+    # eta(2 tau)^24 / eta(tau)^24 = q prod (1 + q^n)^24, with a negative
+    # exponent and coefficients of up to 271 bits, several limbs each
+    got = eta_product({2: 24, 1: -24}, 512)
+    assert got == S(1, dict(enumerate(binomial_product_24(511), 1)), 512)
 
 
 def test_eta_product_errors_and_empty_map():
@@ -552,3 +574,108 @@ def test_log_derivative_matches_nested_divisor_loop_on_registry_maps():
             for exps in (t_map, dict(pi.exps)):
                 for count in (1, 2, 60, 400):
                     assert_log_derivative_matches_oracle(exps, count)
+
+
+# -- the blocked recurrence past the crossover --------------------------------
+
+
+def plain_continue(coeffs, sigma, count):
+    """Reference: the recurrence with every sum one Python dot product."""
+    for n in range(len(coeffs), count):
+        coeffs.append(-sum(map(mul, sigma, reversed(coeffs))) // n)
+
+
+def registry_steps():
+    """{step: k} of the t~ and eta_pi maps of every registry shape and its
+    negation, once per distinct map, as _eta_coefficients passes them."""
+    steps = {}
+    for rec in registry():
+        for pi in (rec.frame_shape, rec.frame_shape.negate()):
+            t_map = Counter({F(m, 2): k for m, k in pi.exps.items()})
+            t_map.subtract(pi.exps)
+            for exps in (t_map, dict(pi.exps)):
+                key = qseries._grid_key(exps)
+                unit = gcd(*(a for a, _ in key[1])) or 1
+                steps[key] = {a // unit: k for a, k in key[1]}
+    return list(steps.values())
+
+
+CONTINUE_COUNTS = (127, 128, 129, 160, 511)
+# mid-block, on a block boundary, and on either side of the crossover
+CONTINUE_STARTS = (1, 31, 32, 33, 127, 128, 300)
+
+
+def test_limbs_recombine_exactly_and_stay_balanced():
+    for width in (2, 3, 41, 62):
+        half = 1 << (width - 1)
+        values = [s * ((1 << j) + d) for j in range(3 * width) for d in (-1, 0, 1)
+                  for s in (1, -1)]
+        # alone, each value sets the row length; together, the largest does
+        for batch in [[c] for c in values] + [values]:
+            rows = qseries._limbs(batch, width).tolist()
+            for c, row in zip(batch, rows):
+                assert sum(v << (width * k) for k, v in enumerate(row)) == c, (width, c)
+                assert max(map(abs, row)) <= half, (width, c)
+
+
+def assert_continue_matches_plain_loop(steps, counts, starts):
+    want = [1]
+    plain_continue(want, qseries._log_derivative(steps, max(counts)), max(counts))
+    for count, start in zip(counts, starts):
+        got = want[:min(start, count)]
+        qseries._continue(got, qseries._log_derivative(steps, count), count)
+        assert got == want[:count], (steps, count, start)
+
+
+def test_blocked_continue_matches_plain_loop_on_registry_maps():
+    assert qseries._CROSSOVER == 128 and qseries._BLOCK == 32
+    maps = registry_steps()
+    assert len(maps) > 200
+    for index, steps in enumerate(maps):
+        # each map from five of the starts; every (count, start) pair over the maps
+        starts = [CONTINUE_STARTS[(index + k) % 7] for k in range(5)]
+        assert_continue_matches_plain_loop(steps, CONTINUE_COUNTS, starts)
+
+
+@pytest.mark.parametrize("steps, limbs", [
+    ({2: 24, 1: -24}, (4, 7)),  # 2A's eta_pi, 41-bit limbs: c_127 has 128 bits, c_510 271
+    ({1: -1}, (1, 2)),  # the partition numbers, 45-bit limbs: p(127) has 32 bits, p(510) 72
+])
+def test_blocked_continue_from_every_start_while_the_limb_table_widens(
+        monkeypatch, steps, limbs):
+    widths = []
+    split = qseries._limbs
+
+    def spy(values, width):
+        rows = split(values, width)
+        widths.append(rows.shape[1])
+        return rows
+
+    monkeypatch.setattr(qseries, "_limbs", spy)
+    for start in CONTINUE_STARTS:
+        assert_continue_matches_plain_loop(steps, CONTINUE_COUNTS, [start] * 5)
+    del widths[:]
+    assert_continue_matches_plain_loop(steps, (511,), (1,))
+    # the first 128 coefficients are split at once, then each block of 32 as made
+    assert len(widths) == 1 + (511 - 128 - 1) // 32
+    assert (widths[0], max(widths)) == limbs
+
+
+def test_blocked_continue_guard_falls_back_to_the_plain_loop(monkeypatch):
+    """sum |s_i| < 2^(63 - width) keeps the int64 far sums exact; with no
+    width of 2 bits the plain loop runs and gives the same list."""
+    split = qseries._limbs
+    calls = []
+
+    def spy(values, width):
+        calls.append(width)
+        return split(values, width)
+
+    monkeypatch.setattr(qseries, "_limbs", spy)
+    count = 160
+    total = sum(qseries._sigma1(count)[:count - 1]).bit_length()  # of sum sigma_1(i), i < 160
+    for k, width in ((2 ** (61 - total), 2), (2 ** (62 - total), 1), (-2 ** 50, None),
+                     (2 ** 61, None)):
+        del calls[:]
+        assert_continue_matches_plain_loop({1: k}, (count,), (1,))
+        assert calls == ([width] if width == 2 else []), k  # one block: 128 .. 159
