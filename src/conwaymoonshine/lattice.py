@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, floor, gcd, lgamma, log, pi, prod, sqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -170,10 +170,9 @@ class IntegerLattice:
         return True
 
     def shell_count(self, norm: int) -> int:
-        """Number of lattice vectors of the given norm, by exhaustive
-        Fincke-Pohst enumeration split into coset classes, counting exact
-        integer norms (_shell_count); ValidationError when the walk is
-        estimated at more than _MAX_NODES nodes."""
+        """Number of lattice vectors of the given norm, by the exact dynamic
+        program over the Gram-Schmidt flag (_shells); ValidationError when a
+        level would need more than _MAX_ROWS rows or values past int64."""
         return _shell_count(self.basis, 8 * norm)
 
     def __repr__(self):
@@ -340,264 +339,145 @@ def _lll_reduce(basis):
     return b
 
 
-_BLOCK = 4096  # child rows that one numpy step of a walk creates at most; >= 256
-_LEAF_ROWS = 512  # rows per float64 norm product of a coset fill or lookup; more make BLAS touch more memory
-_SLACK = 1e-6  # relative float slack on the enumeration budget
-_MAX_NODES = 1e8  # estimated nodes above which _shell_count refuses (Leech norm 8: 4.3e7, norm 10: 1.4e8)
-_MAX_TABLE = 2**20  # cells of the coset-class x norm table at most (8 MiB of int64)
-_EXACT = 2**53  # float64 holds every integer up to here
+_MAX_ROWS = 2**15  # child rows that one level of the shell count may create (Leech norm 14: 32,476, norm 16: 40,158)
+_INT64 = 2**62  # every int64 value of a level of the shell count stays below this
+
+
+@lru_cache(maxsize=4)
+def _flag(basis):
+    """The Gram-Schmidt flag of the basis in exact integers, for _shells.
+
+    The Gram matrix G is divided by the gcd g of its entries, so every norm
+    is g times an integer.  One fraction-free bordering pass keeps det G_k
+    of the leading k x k block and M = adj(G_k) G[:k, k:], whose column j
+    is det G_k times the coordinates of the projection of b_j onto L_k =
+    span(b_0 .. b_(k-1)).  It gives per level k: D_k, the denominator of
+    those projections for j >= k (the classes of pi_(L_k)(lattice) / L_k);
+    P_k = D_k p_k, p_k the coordinates of the projection of b_k; and d_k =
+    |b*_k|^2 = det G_(k+1) / det G_k.  Returns g and, per level, (D, E, a,
+    b, c, max |P|, _packing(D, P)) with E = D_(k+1) and h' = (a h + b u^2)
+    / c the step of _shells; a basis whose constants reach _INT64 is
+    refused.
+    """
+    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
+    g = gcd(*(v for row in gram for v in row))
+    gram = [[v // g for v in row] for row in gram]
+    M, det, found = [], 1, []
+    for k, row in enumerate(gram):
+        w = [r[0] for r in M]  # det G_k * p_k
+        v = [sum(a * r[j] for a, r in zip(row, M)) for j in range(len(gram) - k)]  # g_k . M
+        bordered = row[k] * det - v[0]
+        denom = det // gcd(det, *(x for r in M for x in r))
+        found.append((denom, [denom * x // det for x in w], bordered, det))
+        # M for k + 1 from adj G_(k+1) = [[(det G_(k+1) adj G_k + w w^T) / det G_k, -w], [-w^T, det G_k]]
+        M = [[(bordered * x + a * y) // det - a * z for x, y, z in zip(r[1:], v[1:], row[k + 1:])]
+             for r, a in zip(M, w)]
+        M.append([det * z - y for y, z in zip(v[1:], row[k + 1:])])
+        det = bordered
+    levels = []
+    for (D, P, e, f), (E, *_) in zip(found, found[1:] + [(1,)]):  # nothing projects onto L_n: D_n = 1
+        # h in units of 1/E: h' = D (h/E + t^2 e/f), t = u/E
+        a, b, c = D * E * f, D * e, f * E * E
+        q = gcd(a, b, c)
+        a, b, c = a // q, b // q, c // q
+        pmax = max(map(abs, P), default=0)
+        static = max(a, b, c, (E + D) * (D + pmax))  # bounds D r + r_k P
+        if static >= _INT64:
+            raise ValidationError("the basis needs %d-bit integers, past the int64 values of the shell count"
+                                  % static.bit_length())
+        levels.append((D, E, a, b, c, pmax, _packing(D, P)))
+    return g, levels
+
+
+def _packing(D, P):
+    """(P, weights, add, cols, shifts, F): residues mod D packed F =
+    bit_length(D) + 1 bits to a field, 63 // F fields to an int64 word.  A
+    residue row times weights (k x W) is its packed words.  A field of a sum
+    of two packed rows holds v < 2D; after adding `add` (2^(F-1) - D in
+    every field) its top bit flags v >= D, so one shift subtracts D where it
+    is set.  Residue j lies in word cols[j], shifts[j] bits up."""
+    k = len(P)
+    F = D.bit_length() + 1
+    per = 63 // F
+    j = np.arange(k)
+    weights = np.zeros((k, -(-k // per)), dtype=np.int64)
+    weights[j, j // per] = 1 << F * (j % per)
+    P = np.array(P, dtype=np.int64).reshape(k)
+    return P, weights, ((1 << F - 1) - D) * weights.sum(axis=0), j // per, F * (j % per), F
+
+
+def _shells(basis, target8: int) -> dict:
+    """{norm8: count} for every scaled norm norm8 <= target8 of the vectors
+    x.B of the lattice, by an exact dynamic program over the Gram-Schmidt
+    flag (_flag): the coset theta functions of Conway-Sloane, SPLAG ch. 4.
+
+    Fincke-Pohst fixes x_(n-1) first and x_0 last, and the subtree below a
+    partial vector y = sum_(j>k) x_j b_j depends only on the class of its
+    projection onto L_(k+1) modulo L_(k+1) and on its exact norm orthogonal
+    to L_(k+1).  So a level holds states (r, h, count): r the coordinates
+    of that projection times E = D_(k+1), reduced mod E; h the orthogonal
+    norm in units of 1/E; count the number of y that share them.  Fixing
+    x_k, with u = E x_k + r_k and t = u/E, gives the child
+      h' = D_k (h/E + t^2 d_k),  r' = D_k (r_(<k)/E + t p_k) mod D_k,
+    two divisions that must be exact and are checked.  The x_k range is
+    exact, |u| <= isqrt((c D_k target - a h) / b): floats give the square
+    root's first guess and integer tests correct it, so every child has
+    h' <= D_k target, and no float decides a count.  Equal (r', h') merge by
+    one lexsort over the residues packed into int64 words.  At level 0 the
+    states are the norms themselves.
+
+    Every level bounds its int64 values in Python ints first and refuses
+    past _INT64; a level of more than _MAX_ROWS child rows is refused too.
+    """
+    g, levels = _flag(tuple(map(tuple, basis)))
+    top = target8 // g
+    if top < 0:
+        return {}
+    R = np.zeros((1, len(levels)), dtype=np.int64)
+    H = np.zeros(1, dtype=np.int64)
+    C = np.ones(1, dtype=np.int64)
+    for k in reversed(range(len(levels))):
+        D, E, a, b, c, pmax, (P, weights, add, cols, shifts, F) = levels[k]
+        limit = c * D * top  # a h + b u^2 <= limit, |x_k| <= xmax, and a state has at most 2 xmax children
+        xmax = isqrt(limit // b) // E + 1
+        need = max(limit, xmax * pmax, int(C.sum()) * 2 * xmax)
+        if need >= _INT64:
+            raise ValidationError("norm %s needs %d-bit integers, past the int64 values of the shell count"
+                                  % (Fraction(target8, 8), need.bit_length()))
+        Q = (limit - a * H) // b
+        s = np.sqrt(Q).astype(np.int64)
+        s -= s * s > Q
+        s += (s + 1) * (s + 1) <= Q  # s = isqrt(Q)
+        rk = R[:, k]
+        lo = -((s + rk) // E)
+        width = (s - rk) // E + 1 - lo
+        rows = int(width.sum())
+        if rows > _MAX_ROWS:
+            raise ValidationError("norm %s needs about %d enumeration nodes, more than the %d allowed"
+                                  % (Fraction(target8, 8), rows, _MAX_ROWS))
+        parent = np.repeat(np.arange(len(width)), width)
+        x = np.arange(rows) + np.repeat(lo + width - np.cumsum(width), width)
+        u = x * E + rk[parent]
+        h, h_rest = np.divmod(a * H[parent] + b * u * u, c)
+        base, base_rest = np.divmod(D * R[:, :k] + rk[:, None] * P, E)
+        if h_rest.any() or base_rest.any():
+            raise ValidationError("inexact division in the shell count at level %d" % k)
+        # r' = base + x P mod D in packed words (_packing), x P mod D from a table over this level's x
+        first = int(lo.min())
+        step = np.multiply.outer(np.arange(first, int((lo + width).max())), P) % D @ weights
+        r = (base % D @ weights)[parent] + step[x - first]
+        r -= ((r + add) >> F - 1 & weights.sum(axis=0)) * D
+        key = np.column_stack([r, h])
+        order = np.lexsort(key.T)
+        key = key[order]
+        starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+        C = np.add.reduceat(C[parent[order]], starts)
+        key = key[starts]
+        R = key[:, cols] >> shifts & (1 << F) - 1
+        H = key[:, -1]
+    return {g * norm: count for norm, count in zip(H.tolist(), C.tolist())}
 
 
 def _shell_count(basis, target8: int) -> int:
-    """Count lattice vectors x.B with scaled norm |x.B|^2 == target8 (= 8*norm).
-
-    Fincke-Pohst over the (LLL-reduced) basis: from the Cholesky form
-    x.G.x = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2 of the Gram matrix, fix
-    x_{n-1} first and x_0 last.  A block at level l holds partial vectors as
-    int8 rows of their fixed coordinates x_l .. x_{n-1}; its children are
-    created in arrays of at most _BLOCK rows, the parent rows past the cap
-    going back on the stack.  The float bounds carry slack and only prune;
-    every count is decided by exact integer norms.
-
-    The walk is split at the level k that _split_level picks: the top walk
-    fixes y = (x_k .. x_{n-1}), and the bottom coordinates then range over a
-    coset of L_k = span(b_0 .. b_{k-1}) that depends only on the class of y
-    (_Cosets).  Each class's coset is walked once, into a table of its exact
-    norms, and each y reads off its count there.  Only half the space is
-    walked at the top, since x and -x have the same norm: the y whose last
-    nonzero coordinate is positive, counted twice; y = 0 adds the vectors of
-    L_k itself.  At k = 0, L_0 = {0} is one class whose table holds the
-    empty bottom vector, of norm 0, so each y counts when its own exact norm
-    is target8; a level whose table is not exact falls back to k = 0.
-    """
-    if target8 < 0:
-        return 0
-    if target8 == 0:
-        return 1
-    n = len(basis)
-    # |x_i| <= 127, so |(x.B)_k| <= 127 * sum_i |B_ik|: the Gram matrix is
-    # exact in float64, and so, by _Cosets.fits at k = 0, where P = B, are the
-    # norms of full vectors; the fallback table at k = 0 is always exact
-    widest = 127 * max(sum(abs(row[k]) for row in basis) for k in range(len(basis[0])))
-    if len(basis[0]) * widest * widest >= _EXACT:
-        raise ValidationError("basis entries too large for exact float64 norms")
-    b = np.array(basis, dtype=float)
-    gram = b @ b.T  # integers, exact by the guard above
-    chol = np.linalg.cholesky(gram).T
-    d = np.diag(chol) ** 2
-    m = chol / np.diag(chol)[:, None]
-    slack = _SLACK * target8
-    ints = [[int(v) for v in row] for row in gram]
-    nodes = _node_estimates(d.tolist(), target8, gcd(*(v for row in ints for v in row)))
-    k = _split_level(nodes)
-    cosets = _Cosets(basis, ints, m, k, target8)
-    if not cosets.exact:
-        k, cosets = 0, _Cosets(basis, ints, m, 0, target8)
-    if nodes[k] > _MAX_NODES:
-        raise ValidationError(
-            "norm %s needs about %.2g enumeration nodes, more than the %.0e allowed"
-            % (Fraction(target8, 8), nodes[k], _MAX_NODES)
-        )
-    if cosets.budget % cosets.step:
-        return 0  # D^2 |x|^2 is a multiple of step for every lattice vector x
-    cosets.walk(m, d, slack)
-    # one seed block per level `top` >= k: x_j = 0 for j > top, x_top > 0
-    stack = []
-    for top in range(k, n):
-        first = np.arange(1, floor(sqrt((target8 + slack) / d[top])) + 1)
-        if len(first) > 127:
-            raise ValidationError("enumeration coordinate outside int8")
-        if len(first):
-            x = np.zeros((len(first), n - top), dtype=np.int8)
-            x[:, 0] = first
-            stack.append((top, x, target8 - d[top] * first.astype(float) ** 2, None))
-    _walk(stack, m, d, slack, k, cosets.lookup)
-    return 2 * cosets.count + cosets.zero_count()
-
-
-def _walk(stack, m, d, slack, stop, leaf, offset=None):
-    """Depth-first Fincke-Pohst from the blocks (level, x, rem, cls) on the
-    stack down to level `stop`, handing each block of rows that reaches it
-    to leaf(x, cls).  Row r's centres are shifted by offset[cls[r]], the
-    coset it walks; cls is None on unshifted walks."""
-    while stack:
-        level, x, rem, cls = stack.pop()
-        if level == stop:
-            leaf(x, cls)
-            continue
-        i = level - 1
-        c = x @ m[i, level : level + x.shape[1]]
-        if offset is not None:
-            c += offset[cls, i]
-        half = np.sqrt(np.maximum(rem + slack, 0.0) / d[i])
-        lo = np.ceil(-half - c)
-        width = np.maximum(np.floor(half - c) - lo + 1, 0).astype(np.int64)
-        if width.max() > 255:
-            raise ValidationError("enumeration coordinate outside int8")
-        ends = np.cumsum(width)
-        rows = int(np.searchsorted(ends, _BLOCK, side="right"))  # >= 1: a row has < 256 children
-        if rows < len(x):
-            stack.append((level, x[rows:], rem[rows:], None if cls is None else cls[rows:]))
-        total = int(ends[rows - 1])
-        if not total:
-            continue
-        parent = np.repeat(np.arange(rows), width[:rows])
-        xi = lo[parent] + np.arange(total) - np.repeat(ends[:rows] - width[:rows], width[:rows])
-        if xi.min() < -127 or xi.max() > 127:
-            raise ValidationError("enumeration coordinate outside int8")
-        t = xi + c[parent]
-        child = np.empty((total, x.shape[1] + 1), dtype=np.int8)
-        child[:, 0] = xi
-        child[:, 1:] = x[parent]
-        stack.append((i, child, rem[parent] - d[i] * t * t, None if cls is None else cls[parent]))
-
-
-def _ball(dim: int, r2: float) -> float:
-    """Volume of the dim-dimensional ball of squared radius r2."""
-    return exp(dim / 2 * log(pi * r2) - lgamma(dim / 2 + 1))
-
-
-def _node_estimates(d, target8, scale):
-    """Gaussian-heuristic count of the nodes walked when splitting at each
-    level k = 0 .. n-1.  Level l of the top walk holds about N_l = ball(n-l)
-    / sqrt(d_l ... d_{n-1}) nodes, half of them walked; the bottom walks
-    one coset per class, at most min(classes, N_k / 2) of them, of about
-    sum_{l<k} ball(k-l) / sqrt(d_l ... d_{k-1}) nodes each.  L_k has at most
-    d_0 ... d_{k-1} / scale^k classes, scale being the gcd of the Gram
-    entries; Leech's 8 * unimodular form reaches that bound."""
-    n = len(d)
-    logd = [0.0]
-    for v in d:
-        logd.append(logd[-1] + log(v))  # logd[l] = log(d_0 ... d_{l-1})
-    level = [_ball(n - l, target8) * exp((logd[l] - logd[n]) / 2) for l in range(n)]
-    out = []
-    for k in range(n):
-        nodes = sum(level[k:]) / 2
-        if k:
-            classes = exp(logd[k] - k * log(scale))
-            coset = sum(_ball(k - l, target8) * exp((logd[l] - logd[k]) / 2) for l in range(k))
-            nodes += min(classes, level[k] / 2) * coset
-        out.append(nodes)
-    return out
-
-
-def _split_level(nodes) -> int:
-    """The split level with the fewest estimated nodes."""
-    return min(range(len(nodes)), key=nodes.__getitem__)
-
-
-def _scaled_solve(gram, k):
-    """(det, M) with det = det G_kk and M = det * G_kk^-1 G_kt, G_kk the
-    leading k x k block of the integer Gram matrix and G_kt the rest of its
-    first k rows: fraction-free Gauss-Jordan elimination, whose divisions are
-    exact.  G_kk is positive definite, so each leading minor is a nonzero
-    pivot."""
-    rows = [list(r) for r in gram[:k]]
-    prev = 1
-    for c in range(k):
-        piv = rows[c]
-        for r in range(k):
-            if r != c:
-                f = rows[r][c]
-                rows[r] = [(piv[c] * u - f * v) // prev for u, v in zip(rows[r], piv)]
-        prev = piv[c]
-    return prev, [row[k:] for row in rows]
-
-
-class _Cosets:
-    """The classes of top vectors y at split level k, and the exact norms of
-    their cosets.
-
-    With A = D G_kk^-1 G_kt integral, a lattice vector with bottom u and top
-    y is ((D u + A y).B_k + y.P) / D, where P = D B_t - A^T B_k is D times
-    the part of the top rows orthogonal to L_k.  So D^2 times its norm is
-    |(D u + A y).B_k|^2 + |y.P|^2, a sum of two integers, and y names the
-    coset D Z^k + A y by its class, the residues r = A y mod D.  A class is
-    coded as the integer sum_i r_i D^i; the classes form the group
-    A Z^(n-k) + D Z^k mod D, listed from an echelon basis of that group.
-    table[c * width + h // step] counts the u with |(D u + r).B_k|^2 = h <=
-    D^2 target8 in class c, and top vector y counts table[class(y) * width
-    + key // step], key = D^2 target8 - |y.P|^2.  Every h is r.G_kk.r plus
-    a multiple of step, and so is every key when step divides D^2 target8,
-    so a slot never mixes two norms; when step does not divide it, no
-    lattice vector has the target norm.  Keys past the table count nothing.
-    At k = 0 the bottom is empty: one class, one cell for the norm 0, so a
-    top vector counts exactly when its key is 0.
-    """
-
-    def __init__(self, basis, gram, m, k, target8):
-        n = len(basis)
-        det, scaled = _scaled_solve(gram, k)
-        g = gcd(det, *(v for row in scaled for v in row))
-        self.D = D = det // g
-        A = [[v // g for v in row] for row in scaled]
-        low = basis[:k]
-        P = [[D * v for v in row] for row in basis[k:]]
-        for a, row in zip(A, low):
-            P = [[u - f * v for u, v in zip(p, row)] for p, f in zip(P, a)]
-        # |x_i| <= 127 bounds every partial sum of |y.P|^2, |(D u + r).B_k|^2, A y and the class code
-        top_sum = sum((127 * sum(map(abs, col))) ** 2 for col in zip(*P))
-        low_sum = sum((128 * D * sum(map(abs, col))) ** 2 for col in zip(*low))
-        fits = max(top_sum, low_sum, D**k, 127 * (n - k) * D) < _EXACT
-        # x.G.x is a multiple of `even` for every x, and u.G_kk.r of the gcd of G_kk
-        even = gcd(*(row[i] for i, row in enumerate(gram)), *(2 * gcd(*row) for row in gram))
-        self.step = gcd(D * D * even, 2 * D * gcd(*(v for row in gram[:k] for v in row[:k])))
-        self.target8, self.budget = target8, D * D * target8
-        self.width = (self.budget if k else 0) // self.step + 1
-        residues = [[v % D for v in col] for col in zip(*A)]  # row j: A e_j mod D
-        group = _integer_row_basis(residues + [[D * (i == j) for j in range(k)] for i in range(k)])
-        classes = prod(D // row[i] for i, row in enumerate(group))
-        self.exact = fits and classes * self.width <= _MAX_TABLE
-        if not self.exact:
-            return
-        reps = np.zeros((1, k), dtype=np.int64)
-        for i, row in enumerate(group):
-            digits = np.arange(D // row[i])[:, None, None]
-            reps = ((reps + digits * np.array(row)) % D).reshape(-1, k)
-        self.weights = D ** np.arange(k, dtype=float)
-        codes = reps @ self.weights
-        order = sorted(range(classes), key=codes.__getitem__)
-        self.codes, reps = codes[order], reps[order]  # code 0, the class of L_k itself, comes first
-        # the coset of -r is minus the coset of r: walk the first class of each pair
-        self.pair = np.minimum(np.arange(classes), np.searchsorted(self.codes, (-reps % D) @ self.weights))
-        self.offset = reps @ m[:k, :k].T / D  # the coset's shift of the walk's centres
-        low = np.array(low, dtype=float).reshape(k, len(basis[0]))
-        self.low = D * low
-        self.shift = reps.astype(float) @ low  # r.B_k
-        self.top = np.hstack([np.array(P, dtype=float), np.array(residues, dtype=float).reshape(n - k, k)])
-        self.table = np.zeros(classes * self.width, dtype=np.int64)
-        self.count = 0
-        self.k = k
-
-    def walk(self, m, d, slack):
-        """Walk the coset of every class once, with the full budget, into table."""
-        walked = np.flatnonzero(self.pair == np.arange(len(self.pair)))
-        rem = np.full(len(walked), float(self.target8))
-        seed = (self.k, np.zeros((len(walked), 0), dtype=np.int8), rem, walked)
-        _walk([seed], m, d, slack, 0, self._fill, self.offset)
-        self.table = self.table.reshape(len(self.pair), -1)[self.pair].ravel()
-
-    def _fill(self, x, cls):
-        for s in range(0, len(x), _LEAF_ROWS):
-            c = cls[s : s + _LEAF_ROWS]
-            v = x[s : s + _LEAF_ROWS] @ self.low + self.shift[c]
-            h = np.einsum("ij,ij->i", v, v).astype(np.int64)
-            keep = h <= self.budget
-            self.table += np.bincount(c[keep] * self.width + h[keep] // self.step, minlength=len(self.table))
-
-    def lookup(self, y, _):
-        """Add the counts of the top vectors y (rows x_k .. x_{n-1})."""
-        ncols = self.shift.shape[1]
-        for s in range(0, len(y), _LEAF_ROWS):
-            z = y[s : s + _LEAF_ROWS] @ self.top
-            w, a = z[:, :ncols], z[:, ncols:]  # y.P and A y
-            key = self.budget - np.einsum("ij,ij->i", w, w).astype(np.int64)
-            cls = np.searchsorted(self.codes, (a - self.D * np.floor(a / self.D)) @ self.weights)
-            hit = (key >= 0) & (key < self.width * self.step)
-            self.count += int(self.table[cls[hit] * self.width + key[hit] // self.step].sum())
-
-    def zero_count(self) -> int:
-        """The vectors of L_k itself with the target norm: y = 0, class 0;
-        none at k = 0, where L_0 = {0} and the slot lies past the table."""
-        slot = self.budget // self.step
-        return int(self.table[slot]) if slot < self.width else 0
+    """Count lattice vectors x.B with scaled norm |x.B|^2 == target8 (= 8*norm): one entry of _shells."""
+    return _shells(basis, target8).get(target8, 0)

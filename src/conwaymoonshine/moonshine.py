@@ -109,15 +109,6 @@ def _lemma_terms(pi: FrameShape, c_g, order):
     return FracPowerSeries(denom, terms, order), pin.eta_quotient(1, order)
 
 
-def lemma_residual(pi: FrameShape, c_g, c_neg, order) -> FracPowerSeries:
-    """The five-term combination that the eta identity asserts vanishes:
-
-        2*chi + t~(pi) - t~(negate pi) + c_neg*eta_{negate pi} - c_g*eta_pi.
-    """
-    rest, partner = _lemma_terms(pi, c_g, order)
-    return rest + partner * c_neg
-
-
 def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     """Solve the eta identity for the single unknown partner scalar, then
     verify the full identity to the requested order.

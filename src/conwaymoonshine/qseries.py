@@ -404,13 +404,18 @@ _BLOCK = 32
 
 
 def _sigma1(size: int) -> list:
-    """The sigma_1 table with at least `size` entries."""
+    """The sigma_1 table with at least `size` entries, as Python ints: one
+    sieve that adds d at index d*m - 1 for every pair d*m <= n."""
     if len(_SIGMA1) < size:
         n = max(size, 2 * len(_SIGMA1))
-        table = [0] * n
-        for d in range(1, n + 1):
-            table[d - 1::d] = [t + d for t in table[d - 1::d]]
-        _SIGMA1[:] = table
+        d = np.arange(1, n + 1)
+        count = n // d  # the multiples d*m <= n of d
+        ends = np.cumsum(count)
+        divisor = np.repeat(d, count)
+        multiple = divisor * (np.arange(ends[-1]) - np.repeat(ends - count, count) + 1)
+        table = np.zeros(n, dtype=np.int64)
+        np.add.at(table, multiple - 1, divisor)
+        _SIGMA1[:] = table.tolist()
     return _SIGMA1
 
 

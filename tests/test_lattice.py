@@ -1,7 +1,8 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
-from math import ceil, prod
+from math import ceil, isqrt, prod
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conwaymoonshine.lattice import (
     _leech_congruences,
     _lll_reduce,
     _shell_count,
+    _shells,
 )
 from conwaymoonshine.qseries import FracPowerSeries, eta_product
 
@@ -106,159 +108,108 @@ def test_shell_count_matches_box_enumeration():
         checked += 1
 
 
+def test_shells_hold_the_whole_theta_series():
+    """One _shells pass gives every norm through the target: E8 in doubled
+    coordinates has the theta series E4 = 1 + 240 q + 2160 q^2 + 6720 q^3
+    (norm 2m scaled to 8m), and random rank 1-4 bases, some scaled by 2, 3
+    or 7, a diagonal basis at targets past a million and a basis whose
+    class denominator D_1 is 10^6 agree with the box enumeration."""
+    e8 = e8_doubled_basis()
+    for basis in (e8, _lll_reduce(e8)):
+        assert _shells(basis, 31) == {0: 1, 8: 240, 16: 2160, 24: 6720}
+    rng = random.Random(7)
+    cases = [([[100, 0], [0, 101]], 1_250_804), ([[10**6, 0], [1, 1]], 100)]
+    while len(cases) < 40:
+        rank, scale = rng.randrange(1, 5), rng.choice((1, 1, 2, 3, 7))
+        basis = [[scale * rng.randrange(-6, 7) for _ in range(rank)] for _ in range(rank)]
+        if abs(np.linalg.det(np.array(basis, dtype=float))) >= 0.5:
+            cases.append((basis, rng.randrange(60) * scale * scale // 2))
+    for basis, target in cases:
+        norms = box_norms(basis, target)
+        assert _shells(basis, target) == dict(Counter(norms[norms <= target].tolist()))
+
+
 def test_shell_count_guards():
     assert _shell_count([[1]], -1) == 0
     assert _shell_count([[1]], 127**2) == 2
-    with pytest.raises(ValidationError, match="int8"):
-        _shell_count([[1]], 128**2)
-    with pytest.raises(ValidationError, match="float64"):
-        _shell_count([[2**30, 0], [0, 1]], 4)
+    # past int8 coordinates and past exact float64 Gram entries, which the
+    # Fincke-Pohst walk refused
+    assert _shell_count([[1]], 128**2) == 2
+    assert _shell_count([[2**30, 0], [0, 1]], 4) == 2
+    # P_1 = 2^60 and 2^61: the level's constants bound (E + D)(D + |P|) =
+    # 2 (1 + |P|) against 2^62; the vectors of norm 1 are +-b_0 and +-(b_1 - |P| b_0)
+    assert _shell_count([[1, 0], [2**60, 1]], 1) == 4
+    with pytest.raises(ValidationError, match="int64"):
+        _shell_count([[1, 0], [2**61, 1]], 1)
 
 
-def test_float_leaf_guard_at_its_bound():
-    """Leaf norms are float64 sums, exact while 2 * (127 * 2 * s)^2 < 2^53:
-    at s = 2^18 (2^52.98) the counts equal the int64 box enumeration, at
-    2^19 the count is refused, never made."""
-    s = 2**18
+def theta_z(rank, order):
+    """Coefficients of theta_3^rank, the theta series of Z^rank, to q^(order-1)."""
+    theta = [1] + [0] * (order - 1)
+    for _ in range(rank):
+        theta = [sum(theta[n - m * m] * (1 if m == 0 else 2) for m in range(isqrt(n) + 1)) for n in range(order)]
+    return theta
+
+
+def test_int64_guard_at_its_bound():
+    """Every level bounds its int64 values before it runs and refuses from
+    2^62: a h + b u^2 is at most c D_k target, x_k P_k at most the largest
+    |x_k| times max |P_k|, and the counts at most their total times the
+    widest x_k range."""
+    # diag(2^26, 2^26 + 1): c = D_k = 1, so the bound is the target itself
+    m = 2**26
+    basis = [[m, 0], [0, m + 1]]
+    want = Counter(m * m * a * a + (m + 1) ** 2 * b * b for a in range(-64, 65) for b in range(-64, 65))
+    assert _shells(basis, 2**62 - 1) == {n: c for n, c in want.items() if n < 2**62}
+    with pytest.raises(ValidationError, match="int64"):
+        _shells(basis, 2**62)
+    # Z^24 through norm 53 holds 1.06e18 vectors; the count bound (the total
+    # times the widest x_k range) passes 2^62 at the target 54, although its
+    # 1.32e18 vectors would fit
+    z24 = np.eye(24, dtype=int).tolist()
+    assert _shells(z24, 53) == dict(enumerate(theta_z(24, 54)))
+    with pytest.raises(ValidationError, match="int64"):
+        _shells(z24, 54)
+    # [[1, 0], [2^60, 1]] is Z^2 with P_1 = 2^60: x_1 P_1 is bounded by
+    # (isqrt(target) + 1) 2^60, under 2^62 through the target 8
+    skew = [[1, 0], [2**60, 1]]
+    assert _shells(skew, 8) == {0: 1, 1: 4, 2: 4, 4: 4, 5: 8, 8: 4}
+    with pytest.raises(ValidationError, match="int64"):
+        _shells(skew, 9)
+    # [[s, s], [0, s]]: Gram s^2 [[2, 1], [1, 2]], counted in units of g = s^2
+    s = 2**19
     basis = [[s, s], [0, s]]
     norms = box_norms(basis, 5 * s * s)
     for k in range(6):
         assert _shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
     assert _shell_count(basis, s * s + 1) == 0
-    with pytest.raises(ValidationError, match="float64"):
-        _shell_count([[2 * s, 2 * s], [0, 2 * s]], 4 * s * s)
 
 
-def test_children_are_created_in_capped_blocks(monkeypatch):
-    """No numpy step creates more than _BLOCK child rows, and the counts do
-    not depend on the cap: E8 shells at caps 256 (the widest a row can
-    branch) and 1024 against the default."""
-    sizes = []
-    repeat = np.repeat
-
-    def spy(a, counts, *args, **kwargs):
-        out = repeat(a, counts, *args, **kwargs)
-        sizes.append(len(out))
-        return out
-
-    basis = e8_doubled_basis()
-    want = [_shell_count(basis, t) for t in (8, 16, 24)]
-    monkeypatch.setattr(np, "repeat", spy)
-    for cap in (256, 1024):
-        sizes.clear()
-        monkeypatch.setattr(lattice, "_BLOCK", cap)
-        assert [_shell_count(basis, t) for t in (8, 16, 24)] == want
-        assert cap // 2 < max(sizes) <= cap
-
-
-def force_split(monkeypatch, k):
-    """Make _shell_count split at level k (at most rank - 1), whatever it estimates."""
-    monkeypatch.setattr(lattice, "_split_level", lambda nodes: min(k, len(nodes) - 1))
-
-
-def spy_splits(monkeypatch):
-    """The levels of the coset walks made from now on."""
-    levels, walk = [], lattice._Cosets.walk
-    monkeypatch.setattr(lattice._Cosets, "walk", lambda self, *args: levels.append(self.k) or walk(self, *args))
-    return levels
-
-
-def test_split_counts_do_not_depend_on_the_level(monkeypatch):
-    """E8 at targets 0..24 and random rank 2-4 bases against the box
-    enumeration, at every split level."""
-    e8 = e8_doubled_basis()
-    want = [_shell_count(e8, t) for t in range(25)]
-    assert want[8::8] == [240, 2160, 6720]
-    rng = random.Random(31)
-    cases = []
-    while len(cases) < 6:
-        rank = 2 + len(cases) % 3
-        basis = [[rng.randrange(-3, 4) for _ in range(rank)] for _ in range(rank)]
-        if abs(np.linalg.det(np.array(basis, dtype=float))) >= 0.5:
-            norms = box_norms(basis, 24)
-            cases.append((basis, [np.count_nonzero(norms == t) for t in range(25)]))
-    levels = spy_splits(monkeypatch)
-    for k in range(8):
-        force_split(monkeypatch, k)
-        for basis in (e8, _lll_reduce(e8)):
-            assert [_shell_count(basis, t) for t in range(25)] == want
-        for basis, counts in cases:
-            if k < len(basis):
-                assert [_shell_count(basis, t) for t in range(25)] == counts
-    # every level is walked, not given up for the one-class table at k = 0
-    assert set(levels) == set(range(8))
-
-
-@pytest.mark.parametrize("k", [0, 6, 9, 12])
-def test_split_levels_on_leech_and_e8_cubed(leech, monkeypatch, k):
-    force_split(monkeypatch, k)
-    levels = spy_splits(monkeypatch)
-    assert leech.shell_count(4) == 196560
+def test_shells_negative_controls(leech, monkeypatch):
+    """Children whose class drops the shift t p_k, the projection of x_k b_k
+    onto L_k, or takes it negated, are refused: a level or two below the
+    top their orthogonal norms stop being whole multiples of 1/D_k, so the
+    exact-division check fires before any count is made."""
+    flag = lattice._flag
     assert e8_cubed().shell_count(2) == 720
-    assert levels == [k, k]
 
+    for wrong in (lambda P: [0] * len(P), lambda P: [-p for p in P]):
+        def shifted(basis):
+            g, levels = flag(basis)
+            return g, [level[:-1] + (lattice._packing(level[0], wrong(level[-1][0].tolist())),) for level in levels]
 
-def test_split_level_follows_the_node_estimate(leech):
-    b = np.array(leech.basis, dtype=float)
-    d = (np.diag(np.linalg.cholesky(b @ b.T)) ** 2).tolist()
-    nodes = {norm: lattice._node_estimates(d, 8 * norm, 8) for norm in (2, 4, 6, 8, 10)}
-    assert [lattice._split_level(nodes[norm]) for norm in (2, 4, 6)] == [0, 9, 10]
-    assert min(nodes[8]) < lattice._MAX_NODES < min(nodes[10])
-
-
-def test_split_negative_controls(leech, monkeypatch):
-    """Cosets walked without their shift, or every top vector read from the
-    class of L_9 itself, miscount the minimal vectors."""
-    force_split(monkeypatch, 9)
-    walk = lattice._Cosets.walk
-
-    def unshifted(self, *args):
-        self.offset = np.zeros_like(self.offset)
-        walk(self, *args)
-
-    def one_class(self, *args):
-        walk(self, *args)
-        self.weights = np.zeros_like(self.weights)  # every code 0
-
-    for wrong in (unshifted, one_class):
-        monkeypatch.setattr(lattice._Cosets, "walk", wrong)
-        assert leech.shell_count(4) != 196560
-
-
-def test_split_guard_at_its_bound(monkeypatch):
-    """Split at k = 1, [[s, s], [0, s]] has D = 2 and bottom norms
-    |(2 u + r) s (1, 1)|^2: under 2^53 while 2 * (128 * 2 * s)^2 is, so at
-    s = 2^17 the split walks and at 2^18 it falls back to the one-class
-    table at k = 0; the counts equal the box enumeration either way."""
-    force_split(monkeypatch, 1)
-    levels = spy_splits(monkeypatch)
-    for s in (2**17, 2**18):
-        basis = [[s, s], [0, s]]
-        norms = box_norms(basis, 5 * s * s)
-        for k in range(6):
-            assert _shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
-        assert _shell_count(basis, s * s + 1) == 0
-    assert levels == [1] * 5 + [0] * 5  # targets 1..5 per s; target 0 and s^2 + 1 need no walk
-
-
-def test_one_class_table_holds_one_cell(monkeypatch):
-    """At k = 0 the table is one cell, the empty bottom vector of norm 0,
-    whatever the budget: a full-budget table here would need about 1.2M
-    cells, past _MAX_TABLE, and leave no table to fall back to."""
-    basis = [[100, 0], [0, 101]]
-    targets = (1_210_000, 1_250_804)
-    want = [np.count_nonzero(box_norms(basis, t) == t) for t in targets]
-    assert want == [2, 4]
-    assert [_shell_count(basis, t) for t in targets] == want
-    force_split(monkeypatch, 0)
-    levels = spy_splits(monkeypatch)
-    assert [_shell_count(basis, t) for t in targets] == want
-    assert levels == [0, 0]
+        monkeypatch.setattr(lattice, "_flag", shifted)
+        for lat, norm in ((leech, 4), (e8_cubed(), 2)):
+            with pytest.raises(ValidationError, match="inexact division"):
+                lat.shell_count(norm)
 
 
 def test_shell_count_refuses_beyond_the_node_ceiling(leech):
-    with pytest.raises(ValidationError, match="norm 10 needs about 1.4e[+]08 enumeration nodes"):
-        leech.shell_count(10)
+    """A level past _MAX_ROWS child rows is refused; Leech norm 14 stays
+    under it (32,476 rows at its widest level) and norm 16 does not."""
+    with pytest.raises(ValidationError, match="norm 16 needs about 34870 enumeration nodes, more than the 32768 allowed"):
+        leech.shell_count(16)
+    assert leech.shell_count(14) == leech_theta(8)[7]
 
 
 def exact_gram_schmidt(basis):
@@ -308,15 +259,27 @@ def test_lll_reduce_meets_the_deep_insertion_condition(leech):
                 rest -= mu[k][i] ** 2 * norms[i]
 
 
-def test_theta_series_second_opinion(leech):
-    """Theta of the Leech lattice is E4^3 - 720 Delta; its q^2 coefficient
-    counts the vectors of norm 4."""
-    order = 3
+def leech_theta(order):
+    """E4^3 - 720 Delta to q^(order-1), the theta series of the Leech
+    lattice in q^(norm/2)."""
     sigma3 = [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(order)]
     e4 = FracPowerSeries(1, {0: 1, **{n: 240 * sigma3[n] for n in range(1, order)}}, order)
     theta = e4 * e4 * e4 - eta_product({1: 24}, order) * 720
-    assert [theta.coeff(n) for n in range(order)] == [1, 0, 196560]
-    assert theta.coeff(2) == leech.shell_count(4)
+    return [theta.coeff(n) for n in range(order)]
+
+
+def test_theta_series_second_opinion(leech):
+    """Every shell through norm 12 from one _shells pass equals the theta
+    series E4^3 - 720 Delta, whose q^m coefficient counts norm 2m."""
+    theta = leech_theta(7)
+    assert theta == [1, 0, 196560, 16773120, 398034000, 4629381120, 34417656000]
+    shells = _shells(leech.basis, 8 * 12)
+    assert shells == {16 * m: c for m, c in enumerate(theta) if c}
+    assert theta[2] == leech.shell_count(4)
+    # Conway: every class of Leech/2Leech has a representative of norm at
+    # most 8, unique up to sign at norms 4 and 6, and one of a frame of 48
+    # orthogonal vectors +-v at norm 8
+    assert 1 + theta[2] // 2 + theta[3] // 2 + theta[4] // 48 == 2**24
 
 
 def e8_cubed():

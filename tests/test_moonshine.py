@@ -14,7 +14,6 @@ from conwaymoonshine.moonshine import (
     T_s_tw,
     dichotomy_check,
     half_shift_relation,
-    lemma_residual,
     normalization_reports,
     solve_c_neg,
     t_tilde,
@@ -24,6 +23,15 @@ from conwaymoonshine.moonshine import (
 from conwaymoonshine.qseries import FracPowerSeries as S
 
 IDENT = parse("1^24")
+
+
+def lemma_residual(pi, c_g, c_neg, order):
+    """The five-term combination that the eta identity asserts vanishes:
+
+        2*chi + t~(pi) - t~(negate pi) + c_neg*eta_{negate pi} - c_g*eta_pi.
+    """
+    rest, partner = _lemma_terms(pi, c_g, order)
+    return rest + partner * c_neg
 
 
 def test_t_tilde_identity_expansion():

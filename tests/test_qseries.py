@@ -547,6 +547,28 @@ def test_sigma1_table_matches_brute_force():
     assert table[:600] == [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(1, 601)]
 
 
+def test_sigma1_sieve_matches_the_divisor_loop(monkeypatch):
+    """The sieve against the loop it replaced (one slice update per divisor
+    d): built from an empty table at every size up to 2048 and at 4095,
+    4096, 4097 and 5000, and grown by doubling from 1 through 5000; the
+    entries are Python ints."""
+    def divisor_loop(n):
+        table = [0] * n
+        for d in range(1, n + 1):
+            table[d - 1::d] = [t + d for t in table[d - 1::d]]
+        return table
+
+    want = divisor_loop(5000)
+    for size in [*range(2, 2049), 4095, 4096, 4097, 5000]:
+        monkeypatch.setattr(qseries, "_SIGMA1", [1])
+        assert qseries._sigma1(size) == want[:size]
+    monkeypatch.setattr(qseries, "_SIGMA1", [1])
+    lengths = {len(qseries._sigma1(size)) for size in range(1, 5001)}
+    assert lengths == {2**j for j in range(14)}
+    assert qseries._sigma1(5000)[:5000] == want
+    assert all(type(v) is int for v in qseries._sigma1(5000))
+
+
 def nested_divisor_log_derivative(on_grid, count):
     """Oracle: s_1 .. s_(count-1) by the nested divisor loop, s_i += k*j for
     every factor (1 - x^j)^k with j | i."""
