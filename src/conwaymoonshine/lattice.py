@@ -354,13 +354,14 @@ def _flag(basis):
     span(b_0 .. b_(k-1)).  It gives per level k: D_k, the denominator of
     those projections for j >= k (the classes of pi_(L_k)(lattice) / L_k);
     P_k = D_k p_k, p_k the coordinates of the projection of b_k; and d_k =
-    |b*_k|^2 = det G_(k+1) / det G_k.  Returns g and, per level, (D, E, a,
-    b, c, max |P|, _packing(D, P)) with E = D_(k+1) and h' = (a h + b u^2)
-    / c the step of _shells; a basis whose constants reach _INT64 is
-    refused.
+    |b*_k|^2 = det G_(k+1) / det G_k.  Returns g, g2 = gcd(G_ii, 2 G_ij),
+    which divides every norm x G x^T, and, per level, (D, E, a, b, c,
+    max |P|, _packing(D, P)) with E = D_(k+1) and h' = (a h + b u^2) / c the
+    step of _shells; a basis whose constants reach _INT64 is refused.
     """
     gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
     g = gcd(*(v for row in gram for v in row))
+    g2 = gcd(2 * g, *(row[i] for i, row in enumerate(gram)))  # 2 G_ij for all i, j has gcd 2g
     gram = [[v // g for v in row] for row in gram]
     M, det, found = [], 1, []
     for k, row in enumerate(gram):
@@ -386,7 +387,7 @@ def _flag(basis):
             raise ValidationError("the basis needs %d-bit integers, past the int64 values of the shell count"
                                   % static.bit_length())
         levels.append((D, E, a, b, c, pmax, _packing(D, P)))
-    return g, levels
+    return g, g2, levels
 
 
 def _packing(D, P):
@@ -429,7 +430,7 @@ def _shells(basis, target8: int) -> dict:
     Every level bounds its int64 values in Python ints first and refuses
     past _INT64; a level of more than _MAX_ROWS child rows is refused too.
     """
-    g, levels = _flag(tuple(map(tuple, basis)))
+    g, _, levels = _flag(tuple(map(tuple, basis)))
     top = target8 // g
     if top < 0:
         return {}
@@ -479,5 +480,7 @@ def _shells(basis, target8: int) -> dict:
 
 
 def _shell_count(basis, target8: int) -> int:
-    """Count lattice vectors x.B with scaled norm |x.B|^2 == target8 (= 8*norm): one entry of _shells."""
-    return _shells(basis, target8).get(target8, 0)
+    """Count lattice vectors x.B with scaled norm |x.B|^2 == target8 (= 8*norm): one entry of _shells,
+    or 0 at once for a target that g2 (_flag), which divides every norm, does not divide."""
+    basis = tuple(map(tuple, basis))
+    return 0 if target8 % _flag(basis)[1] else _shells(basis, target8).get(target8, 0)

@@ -8,7 +8,8 @@ For an automorphism with Frame shape pi (chi = k_1, twisted super trace C):
     T^s_tw      = t~_tw - chi
 
 Every check below is exact: residuals are rational coefficient vectors
-and pass means identically zero.  Numeric evaluation lives in modgroups.
+and pass means identically zero.  Each residual is one qseries.combination
+call over the identity's eta products.  Numeric evaluation lives in modgroups.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from .classdata import ConjugacyClassRecord, registry
 from .errors import PrecisionError, ValidationError, VerificationFailure
 from .frameshape import FrameShape
-from .qseries import FracPowerSeries, eta_product
+from .qseries import FracPowerSeries, combination, eta_product
 
 
 @dataclass
@@ -84,29 +84,16 @@ def T_s_tw(source, order, c_value=None) -> FracPowerSeries:
         if c_value is None:
             raise ValueError("supply c_value when passing a bare Frame shape")
         c = c_value
-    order = Fraction(order)
     return pi.eta_quotient(1, order) * c - pi.chi()
 
 
 def _lemma_terms(pi: FrameShape, c_g, order):
-    """The lemma combination without its partner term, and eta_{negate pi}.
-
-    t~(pi) - t~(negate pi) - c_g*eta_pi + 2*chi is summed as one coefficient
-    map on the common grid of its eta products, so no intermediate series
-    (a negated copy, a scaled copy, a partial sum) is built.
-    """
+    """The lemma combination without its partner term, and eta_{negate pi}:
+    t~(pi) - t~(negate pi) - c_g*eta_pi + 2*chi as one combination."""
     order = Fraction(order)
     pin = pi.negate()
     parts = ((t_tilde(pi, order), 1), (t_tilde(pin, order), -1), (pi.eta_quotient(1, order), -c_g))
-    denom = lcm(*(series.denom for series, _ in parts))
-    # eta_pi refuses orders <= 1, so q^0 lies below the order
-    terms = {0: 2 * pi.chi()}
-    for series, scale in parts:
-        step = denom // series.denom
-        for p, c in series.terms.items():
-            p *= step
-            terms[p] = terms.get(p, 0) + scale * c
-    return FracPowerSeries(denom, terms, order), pin.eta_quotient(1, order)
+    return combination(parts, order, 2 * pi.chi()), pin.eta_quotient(1, order)
 
 
 def solve_c_neg(rec: ConjugacyClassRecord, order=25):
@@ -119,8 +106,7 @@ def solve_c_neg(rec: ConjugacyClassRecord, order=25):
     rest, partner = _lemma_terms(rec.frame_shape, rec.c_hat_g, order)
     # eta of the partner shape has valuation exactly 1 with leading coefficient 1
     solved = -Fraction(rest.coeff(1))
-    # integral for every registry row: scale by the int, not the Fraction
-    residual = rest + partner * (solved.numerator if solved.denominator == 1 else solved)
+    residual = combination(((rest, 1), (partner, solved)), order)
     report = _report("lemma:%s" % rec.co0_name, residual, {"c_neg": solved})
     return solved, report
 
@@ -153,10 +139,10 @@ def verify_delta_identity(order=50) -> IdentityReport:
     half = Fraction(1, 2)
     # built one unit beyond `order` so that D(2t)/D(t), of valuation 1, has
     # a known term at every positive order
-    lhs = (eta_product({1: 48, 2: -24, half: -24}, order + 1)
-           - eta_product({half: 24, 1: -24}, order + 1)) * half
-    rhs = eta_product({2: 24, 1: -24}, order + 1) * 2048 + 24
-    return _report("delta-identity", (lhs - rhs).truncate(order))
+    parts = ((eta_product({1: 48, 2: -24, half: -24}, order + 1), half),
+             (eta_product({half: 24, 1: -24}, order + 1), -half),
+             (eta_product({2: 24, 1: -24}, order + 1), -2048))
+    return _report("delta-identity", combination(parts, order, -24))
 
 
 def verify_hecke(order=40):
@@ -167,15 +153,16 @@ def verify_hecke(order=40):
     order = Fraction(order)
     if order <= 1:
         raise PrecisionError("order %s is too small: the Hecke fit needs 2 or more" % order)
+    half = Fraction(1, 2)
     f = eta_product({2: 24, 1: -24}, order + 1)
-    fh = eta_product({1: 24, Fraction(1, 2): -24}, order + 1)  # f(tau/2)
-    t2f = (fh + fh.shift_tau(1)) * Fraction(1, 2)
+    fh = eta_product({1: 24, half: -24}, order + 1)  # f(tau/2)
+    t2f = combination(((fh, half), (fh, half, 1)), order + 1)
     f2 = eta_product({2: 48, 1: -48}, order + 1)
     # f = q + 24 q^2 + ..., f^2 = q^2 + ...: solve on coefficients 0, 1, 2
     c = Fraction(t2f.coeff(0))
     b = Fraction(t2f.coeff(1))
     a = Fraction(t2f.coeff(2)) - b * Fraction(f.coeff(2))
-    residual = (t2f - (f2 * a + f * b + c)).truncate(order)
+    residual = combination(((t2f, 1), (f2, -a), (f, -b)), order, -c)
     report = _report("hecke-T2", residual, {"a": a, "b": b, "c": c})
     return (a, b, c), report
 
@@ -183,9 +170,9 @@ def verify_hecke(order=40):
 def half_shift_relation(order=30) -> IdentityReport:
     """f((tau+1)/2) = -f(tau)/f(tau/2) for f = D(2t)/D(t)."""
     half = Fraction(1, 2)
-    lhs = eta_product({1: 24, half: -24}, order).shift_tau(1)
-    rhs = eta_product({2: 24, half: 24, 1: -48}, order) * -1
-    return _report("half-shift", lhs - rhs)
+    parts = ((eta_product({1: 24, half: -24}, order), 1, 1),
+             (eta_product({2: 24, half: 24, 1: -48}, order), 1))
+    return _report("half-shift", combination(parts, order))
 
 
 def normalization_reports(order=6):
@@ -202,7 +189,7 @@ def dichotomy_check(pi: FrameShape, c_value, order=8):
     """Twisted trace is the constant -chi exactly when the shape has fixed
     points (then c_value must be 0); non-constant otherwise."""
     series = T_s_tw(pi, order, c_value)
-    constant = all(p == 0 for p in series.terms)
+    constant = (series - series.coeff(0)).is_zero()
     if pi.fixed_points() > 0:
         if not constant or series.coeff(0) != -pi.chi():
             raise VerificationFailure("twisted trace not constant -chi for %s" % pi)

@@ -61,10 +61,6 @@ class FracPowerSeries:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def zero(order) -> "FracPowerSeries":
-        return FracPowerSeries(1, {}, order)
-
-    @staticmethod
     def monomial(coeff, expo, order) -> "FracPowerSeries":
         expo = Fraction(expo)
         order = Fraction(order)
@@ -88,10 +84,6 @@ class FracPowerSeries:
 
     # -- inspection ----------------------------------------------------
 
-    def exponents(self):
-        """Sorted exponents with nonzero coefficient, as Fractions."""
-        return [Fraction(p, self.denom) for p in sorted(self.terms)]
-
     def coeff(self, expo):
         expo = Fraction(expo)
         if expo >= self.order:
@@ -112,11 +104,6 @@ class FracPowerSeries:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def slack(self):
-        """order - valuation; invariant under mul, pow and invert."""
-        v = self.valuation()
-        return self.order - (v if v is not None else self.order)
 
     # -- grid handling ---------------------------------------------------
 
@@ -141,14 +128,7 @@ class FracPowerSeries:
             terms = dict(self.terms)
             terms[0] = terms.get(0, 0) + other
             return FracPowerSeries(self.denom, terms, self.order)
-        a, b = self._common_grid(other)
-        order = min(a.order, b.order)
-        bound = _grid_bound(order, a.denom)
-        terms = {p: c for p, c in a.terms.items() if p < bound}
-        for p, c in b.terms.items():
-            if p < bound:
-                terms[p] = terms.get(p, 0) + c
-        return FracPowerSeries(a.denom, terms, order)
+        return combination(((self, 1), (other, 1)), min(self.order, other.order))
 
     __radd__ = __add__
 
@@ -157,9 +137,6 @@ class FracPowerSeries:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -213,8 +190,9 @@ class FracPowerSeries:
     def __pow__(self, n: int) -> "FracPowerSeries":
         if n < 0:
             return self.invert() ** (-n)
-        if n == 0:
-            return FracPowerSeries(1, {0: 1}, self.slack())
+        if n == 0:  # order - valuation is invariant under mul, pow and invert
+            v = self.valuation()
+            return FracPowerSeries(1, {0: 1}, self.order - (v if v is not None else self.order))
         result = None
         base = self
         while n:
@@ -235,31 +213,11 @@ class FracPowerSeries:
         pairs = [(Fraction(p, self.denom) * s, c) for p, c in self.terms.items()]
         return FracPowerSeries.from_fraction_terms(pairs, self.order * s)
 
-    def shift_tau(self, t) -> "FracPowerSeries":
-        """Replace tau by tau + t: coefficient at q^r picks up e^(2*pi*i*r*t),
-        which must be +1 or -1 for every r present (NotRationalError if not)."""
-        t = Fraction(t)
-        terms = {}
-        for p, c in self.terms.items():
-            half_turns = 2 * t * p / self.denom  # the phase is (-1)^half_turns
-            if half_turns.denominator != 1:
-                raise NotRationalError("tau -> tau + %s gives q^(%s) a phase other than +-1"
-                                       % (t, Fraction(p, self.denom)))
-            terms[p] = -c if half_turns.numerator % 2 else c
-        return FracPowerSeries(self.denom, terms, self.order)
-
     def shifted(self, expo) -> "FracPowerSeries":
         """Multiply by the exact monomial q^expo: exponents and order move."""
         expo = Fraction(expo)
         pairs = [(Fraction(p, self.denom) + expo, c) for p, c in self.terms.items()]
         return FracPowerSeries.from_fraction_terms(pairs, self.order + expo)
-
-    def truncate(self, order) -> "FracPowerSeries":
-        order = Fraction(order)
-        if order > self.order:
-            raise PrecisionError("cannot extend validity from %s to %s" % (self.order, order))
-        bound = _grid_bound(order, self.denom)
-        return FracPowerSeries(self.denom, {p: c for p, c in self.terms.items() if p < bound}, order)
 
     # -- comparison --------------------------------------------------------
 
@@ -281,21 +239,10 @@ class FracPowerSeries:
         )))
 
     def agrees_with(self, other, through=None) -> bool:
-        """Equality of all coefficients below min(orders) (or `through`)."""
-        bound = min(self.order, other.order)
-        if through is not None:
-            through = Fraction(through)
-            if through > bound:
-                raise PrecisionError(
-                    "comparison through %s exceeds common order %s" % (through, bound)
-                )
-            bound = through
-        a, b = self._common_grid(other)
-        cut = _grid_bound(bound, a.denom)
-        for p in set(a.terms) | set(b.terms):
-            if p < cut and a.terms.get(p, 0) != b.terms.get(p, 0):
-                return False
-        return True
+        """Equality of all coefficients below min(orders), or below `through`
+        (PrecisionError past min(orders))."""
+        through = min(self.order, other.order) if through is None else through
+        return combination(((self, 1), (other, -1)), through).is_zero()
 
     def max_residual(self):
         """Largest absolute coefficient as a Fraction (0 for the zero series)."""
@@ -375,6 +322,39 @@ class FracPowerSeries:
 
     def __repr__(self):
         return "FracPowerSeries(%s)" % self.pretty()
+
+
+def combination(parts, order, constant=0) -> FracPowerSeries:
+    """sum_i scale_i * series_i + constant below `order`, one coefficient map
+    on the lcm of the parts' grids.  A part is (series, scale), or (series,
+    scale, 1) for series(tau + 1): the sign (-1)^(2r) at q^r, NotRationalError
+    for an r outside (1/2)Z.  A term q^(p/K) is kept while p < ceil(order*K);
+    an order above a part's raises PrecisionError; the constant goes in only
+    when the order is positive.  The scales are taken times the lcm of their
+    denominators, so int series sum in ints, divided once per term at the end."""
+    order = Fraction(order)
+    reach = min((part[0].order for part in parts), default=order)
+    if order > reach:
+        raise PrecisionError("cannot extend validity from %s to %s" % (reach, order))
+    denom = lcm(*(part[0].denom for part in parts))
+    unit = lcm(*(part[1].denominator for part in parts))  # ints have denominator 1
+    bound = _grid_bound(order, denom)
+    terms = {0: constant * unit} if order > 0 and constant else {}
+    for series, scale, *shift in parts:
+        k, step = int(scale * unit), denom // series.denom
+        for p, c in series.terms.items():
+            if shift:
+                turns, off = divmod(2 * p, series.denom)  # the phase at q^r is (-1)^(2r)
+                if off:
+                    raise NotRationalError("tau -> tau + 1 gives q^(%s) a phase other than +-1"
+                                           % Fraction(p, series.denom))
+                c = -c if turns % 2 else c
+            p *= step
+            if p < bound:
+                terms[p] = terms.get(p, 0) + k * c
+    if unit != 1:
+        terms = {p: Fraction(c, unit) for p, c in terms.items() if c}
+    return FracPowerSeries(denom, terms, order)
 
 
 def eta(order) -> FracPowerSeries:

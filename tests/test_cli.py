@@ -274,6 +274,10 @@ PINNED_REPORTS = {
     "verify delta --format json": "81319869b19f59806af75aee356fc367573efcaed90a781ba19589fe6013d036",
     "verify hecke --format json": "06546c8a163d051fcce507f9de9923097c9628611693482a0bd15331f38d0013",
     "verify normalization --format json": "23ad3e586c826ee7a1cc815779c8694fb22141a113b28589a4b146eddfb1c26d",
+    # the edge orders, where a part's valuation meets the order
+    "verify delta --order 1 --format json": "514fccadb5218cdef39e5d6e71ddae72661d6aa0cd5899188f2c83b8cae0561d",
+    "verify hecke --order 2 --format json": "c77461ed78557d294a8374609e3d673c4031d235c7b36b629d1e2062b75d2f5f",
+    "verify lemma --class 60B --order 2 --format json": "04c45d9e51e45873ad449743159c26bff985ab78afc7d92aec45c2412de07ab3",
     "oracle spinor --class 2A --format json": "6b9b1848460f12665037f50b7183c482e255627362cb7e67142de12abb2c43f3",
     "oracle fock --class 2A --format json": "e22a8190841b2ca9ec9ea556636241065ef59d09db0ee7ccfa0baf9c155c6eea",
     "series --class 2A --which tw --format json": "6edcd1c0335148b125faf89cdc6c96a2dec54b24aaba933382d76ee7a9993f80",

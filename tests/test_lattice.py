@@ -129,6 +129,21 @@ def test_shells_hold_the_whole_theta_series():
         assert _shells(basis, target) == dict(Counter(norms[norms <= target].tolist()))
 
 
+def test_norms_that_parity_rules_out_skip_the_dynamic_program(leech, monkeypatch):
+    """Every norm x G x^T is a multiple of g2 = gcd(G_ii, 2 G_ij): 16 for
+    Leech in sqrt(8)-scaled coordinates and 8 for E8 in doubled ones, so
+    their odd norms count 0 without entering _shells; Z^2 is odd (g2 = 1)
+    and still counts its 4 vectors of norm 1."""
+    entered, shells = [], lattice._shells
+    monkeypatch.setattr(lattice, "_shells", lambda basis, t: entered.append(t) or shells(basis, t))
+    assert [leech.shell_count(norm) for norm in (1, 3, 5)] == [0, 0, 0]
+    e8 = e8_doubled_basis()
+    assert [_shell_count(e8, t) for t in (4, 12, 20, 28)] == [0, 0, 0, 0]
+    assert entered == []
+    assert _shell_count([[1, 0], [0, 1]], 1) == 4 and entered == [1]
+    assert [lattice._flag(tuple(map(tuple, b)))[1] for b in (leech.basis, e8, [[1, 0], [0, 1]])] == [16, 8, 1]
+
+
 def test_shell_count_guards():
     assert _shell_count([[1]], -1) == 0
     assert _shell_count([[1]], 127**2) == 2
@@ -195,8 +210,8 @@ def test_shells_negative_controls(leech, monkeypatch):
 
     for wrong in (lambda P: [0] * len(P), lambda P: [-p for p in P]):
         def shifted(basis):
-            g, levels = flag(basis)
-            return g, [level[:-1] + (lattice._packing(level[0], wrong(level[-1][0].tolist())),) for level in levels]
+            g, g2, levels = flag(basis)
+            return g, g2, [level[:-1] + (lattice._packing(level[0], wrong(level[-1][0].tolist())),) for level in levels]
 
         monkeypatch.setattr(lattice, "_flag", shifted)
         for lat, norm in ((leech, 4), (e8_cubed(), 2)):

@@ -1,8 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
 
+from conwaymoonshine import moonshine
 from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.cliffordcm import spinor_supertrace_closed
 from conwaymoonshine.errors import ValidationError
@@ -20,7 +22,7 @@ from conwaymoonshine.moonshine import (
     verify_delta_identity,
     verify_hecke,
 )
-from conwaymoonshine.qseries import FracPowerSeries as S
+from conwaymoonshine.qseries import FracPowerSeries as S, eta_product
 
 IDENT = parse("1^24")
 
@@ -244,7 +246,7 @@ def test_delta_identity_negative_control():
     dh = ident.eta_quotient(F(1, 2), 12)
     lhs = (d1 * d1 * (d2 * dh).invert() - dh * d1.invert()) * F(1, 2)
     rhs_bad = d2 * d1.invert() * 1024 + 24
-    assert (lhs - rhs_bad).truncate(10).max_residual() != 0
+    assert not lhs.agrees_with(rhs_bad, through=10)
 
 
 def test_hecke_fit_and_residual():
@@ -260,6 +262,86 @@ def test_hecke_input_expansion():
 
 def test_half_shift_relation():
     assert half_shift_relation(30).passed
+
+
+# -- the identities against their operator chains ------------------------------
+
+
+def shift_by_one(series):
+    """Oracle: series(tau + 1), the sign (-1)^(2r) at q^r for r in (1/2)Z."""
+    pairs = [(F(p, series.denom), c) for p, c in series.terms.items()]
+    assert all((2 * r).denominator == 1 for r, _ in pairs)
+    return S.from_fraction_terms([(r, -c if (2 * r).numerator % 2 else c) for r, c in pairs],
+                                 series.order)
+
+
+def below(series, order):
+    """Oracle: the terms of series whose Fraction exponent lies below `order`."""
+    return S(series.denom, {p: c for p, c in series.terms.items() if F(p, series.denom) < order},
+             order)
+
+
+def operator_delta(eta_product, order):
+    half = F(1, 2)
+    lhs = (eta_product({1: 48, 2: -24, half: -24}, order + 1)
+           - eta_product({half: 24, 1: -24}, order + 1)) * half
+    rhs = eta_product({2: 24, 1: -24}, order + 1) * 2048 + 24
+    return below(lhs - rhs, order)
+
+
+def operator_hecke(eta_product, order):
+    f = eta_product({2: 24, 1: -24}, order + 1)
+    fh = eta_product({1: 24, F(1, 2): -24}, order + 1)
+    t2f = (fh + shift_by_one(fh)) * F(1, 2)
+    f2 = eta_product({2: 48, 1: -48}, order + 1)
+    c, b = F(t2f.coeff(0)), F(t2f.coeff(1))
+    a = F(t2f.coeff(2)) - b * F(f.coeff(2))
+    return below(t2f - (f2 * a + f * b + c), order), (a, b, c)
+
+
+def operator_half_shift(eta_product, order):
+    half = F(1, 2)
+    lhs = shift_by_one(eta_product({1: 24, half: -24}, order))
+    return lhs - eta_product({2: 24, half: 24, 1: -48}, order) * -1
+
+
+def bumped(exps, order):
+    """eta_product plus a map-dependent series on the half-integers below
+    `order`, so that no residual vanishes."""
+    weight = sum(abs(k) for k in exps.values()) % 7
+    pairs = [(F(n, 2), n + weight + 1) for n in range(-1, ceil(2 * F(order)))]
+    return eta_product(exps, order) + S.from_fraction_terms(pairs, order)
+
+
+@pytest.mark.parametrize("bump", [False, True])
+@pytest.mark.parametrize("check, chain, orders", [
+    (verify_delta_identity, operator_delta, (1, 7, 50)),
+    (lambda order: verify_hecke(order)[1], lambda e, order: operator_hecke(e, order)[0], (2, 7, 40)),
+    (half_shift_relation, operator_half_shift, (1, 7, 30)),
+], ids=["delta", "hecke", "half-shift"])
+def test_identities_match_their_operator_chains(monkeypatch, bump, check, chain, orders):
+    """Each identity's residual against its chain of series operators, at
+    its edge order (a part's valuation meets the order), at 7 and at its
+    default order; with every eta product bumped, the residuals are nonzero
+    and must still agree term for term."""
+    expand = bumped if bump else eta_product
+    monkeypatch.setattr(moonshine, "eta_product", expand)
+    seen = []
+    monkeypatch.setattr(moonshine, "_report", lambda name, series, solved=None: seen.append(series)
+                        or _report(name, series, solved))
+    for order in orders:
+        report = check(order)
+        want = chain(expand, F(order))
+        assert seen.pop() == want
+        assert report.to_json() == _report(report.name, want, report.solved).to_json()
+        assert report.passed != bump and report.checked_order == order
+
+
+def test_hecke_fit_matches_operator_chain(monkeypatch):
+    monkeypatch.setattr(moonshine, "eta_product", bumped)
+    for order in (2, 7, 40):
+        fit, _ = verify_hecke(order)
+        assert fit == operator_hecke(bumped, order)[1] != (2048, 24, 0)
 
 
 def test_normalization_sweep():

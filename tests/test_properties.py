@@ -1,7 +1,7 @@
 """Algebraic laws checked on random inputs with hypothesis."""
 
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -29,7 +29,12 @@ from conwaymoonshine.cliffordcm import (  # noqa: E402
     reorder_sign,
 )
 from conwaymoonshine.cyclotomic import CycNumber, _mobius, euler_phi  # noqa: E402
-from conwaymoonshine.errors import PrecisionError, ValidationError, VerificationFailure  # noqa: E402
+from conwaymoonshine.errors import (  # noqa: E402
+    NotRationalError,
+    PrecisionError,
+    ValidationError,
+    VerificationFailure,
+)
 from conwaymoonshine.fockoracle import (  # noqa: E402
     TWISTED,
     UNTWISTED,
@@ -40,7 +45,7 @@ from conwaymoonshine.fockoracle import (  # noqa: E402
 )
 from conwaymoonshine.frameshape import FrameShape  # noqa: E402
 from conwaymoonshine.modgroups import log_eta_product  # noqa: E402
-from conwaymoonshine.qseries import FracPowerSeries, eta_product  # noqa: E402
+from conwaymoonshine.qseries import FracPowerSeries, combination, eta_product  # noqa: E402
 
 exponent_maps = st.dictionaries(
     st.sampled_from([F(1, 3), F(1, 2), 1, F(3, 2), 2, 3]), st.integers(-3, 3), max_size=4
@@ -197,10 +202,60 @@ def test_series_bounds_at_any_order(denom, order, terms):
             FracPowerSeries(denom, terms, order)
     top = max([order, *(F(p + 1, denom) for p in terms)])
     full = FracPowerSeries(denom, terms, top)
-    assert full.truncate(order).terms == below
+    assert combination(((full, 1),), order).terms == below
     assert (full + FracPowerSeries(1, {}, order)).rescaled(denom).terms == below
     flipped = FracPowerSeries(denom, {p: -c for p, c in terms.items()}, top)
     assert full.agrees_with(flipped, through=order) == (not below)
+
+
+@st.composite
+def combination_parts(draw):
+    """(series, scale) or (series, scale, 1) parts on mixed grids; a shifted
+    part lies on grid 1, 2, 3 or 6, so its terms may leave (1/2)Z."""
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        shifted = draw(st.booleans())
+        denom = draw(st.sampled_from([1, 2, 3, 6] if shifted else [1, 2, 3, 4, 6]))
+        order = draw(st.fractions(F(-1), F(4), max_denominator=12))
+        exponents = st.integers(-2 * denom, ceil(order * denom) - 1)
+        terms = draw(st.dictionaries(exponents, st.fractions(-5, 5, max_denominator=6), max_size=5))
+        scale = draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+        parts.append((FracPowerSeries(denom, terms, order), scale, 1)[:3 if shifted else 2])
+    return parts
+
+
+def pair_merge(parts, order, constant):
+    """Oracle: every (Fraction exponent, scale * coeff) pair below `order`,
+    with the sign (-1)^(2r) at q^r of a shifted part, summed by
+    from_fraction_terms."""
+    pairs = [(F(0), constant)] if order > 0 else []
+    for series, scale, *shift in parts:
+        for p, c in series.terms.items():
+            r = F(p, series.denom)
+            if r < order:
+                pairs.append((r, scale * c * (-1) ** abs(int(2 * r)) if shift else scale * c))
+    return FracPowerSeries.from_fraction_terms(pairs, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(combination_parts(), st.fractions(F(-1), F(3), max_denominator=12),
+       st.one_of(st.integers(-30, 30), st.fractions(-3, 3, max_denominator=4)))
+@example(parts=[(FracPowerSeries(2, {-1: 1, 1: 2}, 1), F(1, 2), 1)], below=1, constant=24)
+def test_combination_matches_pair_merge(parts, below, constant):
+    """The order lies `below` under the least order of the parts; past it
+    when `below` is negative."""
+    order = min(series.order for series, *_ in parts) - below
+    if below < 0:
+        with pytest.raises(PrecisionError):
+            combination(parts, order, constant)
+        return
+    if any(shift and 2 * p % series.denom for series, _, *shift in parts for p in series.terms):
+        with pytest.raises(NotRationalError):
+            combination(parts, order, constant)
+        return
+    got = combination(parts, order, constant)
+    assert got == pair_merge(parts, order, constant) and got.order == order
+    assert got.denom == lcm(*(series.denom for series, *_ in parts))
 
 
 # exponent maps of degree 24: k_1 fills the degree left by the other cycles
