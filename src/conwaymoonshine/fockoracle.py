@@ -127,29 +127,6 @@ def twisted_supertrace(ms: ModeSystem, c_value) -> FracPowerSeries:
     return _mode_product(ms, ms.max_degree + 1, c_value)
 
 
-def assemble_supertrace(g_data, neg_data, max_degree, twisted=False) -> FracPowerSeries:
-    """Graded super trace on the faithful Z/2-orbifold module A^0 + A^1_tw,
-    from mode products.
-
-    g_data, neg_data: pairs (ModeSystem eigenvalues as tuple/shape thetas,
-    zero-mode scalar) for the element and for its product with the central
-    involution (eigenvalues times -1).  `twisted` selects the
-    canonically-twisted partner.  All four constituent traces are mode
-    products; nothing is taken from the eta formulas.
-    """
-    max_degree = Fraction(max_degree)
-    (thetas_g, c_g) = g_data
-    (thetas_n, c_n) = neg_data
-    ms_g = ModeSystem(tuple(thetas_g), UNTWISTED, max_degree)
-    ms_n = ModeSystem(tuple(thetas_n), UNTWISTED, max_degree)
-    tg = untwisted_supertrace(ms_g)
-    tn = untwisted_supertrace(ms_n)
-    tg_tw = twisted_supertrace(ModeSystem(tuple(thetas_g), TWISTED, max_degree), c_g)
-    tn_tw = twisted_supertrace(ModeSystem(tuple(thetas_n), TWISTED, max_degree), c_n)
-    combo = (tg + tn + tg_tw - tn_tw) if not twisted else (tg - tn + tg_tw + tn_tw)
-    return combo * Fraction(1, 2)
-
-
 def _half_subsets(modes, bound, stride, size):
     """Every subset of `modes` (ascending energy) whose ledger energy is at
     most `bound`, one list per subset size of bound + 1 key arrays, the t-th

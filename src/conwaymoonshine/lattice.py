@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -140,7 +141,7 @@ class IntegerLattice:
 
     def gram_determinant(self) -> Fraction:
         """det Gram = (det basis)^2 / 8^24, read off the echelon diagonal."""
-        det = prod(row[i] for i, row in enumerate(self._echelon))
+        det = _covolume(self._echelon)
         return Fraction(det * det, 8**LENGTH)
 
     def contains(self, x) -> bool:
@@ -179,31 +180,51 @@ class IntegerLattice:
         return "IntegerLattice(rank 24, det %s)" % self.gram_determinant()
 
 
+def _leech_generators(code: BinaryCode) -> list:
+    """The spanning set of the Golay-code construction in scaled
+    coordinates: the odd vector (-3, 1, ..., 1), 2*chi_C for each code
+    generator C, the vectors 4(e_1 + e_i) and 8 e_1; 37 rows."""
+    gens = [[-3] + [1] * 23]
+    gens += [[2 if c >> i & 1 else 0 for i in range(LENGTH)] for c in code.generators]
+    gens += [[4 * (j == 0 or j == i) for j in range(LENGTH)] for i in range(1, LENGTH)]
+    gens.append([8] + [0] * 23)
+    return gens
+
+
+def _stored_basis() -> list:
+    """The committed reduced Leech basis (data/leech_basis.csv), 24 rows of
+    24 ints."""
+    text = resources.files("conwaymoonshine.data").joinpath("leech_basis.csv").read_text()
+    return [[int(c) for c in line.split(",")] for line in text.splitlines()]
+
+
 @lru_cache(maxsize=4)
 def build_leech(code: BinaryCode) -> IntegerLattice:
-    """Standard Golay-code construction of the Leech lattice.
+    """Standard Golay-code construction of the Leech lattice (SPLAG ch. 4
+    section 11), as a checked certificate.
 
-    In scaled coordinates the lattice is generated by 2*chi_C for code
-    generators C, the vectors 4(e_1 + e_i) and 8 e_1, and the odd vector
-    (-3, 1, ..., 1); the spanning set is reduced to a 24-row basis over Z
-    and all lattice invariants are verified.
+    The committed basis (_stored_basis) is a reduced basis of the lattice
+    spanned by _leech_generators(code), found once by LLL with deep
+    insertions; the search lives in the tests.  Here it is only checked:
+    every generator passes the defining congruences and lies in the stored
+    lattice, so the generators span a sublattice of it, and the two
+    covolumes (products of the integer echelon diagonals) agree, so the
+    sublattice is all of it.  Then all lattice invariants are verified.  A
+    code whose lattice the stored basis does not span is refused.
     """
-    gens = []
-    gens.append([-3] + [1] * 23)
-    for c in code.generators:
-        gens.append([2 if c >> i & 1 else 0 for i in range(LENGTH)])
-    for i in range(1, LENGTH):
-        row = [0] * LENGTH
-        row[0] = 4
-        row[i] = 4
-        gens.append(row)
-    first = [0] * LENGTH
-    first[0] = 8
-    gens.append(first)
+    gens = _leech_generators(code)
     for g in gens:
         if not _leech_congruences(g, code):
             raise ValidationError("generator %s fails the defining congruences" % (g,))
-    lat = IntegerLattice(_lll_reduce(_integer_row_basis(gens)))
+    lat = IntegerLattice(_stored_basis())
+    refused = "the stored Leech basis does not span this code's lattice: "
+    for i, g in enumerate(gens):
+        if not lat.contains(g):
+            raise ValidationError(refused + "generator %d is not in it" % i)
+    # the 8 e_i lie in the span of the generators, so it has rank 24 and pivots on the diagonal
+    spanned, stored = _covolume(_integer_row_basis(gens)), _covolume(lat._echelon)
+    if spanned != stored:
+        raise ValidationError(refused + "its covolume is %d, the generators' %d" % (stored, spanned))
     lat.verify()
     return lat
 
@@ -291,52 +312,10 @@ def _integer_row_basis(gens):
     return basis
 
 
-_DELTA = 0.99  # the Lovasz constant of the deep insertions
-
-
-def _lll_reduce(basis):
-    """LLL with deep insertions (Schnorr-Euchner), integer row operations
-    and float Gram-Schmidt data.
-
-    Each row b_k in turn is size-reduced and then inserted at the first
-    position i whose Gram-Schmidt norm exceeds the norm of b_k projected
-    away from rows 0..i-1, divided by _DELTA.  Rows stay Python ints and
-    change only by unimodular steps, so the result spans the same lattice
-    whatever the rounding; the float data only steers.  It is recomputed
-    from the integer rows after each insertion, so rounding error cannot
-    build up.
-    """
-    b = [list(r) for r in basis]
-    n = len(b)
-
-    def gs():
-        # b_i = sum_j r[j, i] q_j, so |b*_j|^2 = r[j, j]^2 and mu_ij = r[j, i] / r[j, j]
-        r = np.linalg.qr(np.array(b, dtype=float).T, mode="r")
-        diag = np.diag(r)
-        return (diag * diag).tolist(), (r / diag[:, None]).T.tolist()
-
-    norms, mu = gs()
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                for i in range(j):
-                    mu[k][i] -= q * mu[j][i]
-                mu[k][j] -= q
-        rest = float(sum(x * x for x in b[k]))  # |b_k|^2 projected away from rows 0..i-1
-        i = 0
-        while i < k and rest >= _DELTA * norms[i]:
-            rest -= mu[k][i] ** 2 * norms[i]
-            i += 1
-        if i == k:
-            k += 1
-        else:
-            b.insert(i, b.pop(k))
-            norms, mu = gs()
-            k = max(i, 1)
-    return b
+def _covolume(echelon) -> int:
+    """|det| of a rank-24 echelon basis from _integer_row_basis: row i
+    pivots on column i, so it is the product of the diagonal."""
+    return prod(row[i] for i, row in enumerate(echelon))
 
 
 _MAX_ROWS = 2**15  # child rows that one level of the shell count may create (Leech norm 14: 32,476, norm 16: 40,158)

@@ -12,7 +12,6 @@ from conwaymoonshine.fockoracle import (
     ModeSystem,
     TWISTED,
     UNTWISTED,
-    assemble_supertrace,
     subset_enumeration_supertrace,
     twisted_supertrace,
     untwisted_supertrace,
@@ -80,6 +79,29 @@ def test_twisted_valuation_anchor():
         rec = lookup(name)
         ms = ModeSystem.from_shape(rec.frame_shape, TWISTED, 4)
         assert twisted_supertrace(ms, rec.c_hat_g).valuation() == 1
+
+
+def assemble_supertrace(g_data, neg_data, max_degree, twisted=False):
+    """Graded super trace on the faithful Z/2-orbifold module A^0 + A^1_tw,
+    from mode products: the orbifold oracle of the tests below.
+
+    g_data, neg_data: pairs (ModeSystem eigenvalues as tuple/shape thetas,
+    zero-mode scalar) for the element and for its product with the central
+    involution (eigenvalues times -1).  `twisted` selects the
+    canonically-twisted partner.  All four constituent traces are mode
+    products; nothing is taken from the eta formulas.
+    """
+    max_degree = F(max_degree)
+    (thetas_g, c_g) = g_data
+    (thetas_n, c_n) = neg_data
+    ms_g = ModeSystem(tuple(thetas_g), UNTWISTED, max_degree)
+    ms_n = ModeSystem(tuple(thetas_n), UNTWISTED, max_degree)
+    tg = untwisted_supertrace(ms_g)
+    tn = untwisted_supertrace(ms_n)
+    tg_tw = twisted_supertrace(ModeSystem(tuple(thetas_g), TWISTED, max_degree), c_g)
+    tn_tw = twisted_supertrace(ModeSystem(tuple(thetas_n), TWISTED, max_degree), c_n)
+    combo = (tg + tn + tg_tw - tn_tw) if not twisted else (tg - tn + tg_tw + tn_tw)
+    return combo * F(1, 2)
 
 
 def _assembly_data(rec, degree):

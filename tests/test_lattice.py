@@ -2,12 +2,13 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 from math import ceil, isqrt, prod
 
 import numpy as np
 import pytest
 
-from conwaymoonshine import lattice
+from conwaymoonshine import cli, lattice
 from conwaymoonshine.cliffordcm import class_supertraces
 from conwaymoonshine.errors import MembershipError, ValidationError
 from conwaymoonshine.frameshape import parse
@@ -15,11 +16,11 @@ from conwaymoonshine.lattice import (
     LENGTH,
     IntegerLattice,
     apply_sign_change,
+    build_leech,
     sign_change_frameshape,
-    _DELTA,
     _integer_row_basis,
     _leech_congruences,
-    _lll_reduce,
+    _leech_generators,
     _shell_count,
     _shells,
 )
@@ -79,7 +80,7 @@ def e8_doubled_basis():
 def test_e8_shells_in_doubled_coordinates():
     basis = e8_doubled_basis()
     assert len(basis) == 8
-    for b in (basis, _lll_reduce(basis)):
+    for b in (basis, lll_reduce(basis)):
         assert [_shell_count(b, t) for t in (0, 4, 8, 12, 16)] == [1, 0, 240, 0, 2160]
 
 
@@ -104,7 +105,7 @@ def test_shell_count_matches_box_enumeration():
         norms = box_norms(basis, 24)
         for target in range(25):
             want = np.count_nonzero(norms == target)
-            assert _shell_count(basis, target) == want == _shell_count(_lll_reduce(basis), target)
+            assert _shell_count(basis, target) == want == _shell_count(lll_reduce(basis), target)
         checked += 1
 
 
@@ -115,7 +116,7 @@ def test_shells_hold_the_whole_theta_series():
     or 7, a diagonal basis at targets past a million and a basis whose
     class denominator D_1 is 10^6 agree with the box enumeration."""
     e8 = e8_doubled_basis()
-    for basis in (e8, _lll_reduce(e8)):
+    for basis in (e8, lll_reduce(e8)):
         assert _shells(basis, 31) == {0: 1, 8: 240, 16: 2160, 24: 6720}
     rng = random.Random(7)
     cases = [([[100, 0], [0, 101]], 1_250_804), ([[10**6, 0], [1, 1]], 100)]
@@ -250,10 +251,59 @@ def skewed_basis(rank, seed):
     return rows
 
 
+DELTA = 0.99  # the Lovasz constant of the deep insertions
+
+
+def lll_reduce(basis):
+    """LLL with deep insertions (Schnorr-Euchner), integer row operations
+    and float Gram-Schmidt data: the search that found the committed Leech
+    basis, data/leech_basis.csv.
+
+    Each row b_k in turn is size-reduced and then inserted at the first
+    position i whose Gram-Schmidt norm exceeds the norm of b_k projected
+    away from rows 0..i-1, divided by DELTA.  Rows stay Python ints and
+    change only by unimodular steps, so the result spans the same lattice
+    whatever the rounding; the float data only steers.  It is recomputed
+    from the integer rows after each insertion, so rounding error cannot
+    build up.
+    """
+    b = [list(r) for r in basis]
+    n = len(b)
+
+    def gs():
+        # b_i = sum_j r[j, i] q_j, so |b*_j|^2 = r[j, j]^2 and mu_ij = r[j, i] / r[j, j]
+        r = np.linalg.qr(np.array(b, dtype=float).T, mode="r")
+        diag = np.diag(r)
+        return (diag * diag).tolist(), (r / diag[:, None]).T.tolist()
+
+    norms, mu = gs()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
+        rest = float(sum(x * x for x in b[k]))  # |b_k|^2 projected away from rows 0..i-1
+        i = 0
+        while i < k and rest >= DELTA * norms[i]:
+            rest -= mu[k][i] ** 2 * norms[i]
+            i += 1
+        if i == k:
+            k += 1
+        else:
+            b.insert(i, b.pop(k))
+            norms, mu = gs()
+            k = max(i, 1)
+    return b
+
+
 def test_lll_reduce_keeps_the_lattice(leech):
     echelon = _integer_row_basis(leech.basis)  # an unreduced basis of the same lattice
     for basis in (echelon, skewed_basis(LENGTH, 5)):
-        reduced = _lll_reduce(basis)
+        reduced = lll_reduce(basis)
         before, after = IntegerLattice(basis), IntegerLattice(reduced)
         assert all(after.contains(row) for row in basis)
         assert all(before.contains(row) for row in reduced)
@@ -262,15 +312,15 @@ def test_lll_reduce_keeps_the_lattice(leech):
 
 
 def test_lll_reduce_meets_the_deep_insertion_condition(leech):
-    for basis in (leech.basis, _lll_reduce(skewed_basis(12, 8)), _lll_reduce(e8_doubled_basis())):
+    for basis in (leech.basis, lll_reduce(skewed_basis(12, 8)), lll_reduce(e8_doubled_basis())):
         norms, mu = exact_gram_schmidt(basis)
         n = len(basis)
         for k in range(n):
             assert all(abs(mu[k][j]) <= Fraction(1, 2) + Fraction(1, 10**9) for j in range(k))
-            # |b_k projected away from rows 0..i-1|^2 >= _DELTA |b*_i|^2 for every i < k
+            # |b_k projected away from rows 0..i-1|^2 >= DELTA |b*_i|^2 for every i < k
             rest = norms[k] + sum(mu[k][j] ** 2 * norms[j] for j in range(k))
             for i in range(k):
-                assert rest >= _DELTA * (1 - 1e-9) * norms[i]
+                assert rest >= DELTA * (1 - 1e-9) * norms[i]
                 rest -= mu[k][i] ** 2 * norms[i]
 
 
@@ -309,7 +359,7 @@ def e8_cubed():
                 row[8 * block + j] = 2 * (word >> j & 1)
             gens.append(row)
     gens += [[4 * (j == i) for j in range(LENGTH)] for i in range(LENGTH)]
-    return IntegerLattice(_lll_reduce(_integer_row_basis(gens)))
+    return IntegerLattice(lll_reduce(_integer_row_basis(gens)))
 
 
 def test_gram_determinant_matches_exact_gram_schmidt(leech):
@@ -467,3 +517,74 @@ def test_frame_congruence_is_tested_against_one_vector(leech, monkeypatch):
     monkeypatch.setattr(IntegerLattice, "contains", lambda self, x: calls.append(x) or contains(self, x))
     assert len(lattice.coordinate_frame(leech)) == 24
     assert len(calls) == 24 + 23  # membership of each vector, then congruence with the first
+
+
+def read_leech_basis():
+    """data/leech_basis.csv, read the way the package reads it."""
+    text = resources.files("conwaymoonshine.data").joinpath("leech_basis.csv").read_text()
+    return [[int(c) for c in line.split(",")] for line in text.splitlines()]
+
+
+def test_leech_basis_ships_as_package_data(leech):
+    rows = read_leech_basis()
+    assert len(rows) == LENGTH and all(len(row) == LENGTH for row in rows)
+    assert rows == lattice._stored_basis() == [list(row) for row in leech.basis]
+
+
+def test_stored_leech_basis_is_the_deep_insertion_reduction(golay):
+    """Provenance of the certificate: LLL with deep insertions on the echelon
+    basis of the 37 generators gives the committed rows, row for row."""
+    gens = _leech_generators(golay)
+    assert len(gens) == 37
+    assert lll_reduce(_integer_row_basis(gens)) == read_leech_basis()
+
+
+def build_with_stored(monkeypatch, rows, code):
+    """build_leech with `rows` as the stored basis, past the cache that holds
+    the Golay code's lattice."""
+    monkeypatch.setattr(lattice, "_stored_basis", lambda: [list(row) for row in rows])
+    return build_leech.__wrapped__(code)
+
+
+def test_build_leech_refuses_a_sublattice(golay, leech, monkeypatch):
+    # a stored row doubled spans an index-2 sublattice, which misses a generator
+    rows = [list(row) for row in leech.basis]
+    rows[5] = [2 * c for c in rows[5]]
+    with pytest.raises(ValidationError, match="does not span this code's lattice: generator [0-9]+ is not in it"):
+        build_with_stored(monkeypatch, rows, golay)
+
+
+def test_build_leech_refuses_a_superlattice_by_covolume(golay, leech, monkeypatch):
+    # Leech + Z (2, 2, 0, ..., 0): index 2 over it, so it holds every generator
+    # and only the covolume check tells the two apart, before verify() runs
+    rows = _integer_row_basis(list(leech.basis) + [[2, 2] + [0] * 22])
+    assert all(IntegerLattice(rows).contains(g) for g in _leech_generators(golay))
+    with pytest.raises(ValidationError, match="does not span this code's lattice: "
+                                              "its covolume is 34359738368, the generators' 68719476736"):
+        build_with_stored(monkeypatch, rows, golay)
+
+
+def swapped_golay(golay):
+    """The Golay code with coordinates 0 and 23 swapped: a Golay code too,
+    whose Leech lattice is not the one spanned by the stored basis."""
+    def swap(mask):
+        return mask & ~(1 | 1 << 23) | (mask & 1) << 23 | mask >> 23 & 1
+    return lattice.BinaryCode([swap(c) for c in golay.generators])
+
+
+def test_build_leech_refuses_another_code(golay):
+    code = swapped_golay(golay)
+    assert code.verify()
+    with pytest.raises(ValidationError, match="does not span this code's lattice: generator [0-9]+ is not in it"):
+        build_leech(code)
+
+
+def test_leech_shell_exits_2_on_a_refused_basis(golay, leech, monkeypatch, capsys):
+    rows = [list(row) for row in leech.basis]
+    rows[0] = [2 * c for c in rows[0]]
+    monkeypatch.setattr(lattice, "_stored_basis", lambda: rows)
+    monkeypatch.setattr(lattice, "build_leech", build_leech.__wrapped__)
+    assert cli.main(["lattice", "leech-shell", "--norm", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the stored Leech basis does not span this code's lattice" in captured.err
