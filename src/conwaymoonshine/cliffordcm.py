@@ -19,13 +19,13 @@ single word is a table of one row; the 4096 lifted Golay words are one table,
 squared in one pass and shown to be products of the 12 generator words, so
 only those 12 need to act on t v.  A word acts on a dense state as one
 gather (the image entry's source and phase) and one shift (its power of
-two), both built by `WordTable.images` on a table's first application, as
-int16 and int8 arrays, and kept on that table.  A lift holds its 12
-generator words as one-row tables, so t and the invariance sweep reuse
-their tables (the 22 applications of t in n1_checks: 0.055-0.059 s when
-each factor rebuilt its tables, 0.016-0.019 s with them kept, on a 2-core
-Xeon).  Nothing irrational is stored.  Only even-length words act on dense
-states.
+two), from int16 and int8 tables built on a table's first application and
+kept on it.  t updates a state in place from the kept tables of the lift's 12
+generator words, and the orthogonality check's 220 forms <W t v, t v> are one
+kernel over the rows where t v is nonzero at the complement (warm, on a 2-core
+Xeon: 0.018-0.020 s for the 22 applications of t in n1_checks and 0.011 s for
+the forms, from 0.022-0.024 s and 0.026-0.027 s).  Nothing irrational is
+stored; only even-length words act on dense states.
 """
 
 from __future__ import annotations
@@ -178,28 +178,29 @@ _PAIR_RULES = np.array([(0, 0, 0, 0),  # 1
                         (1, 1, 3, 1)])  # the product of the two
 _HALF_BITS = _PAIR_BITS[:64, :6].T.copy()  # bits of pairs 0-5 (or 6-11)
 _SOURCES = _ARANGE.astype(np.int16)  # the image entries R, as gather indices
-_BLOCK = 4  # words per batched image (orthogonality); 8 cost 0.5 MiB more peak RSS
 
 
 def _affine(c0, d):
     """c0 + sum_k d_k S_k per row and S: 64-entry tables for pairs 0-5 and 6-11, broadcast.
-    In int8, as d is: a phase sum is at most 3 + 12 * 3, an exponent at most 12 in size."""
-    low = d[:, :6] @ _HALF_BITS + c0.astype(np.int8)[:, None]
+    In d's dtype; int8 holds a phase sum (at most 3 + 12 * 3) and an exponent (at most 12)."""
+    low = d[:, :6] @ _HALF_BITS + c0.astype(d.dtype)[:, None]
     high = d[:, 6:] @ _HALF_BITS
     return (high[:, :, None] + low[:, None, :]).reshape(len(d), DIM)
 
 
-def _rotations(state: DenseState):
-    """i^u x for u = 0..3 as one array: Im(i^u x_S) at u * DIM + S, Re(i^u x_S)
-    one block later."""
-    x, y = state.re, state.im
-    return np.concatenate((y, x, -y, -x, y))
+def _rotations(x, y, out, k=0):
+    """i^u (x + i y) / 2^k for u = 0..3 into out: Im at u * DIM + S, Re one block later."""
+    np.right_shift(y, k, out=out[:DIM])
+    np.right_shift(x, k, out=out[DIM:2 * DIM])
+    np.negative(out[:2 * DIM], out=out[2 * DIM:4 * DIM])
+    out[4 * DIM:] = out[:DIM]
+    return out
 
 
-def _check_headroom(bits: int, state: DenseState):
-    """Refuse to shift state's entries left by up to `bits`, unless they stay
-    below 2^61, so that adding two of them cannot wrap int64."""
-    if bits + state.max_abs().bit_length() > 61:
+def _check_headroom(bits: int, size: int):
+    """Refuse to shift entries of `size` bits left by up to `bits`, unless they
+    stay below 2^61, so that adding two of them cannot wrap int64."""
+    if bits + size > 61:
         raise ValidationError("int64 headroom exhausted")
 
 
@@ -312,41 +313,41 @@ class WordTable:
         extra = out_e - state.e - shift.item()
         if extra < 0:
             raise ValidationError("denominator headroom exhausted; raise out_e")
-        _check_headroom(extra, DenseState(re, im, 0))
+        _check_headroom(extra, DenseState(re, im, 0).max_abs().bit_length())
         out_re += re << extra
         out_im += im << extra
 
     def images(self, state: DenseState):
         """(re, im, shift): each word's image of state as a row over 2^(e + shift),
         shift a column holding each word's -min T (floored at 0), the smallest
-        denominator that keeps its image integral.
-
-        Entry R of an image is i^U(S) 2^T(S) x_S for S = R ^ toggle, read off the
-        diagonal word (the word after its own toggle): one gather of i^U(S) x_S
-        from `_rotations` and one shift by T(S) + shift.  The first call builds
-        the gather index (int16, below 4 * DIM) and the exponents (int8, 0 to
-        PAIRS: each dt_k is -1, 0 or 1) and keeps them with the most bits they
-        add to an entry.  T runs from -m/2 to m/2 for m toggled pairs, so that
-        bound, 2 * shift, also covers the state shifted to its denominator."""
-        if self._gathers is None:
-            if self.odd.any():
-                raise ValidationError("dense tables require an even word length")
-            diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
-            toggle = self.toggle.astype(np.int16)[:, None]
-            idx = (_affine(diag.u0, diag.du) & 3) * np.int16(DIM) + (_SOURCES ^ toggle)
-            t = _affine(diag.t0, diag.dt)
-            shift = np.maximum(-t.min(1, keepdims=True), 0)
-            t += shift
-            self._gathers = idx, t, shift.astype(np.int64), int(t.max())
-        idx, t, shift, bits = self._gathers
-        _check_headroom(bits, state)
-        rotated = _rotations(state)
+        denominator that keeps its image integral.  Entry R of an image is
+        i^U(S) 2^T(S) x_S for S = R ^ toggle, read off the diagonal word (the word
+        after its own toggle): one gather of i^U(S) x_S from `_rotations` and one
+        shift by T(S) + shift, both from `_tables`."""
+        idx, t, shift, bits = self._tables()
+        _check_headroom(bits, state.max_abs().bit_length())
+        rotated = _rotations(state.re, state.im, np.empty(5 * DIM, dtype=np.int64))
         return rotated[DIM:].take(idx) << t, rotated.take(idx) << t, shift
 
-    def blocked_images(self, state: DenseState):
-        """(start, re, im, shift) for the words _BLOCK at a time, as `images` gives them."""
-        for start in range(0, len(self), _BLOCK):
-            yield (start, *self[start:start + _BLOCK].images(state))
+    def _diagonal(self):
+        """(diag, shift, top): the diagonal words, whose U and T `images` reads at the image
+        entry, and per row shift = -min T (floored at 0) and top, the largest T + shift."""
+        if self.odd.any():
+            raise ValidationError("dense tables require an even word length")
+        diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
+        shift = np.maximum(-diag.t0 - np.minimum(diag.dt, 0).sum(1), 0)
+        return diag, shift, diag.t0 + shift + np.maximum(diag.dt, 0).sum(1)
+
+    def _tables(self):
+        """(gather index, T + shift, shift, most bits added), built on the first call as int16
+        (below 4 * DIM) and int8 (0 to PAIRS) and kept.  T runs from -m/2 to m/2 for m toggled
+        pairs, so the most bits added, 2 * shift, also cover the state shifted by shift."""
+        if self._gathers is None:
+            diag, shift, top = self._diagonal()
+            toggle = self.toggle.astype(np.int16)[:, None]
+            idx = (_affine(diag.u0, diag.du) & 3) * np.int16(DIM) + (_SOURCES ^ toggle)
+            self._gathers = idx, _affine(diag.t0 + shift, diag.dt), shift[:, None], int(top.max())
+        return self._gathers
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +357,44 @@ class WordTable:
 # <v, m_Omega> = 1 and <a^-_k x, y> = -<x, a^-_k y>: move the a^- factors
 # of m_S onto the complement in ascending order; a^-_k then passes the k
 # lower pairs, all present, so beta[S] = (-1)^(sum over k in S of (k + 1)).
-_PAIR_SIGNS = 1 - 2 * (sum((k + 1) * (_ARANGE >> k & 1) for k in range(PAIRS)) % 2)
-
-
-def _form(re, im, b: DenseState):
-    """Numerators over 2^(e + b.e) of <a, b> for the states a = (re + i im)/2^e,
-    one per row, accumulated exactly in int64."""
-    # 4096 terms of at most 2 |a| |b| < 2^50 stay below 2^62
-    if DenseState(re, im, 0).max_abs().bit_length() + b.max_abs().bit_length() > 49:
-        raise ValidationError("dense states too large for the exact int64 form")
-    br, bi = b.re[::-1], b.im[::-1]  # m_(complement of S) is m_(4095 - S)
-    return (_PAIR_SIGNS * (re * br - im * bi)).sum(-1), (_PAIR_SIGNS * (re * bi + im * br)).sum(-1)
+_PAIR_SIGNS = 1 - 2 * _parity(_ARANGE & 0x555)  # k + 1 is odd for the even k
 
 
 def bilinear_dense(a: DenseState, b: DenseState) -> CycNumber:
-    """The invariant form <a, b> on dense states."""
-    re, im = _form(a.re, a.im, b)
-    den = 1 << (a.e + b.e)
-    return CycNumber(4, (Fraction(int(re), den), Fraction(int(im), den)))
+    """The invariant form <a, b> on dense states, summed exactly in int64."""
+    # 4096 terms of at most 2 |a| |b| < 2^50 stay below 2^62
+    if a.max_abs().bit_length() + b.max_abs().bit_length() > 49:
+        raise ValidationError("dense states too large for the exact int64 form")
+    br, bi = b.re[::-1], b.im[::-1]  # m_(complement of S) is m_(4095 - S)
+    re, im = (_PAIR_SIGNS * (a.re * br - a.im * bi)).sum(), (_PAIR_SIGNS * (a.re * bi + a.im * br)).sum()
+    return CycNumber(4, (Fraction(int(re), 1 << a.e + b.e), Fraction(int(im), 1 << a.e + b.e)))
+
+
+def _word_forms(words: WordTable, b: DenseState):
+    """(re, im, shift): <W b, b> for each even word W as numerators over 2^(2 b.e + shift),
+    shift as `images` gives it, summed exactly in int64: each term is below 2 |b|^2 2^top.
+    Term R is beta[R] i^U(R) 2^T(R) b[R ^ toggle] b[R ^ 4095] (U, T of `images`), so only
+    the R where b is nonzero at the complement count (2048 of 4096 for t v).  U and T are
+    one int32 table P = DIM (U + 64 T), P mod 4 DIM = DIM (U mod 4) as 0 <= U < 64; the
+    temporaries stay under glibc's mmap threshold."""
+    diag, shift, top = words._diagonal()
+    rows = np.flatnonzero(b.re[::-1] | b.im[::-1])
+    if 2 * b.max_abs().bit_length() + 1 + int(top.max(initial=0)) + len(rows).bit_length() > 63:
+        raise ValidationError("dense states too large for the exact int64 form")
+    pr, pi = _PAIR_SIGNS[rows] * b.re[::-1][rows], _PAIR_SIGNS[rows] * b.im[::-1][rows]
+    rotated = _rotations(b.re, b.im, np.empty(5 * DIM, dtype=np.int64))
+    base, packed = (diag.u0 + 64 * (diag.t0 + shift)) << PAIRS, (diag.du + 64 * diag.dt.astype(np.int32)) << PAIRS
+    re, im = np.zeros((2, len(words)), dtype=np.int64)
+    step = max(1, 8191 // max(len(rows), DIM // 2))  # int64 [step, rows], int32 [step, DIM]: < 64 KiB
+    for start in range(0, len(words), step):
+        block = slice(start, start + step)
+        p = _affine(base[block], packed[block]).take(rows, axis=1)
+        idx = rows ^ words.toggle[block, None]  # native-width gather indices
+        idx |= p & (4 * DIM - 1)
+        p >>= PAIRS + 6
+        x, y = rotated[DIM:].take(idx) << p, rotated.take(idx) << p
+        re[block], im[block] = x @ pr - y @ pi, x @ pi + y @ pr
+    return re, im, shift
 
 
 # ---------------------------------------------------------------------------
@@ -465,17 +486,27 @@ class GolayLift:
     # -- the idempotent t = prod_j (1 + s(G_j) e_{G_j})/2 ---------------------
 
     def apply_t_dense(self, dense: DenseState) -> DenseState:
-        """t applied factor by factor as (state + W_j state)/2, with the
-        common power of two removed after each factor."""
+        """t applied factor by factor as (state + W_j state)/2 in place, on a copy of dense and
+        one rotation buffer.  Before each factor and at the end, one or-reduction of
+        |re| | |im| gives the common power of two to take out and the bits left."""
         if dense.max_abs() > _INPUT_LIMIT:
             raise ValidationError("dense state too large for the exact int64 path")
-        state = dense
-        for word in self._generators:
-            re, im, shift = word.images(state)
-            shift = shift.item()
-            state = DenseState((state.re << shift) + re[0], (state.im << shift) + im[0],
-                               state.e + shift + 1).reduced()
-        return state
+        re, im, e = dense.re.copy(), dense.im.copy(), dense.e
+        rotated = np.empty(5 * DIM, dtype=np.int64)
+        for word in (*self._generators, None):
+            bits = int(np.bitwise_or.reduce(np.abs(re, out=rotated[:DIM]) | np.abs(im, out=rotated[DIM:2 * DIM])))
+            k = min(e, (bits & -bits).bit_length() - 1) if bits else e
+            e -= k
+            if word is None:
+                return DenseState(re >> k, im >> k, e)
+            (idx,), (t,), shift, top = word._tables()
+            _check_headroom(top, (bits >> k).bit_length())
+            _rotations(re, im, rotated, k)
+            idx, shift = idx.astype(np.intp), shift.item()
+            for part, src in ((re, rotated[DIM:]), (im, rotated)):  # src[:DIM] is part / 2^k
+                np.left_shift(src[:DIM], shift, out=part)
+                part += src.take(idx) << t
+            e += shift + 1
 
     def invariant_vector(self) -> DenseState:
         """t v, the image of the ground state under the idempotent."""
@@ -547,12 +578,10 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
         if csub not in seen:
             seen.add(csub)
             subsets.append(csub)
-    words = WordTable([sum(1 << (i - 1) for i in c) for c in subsets])
-    for start, re, im, _ in words.blocked_images(tv):
-        re, im = _form(re, im, tv)
-        bad = (re | im) != 0
-        if bad.any():
-            raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (subsets[start + bad.argmax()],))
+    re, im, _ = _word_forms(WordTable([sum(1 << (i - 1) for i in c) for c in subsets]), tv)
+    bad = (re | im) != 0
+    if bad.any():
+        raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (subsets[bad.argmax()],))
     report["orthogonality_samples"] = len(subsets)
 
     report["tv_norm"] = norm

@@ -14,8 +14,8 @@ from conwaymoonshine.cliffordcm import (
     DenseState,
     GolayLift,
     WordTable,
-    _form,
     _monomial_sqrt,
+    _word_forms,
     bilinear_dense,
     class_supertraces,
     n1_checks,
@@ -429,8 +429,10 @@ def test_factored_t_matches_4096_term_sum(lift):
     big = np.random.default_rng(13).integers(-_INPUT_LIMIT, _INPUT_LIMIT + 1, size=(2, 4096))
     states.append(DenseState(big[0], big[1], 0))
     for d, want in zip(states, t_oracle(lift, states)):
-        got = lift.apply_t_dense(d)
-        assert got.equals(want) and got.equals(per_factor_t(lift, d))
+        got, factored = lift.apply_t_dense(d), per_factor_t(lift, d)
+        assert got.equals(want) and got.equals(factored)
+        # the same normal form: fewest powers of two in the denominator, entries and all
+        assert got.e == factored.e and np.array_equal(got.re, factored.re) and np.array_equal(got.im, factored.im)
 
 
 def test_factor_tables_built_once_and_sign_sensitive(golay, lift, monkeypatch):
@@ -609,43 +611,68 @@ def test_section_matches_scalar_recursion(golay):
 
 
 def test_batched_form_matches_single_words():
+    """The kernel's exact value of <e_C b, b> for each row, over its own power of
+    two (the shift `images` gives), matches the form of the row's image."""
     rng = np.random.default_rng(3)
     b = DenseState(*rng.integers(-5, 6, (2, 4096)), 1)
     masks = [0b11, 0b1010, 0xF00000, 0x800001, 0b110110, 0x0C0300, 0x000F00]
     seen = 0
-    for start, re_, im_, shift in WordTable(masks).blocked_images(b):
-        rows = zip(*_form(re_, im_, b), shift[:, 0], masks[start:])
-        for got_re, got_im, sh, cmask in rows:
-            den = 1 << (2 * b.e + int(sh))
-            want = bilinear_dense(WordTable(cmask).apply(b), b)
-            assert CycNumber(4, (F(int(got_re), den), F(int(got_im), den))) == want
-            seen += not want.is_zero()
+    for got_re, got_im, sh, cmask in zip(*_word_forms(WordTable(masks), b), masks):
+        image = WordTable(cmask).apply(b)
+        assert image.e == b.e + sh
+        den = 1 << (2 * b.e + int(sh))
+        want = bilinear_dense(image, b)
+        assert CycNumber(4, (F(int(got_re), den), F(int(got_im), den))) == want
+        seen += not want.is_zero()
     assert seen == 4  # <e_C b, b> = 0 for the three |C| = 2, where e_C is skew for the form
 
 
+def test_word_forms_int64_bound():
+    """Terms below 2 |b|^2 2^top, len(rows) of them: 2 bits(b) + 1 + top + bits(len(rows))
+    may reach 63 and no further.  At the bound, on 4094 rows, the identity's sum is
+    within 2^53 of 2^63 and exact; one bit past, on all 4096 rows, is refused."""
+    signs = np.where(np.arange(4096) < 2048, 1, _PAIR_SIGNS)  # each beta[R] b[R] b[R ^ 4095] alike
+    most = np.arange(4096) % 4095 != 0  # all but m_0 and m_Omega, closed under complement
+    for cmask, size in ((0, 25), (0b101, 24)):  # top 0 and 2
+        table = WordTable(cmask)
+        assert 2 * size + 1 + table._tables()[3] + 12 == 63
+        entries = ((1 << size) - 1) * signs
+        with pytest.raises(ValidationError, match="too large for the exact int64 form"):
+            _word_forms(table, DenseState(entries, entries, 0))
+        b = DenseState(entries * most, entries * most, 0)
+        (re_,), (im_,), (sh,) = _word_forms(table, b)
+        (x,), (y,), shift = table.images(b)  # the image, its form summed in Python ints
+        terms = zip(_PAIR_SIGNS.tolist(), x.tolist(), y.tolist(), b.re[::-1].tolist(), b.im[::-1].tolist())
+        want = [sum(z) for z in zip(*((s * (p * q - r * u), s * (p * u + r * q)) for s, p, r, q, u in terms))]
+        assert [int(re_), int(im_), sh] == [*want, shift[0]]
+        if not cmask:
+            assert int(im_) == 4094 * 2 * ((1 << 25) - 1) ** 2 > 2**63 - 2**53  # terms 2 i (2^25 - 1)^2
+    with pytest.raises(ValidationError, match="even word length"):
+        _word_forms(WordTable(0b111), DenseState.basis(0))
+
+
 def test_n1_orthogonality_names_first_failing_subset(lift, monkeypatch):
-    """Spoil the form of the third block's third word: the failure names
-    that word's subset, the first failing one in draw order."""
-    drawn, blocks = [], []
+    """Spoil the kernel's forms of the 11th and 41st words: the failure names the
+    11th word's subset, the first failing one in draw order."""
+    drawn, tables = [], []
     init = WordTable.__init__
 
     def words(self, cmasks, signs=1):
         drawn.append(np.array(cmasks, ndmin=1).tolist())
         init(self, cmasks, signs)
 
-    def form(re_, im_, b):
-        out = _form(re_, im_, b)
-        if re_.ndim == 2:
-            blocks.append(len(re_))
-            if len(blocks) == 3:
-                out[1][2] += 1
+    def forms(table, b):
+        out = _word_forms(table, b)
+        tables.append(len(table))
+        assert not (out[0] | out[1]).any()
+        out[1][[10, 40]] += 1
         return out
 
     monkeypatch.setattr(WordTable, "__init__", words)
-    monkeypatch.setattr(cliffordcm, "_form", form)
+    monkeypatch.setattr(cliffordcm, "_word_forms", forms)
     with pytest.raises(VerificationFailure) as err:
         n1_checks(lift, seed=11, orth_samples=220)
-    assert len(drawn[-1]) == 220 and blocks == [4, 4, 4]
+    assert len(drawn[-1]) == 220 and tables == [220]
     want = tuple(support(drawn[-1][10]))
     assert re.search(re.escape("for C=%s" % (want,)), str(err.value))
 

@@ -25,6 +25,7 @@ from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
     GolayLift,
     WordTable,
+    _word_forms,
     bilinear_dense,
     reorder_sign,
 )
@@ -373,6 +374,36 @@ def test_batched_images_match_word_tables(words, state):
     ones = DenseState(np.ones(4096, dtype=np.int64), np.zeros(4096, dtype=np.int64), 0)
     ones_re, ones_im, _ = batch.images(ones)
     assert ((shift[:, 0] == 0) | ((ones_re | ones_im) & 1).any(1)).all()
+
+
+short_words = st.lists(st.tuples(
+    st.sampled_from((2, 4, 6, 8)).flatmap(lambda n: st.lists(st.integers(0, 23), min_size=n, max_size=n, unique=True)),
+    st.sampled_from((1, -1))), min_size=1, max_size=12)
+
+
+@st.composite
+def sparse_dense_states(draw):
+    """A dense state with entries in [-8, 8], at most about half of them nonzero,
+    over 2^e, so that its support is seldom closed under complement."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = rng.integers(-8, 9, size=(2, 4096)) * (rng.random(4096) < draw(st.floats(0.01, 0.5)))
+    return DenseState(re, im, draw(st.integers(0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(short_words, sparse_dense_states())
+def test_word_forms_match_forms_of_images(words, b):
+    """Each row of the form kernel is <W b, b> exactly, over 2^(2 b.e + shift) with
+    the shift `images` gives; the kernel sums only where b is nonzero at the
+    complement, and a sum over b's own support would drop terms."""
+    masks = [sum(1 << i for i in gens) for gens, _ in words]
+    signs = [sign for _, sign in words]
+    re, im, shift = _word_forms(WordTable(masks, signs), b)
+    for row, (cmask, sign) in enumerate(zip(masks, signs)):
+        image = WordTable(cmask, sign).apply(b)
+        assert image.e == b.e + shift[row]
+        den = 1 << (2 * b.e + int(shift[row]))
+        assert CycNumber(4, (F(int(re[row]), den), F(int(im[row]), den))) == bilinear_dense(image, b)
 
 
 @st.composite
