@@ -222,7 +222,7 @@ def cmd_invariance(args) -> int:
 
 def cmd_n1(args) -> int:
     lift = cliffordcm.golay_lift_section(lattice.build_golay())
-    report = cliffordcm.n1_checks(lift, seed=args.seed, orth_samples=args.samples)
+    report = cliffordcm.n1_checks(lift)
     payload = {
         k: (str(v) if not isinstance(v, (bool, int)) else v) for k, v in report.items()
     }
@@ -294,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=2024)
 
-    p = leaf(group("n1", "idempotent and orthogonality checks"), "check", cmd_n1)
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--samples", type=_non_negative, default=220)
+    leaf(group("n1", "idempotent and orthogonality checks"), "check", cmd_n1)
 
     return top
 

@@ -21,18 +21,17 @@ only those 12 need to act on t v.  A word acts on a dense state as one
 gather (the image entry's source and phase) and one shift (its power of
 two), from int16 and int8 tables built on a table's first application and
 kept on it.  t updates a state in place from the kept tables of the lift's 12
-generator words, and the orthogonality check's 220 forms <W t v, t v> are one
-kernel over the rows where t v is nonzero at the complement (warm, on a 2-core
-Xeon: 0.018-0.020 s for the 22 applications of t in n1_checks and 0.011 s for
-the forms, from 0.022-0.024 s and 0.026-0.027 s).  Nothing irrational is
-stored; only even-length words act on dense states.
+generator words.  n1_checks proves <e_C t v, t v> = 0 for all 10,902 C of size
+2 or 4 from four exact facts about the generator words W: (a) W t v = t v,
+(b) W^2 = 1, (c) W is self-adjoint for the invariant form, and (d) some
+generator meets C in an odd number of points, so e_C W = -W e_C.  Nothing
+irrational is stored; only even-length words act on dense states.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 import numpy as np
 
@@ -283,6 +282,17 @@ class WordTable:
     def is_identity(self) -> bool:
         return not self.differs(WordTable(0)).item()
 
+    def is_self_adjoint(self) -> bool:
+        """<W m_S, m_R> = <m_S, W m_R> for all S and R, W the one-row word.  W m_S is
+        i^U(S) 2^T(S) m_(S ^ toggle) (times the word's 1/sqrt(2)s), which pairs only with
+        m_R for R = ~(S ^ toggle); so the two sides are i^U(S) 2^T(S) beta[S ^ toggle] and
+        i^U(R) 2^T(R) beta[S], with beta = +-1 = i^(1 - beta)."""
+        (toggle,) = self.toggle.tolist()
+        u, t = _affine(self.u0, self.du)[0], _affine(self.t0, self.dt)[0]
+        r = _ARANGE ^ (DIM - 1 ^ toggle)
+        return bool(((u - u[r] - _PAIR_SIGNS[_ARANGE ^ toggle] + _PAIR_SIGNS) % 4 == 0).all()
+                    and (t == t[r]).all())
+
     def trace(self) -> CycNumber:
         """0 unless no pair is toggled; then the sum over S factors as
         i^u0 2^t0 prod_k (1 + i^du_k 2^dt_k).  An odd word holds one
@@ -329,21 +339,18 @@ class WordTable:
         rotated = _rotations(state.re, state.im, np.empty(5 * DIM, dtype=np.int64))
         return rotated[DIM:].take(idx) << t, rotated.take(idx) << t, shift
 
-    def _diagonal(self):
-        """(diag, shift, top): the diagonal words, whose U and T `images` reads at the image
-        entry, and per row shift = -min T (floored at 0) and top, the largest T + shift."""
-        if self.odd.any():
-            raise ValidationError("dense tables require an even word length")
-        diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
-        shift = np.maximum(-diag.t0 - np.minimum(diag.dt, 0).sum(1), 0)
-        return diag, shift, diag.t0 + shift + np.maximum(diag.dt, 0).sum(1)
-
     def _tables(self):
         """(gather index, T + shift, shift, most bits added), built on the first call as int16
-        (below 4 * DIM) and int8 (0 to PAIRS) and kept.  T runs from -m/2 to m/2 for m toggled
-        pairs, so the most bits added, 2 * shift, also cover the state shifted by shift."""
+        (below 4 * DIM) and int8 (0 to PAIRS) and kept.  U and T are read off the diagonal words
+        (each word after its own toggle) at the image entry; shift = -min T (floored at 0) and
+        top, the largest T + shift, per row.  T runs from -m/2 to m/2 for m toggled pairs, so
+        the most bits added, 2 * shift, also cover the state shifted by shift."""
         if self._gathers is None:
-            diag, shift, top = self._diagonal()
+            if self.odd.any():
+                raise ValidationError("dense tables require an even word length")
+            diag = self * WordTable._of(self.toggle, 0, 0, 0, 0, 0)
+            shift = np.maximum(-diag.t0 - np.minimum(diag.dt, 0).sum(1), 0)
+            top = diag.t0 + shift + np.maximum(diag.dt, 0).sum(1)
             toggle = self.toggle.astype(np.int16)[:, None]
             idx = (_affine(diag.u0, diag.du) & 3) * np.int16(DIM) + (_SOURCES ^ toggle)
             self._gathers = idx, _affine(diag.t0 + shift, diag.dt), shift[:, None], int(top.max())
@@ -368,33 +375,6 @@ def bilinear_dense(a: DenseState, b: DenseState) -> CycNumber:
     br, bi = b.re[::-1], b.im[::-1]  # m_(complement of S) is m_(4095 - S)
     re, im = (_PAIR_SIGNS * (a.re * br - a.im * bi)).sum(), (_PAIR_SIGNS * (a.re * bi + a.im * br)).sum()
     return CycNumber(4, (Fraction(int(re), 1 << a.e + b.e), Fraction(int(im), 1 << a.e + b.e)))
-
-
-def _word_forms(words: WordTable, b: DenseState):
-    """(re, im, shift): <W b, b> for each even word W as numerators over 2^(2 b.e + shift),
-    shift as `images` gives it, summed exactly in int64: each term is below 2 |b|^2 2^top.
-    Term R is beta[R] i^U(R) 2^T(R) b[R ^ toggle] b[R ^ 4095] (U, T of `images`), so only
-    the R where b is nonzero at the complement count (2048 of 4096 for t v).  U and T are
-    one int32 table P = DIM (U + 64 T), P mod 4 DIM = DIM (U mod 4) as 0 <= U < 64; the
-    temporaries stay under glibc's mmap threshold."""
-    diag, shift, top = words._diagonal()
-    rows = np.flatnonzero(b.re[::-1] | b.im[::-1])
-    if 2 * b.max_abs().bit_length() + 1 + int(top.max(initial=0)) + len(rows).bit_length() > 63:
-        raise ValidationError("dense states too large for the exact int64 form")
-    pr, pi = _PAIR_SIGNS[rows] * b.re[::-1][rows], _PAIR_SIGNS[rows] * b.im[::-1][rows]
-    rotated = _rotations(b.re, b.im, np.empty(5 * DIM, dtype=np.int64))
-    base, packed = (diag.u0 + 64 * (diag.t0 + shift)) << PAIRS, (diag.du + 64 * diag.dt.astype(np.int32)) << PAIRS
-    re, im = np.zeros((2, len(words)), dtype=np.int64)
-    step = max(1, 8191 // max(len(rows), DIM // 2))  # int64 [step, rows], int32 [step, DIM]: < 64 KiB
-    for start in range(0, len(words), step):
-        block = slice(start, start + step)
-        p = _affine(base[block], packed[block]).take(rows, axis=1)
-        idx = rows ^ words.toggle[block, None]  # native-width gather indices
-        idx |= p & (4 * DIM - 1)
-        p >>= PAIRS + 6
-        x, y = rotated[DIM:].take(idx) << p, rotated.take(idx) << p
-        re[block], im[block] = x @ pr - y @ pi, x @ pi + y @ pr
-    return re, im, shift
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +459,33 @@ class GolayLift:
                 raise VerificationFailure("state moved by lifted %06x" % gen)
         return True
 
+    def verify_self_adjoint(self):
+        """Each generator word is self-adjoint for the invariant form; the first in the code's
+        order that is not is named."""
+        for gen, word in zip(self.code.generators, self._generators):
+            if not word.is_self_adjoint():
+                raise VerificationFailure("lifted %06x is not self-adjoint" % gen)
+        return True
+
+    def verify_anticommuting(self) -> int:
+        """Every C of 2 or 4 of the 24 coordinates meets some generator in an odd number of
+        points, so e_C anticommutes with that generator's word (both have even length).
+        Returns the number of such C; the smallest mask that meets every generator evenly
+        is named."""
+        masks, sizes = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
+        for i in range(NGEN):  # the subsets of at most 4 of the coordinates below i + 1
+            few = sizes < 4
+            masks, sizes = np.concatenate((masks, masks[few] | 1 << i)), np.concatenate((sizes, sizes[few] + 1))
+        masks = masks[(sizes == 2) | (sizes == 4)]
+        odd = np.zeros(len(masks), dtype=bool)
+        for gen in self.code.generators:
+            odd |= _parity(masks & gen) == 1
+        if not odd.all():
+            c = int(masks[~odd].min())
+            raise VerificationFailure("C=%s meets every generator evenly"
+                                      % (tuple(i + 1 for i in range(NGEN) if c >> i & 1),))
+        return len(masks)
+
     def group_order(self) -> int:
         """Order of {+- s(C) e_C}: the distinct supports, doubled."""
         return 2 * len(self.section)
@@ -519,28 +526,24 @@ def golay_lift_section(code, frame=None) -> GolayLift:
     return GolayLift(code, frame)
 
 
-_ORTH_SUBSETS = comb(NGEN, 2) + comb(NGEN, 4)  # 276 + 10626 = 10902
+def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
+    """Structure checks backing the supersymmetry element u = t v: the lifted group has
+    order 8192 with all squares +1, u is nonzero, fixed by t and by every lifted word, and
+    non-isotropic, and <e_C u, u> = 0 for all 10,902 C of size 2 or 4.  The last is proved
+    from four exact facts about the generator words W: (a) W u = u, (b) W^2 = 1, (c) W is
+    self-adjoint for the form, and (d) some generator meets C in an odd number of points, so
+    e_C W = -W e_C.  Then <e_C u, u> = <e_C W u, W u> = <W e_C W u, u> = -<e_C u, u>.
 
-
-def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
-    """Structure checks backing the supersymmetry element: lifted group of
-    order 8192 with all squares +1, t idempotent, ground image invariant
-    and non-isotropic, orthogonality over short subsets.
-
-    Returns a report dict; raises VerificationFailure on any failure, and
-    ValidationError for more samples than there are 2- and 4-subsets.
+    Returns a report dict; raises VerificationFailure on any failure.
     """
-    if orth_samples > _ORTH_SUBSETS:
-        raise ValidationError(
-            "orthogonality samples %d exceed the %d distinct 2- and 4-subsets"
-            % (orth_samples, _ORTH_SUBSETS))
-    rng = random.Random(seed)
+    # seed and orth_samples are accepted and not read: perfbench/workloads.py still passes
+    # them, and the benchmark's workloads stay fixed so that its runs compare across commits
     report = {}
 
     # closure is proved, not sampled: as the lifted word of G_i ^ G_k (i < k) is g_i g_k, all
     # squares +1 make the generator words g_j commuting involutions, and verify_fixed shows each
     # lifted word is the product of the g_j in it; so s(C)e_C s(D)e_D = s(C ^ D)e_(C ^ D) for all C, D
-    lift.verify_squares()
+    lift.verify_squares()  # (b)
     report["group_order"] = lift.group_order()
     if report["group_order"] != 8192:
         raise VerificationFailure("lifted group has order %d" % report["group_order"])
@@ -550,39 +553,21 @@ def n1_checks(lift: GolayLift, seed: int = 11, orth_samples: int = 220):
     if not report["tv_components"]:
         raise VerificationFailure("t v is zero")
 
-    # idempotency on the ground state image and on random states
+    # t is idempotent as a product of the commuting idempotents (1 + g_j)/2 (g_j^2 = 1); the
+    # engine's t is checked on the one state the report needs
     if not lift.apply_t_dense(tv).equals(tv):
         raise VerificationFailure("t is not idempotent on t v")
-    for _ in range(10):
-        re, im = np.zeros((2, DIM), dtype=np.int64)
-        for _ in range(4):
-            x, y = rng.randrange(-8, 9), rng.randrange(-8, 9)  # drawn before the mask
-            mask = rng.randrange(DIM)
-            re[mask], im[mask] = x, y
-        ts = lift.apply_t_dense(DenseState(re, im, 0))
-        if not lift.apply_t_dense(ts).equals(ts):
-            raise VerificationFailure("t not idempotent on a random state")
-    report["idempotent_states_checked"] = 11
 
-    # invariance of t v under every lifted sign change, exhaustively
+    # invariance of t v under every lifted sign change, exhaustively: (a)
     lift.verify_fixed(tv)
     report["invariance_checked"] = len(lift.section)
 
-    # norm and orthogonality of the invariant vector
+    # norm of the invariant vector, and orthogonality over every short subset by (a)-(d)
     norm = bilinear_dense(tv, tv)
     if norm.is_zero():
         raise VerificationFailure("<t v, t v> = 0")
-    subsets, seen = [], set()
-    while len(subsets) < orth_samples:
-        csub = tuple(sorted(rng.sample(range(1, NGEN + 1), rng.choice((2, 4)))))
-        if csub not in seen:
-            seen.add(csub)
-            subsets.append(csub)
-    re, im, _ = _word_forms(WordTable([sum(1 << (i - 1) for i in c) for c in subsets]), tv)
-    bad = (re | im) != 0
-    if bad.any():
-        raise VerificationFailure("<e_C tv, tv> != 0 for C=%s" % (subsets[bad.argmax()],))
-    report["orthogonality_samples"] = len(subsets)
+    lift.verify_self_adjoint()  # (c)
+    report["orthogonality_subsets"] = lift.verify_anticommuting()  # (d)
 
     report["tv_norm"] = norm
     alpha_sq = CycNumber.from_rational(8, 4) / norm

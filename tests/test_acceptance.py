@@ -163,13 +163,12 @@ def test_criterion_09_golay_and_leech(golay, leech):
 
 def test_criterion_10_n1_checks(lift):
     t0 = time.time()
-    report = n1_checks(lift, seed=11, orth_samples=220)
+    report = n1_checks(lift)
     elapsed = time.time() - t0
     assert report["passed"]
     assert report["group_order"] == 8192
-    assert report["idempotent_states_checked"] == 11
     assert (report["tv_components"], report["invariance_checked"]) == (2048, 4096)
-    assert report["orthogonality_samples"] >= 200
+    assert report["orthogonality_subsets"] == 10902  # every C of size 2 or 4, proved
     assert not report["tv_norm"].is_zero()
     assert report["alpha"] * report["alpha"] == report["alpha_squared"]
     assert str(report["alpha"]) == "1024*z^3 @ level 8"  # as `n1 check` prints them

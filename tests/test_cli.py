@@ -56,7 +56,6 @@ def test_leech_shell_refuses_a_walk_beyond_the_node_ceiling(capsys, norm):
 
 
 def test_count_options_are_non_negative(capsys):
-    assert run(capsys, "n1", "check", "--samples", "-1")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--samples", "-1")[0] == 2
     assert run(capsys, "invariance", "--class", "2A", "--points", "-1")[0] == 2
 
@@ -71,13 +70,6 @@ def test_invariance_zero_request_is_usage_error(capsys, argv):
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "at least 1, got 0" in err
-
-
-def test_n1_samples_beyond_the_distinct_subsets_is_usage_error(capsys):
-    # C(24, 2) + C(24, 4) = 10902 distinct subsets to draw from
-    t0 = time.perf_counter()
-    assert run(capsys, "n1", "check", "--samples", "10903") == (2, "")
-    assert time.perf_counter() - t0 < 1.0
 
 
 def test_invariance_tol_must_be_finite_and_positive(capsys):
@@ -217,12 +209,14 @@ def test_each_leaf_declares_only_the_options_it_reads():
     assert [leaf for leaf, opts in options.items() if "--jobs" in opts] == []
     assert [leaf for leaf, opts in options.items() if "csv" in opts["--format"].choices] == [
         "table"]
-    assert sum(len(opts) - 1 for opts in options.values()) == 34  # less --help
+    assert sum(len(opts) - 1 for opts in options.values()) == 32  # less --help
 
 
 @pytest.mark.parametrize("argv", [
     "lattice golay-weights --jobs 4",
     "n1 check --jobs 2",
+    "n1 check --seed 3",
+    "n1 check --samples 100",
     "table --jobs 2",
     "verify lemma --jobs 2",
     "invariance --jobs 2",
@@ -264,8 +258,7 @@ def test_verify_order_too_small_names_the_given_order(capsys, argv, message):
 # sha256 of stdout for the exact reports; a change that keeps them must keep these
 # (invariance is left out: its float deviations can move with numpy)
 PINNED_REPORTS = {
-    "n1 check --format json": "022aeecba37dee84764430315273ab38daa00c677968a5757b00eb5cfd0ce6d4",
-    "n1 check --seed 3 --samples 100 --format json": "b53721e6c2772c9169e0d09f7d0b06869be3d6323d324ba5bb9721324c54bc2a",
+    "n1 check --format json": "dbf3017e9f01e02d719b1d285ff77a91b6290a637c98ee50437434b40dc94e7b",
     "lattice frame-check --format json": "d2b471f593a80a8ec76a91b2a6492784f957887ae5ca7560357cd57f16eddaa3",
     "lattice golay-weights --format json": "fef23e302ed125bf46f88d84f61028e870016d0ec53d1f11f81d7cc5b222e97d",
     "lattice leech-shell --norm 2 --format json": "b125c5f79a1d2c7c4000b826c7d81227704410fb748d118f38bae6367e0b165c",

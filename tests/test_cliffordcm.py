@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,6 @@ from conwaymoonshine.cliffordcm import (
     GolayLift,
     WordTable,
     _monomial_sqrt,
-    _word_forms,
     bilinear_dense,
     class_supertraces,
     n1_checks,
@@ -610,81 +610,6 @@ def test_section_matches_scalar_recursion(golay):
         assert len(section) == 4096 and lift.section == section
 
 
-def test_batched_form_matches_single_words():
-    """The kernel's exact value of <e_C b, b> for each row, over its own power of
-    two (the shift `images` gives), matches the form of the row's image."""
-    rng = np.random.default_rng(3)
-    b = DenseState(*rng.integers(-5, 6, (2, 4096)), 1)
-    masks = [0b11, 0b1010, 0xF00000, 0x800001, 0b110110, 0x0C0300, 0x000F00]
-    seen = 0
-    for got_re, got_im, sh, cmask in zip(*_word_forms(WordTable(masks), b), masks):
-        image = WordTable(cmask).apply(b)
-        assert image.e == b.e + sh
-        den = 1 << (2 * b.e + int(sh))
-        want = bilinear_dense(image, b)
-        assert CycNumber(4, (F(int(got_re), den), F(int(got_im), den))) == want
-        seen += not want.is_zero()
-    assert seen == 4  # <e_C b, b> = 0 for the three |C| = 2, where e_C is skew for the form
-
-
-def test_word_forms_int64_bound():
-    """Terms below 2 |b|^2 2^top, len(rows) of them: 2 bits(b) + 1 + top + bits(len(rows))
-    may reach 63 and no further.  At the bound, on 4094 rows, the identity's sum is
-    within 2^53 of 2^63 and exact; one bit past, on all 4096 rows, is refused."""
-    signs = np.where(np.arange(4096) < 2048, 1, _PAIR_SIGNS)  # each beta[R] b[R] b[R ^ 4095] alike
-    most = np.arange(4096) % 4095 != 0  # all but m_0 and m_Omega, closed under complement
-    for cmask, size in ((0, 25), (0b101, 24)):  # top 0 and 2
-        table = WordTable(cmask)
-        assert 2 * size + 1 + table._tables()[3] + 12 == 63
-        entries = ((1 << size) - 1) * signs
-        with pytest.raises(ValidationError, match="too large for the exact int64 form"):
-            _word_forms(table, DenseState(entries, entries, 0))
-        b = DenseState(entries * most, entries * most, 0)
-        (re_,), (im_,), (sh,) = _word_forms(table, b)
-        (x,), (y,), shift = table.images(b)  # the image, its form summed in Python ints
-        terms = zip(_PAIR_SIGNS.tolist(), x.tolist(), y.tolist(), b.re[::-1].tolist(), b.im[::-1].tolist())
-        want = [sum(z) for z in zip(*((s * (p * q - r * u), s * (p * u + r * q)) for s, p, r, q, u in terms))]
-        assert [int(re_), int(im_), sh] == [*want, shift[0]]
-        if not cmask:
-            assert int(im_) == 4094 * 2 * ((1 << 25) - 1) ** 2 > 2**63 - 2**53  # terms 2 i (2^25 - 1)^2
-    with pytest.raises(ValidationError, match="even word length"):
-        _word_forms(WordTable(0b111), DenseState.basis(0))
-
-
-def test_n1_orthogonality_names_first_failing_subset(lift, monkeypatch):
-    """Spoil the kernel's forms of the 11th and 41st words: the failure names the
-    11th word's subset, the first failing one in draw order."""
-    drawn, tables = [], []
-    init = WordTable.__init__
-
-    def words(self, cmasks, signs=1):
-        drawn.append(np.array(cmasks, ndmin=1).tolist())
-        init(self, cmasks, signs)
-
-    def forms(table, b):
-        out = _word_forms(table, b)
-        tables.append(len(table))
-        assert not (out[0] | out[1]).any()
-        out[1][[10, 40]] += 1
-        return out
-
-    monkeypatch.setattr(WordTable, "__init__", words)
-    monkeypatch.setattr(cliffordcm, "_word_forms", forms)
-    with pytest.raises(VerificationFailure) as err:
-        n1_checks(lift, seed=11, orth_samples=220)
-    assert len(drawn[-1]) == 220 and tables == [220]
-    want = tuple(support(drawn[-1][10]))
-    assert re.search(re.escape("for C=%s" % (want,)), str(err.value))
-
-
-def test_n1_refuses_more_samples_than_distinct_subsets(lift, monkeypatch):
-    """C(24, 2) + C(24, 4) = 10902 subsets: one more could never be drawn,
-    and the refusal comes before any lift work."""
-    monkeypatch.setattr(type(lift), "verify_squares", lambda self: pytest.fail("lift work ran"))
-    with pytest.raises(ValidationError, match="10903 exceed the 10902"):
-        n1_checks(lift, orth_samples=10903)
-
-
 def test_tables_are_the_lifted_words(lift):
     tables = lift.tables()
     masks = sorted(lift.section)
@@ -756,10 +681,16 @@ def test_idempotent_and_invariance(lift):
 
 
 def test_idempotent_on_sparse_random_states(lift):
-    rng = random.Random(10)
-    for _ in range(3):
-        ts = lift.apply_t_dense(dense(random_state(rng, 4)))
-        assert lift.apply_t_dense(ts).equals(ts)
+    """t(t s) = t s on ten seeded states of four entries in [-8, 8] + [-8, 8] i."""
+    rng = random.Random(11)
+    for _ in range(10):
+        re_, im_ = np.zeros((2, 4096), dtype=np.int64)
+        for _ in range(4):
+            x, y = rng.randrange(-8, 9), rng.randrange(-8, 9)
+            mask = rng.randrange(4096)
+            re_[mask], im_[mask] = x, y
+        ts = lift.apply_t_dense(DenseState(re_, im_, 0))
+        assert ts.nonzero_count() and lift.apply_t_dense(ts).equals(ts)
 
 
 def test_orthogonality_examples(lift):
@@ -767,3 +698,96 @@ def test_orthogonality_examples(lift):
     sv = sparse(tv)
     for indices in ([1, 2], [3, 7, 11, 20]):
         assert bilinear_dense(dense(word(indices, sv)), tv).is_zero()
+
+
+def short_subsets():
+    """The masks of the 10,902 subsets of 2 or 4 of the 24 coordinates, in ascending order."""
+    return sorted(sum(1 << i for i in c) for n in (2, 4) for c in combinations(range(24), n))
+
+
+def forms(words, b, block=4):
+    """<W b, b> for each row W of words, as exact int64 numerators over 2^(2 b.e + shift),
+    with the shift `images` gives: bilinear_dense's sum over a block of image rows at once.
+    Blocks of four keep each array at 128 KiB, so none of them costs fresh pages."""
+    br, bi = _PAIR_SIGNS * b.re[::-1], _PAIR_SIGNS * b.im[::-1]
+    out = []
+    for start in range(0, len(words), block):
+        rows = words[start:start + block]
+        re_, im_, shift = rows.images(b)
+        assert 2 * b.max_abs().bit_length() + 1 + rows._tables()[3] + 12 <= 63  # no int64 wrap
+        out.append((re_ @ br - im_ @ bi, re_ @ bi + im_ @ br, shift[:, 0]))
+    return [np.concatenate(part) for part in zip(*out)]
+
+
+def test_orthogonality_over_every_short_subset(lift):
+    """The oracle for what n1_checks proves: <e_C t v, t v> = 0 for all 10,902 C."""
+    tv = lift.invariant_vector()
+    masks = short_subsets()
+    assert len(masks) == lift.verify_anticommuting() == 10902
+    re_, im_, _ = forms(WordTable(masks), tv)
+    assert not (re_ | im_).any()
+
+
+def test_octads_meet_every_generator_evenly_and_are_not_orthogonal(golay, lift):
+    """What fact (d) rules out: an octad C meets every generator evenly, and its form with
+    t v is s(C) <t v, t v>, not 0, as s(C) e_C fixes t v.  For a generator (sign +1) it is
+    <t v, t v>; the block form of `forms` agrees with bilinear_dense on each."""
+    tv = lift.invariant_vector()
+    norm = bilinear_dense(tv, tv)
+    gens = list(golay.generators)
+    octads = gens + [c for c in lift.masks.tolist() if bin(c).count("1") == 8 and c not in gens][:20]
+    re_, im_, shift = forms(WordTable(octads), tv)
+    for c, x, y, sh in zip(octads, re_.tolist(), im_.tolist(), shift.tolist()):
+        assert all(bin(c & g).count("1") % 2 == 0 for g in golay.generators)
+        form = bilinear_dense(WordTable(c).apply(tv), tv)
+        den = 1 << 2 * tv.e + sh
+        assert CycNumber(4, (F(x, den), F(y, den))) == form == lift.section[c] * norm, hex(c)
+        if c in gens:
+            assert form == norm
+
+
+def test_anticommuting_names_a_subset_every_generator_meets_evenly(golay):
+    """The first ten generators meet only C = {13, 14} of the short subsets evenly; no
+    single generator is needed, as all twelve lists of eleven still pass."""
+    gens = golay.generators[:10]
+    assert [c for c in short_subsets() if all(bin(c & g).count("1") % 2 == 0 for g in gens)] == [0x003000]
+    with pytest.raises(VerificationFailure, match=re.escape("C=(13, 14) meets every generator evenly")):
+        GolayLift(SimpleNamespace(generators=gens)).verify_anticommuting()
+    with pytest.raises(VerificationFailure, match=re.escape("C=(1, 2, 3, 4) meets")):  # the smallest mask of many
+        GolayLift(SimpleNamespace(generators=[0b11, 0b101])).verify_anticommuting()
+    for k in range(12):
+        eleven = golay.generators[:k] + golay.generators[k + 1:]
+        assert GolayLift(SimpleNamespace(generators=eleven)).verify_anticommuting() == 10902
+
+
+def test_self_adjoint_words_and_refusal():
+    """e_C is self-adjoint for the form when |C| is 0 or 3 mod 4 (each e_i is skew, and
+    reversing C costs (-1)^(|C|(|C| - 1)/2)); the lift names its first generator that is not."""
+    assert not WordTable(0b11).is_self_adjoint()
+    assert not WordTable(0x3F0000).is_self_adjoint()
+    assert WordTable(0b1111).is_self_adjoint() and WordTable(0x800421, -1).is_self_adjoint()
+    assert WordTable(0x35).is_self_adjoint()  # toggles pairs 0 and 1: beta[S ^ toggle] = -beta[S]
+    # not a Clifford word: m_S -> 2^(S_0) m_S has equal phases on both sides, unequal powers of two
+    doubling = WordTable._of(*np.zeros((4, 1), dtype=np.int64), np.zeros((1, 12), np.int8), np.eye(1, 12, dtype=np.int8))
+    assert not doubling.is_self_adjoint()
+    lift = GolayLift(SimpleNamespace(generators=[0xF000, 0b11 << 8, 0x3F0000]))
+    with pytest.raises(VerificationFailure, match="lifted 000300 is not self-adjoint"):
+        lift.verify_self_adjoint()
+    assert GolayLift(SimpleNamespace(generators=[0xF000, 0xF0F])).verify_self_adjoint()
+
+
+@pytest.mark.parametrize("fact", ["verify_squares", "verify_fixed", "verify_self_adjoint", "verify_anticommuting"])
+def test_n1_rests_on_the_four_facts(lift, monkeypatch, fact):
+    """n1_checks fails when any of the facts (a)-(d) fails."""
+    def refuse(self, *args):
+        raise VerificationFailure("%s refused" % fact)
+
+    monkeypatch.setattr(GolayLift, fact, refuse)
+    with pytest.raises(VerificationFailure, match="%s refused" % fact):
+        n1_checks(lift)
+
+
+def test_n1_refuses_a_t_that_does_not_fix_t_v(lift, monkeypatch):
+    monkeypatch.setattr(DenseState, "equals", lambda self, other: False)
+    with pytest.raises(VerificationFailure, match="t is not idempotent on t v"):
+        n1_checks(lift)

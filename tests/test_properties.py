@@ -25,7 +25,6 @@ from conwaymoonshine.cliffordcm import (  # noqa: E402
     DenseState,
     GolayLift,
     WordTable,
-    _word_forms,
     bilinear_dense,
     reorder_sign,
 )
@@ -384,26 +383,22 @@ short_words = st.lists(st.tuples(
 @st.composite
 def sparse_dense_states(draw):
     """A dense state with entries in [-8, 8], at most about half of them nonzero,
-    over 2^e, so that its support is seldom closed under complement."""
+    over 2^e."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     re, im = rng.integers(-8, 9, size=(2, 4096)) * (rng.random(4096) < draw(st.floats(0.01, 0.5)))
     return DenseState(re, im, draw(st.integers(0, 3)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(short_words, sparse_dense_states())
-def test_word_forms_match_forms_of_images(words, b):
-    """Each row of the form kernel is <W b, b> exactly, over 2^(2 b.e + shift) with
-    the shift `images` gives; the kernel sums only where b is nonzero at the
-    complement, and a sum over b's own support would drop terms."""
-    masks = [sum(1 << i for i in gens) for gens, _ in words]
-    signs = [sign for _, sign in words]
-    re, im, shift = _word_forms(WordTable(masks, signs), b)
-    for row, (cmask, sign) in enumerate(zip(masks, signs)):
-        image = WordTable(cmask, sign).apply(b)
-        assert image.e == b.e + shift[row]
-        den = 1 << (2 * b.e + int(shift[row]))
-        assert CycNumber(4, (F(int(re[row]), den), F(int(im[row]), den))) == bilinear_dense(image, b)
+@given(short_words, sparse_dense_states(), sparse_dense_states())
+def test_self_adjoint_matches_forms_of_images(words, a, b):
+    """A signed word e_C is self-adjoint for the form exactly when |C| is 0 mod 4, and
+    otherwise its adjoint is -e_C: <W a, b> = +-<a, W b> on random states."""
+    for gens, sign in words:
+        word = WordTable(sum(1 << i for i in gens), sign)
+        assert word.is_self_adjoint() == (len(gens) % 4 == 0)
+        left, right = bilinear_dense(word.apply(a), b), bilinear_dense(a, word.apply(b))
+        assert left == (right if word.is_self_adjoint() else -right)
 
 
 @st.composite
