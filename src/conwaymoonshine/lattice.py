@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt, prod
+from operator import mul
 
 import numpy as np
 
@@ -21,10 +22,6 @@ from .errors import MembershipError, ValidationError
 from .frameshape import FrameShape
 
 LENGTH = 24
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 class BinaryCode:
@@ -38,6 +35,7 @@ class BinaryCode:
         if len(self._echelon) != 12:
             raise ValidationError("generators are not independent")
         self._words = None
+        self._weights = None
 
     def words(self) -> tuple:
         """All 4096 codewords, Gray-code ordered by generator subsets, built
@@ -56,11 +54,15 @@ class BinaryCode:
         return mask == 0
 
     def weight_distribution(self) -> dict:
-        dist = {}
-        for w in self.words():
-            k = _popcount(w)
-            dist[k] = dist.get(k, 0) + 1
-        return dist
+        """{weight: number of codewords}, counted once per code; each call
+        returns a fresh copy."""
+        if self._weights is None:
+            dist = {}
+            for w in self.words():
+                k = w.bit_count()
+                dist[k] = dist.get(k, 0) + 1
+            self._weights = dist
+        return dict(self._weights)
 
     def verify(self):
         """Full-enumeration check of the weight distribution, which proves
@@ -133,11 +135,10 @@ class IntegerLattice:
             raise ValidationError("basis rows are linearly dependent")
 
     def gram8(self):
-        """Integer matrix of scaled dot products b_i . b_j (= 8 * Gram)."""
-        return [
-            [sum(a * b for a, b in zip(ri, rj)) for rj in self.basis]
-            for ri in self.basis
-        ]
+        """Integer matrix of scaled dot products b_i . b_j (= 8 * Gram), a
+        fresh list of lists copied from the Gram matrix that _gram computes
+        once per basis and _flag reads too."""
+        return [list(row) for row in _gram(self.basis)]
 
     def gram_determinant(self) -> Fraction:
         """det Gram = (det basis)^2 / 8^24, read off the echelon diagonal."""
@@ -155,7 +156,7 @@ class IntegerLattice:
 
     def verify(self):
         """Even, determinant one, no vectors of norm below 4."""
-        g8 = self.gram8()  # 8 * Gram: integral means 0 mod 8, even means 0 mod 16
+        g8 = _gram(self.basis)  # 8 * Gram: integral means 0 mod 8, even means 0 mod 16
         for i, row in enumerate(g8):
             if row[i] % 16:
                 raise ValidationError("Gram diagonal %s is not an even integer" % Fraction(row[i], 8))
@@ -267,7 +268,7 @@ def sign_change_frameshape(codeword: int, code: BinaryCode):
     """
     if not code.contains(codeword):
         raise MembershipError("mask %06x is not a Golay codeword" % codeword)
-    w = _popcount(codeword)
+    w = codeword.bit_count()
     shape = FrameShape({1: LENGTH - 2 * w, 2: w})
     return shape, LENGTH - 2 * w
 
@@ -318,8 +319,16 @@ def _covolume(echelon) -> int:
     return prod(row[i] for i, row in enumerate(echelon))
 
 
-_MAX_ROWS = 2**15  # child rows that one level of the shell count may create (Leech norm 14: 32,476, norm 16: 40,158)
+_MAX_ROWS = 2**15  # child rows that one level of the shell count may create (Leech norm 20: 32,051, norm 22: 37,195)
 _INT64 = 2**62  # every int64 value of a level of the shell count stays below this
+
+
+@lru_cache(maxsize=4)
+def _gram(basis):
+    """The integer Gram matrix of a basis given as a tuple of tuples, as a
+    tuple of tuples of Python ints, built once per basis for
+    IntegerLattice.verify, IntegerLattice.gram8 and _flag."""
+    return tuple(tuple(sum(map(mul, r, s)) for s in basis) for r in basis)
 
 
 @lru_cache(maxsize=4)
@@ -338,7 +347,7 @@ def _flag(basis):
     max |P|, _packing(D, P)) with E = D_(k+1) and h' = (a h + b u^2) / c the
     step of _shells; a basis whose constants reach _INT64 is refused.
     """
-    gram = [[sum(a * b for a, b in zip(r, s)) for s in basis] for r in basis]
+    gram = _gram(basis)
     g = gcd(*(v for row in gram for v in row))
     g2 = gcd(2 * g, *(row[i] for i, row in enumerate(gram)))  # 2 G_ij for all i, j has gcd 2g
     gram = [[v // g for v in row] for row in gram]
@@ -406,6 +415,13 @@ def _shells(basis, target8: int) -> dict:
     one lexsort over the residues packed into int64 words.  At level 0 the
     states are the norms themselves.
 
+    A state also merges with its mirror image: x -> -x carries the
+    completions of y onto those of -y with the same norms, so (r', h') and
+    (-r' mod D_k, h') have one subtree, and each child keeps the lesser of
+    r' and -r' in the lexicographic order of their packed words.  That
+    halves the states, near enough: Leech norm 4 takes 17,551 rows, not
+    31,763, and the widest level of norm 20 fits under _MAX_ROWS.
+
     Every level bounds its int64 values in Python ints first and refuses
     past _INT64; a level of more than _MAX_ROWS child rows is refused too.
     """
@@ -445,8 +461,15 @@ def _shells(basis, target8: int) -> dict:
         # r' = base + x P mod D in packed words (_packing), x P mod D from a table over this level's x
         first = int(lo.min())
         step = np.multiply.outer(np.arange(first, int((lo + width).max())), P) % D @ weights
+        ones = weights.sum(axis=0)  # 1 at the bottom of every field
         r = (base % D @ weights)[parent] + step[x - first]
-        r -= ((r + add) >> F - 1 & weights.sum(axis=0)) * D
+        r -= ((r + add) >> F - 1 & ones) * D
+        if k:
+            # -r: every field D - r_j lies in [1, D], so no field borrows, and the fold turns D into 0
+            neg = D * ones - r
+            neg -= ((neg + add) >> F - 1 & ones) * D
+            at = np.arange(rows), (r != neg).argmax(axis=1)  # the first word where r and -r differ
+            r = np.where((neg[at] < r[at])[:, None], neg, r)
         key = np.column_stack([r, h])
         order = np.lexsort(key.T)
         key = key[order]

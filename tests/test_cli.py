@@ -263,6 +263,7 @@ PINNED_REPORTS = {
     "lattice golay-weights --format json": "fef23e302ed125bf46f88d84f61028e870016d0ec53d1f11f81d7cc5b222e97d",
     "lattice leech-shell --norm 2 --format json": "b125c5f79a1d2c7c4000b826c7d81227704410fb748d118f38bae6367e0b165c",
     "lattice leech-shell --format json": "bb24897e0beafcabb9f14669fdc0febbb334bf10b19d0b3c0e511591f970887d",
+    "lattice leech-shell --norm 20 --format json": "45529d0ed921b44ec6d8cf407e1efb559e267844b68a89d54823c65c1334be7c",
     "verify lemma --format json": "c5fc90afda7b7e3be5e15216bf48b85a61beaafcb28bfca55f736bc3bc1e9752",
     "verify delta --format json": "81319869b19f59806af75aee356fc367573efcaed90a781ba19589fe6013d036",
     "verify hecke --format json": "06546c8a163d051fcce507f9de9923097c9628611693482a0bd15331f38d0013",

@@ -31,6 +31,15 @@ def test_golay_weight_distribution(golay):
     assert golay.weight_distribution() == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 
 
+def test_weight_distribution_is_a_copy(golay):
+    # the distribution is counted once per code; a caller's edits stay in its own copy
+    dist = golay.weight_distribution()
+    dist[8] = 0
+    dist[4] = 1
+    assert golay.weight_distribution() == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+    assert golay.weight_distribution() is not golay.weight_distribution()
+
+
 def test_golay_no_weight_four_words(golay):
     assert all(w != 4 for w in golay.weight_distribution())
 
@@ -221,11 +230,38 @@ def test_shells_negative_controls(leech, monkeypatch):
 
 
 def test_shell_count_refuses_beyond_the_node_ceiling(leech):
-    """A level past _MAX_ROWS child rows is refused; Leech norm 14 stays
-    under it (32,476 rows at its widest level) and norm 16 does not."""
-    with pytest.raises(ValidationError, match="norm 16 needs about 34870 enumeration nodes, more than the 32768 allowed"):
-        leech.shell_count(16)
-    assert leech.shell_count(14) == leech_theta(8)[7]
+    """A level past _MAX_ROWS child rows is refused; with each state merged
+    with its mirror image, Leech norm 20 stays under it (32,051 rows at its
+    widest level) and norm 22 does not."""
+    with pytest.raises(ValidationError, match="norm 22 needs about 37195 enumeration nodes, more than the 32768 allowed"):
+        leech.shell_count(22)
+    assert leech.shell_count(20) == leech_theta(11)[10]
+
+
+def test_mirror_merge_reads_every_packed_word(monkeypatch):
+    """Rows 16 e_i (i < 11) and (8, 0, ..., 0, 1, 1): the top level has
+    D = 16, so its 11 residues fill two packed words, and the class y P of
+    x_11 = y agrees with its mirror -y P on the first word (8y = -8y mod 16)
+    but not on the second (y against -y).  Each y merges with -y, so no
+    level passes 33 rows (a merge that read only the first word needs 54),
+    and the counts equal a direct sum over y of independent coordinates."""
+    basis = [[16 * (j == i) for j in range(12)] for i in range(11)] + [[8] + [0] * 9 + [1, 1]]
+    target = 256
+    want = Counter()
+    for y in range(-isqrt(target), isqrt(target) + 1):
+        # v = (16 x_0 + 8y, 16 x_1, ..., 16 x_9, 16 x_10 + y, y)
+        norms = Counter({y * y: 1})
+        for shift in [8 * y] + [0] * 9 + [y]:
+            squares = [(16 * x + shift) ** 2 for x in range(-10, 11)]
+            wider = Counter()
+            for n, c in norms.items():
+                for s in squares:
+                    if n + s <= target:
+                        wider[n + s] += c
+            norms = wider
+        want.update(norms)
+    monkeypatch.setattr(lattice, "_MAX_ROWS", 33)
+    assert _shells(basis, target) == dict(want)
 
 
 def exact_gram_schmidt(basis):
@@ -334,11 +370,12 @@ def leech_theta(order):
 
 
 def test_theta_series_second_opinion(leech):
-    """Every shell through norm 12 from one _shells pass equals the theta
+    """Every shell through norm 20 from one _shells pass equals the theta
     series E4^3 - 720 Delta, whose q^m coefficient counts norm 2m."""
-    theta = leech_theta(7)
-    assert theta == [1, 0, 196560, 16773120, 398034000, 4629381120, 34417656000]
-    shells = _shells(leech.basis, 8 * 12)
+    theta = leech_theta(11)
+    assert theta == [1, 0, 196560, 16773120, 398034000, 4629381120, 34417656000, 187489935360,
+                     814879774800, 2975551488000, 9486551299680]
+    shells = _shells(leech.basis, 8 * 20)
     assert shells == {16 * m: c for m, c in enumerate(theta) if c}
     assert theta[2] == leech.shell_count(4)
     # Conway: every class of Leech/2Leech has a representative of norm at
