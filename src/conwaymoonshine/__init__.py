@@ -4,7 +4,7 @@ q-series and cyclotomic kernels, Frame shapes and their eta quotients, the
 machine checks of every identity tying them together.
 """
 
-from .cyclotomic import CycNumber, cyclotomic_polynomial, zeta
+from .cyclotomic import CycNumber, cyclotomic_polynomial
 from .errors import (
     MembershipError,
     MoonshineError,
@@ -27,7 +27,6 @@ __all__ = [
     "MoonshineError",
     "eta",
     "parse_frame_shape",
-    "zeta",
     "cyclotomic_polynomial",
 ]
 

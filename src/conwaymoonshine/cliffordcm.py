@@ -20,12 +20,13 @@ squared in one pass and shown to be products of the 12 generator words, so
 only those 12 need to act on t v.  A word acts on a dense state as one
 gather (the image entry's source and phase) and one shift (its power of
 two), from int16 and int8 tables built on a table's first application and
-kept on it.  t updates a state in place from the kept tables of the lift's 12
-generator words.  n1_checks proves <e_C t v, t v> = 0 for all 10,902 C of size
-2 or 4 from four exact facts about the generator words W: (a) W t v = t v,
-(b) W^2 = 1, (c) W is self-adjoint for the invariant form, and (d) some
-generator meets C in an odd number of points, so e_C W = -W e_C.  Nothing
-irrational is stored; only even-length words act on dense states.
+kept on it.  t is applied one factor (1 + W)/2 at a time, W each of the
+lift's 12 generator words, through WordTable.images.  n1_checks proves
+<e_C t v, t v> = 0 for all 10,902 C of size 2 or 4 from four exact facts
+about the generator words W: (a) W t v = t v, (b) W^2 = 1, (c) W is
+self-adjoint for the invariant form, and (d) some generator meets C in an odd
+number of points, so e_C W = -W e_C.  Nothing irrational is stored; only
+even-length words act on dense states.
 """
 
 from __future__ import annotations
@@ -161,12 +162,6 @@ class DenseState:
         return int(np.count_nonzero(self.re | self.im))
 
 
-def _unit_power(u: int, t: int) -> CycNumber:
-    """i^u * 2^t as a level-4 number."""
-    re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[u & 3]
-    return CycNumber(4, (re * Fraction(2) ** t, im * Fraction(2) ** t))
-
-
 # Pair k of sqrt(2)^|C| e_C, by which of e_(2k+1) (bit 0) and e_(2k+2) (bit 1)
 # C holds: (ua, ta, ub, tb) with input bit 0 -> i^ua 2^ta and input bit 1 ->
 # i^ub 2^tb.  A pair holding one of the two is toggled; an odd number of
@@ -187,13 +182,9 @@ def _affine(c0, d):
     return (high[:, :, None] + low[:, None, :]).reshape(len(d), DIM)
 
 
-def _rotations(x, y, out, k=0):
-    """i^u (x + i y) / 2^k for u = 0..3 into out: Im at u * DIM + S, Re one block later."""
-    np.right_shift(y, k, out=out[:DIM])
-    np.right_shift(x, k, out=out[DIM:2 * DIM])
-    np.negative(out[:2 * DIM], out=out[2 * DIM:4 * DIM])
-    out[4 * DIM:] = out[:DIM]
-    return out
+def _rotations(x, y):
+    """i^u (x + i y) for u = 0..3: Im at u * DIM + S, Re one block later."""
+    return np.concatenate((y, x, -y, -x, y))
 
 
 def _check_headroom(bits: int, size: int):
@@ -293,24 +284,6 @@ class WordTable:
         return bool(((u - u[r] - _PAIR_SIGNS[_ARANGE ^ toggle] + _PAIR_SIGNS) % 4 == 0).all()
                     and (t == t[r]).all())
 
-    def trace(self) -> CycNumber:
-        """0 unless no pair is toggled; then the sum over S factors as
-        i^u0 2^t0 prod_k (1 + i^du_k 2^dt_k).  An odd word holds one
-        generator of some pair, so it toggles that pair: its trace is 0."""
-        (toggle,), (u0,), (t0,), (du,), (dt,) = (
-            f.tolist() for f in (self.toggle, self.u0, self.t0, self.du, self.dt))
-        if toggle:
-            return CycNumber.from_rational(0, 4)
-        total = _unit_power(u0, t0)
-        for d, t in zip(du, dt):
-            total = total * (_unit_power(d, t) + 1)
-        return total
-
-    def supertrace(self) -> CycNumber:
-        """str_CM = tr(zz * self), zz = e_1 e_2 ... e_24 the lift of -Id
-        fixed by the polarization; it acts on m_S as (-1)^|S|."""
-        return (WordTable((1 << NGEN) - 1) * self).trace()
-
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
         that keeps every image entry integral."""
@@ -336,7 +309,7 @@ class WordTable:
         shift by T(S) + shift, both from `_tables`."""
         idx, t, shift, bits = self._tables()
         _check_headroom(bits, state.max_abs().bit_length())
-        rotated = _rotations(state.re, state.im, np.empty(5 * DIM, dtype=np.int64))
+        rotated = _rotations(state.re, state.im)
         return rotated[DIM:].take(idx) << t, rotated.take(idx) << t, shift
 
     def _tables(self):
@@ -394,11 +367,8 @@ class GolayLift:
     factors: t = 2^(-12) sum_C s(C) e_C = prod_j (1 + s(G_j) e_{G_j})/2.
     """
 
-    def __init__(self, code, frame=None, generator_signs=None):
+    def __init__(self, code, generator_signs=None):
         self.code = code
-        self.frame = tuple(frame) if frame is not None else None
-        if self.frame is not None and len(self.frame) != NGEN:
-            raise ValidationError("coordinate frame must have 24 vectors")
         ngen = len(code.generators)
         self.generator_signs = tuple((1,) * ngen if generator_signs is None else generator_signs)
         if len(self.generator_signs) != ngen:
@@ -493,27 +463,16 @@ class GolayLift:
     # -- the idempotent t = prod_j (1 + s(G_j) e_{G_j})/2 ---------------------
 
     def apply_t_dense(self, dense: DenseState) -> DenseState:
-        """t applied factor by factor as (state + W_j state)/2 in place, on a copy of dense and
-        one rotation buffer.  Before each factor and at the end, one or-reduction of
-        |re| | |im| gives the common power of two to take out and the bits left."""
+        """t applied factor by factor as (state + W_j state)/2, each image W_j state from the
+        generator word's kept tables, the state in normal form after each factor."""
         if dense.max_abs() > _INPUT_LIMIT:
             raise ValidationError("dense state too large for the exact int64 path")
-        re, im, e = dense.re.copy(), dense.im.copy(), dense.e
-        rotated = np.empty(5 * DIM, dtype=np.int64)
-        for word in (*self._generators, None):
-            bits = int(np.bitwise_or.reduce(np.abs(re, out=rotated[:DIM]) | np.abs(im, out=rotated[DIM:2 * DIM])))
-            k = min(e, (bits & -bits).bit_length() - 1) if bits else e
-            e -= k
-            if word is None:
-                return DenseState(re >> k, im >> k, e)
-            (idx,), (t,), shift, top = word._tables()
-            _check_headroom(top, (bits >> k).bit_length())
-            _rotations(re, im, rotated, k)
-            idx, shift = idx.astype(np.intp), shift.item()
-            for part, src in ((re, rotated[DIM:]), (im, rotated)):  # src[:DIM] is part / 2^k
-                np.left_shift(src[:DIM], shift, out=part)
-                part += src.take(idx) << t
-            e += shift + 1
+        state = dense.reduced()
+        for word in self._generators:
+            (re,), (im,), shift = word.images(state)
+            shift = shift.item()
+            state = DenseState((state.re << shift) + re, (state.im << shift) + im, state.e + shift + 1).reduced()
+        return state
 
     def invariant_vector(self) -> DenseState:
         """t v, the image of the ground state under the idempotent."""
@@ -523,7 +482,9 @@ class GolayLift:
 def golay_lift_section(code, frame=None) -> GolayLift:
     """The lift with every generator sign +1.  For the Golay code its t v is
     nonzero; n1_checks refuses a section whose t v is zero."""
-    return GolayLift(code, frame)
+    # frame is accepted and not read: perfbench/workloads.py still passes it, and the
+    # benchmark's workloads stay fixed so that its runs compare across commits
+    return GolayLift(code)
 
 
 def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):

@@ -234,14 +234,3 @@ class CycNumber:
                 terms.append("%s*z^%d" % (c, j) if j else str(c))
         body = " + ".join(terms) if terms else "0"
         return "%s @ level %d" % (body, self.level)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "coords": [[c.numerator, c.denominator] for c in self.coords],
-        }
-
-
-def zeta(n: int, k: int = 1) -> CycNumber:
-    """The root of unity e^(2*pi*i*k/n) as an exact cyclotomic number."""
-    return CycNumber.from_exponents(n, {k: 1})

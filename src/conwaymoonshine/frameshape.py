@@ -44,9 +44,6 @@ class FrameShape:
 
     # -- basic data ------------------------------------------------------
 
-    def degree(self) -> int:
-        return sum(m * k for m, k in self.exps.items())
-
     def chi(self) -> int:
         """Trace on the 24-dimensional space: the exponent of 1."""
         return self.exps.get(1, 0)
@@ -132,9 +129,6 @@ class FrameShape:
 
     def __hash__(self):
         return hash(tuple(sorted(self.exps.items())))
-
-    def to_json(self):
-        return [[m, k] for m, k in sorted(self.exps.items())]
 
 
 def _root_multiplicities(exps):

@@ -273,11 +273,6 @@ def sign_change_frameshape(codeword: int, code: BinaryCode):
     return shape, LENGTH - 2 * w
 
 
-def apply_sign_change(codeword: int, x):
-    """Act on scaled coordinates by the sign change of a codeword."""
-    return tuple(-c if codeword >> i & 1 else c for i, c in enumerate(x))
-
-
 # -- linear algebra helpers ---------------------------------------------------
 
 

@@ -58,9 +58,6 @@ class GroupLabel:
             return base + "+"
         return base + "+" + ",".join(str(e) for e in sorted(self.al_set))
 
-    def to_json(self):
-        return {"n": self.n, "h": self.h, "al": sorted(self.al_set), "minus": self.minus}
-
 
 def _label_fault(n: int, h: int, al) -> tuple | None:
     """The first of n, h and the Atkin-Lehner divisors `al` (in their order)

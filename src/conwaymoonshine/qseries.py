@@ -61,15 +61,6 @@ class FracPowerSeries:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def monomial(coeff, expo, order) -> "FracPowerSeries":
-        expo = Fraction(expo)
-        order = Fraction(order)
-        if expo >= order:
-            raise PrecisionError("exponent %s not below order %s" % (expo, order))
-        k = expo.denominator
-        return FracPowerSeries(k, {expo.numerator: coeff}, order)
-
-    @staticmethod
     def from_fraction_terms(pairs, order) -> "FracPowerSeries":
         """Build a series from (Fraction exponent, coeff) pairs."""
         order = Fraction(order)
@@ -212,12 +203,6 @@ class FracPowerSeries:
             raise ValueError("scale factor must be positive")
         pairs = [(Fraction(p, self.denom) * s, c) for p, c in self.terms.items()]
         return FracPowerSeries.from_fraction_terms(pairs, self.order * s)
-
-    def shifted(self, expo) -> "FracPowerSeries":
-        """Multiply by the exact monomial q^expo: exponents and order move."""
-        expo = Fraction(expo)
-        pairs = [(Fraction(p, self.denom) + expo, c) for p, c in self.terms.items()]
-        return FracPowerSeries.from_fraction_terms(pairs, self.order + expo)
 
     # -- comparison --------------------------------------------------------
 

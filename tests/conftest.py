@@ -20,5 +20,5 @@ def frame(leech):
 
 
 @pytest.fixture(scope="session")
-def lift(golay, frame):
-    return golay_lift_section(golay, frame)
+def lift(golay):
+    return golay_lift_section(golay)

@@ -19,6 +19,7 @@ from conwaymoonshine.fockoracle import (
 from conwaymoonshine.frameshape import parse
 from conwaymoonshine.moonshine import T_s, derived_partner, t_tilde
 from conwaymoonshine.qseries import FracPowerSeries as S
+from test_qseries import monomial, shifted
 
 IDENT = parse("1^24")
 ORACLE_CLASSES = ("2A", "3A", "4A", "6C")
@@ -68,10 +69,10 @@ def test_twisted_matches_scaled_eta():
 def test_twisted_2a_explicit_product():
     ms = ModeSystem.from_shape(lookup("2A").frame_shape, TWISTED, 6)
     oracle = twisted_supertrace(ms, 4096)
-    prod = S.monomial(1, 0, 6)
+    prod = monomial(1, 0, 6)
     for n in range(1, 6):
-        prod = prod * (S.monomial(1, 0, 6) + S.monomial(1, n, 6)) ** 24
-    assert oracle.agrees_with(prod.shifted(1) * 4096)
+        prod = prod * (monomial(1, 0, 6) + monomial(1, n, 6)) ** 24
+    assert oracle.agrees_with(shifted(prod, 1) * 4096)
 
 
 def test_twisted_valuation_anchor():

@@ -23,6 +23,7 @@ from conwaymoonshine.moonshine import (
     verify_hecke,
 )
 from conwaymoonshine.qseries import FracPowerSeries as S, eta_product
+from test_qseries import monomial, shifted
 
 IDENT = parse("1^24")
 
@@ -122,12 +123,12 @@ def test_T_s_tw_monster_class_relation_for_2a():
     # monster partner series
     rec = lookup("2A")
     inv_eta = rec.frame_shape.eta_quotient(1, 20).invert()
-    odd = S.monomial(1, 0, 21)
+    odd = monomial(1, 0, 21)
     n = 1
     while 2 * n - 1 < 21:
-        odd = odd * (S.monomial(1, 0, 21) - S.monomial(1, 2 * n - 1, 21)) ** 24
+        odd = odd * (monomial(1, 0, 21) - monomial(1, 2 * n - 1, 21)) ** 24
         n += 1
-    assert inv_eta.agrees_with(odd.shifted(-1))
+    assert inv_eta.agrees_with(shifted(odd, -1))
 
 
 def test_solve_c_neg_registry_spot_values():

@@ -417,7 +417,7 @@ def fixed_point_candidates(draw, lift, other):
             if cmask not in span:
                 gens.append(cmask)
                 span |= {c ^ cmask for c in span}
-        part = GolayLift(SimpleNamespace(generators=gens), None, [lift.section[c] for c in gens])
+        part = GolayLift(SimpleNamespace(generators=gens), [lift.section[c] for c in gens])
         state = part.apply_t_dense(draw(small_states()))
         assume(state.nonzero_count())
         return state
@@ -437,7 +437,7 @@ def test_verify_fixed_agrees_with_direct_sweep(golay, lift, data):
     """verify_fixed passes exactly when no lifted word moves the state, as a
     sweep over all 4096 words finds, and otherwise names the first generator
     in the code's order that moves it."""
-    other = GolayLift(golay, None, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
+    other = GolayLift(golay, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
     state = data.draw(fixed_point_candidates(lift, other))
     if first_moving(lift, state) is None:
         assert lift.verify_fixed(state)
