@@ -133,6 +133,7 @@ class IntegerLattice:
         self._echelon = _integer_row_basis(self.basis)
         if len(self._echelon) != LENGTH:
             raise ValidationError("basis rows are linearly dependent")
+        self._theta = (-1, {})  # the widest _shells pass made for this lattice: (target8, {norm8: count})
 
     def gram8(self):
         """Integer matrix of scaled dot products b_i . b_j (= 8 * Gram), a
@@ -155,7 +156,8 @@ class IntegerLattice:
         return not any(x)
 
     def verify(self):
-        """Even, determinant one, no vectors of norm below 4."""
+        """Even, determinant one, no vectors of norm below 4: norm 2 is read
+        from one _shells pass through norm 4, which shell_count(4) reuses."""
         g8 = _gram(self.basis)  # 8 * Gram: integral means 0 mod 8, even means 0 mod 16
         for i, row in enumerate(g8):
             if row[i] % 16:
@@ -167,15 +169,24 @@ class IntegerLattice:
         if det != 1:
             raise ValidationError("Gram determinant %s != 1" % det)
         # an integral Gram matrix with even diagonal gives even norms, so 2 is the only one below 4
-        if self.shell_count(2):
+        if self._counts(32).get(16):
             raise ValidationError("unexpected vectors of norm 2")
         return True
 
     def shell_count(self, norm: int) -> int:
-        """Number of lattice vectors of the given norm, by the exact dynamic
-        program over the Gram-Schmidt flag (_shells); ValidationError when a
-        level would need more than _MAX_ROWS rows or values past int64."""
-        return _shell_count(self.basis, 8 * norm)
+        """Number of lattice vectors of the given norm: 0 at once for a norm
+        that g2 (_flag) does not divide, else read from the widest pass of
+        the exact dynamic program over the Gram-Schmidt flag (_shells) made
+        for this lattice (_counts).  ValidationError when a level would need
+        more than _MAX_ROWS rows or values past int64."""
+        target8 = 8 * norm
+        return 0 if target8 % _flag(self.basis)[1] else self._counts(target8).get(target8, 0)
+
+    def _counts(self, target8: int) -> dict:
+        """{norm8: count} through at least target8: a pass to T cut at t <= T is the pass to t."""
+        if target8 > self._theta[0]:
+            self._theta = target8, _shells(self.basis, target8)
+        return self._theta[1]
 
     def __repr__(self):
         return "IntegerLattice(rank 24, det %s)" % self.gram_determinant()
@@ -246,11 +257,7 @@ def coordinate_frame(lat: IntegerLattice):
     """The 24 frame vectors 8 e_i, checked to lie in the lattice and to be
     congruent mod 2*Lattice.  They are orthogonal of norm 8 by construction:
     (8 e_i . 8 e_j)/8 = 8 delta_ij."""
-    frame = []
-    for i in range(LENGTH):
-        v = [0] * LENGTH
-        v[i] = 8
-        frame.append(tuple(v))
+    frame = [tuple(8 * (j == i) for j in range(LENGTH)) for i in range(LENGTH)]
     for i, v in enumerate(frame):
         if not lat.contains(v):
             raise ValidationError("frame vector %d is not in the lattice" % i)
@@ -374,7 +381,7 @@ def _flag(basis):
 
 
 def _packing(D, P):
-    """(P, weights, add, cols, shifts, F): residues mod D packed F =
+    """(P, weights, ones, add, cols, shifts, F): residues mod D packed F =
     bit_length(D) + 1 bits to a field, 63 // F fields to an int64 word.  A
     residue row times weights (k x W) is its packed words.  A field of a sum
     of two packed rows holds v < 2D; after adding `add` (2^(F-1) - D in
@@ -387,7 +394,8 @@ def _packing(D, P):
     weights = np.zeros((k, -(-k // per)), dtype=np.int64)
     weights[j, j // per] = 1 << F * (j % per)
     P = np.array(P, dtype=np.int64).reshape(k)
-    return P, weights, ((1 << F - 1) - D) * weights.sum(axis=0), j // per, F * (j % per), F
+    ones = weights.sum(axis=0)  # 1 at the bottom of every field
+    return P, weights, ones, ((1 << F - 1) - D) * ones, j // per, F * (j % per), F
 
 
 def _shells(basis, target8: int) -> dict:
@@ -428,7 +436,7 @@ def _shells(basis, target8: int) -> dict:
     H = np.zeros(1, dtype=np.int64)
     C = np.ones(1, dtype=np.int64)
     for k in reversed(range(len(levels))):
-        D, E, a, b, c, pmax, (P, weights, add, cols, shifts, F) = levels[k]
+        D, E, a, b, c, pmax, (P, weights, ones, add, cols, shifts, F) = levels[k]
         limit = c * D * top  # a h + b u^2 <= limit, |x_k| <= xmax, and a state has at most 2 xmax children
         xmax = isqrt(limit // b) // E + 1
         need = max(limit, xmax * pmax, int(C.sum()) * 2 * xmax)
@@ -456,7 +464,6 @@ def _shells(basis, target8: int) -> dict:
         # r' = base + x P mod D in packed words (_packing), x P mod D from a table over this level's x
         first = int(lo.min())
         step = np.multiply.outer(np.arange(first, int((lo + width).max())), P) % D @ weights
-        ones = weights.sum(axis=0)  # 1 at the bottom of every field
         r = (base % D @ weights)[parent] + step[x - first]
         r -= ((r + add) >> F - 1 & ones) * D
         if k:
@@ -474,10 +481,3 @@ def _shells(basis, target8: int) -> dict:
         R = key[:, cols] >> shifts & (1 << F) - 1
         H = key[:, -1]
     return {g * norm: count for norm, count in zip(H.tolist(), C.tolist())}
-
-
-def _shell_count(basis, target8: int) -> int:
-    """Count lattice vectors x.B with scaled norm |x.B|^2 == target8 (= 8*norm): one entry of _shells,
-    or 0 at once for a target that g2 (_flag), which divides every norm, does not divide."""
-    basis = tuple(map(tuple, basis))
-    return 0 if target8 % _flag(basis)[1] else _shells(basis, target8).get(target8, 0)

@@ -269,8 +269,8 @@ class FracPowerSeries:
     def to_json(self) -> dict:
         rows = []
         for p in sorted(self.terms):
-            c = Fraction(self.terms[p])
-            rows.append([p, self.denom, c.numerator, c.denominator])
+            c, g = Fraction(self.terms[p]), gcd(p, self.denom)  # each exponent in lowest terms, as in to_text
+            rows.append([p // g, self.denom // g, c.numerator, c.denominator])
         return {
             "terms": rows,
             "order": [self.order.numerator, self.order.denominator],

@@ -274,8 +274,8 @@ PINNED_REPORTS = {
     "verify lemma --class 60B --order 2 --format json": "04c45d9e51e45873ad449743159c26bff985ab78afc7d92aec45c2412de07ab3",
     "oracle spinor --class 2A --format json": "6b9b1848460f12665037f50b7183c482e255627362cb7e67142de12abb2c43f3",
     "oracle fock --class 2A --format json": "e22a8190841b2ca9ec9ea556636241065ef59d09db0ee7ccfa0baf9c155c6eea",
-    "series --class 2A --which tw --format json": "6edcd1c0335148b125faf89cdc6c96a2dec54b24aaba933382d76ee7a9993f80",
-    # C = 0: eta_pi * 0 is on grid 1, so the one term row is [0, 1, -24, 1], not eta_pi's grid [0, 24, -24, 1]
+    "series --class 2A --which tw --format json": "f2cc497090d2868947021bbeb5c9621cf3486b37cfffcb76f96e47e5a4fe8bf9",
+    # C = 0: the one term row is [0, 1, -24, 1]; rows are in lowest terms, whatever the series' grid
     "series --shape 1^24 --which tw --format json": "0cbf59417ca372aa995b46f9f0711456781877365d2e4e8ba201d0a1184aab57",
     "table --format csv": "a8460c8bfa9aead171c7241f16e528dc43a801bf96d74d9b5153ced9dd071366",
 }

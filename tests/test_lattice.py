@@ -1,9 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from math import ceil, isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,6 @@ from conwaymoonshine.lattice import (
     _integer_row_basis,
     _leech_congruences,
     _leech_generators,
-    _shell_count,
     _shells,
 )
 from conwaymoonshine.qseries import FracPowerSeries, eta_product
@@ -77,6 +80,15 @@ def test_leech_no_short_vectors(leech):
         assert leech.shell_count(norm) == 0
 
 
+def shell_count(basis, target8):
+    """Count the vectors x.B of scaled norm target8 for any integer basis:
+    one entry of a _shells pass, or 0 at once for a target that g2 (_flag),
+    which divides every norm, does not divide.  IntegerLattice.shell_count
+    does the same for its rank-24 bases, from the pass it keeps."""
+    basis = tuple(map(tuple, basis))
+    return 0 if target8 % lattice._flag(basis)[1] else lattice._shells(basis, target8).get(target8, 0)
+
+
 def e8_doubled_basis():
     """E8 in doubled coordinates: integer vectors, all even or all odd, with
     coordinate sum divisible by 4 (norm 2 becomes 8)."""
@@ -90,7 +102,7 @@ def test_e8_shells_in_doubled_coordinates():
     basis = e8_doubled_basis()
     assert len(basis) == 8
     for b in (basis, lll_reduce(basis)):
-        assert [_shell_count(b, t) for t in (0, 4, 8, 12, 16)] == [1, 0, 240, 0, 2160]
+        assert [shell_count(b, t) for t in (0, 4, 8, 12, 16)] == [1, 0, 240, 0, 2160]
 
 
 def box_norms(basis, target):
@@ -114,7 +126,7 @@ def test_shell_count_matches_box_enumeration():
         norms = box_norms(basis, 24)
         for target in range(25):
             want = np.count_nonzero(norms == target)
-            assert _shell_count(basis, target) == want == _shell_count(lll_reduce(basis), target)
+            assert shell_count(basis, target) == want == shell_count(lll_reduce(basis), target)
         checked += 1
 
 
@@ -148,24 +160,24 @@ def test_norms_that_parity_rules_out_skip_the_dynamic_program(leech, monkeypatch
     monkeypatch.setattr(lattice, "_shells", lambda basis, t: entered.append(t) or shells(basis, t))
     assert [leech.shell_count(norm) for norm in (1, 3, 5)] == [0, 0, 0]
     e8 = e8_doubled_basis()
-    assert [_shell_count(e8, t) for t in (4, 12, 20, 28)] == [0, 0, 0, 0]
+    assert [shell_count(e8, t) for t in (4, 12, 20, 28)] == [0, 0, 0, 0]
     assert entered == []
-    assert _shell_count([[1, 0], [0, 1]], 1) == 4 and entered == [1]
+    assert shell_count([[1, 0], [0, 1]], 1) == 4 and entered == [1]
     assert [lattice._flag(tuple(map(tuple, b)))[1] for b in (leech.basis, e8, [[1, 0], [0, 1]])] == [16, 8, 1]
 
 
 def test_shell_count_guards():
-    assert _shell_count([[1]], -1) == 0
-    assert _shell_count([[1]], 127**2) == 2
+    assert shell_count([[1]], -1) == 0
+    assert shell_count([[1]], 127**2) == 2
     # past int8 coordinates and past exact float64 Gram entries, which the
     # Fincke-Pohst walk refused
-    assert _shell_count([[1]], 128**2) == 2
-    assert _shell_count([[2**30, 0], [0, 1]], 4) == 2
+    assert shell_count([[1]], 128**2) == 2
+    assert shell_count([[2**30, 0], [0, 1]], 4) == 2
     # P_1 = 2^60 and 2^61: the level's constants bound (E + D)(D + |P|) =
     # 2 (1 + |P|) against 2^62; the vectors of norm 1 are +-b_0 and +-(b_1 - |P| b_0)
-    assert _shell_count([[1, 0], [2**60, 1]], 1) == 4
+    assert shell_count([[1, 0], [2**60, 1]], 1) == 4
     with pytest.raises(ValidationError, match="int64"):
-        _shell_count([[1, 0], [2**61, 1]], 1)
+        shell_count([[1, 0], [2**61, 1]], 1)
 
 
 def theta_z(rank, order):
@@ -206,8 +218,8 @@ def test_int64_guard_at_its_bound():
     basis = [[s, s], [0, s]]
     norms = box_norms(basis, 5 * s * s)
     for k in range(6):
-        assert _shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
-    assert _shell_count(basis, s * s + 1) == 0
+        assert shell_count(basis, k * s * s) == np.count_nonzero(norms == k * s * s)
+    assert shell_count(basis, s * s + 1) == 0
 
 
 def test_shells_negative_controls(leech, monkeypatch):
@@ -224,7 +236,8 @@ def test_shells_negative_controls(leech, monkeypatch):
             return g, g2, [level[:-1] + (lattice._packing(level[0], wrong(level[-1][0].tolist())),) for level in levels]
 
         monkeypatch.setattr(lattice, "_flag", shifted)
-        for lat, norm in ((leech, 4), (e8_cubed(), 2)):
+        # fresh lattices: the leech fixture keeps the pass its verify() made
+        for lat, norm in ((IntegerLattice(leech.basis), 4), (e8_cubed(), 2)):
             with pytest.raises(ValidationError, match="inexact division"):
                 lat.shell_count(norm)
 
@@ -437,16 +450,67 @@ def test_lattice_refusals():
 
 
 def spy_walks(monkeypatch):
-    """The targets of the _shell_count walks made from now on."""
-    walks, count = [], lattice._shell_count
-    monkeypatch.setattr(lattice, "_shell_count", lambda basis, t: walks.append(t) or count(basis, t))
+    """The targets of the _shells passes made from now on."""
+    walks, shells = [], lattice._shells
+    monkeypatch.setattr(lattice, "_shells", lambda basis, t: walks.append(t) or shells(basis, t))
     return walks
 
 
 def test_verify_walks_once(leech, monkeypatch):
+    """verify() makes one pass, through norm 4 (norms 1 and 3 are odd, ruled
+    out by the Gram checks), and the lattice keeps it: shells 1 to 4 read it,
+    and only a wider target, norm 6, makes a new pass."""
     walks = spy_walks(monkeypatch)
-    assert leech.verify()
-    assert walks == [16]  # norm 2; norms 1 and 3 are odd, ruled out by the Gram checks
+    lat = IntegerLattice(leech.basis)
+    assert lat.verify()
+    assert walks == [32]
+    assert [lat.shell_count(norm) for norm in (1, 2, 3, 4)] == [0, 0, 0, 196560]
+    assert walks == [32]
+    assert lat.shell_count(6) == 16773120 and lat.shell_count(4) == 196560
+    assert walks == [32, 48]
+
+
+def test_a_pass_cut_at_a_lower_target_is_the_pass_to_it(leech):
+    """What lets a lattice keep one pass: a _shells pass to T cut at t <= T
+    equals the pass to t, on Leech for t = 0, 8, ..., 40 with T = 48, and
+    on seeded random bases of rank 1 to 7 for every t through T = 40."""
+    full = _shells(leech.basis, 48)
+    for t in range(0, 41, 8):
+        assert _shells(leech.basis, t) == {n: c for n, c in full.items() if n <= t}
+    rng = random.Random(11)
+    checked = 0
+    while checked < 21:
+        rank = 1 + checked % 7
+        basis = [[rng.randrange(-4, 5) for _ in range(rank)] for _ in range(rank)]
+        if abs(np.linalg.det(np.array(basis, dtype=float))) < 0.5:
+            continue
+        full = _shells(basis, 40)
+        for t in range(41):
+            assert _shells(basis, t) == {n: c for n, c in full.items() if n <= t}
+        checked += 1
+
+
+ONE_PASS = """
+import sys
+from conwaymoonshine import cli, lattice
+passes, shells = [], lattice._shells
+lattice._shells = lambda basis, t: passes.append(t) or shells(basis, t)
+code = cli.main(sys.argv[1:])
+print(passes)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [["lattice", "leech-shell"], ["lattice", "leech-shell", "--norm", "2"]])
+def test_leech_shell_makes_one_pass_in_a_fresh_interpreter(argv):
+    """build_leech's verify() and the count share one pass through norm 4,
+    counted by a spy on _shells in a fresh interpreter, where no cached
+    lattice holds a pass already."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", ONE_PASS, *argv], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[32]"
 
 
 def test_verify_refuses_an_odd_norm_before_walking(monkeypatch):

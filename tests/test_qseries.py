@@ -237,20 +237,35 @@ def test_eta_product_grid_is_lcm_of_factor_grids():
     assert parse("1^24").eta_quotient(1, 3).denom == 24
     assert eta_product({3: 8}, 4).denom == 8
     assert eta_product({F(1, 2): 1, 3: -1}, 4).denom == 48
-    rows = {
+    rows = {  # to_json writes each exponent in lowest terms, so the grids are checked apart
         "2A": (
-            [[-24, 48, 1, 1], [24, 48, 276, 1], [48, 48, 2048, 1], [72, 48, 11202, 1]],
-            [[0, 24, 24, 1], [24, 24, 4096, 1]],
+            [[-1, 2, 1, 1], [1, 2, 276, 1], [1, 1, 2048, 1], [3, 2, 11202, 1]],
+            [[0, 1, 24, 1], [1, 1, 4096, 1]],
         ),
         "30A": (
-            [[-24, 48, 1, 1], [24, 48, 3, 1], [48, 48, 1, 1]],
-            [[0, 24, 3, 1], [24, 24, 1, 1]],
+            [[-1, 2, 1, 1], [1, 2, 3, 1], [1, 1, 1, 1]],
+            [[0, 1, 3, 1], [1, 1, 1, 1]],
         ),
     }
     for name, (untwisted, twisted) in rows.items():
         rec = lookup(name)
-        assert T_s(rec.frame_shape, 2).to_json() == {"terms": untwisted, "order": [2, 1]}
-        assert T_s_tw(rec, 2).to_json() == {"terms": twisted, "order": [2, 1]}
+        s, tw = T_s(rec.frame_shape, 2), T_s_tw(rec, 2)
+        assert (s.denom, s.to_json()) == (48, {"terms": untwisted, "order": [2, 1]})
+        assert (tw.denom, tw.to_json()) == (24, {"terms": twisted, "order": [2, 1]})
+
+
+def test_json_rows_do_not_depend_on_the_grid():
+    """Equal series print equal JSON: the twisted constant of 1^24 at C = 0
+    is built on grid 1 (eta_pi * 0), and on eta_pi's grid 24 it prints the
+    same row [0, 1, -24, 1], read back to an equal series."""
+    on_1 = T_s_tw(parse("1^24"), 2, c_value=0)
+    on_24 = on_1.rescaled(24)
+    assert (on_1.denom, on_24.denom) == (1, 24) and on_1 == on_24
+    assert on_1.to_json() == on_24.to_json() == {"terms": [[0, 1, -24, 1]], "order": [2, 1]}
+    assert S.from_json(on_24.to_json()) == on_24
+    half = S(6, {-3: F(1, 2), 2: -4}, 1)
+    rows = [[-1, 2, 1, 2], [1, 3, -4, 1]]
+    assert half.to_json() == half.rescaled(12).to_json() == {"terms": rows, "order": [1, 1]}
 
 
 def test_hash_agrees_with_equality_across_grids():
@@ -419,7 +434,7 @@ def empty_eta_cache(monkeypatch):
 def assert_fresh(exps, order):
     got = eta_product(exps, order)
     want = fresh_eta_product(exps, order)
-    assert got == want and got.to_json() == want.to_json()
+    assert got == want and got.denom == want.denom and got.to_json() == want.to_json()
     return got
 
 
