@@ -93,24 +93,16 @@ def _twisted_scalar(pi, c_value):
 
 
 def cmd_series(args) -> int:
-    if args.c_value is not None and not (args.shape and args.which == "tw"):
+    if args.c_value is not None and not (args.shape is not None and args.which == "tw"):
         raise ValidationError("--c-value is read only with --shape and --which tw")
     order = Fraction(args.order)
-    if args.shape:
-        pi = parse_shape(args.shape)
-        name = args.shape
-        if args.which == "tw":
-            series = moonshine.T_s_tw(pi, order, c_value=_twisted_scalar(pi, args.c_value))
-        else:
-            series = moonshine.T_s(pi, order)
+    if args.shape is not None:
+        pi, name = parse_shape(args.shape), args.shape
+        c = _twisted_scalar(pi, args.c_value) if args.which == "tw" else None
     else:
         rec = classdata.lookup(args.klass)
-        name = rec.co0_name
-        series = (
-            moonshine.T_s_tw(rec, order)
-            if args.which == "tw"
-            else moonshine.T_s(rec.frame_shape, order)
-        )
+        pi, name, c = rec.frame_shape, rec.co0_name, rec.c_hat_g
+    series = moonshine.T_s_tw(pi, order, c_value=c) if args.which == "tw" else moonshine.T_s(pi, order)
     if args.format == "json":
         _emit({"class": name, "which": args.which, "series": series.to_json()}, "json")
     else:

@@ -20,7 +20,8 @@ class NotRationalError(MoonshineError):
 class ParseError(MoonshineError):
     """Grammar violation while parsing a Frame shape or group label.
 
-    Carries the offending position so callers can point at it.
+    Carries the offending position so callers can point at it; a group
+    label, read from the shipped table, is refused at position 0.
     """
 
     def __init__(self, message, text=None, position=None):

@@ -8,7 +8,7 @@ eigenvalue multiset (no negative multiplicities after cancellation).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import PairingError, ParseError, ValidationError
 from .qseries import FracPowerSeries, eta_product
@@ -134,12 +134,19 @@ class FrameShape:
 def _root_multiplicities(exps):
     """{d: multiplicity of each primitive d-th root of unity}.  The factor
     (1 - x^m)^(k_m) holds every d-th root of unity with d | m, so that
-    multiplicity is the divisor sum of k_m over the m that d divides."""
+    multiplicity is the divisor sum of k_m over the m that d divides.  Each
+    m adds its divisors in ascending order: FrameShape names the first
+    negative entry."""
     mult = {}
     for m, k in exps.items():
-        for d in range(1, m + 1):
+        high = []  # the divisors above sqrt(m), descending
+        for d in range(1, isqrt(m) + 1):
             if m % d == 0:
                 mult[d] = mult.get(d, 0) + k
+                if d * d != m:
+                    high.append(m // d)
+        for d in reversed(high):
+            mult[d] = mult.get(d, 0) + k
     return mult
 
 
@@ -183,17 +190,17 @@ def _scan_factors(half, full_text, offset):
         if ch in " \t.":
             i += 1
             continue
-        if not ch.isdigit():
+        if not ch.isdecimal():
             raise ParseError("expected a factor", full_text, offset + i)
         start = i
-        while i < len(half) and half[i].isdigit():
+        while i < len(half) and half[i].isdecimal():
             i += 1
         m = int(half[start:i])
         k = 1
         if i < len(half) and half[i] == "^":
             i += 1
             estart = i
-            while i < len(half) and half[i].isdigit():
+            while i < len(half) and half[i].isdecimal():
                 i += 1
             if estart == i:
                 raise ParseError("expected an exponent after '^'", full_text, offset + i)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -46,9 +47,16 @@ class GroupLabel:
     minus: bool
 
     def __post_init__(self):
-        fault = _label_fault(self.n, self.h, self.al_set)
-        if fault:
-            raise ValidationError(fault[1])
+        if self.n <= 0 or self.h <= 0:
+            raise ValidationError("level data must be positive")
+        if self.n % self.h:
+            raise ValidationError("h = %d must divide n = %d" % (self.h, self.n))
+        if 24 % self.h:
+            raise ValidationError("h = %d must divide 24" % self.h)
+        quotient = self.n // self.h
+        for e in sorted(self.al_set):
+            if e <= 0 or quotient % e or gcd(e, quotient // e) != 1:
+                raise ValidationError("%d is not an exact divisor of n/h = %d" % (e, quotient))
 
     def __str__(self):
         base = str(self.n) if self.h == 1 else "%d|%d" % (self.n, self.h)
@@ -59,74 +67,21 @@ class GroupLabel:
         return base + "+" + ",".join(str(e) for e in sorted(self.al_set))
 
 
-def _label_fault(n: int, h: int, al) -> tuple | None:
-    """The first of n, h and the Atkin-Lehner divisors `al` (in their order)
-    that breaks a condition on a group label, as (its index in (n, h, *al),
-    the message); None when they make a valid label."""
-    if n <= 0:
-        return 0, "level data must be positive"
-    if h <= 0:
-        return 1, "level data must be positive"
-    if n % h:
-        return 1, "h = %d must divide n = %d" % (h, n)
-    if 24 % h:
-        return 1, "h = %d must divide 24" % h
-    quotient = n // h
-    for index, e in enumerate(al, 2):
-        if e <= 0 or quotient % e or gcd(e, quotient // e) != 1:
-            return index, "%d is not an exact divisor of n/h = %d" % (e, quotient)
-    return None
+_LABEL = re.compile(r"(\d+)(?:\|(\d+))?(-|\+(?:\d+(?:,\d+)*)?)")
 
 
 def parse_label(text: str) -> GroupLabel:
-    """Parse labels like "2-", "12|2+6", "30+6,10,15".  Surrounding
-    whitespace is skipped; error positions index `text`, and a label whose
-    numbers break a condition of GroupLabel points at the number at fault."""
-    s = text.rstrip()
-    i = len(s) - len(s.lstrip())  # the label begins here
-    starts = []  # where n, h and each Atkin-Lehner divisor begin
-
-    def read_int(ctx):
-        nonlocal i
-        start = i
-        while i < len(s) and s[i].isdigit():
-            i += 1
-        if start == i:
-            raise ParseError("expected an integer (%s)" % ctx, text, start)
-        starts.append(start)
-        return int(s[start:i])
-
-    n = read_int("level")
-    h = 1
-    if i < len(s) and s[i] == "|":
-        i += 1
-        h = read_int("index divisor")
-    else:
-        starts.append(None)  # h = 1 breaks no condition
-    if i >= len(s):
-        raise ParseError("expected '-' or '+'", text, i)
-    al = []
-    minus = s[i] == "-"
-    if minus:
-        i += 1
-        if i != len(s):
-            raise ParseError("trailing input after '-'", text, i)
-    elif s[i] != "+":
-        raise ParseError("expected '-' or '+'", text, i)
-    else:
-        i += 1
-        if i < len(s):
-            while True:
-                al.append(read_int("Atkin-Lehner divisor"))
-                if i == len(s):
-                    break
-                if s[i] != ",":
-                    raise ParseError("expected ','", text, i)
-                i += 1
-    fault = _label_fault(n, h, al)
-    if fault:
-        raise ParseError(fault[1], text, starts[fault[0]])
-    return GroupLabel(n, h, frozenset(al), minus)
+    """Parse labels like "2-", "12|2+6", "30+6,10,15"; surrounding whitespace
+    is skipped.  A refused label raises ParseError at position 0."""
+    match = _LABEL.fullmatch(text.strip())
+    if match is None:
+        raise ParseError("expected a label n[|h]- or n[|h]+e,...", text, 0)
+    n, h, tail = match.groups()
+    al = frozenset(int(e) for e in tail[1:].split(",") if e)
+    try:
+        return GroupLabel(int(n), int(h or 1), al, tail == "-")
+    except ValidationError as exc:
+        raise ParseError(str(exc), text, 0) from exc
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ def test_every_row_is_fixed_point_free():
 
 def test_every_label_parses():
     for rec in registry():
-        parse_label(rec.gamma_tw_label)
+        assert str(parse_label(rec.gamma_tw_label)) == rec.gamma_tw_label
 
 
 def test_shared_co1_rows_are_negation_pairs():

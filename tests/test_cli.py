@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import shlex
 import time
 
 import pytest
@@ -189,13 +190,17 @@ LEAVES = [
 ]
 
 
-def _leaf_options(parser, path=()):
+def _leaves(parser, path=()):
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        yield " ".join(path), {a.option_strings[-1]: a for a in parser._actions if a.option_strings}
+        yield " ".join(path), parser
         return
     for name, child in subs[0].choices.items():
-        yield from _leaf_options(child, path + (name,))
+        yield from _leaves(child, path + (name,))
+
+
+def _options(parser):
+    return {a.option_strings[-1]: a for a in parser._actions if a.option_strings}
 
 
 @pytest.mark.parametrize("leaf", LEAVES)
@@ -204,7 +209,7 @@ def test_every_leaf_has_help(capsys, leaf):
 
 
 def test_each_leaf_declares_only_the_options_it_reads():
-    options = dict(_leaf_options(build_parser()))
+    options = {leaf: _options(parser) for leaf, parser in _leaves(build_parser())}
     assert sorted(options) == sorted(LEAVES)
     assert [leaf for leaf, opts in options.items() if "--jobs" in opts] == []
     assert [leaf for leaf, opts in options.items() if "csv" in opts["--format"].choices] == [
@@ -231,6 +236,36 @@ def test_each_leaf_declares_only_the_options_it_reads():
 ])
 def test_options_a_leaf_does_not_read_are_usage_errors(capsys, argv):
     assert run(capsys, *argv.split()) == (2, "")
+
+
+def _empty_value_argvs():
+    """Each option of each leaf given the value '', a required selector other than it given 2A."""
+    for leaf, parser in _leaves(build_parser()):
+        for option, action in _options(parser).items():
+            if action.nargs != 0:  # --help takes no value
+                argv = leaf.split()
+                for other in parser._actions:
+                    if other.required and other is not action:
+                        argv += [other.option_strings[0], "2A"]
+                for group in parser._mutually_exclusive_groups:
+                    if group.required and action not in group._group_actions:
+                        argv += [group._group_actions[0].option_strings[0], "2A"]
+                yield argv + [option, ""]
+
+
+@pytest.mark.parametrize("argv", list(_empty_value_argvs()), ids=shlex.join)
+def test_an_empty_option_value_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "")  # and no exception escapes main
+
+
+@pytest.mark.parametrize("line, message", [
+    ("series --shape ''", "empty factor list (at position 0 in '')"),
+    ("series --shape '' --which tw", "empty factor list (at position 0 in '')"),
+    ("series --shape 1^2\u00b2", "expected a factor (at position 3 in '1^2\u00b2')"),
+])
+def test_malformed_shape_names_the_fault(capsys, line, message):
+    assert main(shlex.split(line)) == 2
+    assert capsys.readouterr() == ("", "parse error: %s\n" % message)
 
 
 @pytest.mark.parametrize("argv", [

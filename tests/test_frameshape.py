@@ -1,4 +1,5 @@
 import re
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -42,15 +43,25 @@ def test_parse_rejects_negative_multiplicity():
     # and here 36 - 48 = -12
     with pytest.raises(ParseError, match=re.escape("e^(2*pi*i*1/2) has multiplicity -12")):
         parse("1^48/2^12")
+    # the cube roots (-1) and the sixth roots (-1) are both refused: the first in ascending order is named
+    with pytest.raises(ParseError, match=re.escape("e^(2*pi*i*1/3) has multiplicity -1")):
+        parse("2^15/6^1")
 
 
 def test_parse_error_position():
-    try:
-        parse("2^24/^")
-    except ParseError as exc:
-        assert exc.position == 5
-    else:
-        raise AssertionError("no error")
+    # a digit that int() does not read, like the superscript 2, is not a digit here
+    for text, position in (("2^24/^", 5), ("1^2\u00b2", 3)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position, text
+
+
+def test_huge_cycle_length_is_refused_quickly():
+    m = 10**12  # divisors by trial division up to m would take hours
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=re.escape("e^(2*pi*i*1/3) has multiplicity -1")):
+        parse("1^23.%d^1/%d^1" % (m, m - 1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_chi():
