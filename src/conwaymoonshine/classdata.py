@@ -9,8 +9,9 @@ points).
 
 Untwisted-side constants for the partner -g are never tabulated here;
 moonshine.derived_partner derives them: the Frame shape by negation, the
-scalar by solving the five-term eta identity, cross-checked against the
-spinor closed form.
+scalar by solving the five-term eta identity.  On the 65 rows whose negated
+shape is itself a row, the tests check that scalar against the row's
+tabulated one (test_partner_scalar_matches_paired_row).
 """
 
 from __future__ import annotations

@@ -22,17 +22,21 @@ gather (the image entry's source and phase) and one shift (its power of
 two), from int16 and int8 tables built on a table's first application and
 kept on it.  t is applied one factor (1 + W)/2 at a time, W each of the
 lift's 12 generator words, through WordTable.images.  n1_checks proves
-<e_C t v, t v> = 0 for all 10,902 C of size 2 or 4 from four exact facts
-about the generator words W: (a) W t v = t v, (b) W^2 = 1, (c) W is
-self-adjoint for the invariant form, and (d) some generator meets C in an odd
-number of points, so e_C W = -W e_C.  Nothing irrational is stored; only
-even-length words act on dense states.
+<e_C t v, t v> = 0 for all 10,902 C of size 2 or 4 from four facts about the
+generator words W: (a) W t v = t v and (b) W^2 = 1, both checked exactly;
+(c) W is self-adjoint for the invariant form, which (b) gives, as for a signed
+even word W* and W^2 carry the same sign (-1)^(|C|(|C|+1)/2); and (d) some
+generator meets C in an odd number of points, so e_C W = -W e_C, which the
+code's weights give, as a doubly even code of dimension 12 in length 24 is
+self-dual, so a C of size 2 or 4 that meets every generator evenly would be a
+codeword of weight 2 or 4.  Nothing irrational is stored; only even-length
+words act on dense states.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
@@ -273,17 +277,6 @@ class WordTable:
     def is_identity(self) -> bool:
         return not self.differs(WordTable(0)).item()
 
-    def is_self_adjoint(self) -> bool:
-        """<W m_S, m_R> = <m_S, W m_R> for all S and R, W the one-row word.  W m_S is
-        i^U(S) 2^T(S) m_(S ^ toggle) (times the word's 1/sqrt(2)s), which pairs only with
-        m_R for R = ~(S ^ toggle); so the two sides are i^U(S) 2^T(S) beta[S ^ toggle] and
-        i^U(R) 2^T(R) beta[S], with beta = +-1 = i^(1 - beta)."""
-        (toggle,) = self.toggle.tolist()
-        u, t = _affine(self.u0, self.du)[0], _affine(self.t0, self.dt)[0]
-        r = _ARANGE ^ (DIM - 1 ^ toggle)
-        return bool(((u - u[r] - _PAIR_SIGNS[_ARANGE ^ toggle] + _PAIR_SIGNS) % 4 == 0).all()
-                    and (t == t[r]).all())
-
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
         that keeps every image entry integral."""
@@ -429,33 +422,6 @@ class GolayLift:
                 raise VerificationFailure("state moved by lifted %06x" % gen)
         return True
 
-    def verify_self_adjoint(self):
-        """Each generator word is self-adjoint for the invariant form; the first in the code's
-        order that is not is named."""
-        for gen, word in zip(self.code.generators, self._generators):
-            if not word.is_self_adjoint():
-                raise VerificationFailure("lifted %06x is not self-adjoint" % gen)
-        return True
-
-    def verify_anticommuting(self) -> int:
-        """Every C of 2 or 4 of the 24 coordinates meets some generator in an odd number of
-        points, so e_C anticommutes with that generator's word (both have even length).
-        Returns the number of such C; the smallest mask that meets every generator evenly
-        is named."""
-        masks, sizes = np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int8)
-        for i in range(NGEN):  # the subsets of at most 4 of the coordinates below i + 1
-            few = sizes < 4
-            masks, sizes = np.concatenate((masks, masks[few] | 1 << i)), np.concatenate((sizes, sizes[few] + 1))
-        masks = masks[(sizes == 2) | (sizes == 4)]
-        odd = np.zeros(len(masks), dtype=bool)
-        for gen in self.code.generators:
-            odd |= _parity(masks & gen) == 1
-        if not odd.all():
-            c = int(masks[~odd].min())
-            raise VerificationFailure("C=%s meets every generator evenly"
-                                      % (tuple(i + 1 for i in range(NGEN) if c >> i & 1),))
-        return len(masks)
-
     def group_order(self) -> int:
         """Order of {+- s(C) e_C}: the distinct supports, doubled."""
         return 2 * len(self.section)
@@ -491,9 +457,13 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     """Structure checks backing the supersymmetry element u = t v: the lifted group has
     order 8192 with all squares +1, u is nonzero, fixed by t and by every lifted word, and
     non-isotropic, and <e_C u, u> = 0 for all 10,902 C of size 2 or 4.  The last is proved
-    from four exact facts about the generator words W: (a) W u = u, (b) W^2 = 1, (c) W is
-    self-adjoint for the form, and (d) some generator meets C in an odd number of points, so
-    e_C W = -W e_C.  Then <e_C u, u> = <e_C W u, W u> = <W e_C W u, u> = -<e_C u, u>.
+    from four facts about the generator words W: (a) W u = u and (b) W^2 = 1, checked;
+    (c) W is self-adjoint for the form, by (b), as for a signed even word W* and W^2 carry the
+    same sign (-1)^(|C|(|C|+1)/2); and (d) some generator meets C in an odd number of points,
+    so e_C W = -W e_C, by the code's weights, as a doubly even code of dimension 12 in length
+    24 is self-dual, so a C of size 2 or 4 that meets every generator evenly would be a
+    codeword of weight 2 or 4.  Then <e_C u, u> = <e_C W u, W u> = <W e_C W u, u> = -<e_C u, u>.
+    That t fixes u follows from (a): each factor (1 + W)/2 of t fixes what W fixes.
 
     Returns a report dict; raises VerificationFailure on any failure.
     """
@@ -514,11 +484,6 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     if not report["tv_components"]:
         raise VerificationFailure("t v is zero")
 
-    # t is idempotent as a product of the commuting idempotents (1 + g_j)/2 (g_j^2 = 1); the
-    # engine's t is checked on the one state the report needs
-    if not lift.apply_t_dense(tv).equals(tv):
-        raise VerificationFailure("t is not idempotent on t v")
-
     # invariance of t v under every lifted sign change, exhaustively: (a)
     lift.verify_fixed(tv)
     report["invariance_checked"] = len(lift.section)
@@ -527,8 +492,12 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     norm = bilinear_dense(tv, tv)
     if norm.is_zero():
         raise VerificationFailure("<t v, t v> = 0")
-    lift.verify_self_adjoint()  # (c)
-    report["orthogonality_subsets"] = lift.verify_anticommuting()  # (d)
+    dist = lift.code.weight_distribution()  # (d): doubly even, with no word of weight 4
+    if any(w % 4 for w in dist) or 4 in dist:
+        c = min(w for w in lift.code.words() if w.bit_count() % 4 or w.bit_count() == 4)
+        raise VerificationFailure("C=%s is a codeword of weight %d"
+                                  % (tuple(i + 1 for i in range(c.bit_length()) if c >> i & 1), c.bit_count()))
+    report["orthogonality_subsets"] = comb(NGEN, 2) + comb(NGEN, 4)
 
     report["tv_norm"] = norm
     alpha_sq = CycNumber.from_rational(8, 4) / norm

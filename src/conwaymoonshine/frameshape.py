@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 
 from .errors import PairingError, ParseError, ValidationError
 from .qseries import FracPowerSeries, eta_product
@@ -22,7 +23,11 @@ class FrameShape:
     __slots__ = ("exps",)
 
     def __init__(self, exps: dict):
-        clean = {int(m): int(k) for m, k in exps.items() if k != 0}
+        try:
+            clean = {index(m): index(k) for m, k in exps.items()}
+        except TypeError:
+            raise ValidationError("cycle lengths and exponents must be integers: %r" % (exps,)) from None
+        clean = {m: k for m, k in clean.items() if k}
         for m in clean:
             if m <= 0:
                 raise ValidationError("cycle length %d must be positive" % m)

@@ -31,6 +31,8 @@ class BinaryCode:
         self.generators = tuple(generators)
         if len(self.generators) != 12:
             raise ValidationError("expected 12 generators, got %d" % len(self.generators))
+        if any(not 0 <= g < 1 << LENGTH for g in self.generators):
+            raise ValidationError("generators must be masks of %d coordinates" % LENGTH)
         self._echelon, self._pivots = _gf2_echelon(self.generators)
         if len(self._echelon) != 12:
             raise ValidationError("generators are not independent")

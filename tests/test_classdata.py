@@ -115,12 +115,13 @@ def test_classdata_is_a_leaf_module():
 
 
 def test_partner_scalar_matches_paired_row():
-    by_co1 = {}
-    for rec in registry():
-        by_co1.setdefault(rec.co1_name, []).append(rec)
-    for rows in by_co1.values():
-        if len(rows) != 2:
-            continue
-        a, b = rows
-        _, scalar = derived_partner(a)
-        assert scalar == b.c_hat_g, (a.co0_name, b.co0_name)
+    """A second, independent source for the partner scalars: for each of the 65 rows whose
+    negated shape is a row (22 pairs that share a Co1 class, and 21 self-negating shapes), the
+    scalar solved from the eta identity is that row's C.  The other 25 partners have fixed points."""
+    by_shape = {rec.frame_shape: rec for rec in registry()}
+    rows = [rec for rec in registry() if rec.frame_shape.negate() in by_shape]
+    assert len(rows) == 65
+    for rec in rows:
+        shape, scalar = derived_partner(rec)
+        assert scalar == by_shape[shape].c_hat_g, (rec.co0_name, by_shape[shape].co0_name)
+    assert all(rec.frame_shape.negate().fixed_points() for rec in registry() if rec not in rows)

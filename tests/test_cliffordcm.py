@@ -26,6 +26,7 @@ from conwaymoonshine.cliffordcm import (
 from conwaymoonshine.cyclotomic import CycNumber
 from conwaymoonshine.errors import MembershipError, ValidationError, VerificationFailure
 from conwaymoonshine.frameshape import parse
+from conwaymoonshine.lattice import BinaryCode
 from test_cyclotomic import zeta
 
 
@@ -739,7 +740,7 @@ def test_orthogonality_over_every_short_subset(lift):
     """The oracle for what n1_checks proves: <e_C t v, t v> = 0 for all 10,902 C."""
     tv = lift.invariant_vector()
     masks = short_subsets()
-    assert len(masks) == lift.verify_anticommuting() == 10902
+    assert len(masks) == n1_checks(lift)["orthogonality_subsets"] == 10902
     re_, im_, _ = forms(WordTable(masks), tv)
     assert not (re_ | im_).any()
 
@@ -762,48 +763,42 @@ def test_octads_meet_every_generator_evenly_and_are_not_orthogonal(golay, lift):
             assert form == norm
 
 
-def test_anticommuting_names_a_subset_every_generator_meets_evenly(golay):
-    """The first ten generators meet only C = {13, 14} of the short subsets evenly; no
-    single generator is needed, as all twelve lists of eleven still pass."""
-    gens = golay.generators[:10]
-    assert [c for c in short_subsets() if all(bin(c & g).count("1") % 2 == 0 for g in gens)] == [0x003000]
-    with pytest.raises(VerificationFailure, match=re.escape("C=(13, 14) meets every generator evenly")):
-        GolayLift(SimpleNamespace(generators=gens)).verify_anticommuting()
-    with pytest.raises(VerificationFailure, match=re.escape("C=(1, 2, 3, 4) meets")):  # the smallest mask of many
-        GolayLift(SimpleNamespace(generators=[0b11, 0b101])).verify_anticommuting()
-    for k in range(12):
-        eleven = golay.generators[:k] + golay.generators[k + 1:]
-        assert GolayLift(SimpleNamespace(generators=eleven)).verify_anticommuting() == 10902
+def e8_cubed_lift():
+    """A lift of the doubly even self-dual code of three extended Hamming [8,4,4] blocks, which
+    has 42 words of weight 4: coordinates shuffled and generator signs drawn from a seeded RNG
+    until t v is nonzero and not isotropic (unshuffled, with all signs +1, t v is zero)."""
+    rng = random.Random(0)
+    while True:
+        perm = list(range(24))
+        rng.shuffle(perm)
+        gens = [sum(1 << perm[shift + i] for i in range(8) if block >> i & 1)
+                for shift in (0, 8, 16) for block in (0xF0, 0xCC, 0xAA, 0xFF)]
+        lift = GolayLift(BinaryCode(gens), [rng.choice((1, -1)) for _ in range(12)])
+        tv = lift.invariant_vector()
+        if tv.nonzero_count() and not bilinear_dense(tv, tv).is_zero():
+            return lift, tv
 
 
-def test_self_adjoint_words_and_refusal():
-    """e_C is self-adjoint for the form when |C| is 0 or 3 mod 4 (each e_i is skew, and
-    reversing C costs (-1)^(|C|(|C| - 1)/2)); the lift names its first generator that is not."""
-    assert not WordTable(0b11).is_self_adjoint()
-    assert not WordTable(0x3F0000).is_self_adjoint()
-    assert WordTable(0b1111).is_self_adjoint() and WordTable(0x800421, -1).is_self_adjoint()
-    assert WordTable(0x35).is_self_adjoint()  # toggles pairs 0 and 1: beta[S ^ toggle] = -beta[S]
-    # not a Clifford word: m_S -> 2^(S_0) m_S has equal phases on both sides, unequal powers of two
-    doubling = WordTable._of(*np.zeros((4, 1), dtype=np.int64), np.zeros((1, 12), np.int8), np.eye(1, 12, dtype=np.int8))
-    assert not doubling.is_self_adjoint()
-    lift = GolayLift(SimpleNamespace(generators=[0xF000, 0b11 << 8, 0x3F0000]))
-    with pytest.raises(VerificationFailure, match="lifted 000300 is not self-adjoint"):
-        lift.verify_self_adjoint()
-    assert GolayLift(SimpleNamespace(generators=[0xF000, 0xF0F])).verify_self_adjoint()
-
-
-@pytest.mark.parametrize("fact", ["verify_squares", "verify_fixed", "verify_self_adjoint", "verify_anticommuting"])
-def test_n1_rests_on_the_four_facts(lift, monkeypatch, fact):
-    """n1_checks fails when any of the facts (a)-(d) fails."""
-    def refuse(self, *args):
-        raise VerificationFailure("%s refused" % fact)
-
-    monkeypatch.setattr(GolayLift, fact, refuse)
-    with pytest.raises(VerificationFailure, match="%s refused" % fact):
+def test_n1_refuses_a_code_with_words_of_weight_4():
+    """Negative control for fact (d): the e8^3 lift passes (a), (b), t v != 0 and the norm, yet
+    its weight-4 words meet every generator evenly and are not orthogonal to t v, so n1 must
+    refuse it at the code check, naming the smallest one."""
+    lift, tv = e8_cubed_lift()
+    assert lift.code.weight_distribution() == {0: 1, 4: 42, 8: 591, 12: 2828, 16: 591, 20: 42, 24: 1}
+    assert lift.verify_squares() and lift.verify_fixed(tv) and lift.group_order() == 8192
+    c = 1 << 2 | 1 << 5 | 1 << 9 | 1 << 10
+    assert min(w for w in lift.code.words() if w.bit_count() == 4) == c
+    assert bilinear_dense(WordTable(c).apply(tv), tv) == lift.section[c] * bilinear_dense(tv, tv)  # not 0
+    with pytest.raises(VerificationFailure, match=re.escape("C=(3, 6, 10, 11) is a codeword of weight 4")):
         n1_checks(lift)
 
 
-def test_n1_refuses_a_t_that_does_not_fix_t_v(lift, monkeypatch):
-    monkeypatch.setattr(DenseState, "equals", lambda self, other: False)
-    with pytest.raises(VerificationFailure, match="t is not idempotent on t v"):
+@pytest.mark.parametrize("fact", ["verify_squares", "verify_fixed", "weight_distribution"])
+def test_n1_rests_on_the_four_facts(lift, monkeypatch, fact):
+    """n1_checks fails when (a), (b) or the code check behind (d) fails; (c) follows from (b)."""
+    def refuse(self, *args):
+        raise VerificationFailure("%s refused" % fact)
+
+    monkeypatch.setattr(BinaryCode if fact == "weight_distribution" else GolayLift, fact, refuse)
+    with pytest.raises(VerificationFailure, match="%s refused" % fact):
         n1_checks(lift)

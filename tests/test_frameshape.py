@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conwaymoonshine.classdata import registry
-from conwaymoonshine.errors import PairingError, ParseError
+from conwaymoonshine.errors import PairingError, ParseError, ValidationError
 from conwaymoonshine.fockoracle import (
     ModeSystem,
     TWISTED,
@@ -14,7 +14,7 @@ from conwaymoonshine.fockoracle import (
     twisted_supertrace,
     untwisted_supertrace,
 )
-from conwaymoonshine.frameshape import parse
+from conwaymoonshine.frameshape import FrameShape, parse
 from conwaymoonshine.moonshine import t_tilde
 from test_qseries import monomial, shifted
 
@@ -62,6 +62,14 @@ def test_huge_cycle_length_is_refused_quickly():
     with pytest.raises(ParseError, match=re.escape("e^(2*pi*i*1/3) has multiplicity -1")):
         parse("1^23.%d^1/%d^1" % (m, m - 1))
     assert time.perf_counter() - start < 1.0
+
+
+def test_shape_refuses_values_that_are_not_integers():
+    # int() would truncate each of these to a valid shape: 1^24, 1^24 and 2^12
+    for exps in ({1: 24.5}, {1: F(49, 2)}, {2.7: 12}):
+        with pytest.raises(ValidationError, match="cycle lengths and exponents must be integers"):
+            FrameShape(exps)
+    assert FrameShape({1: 24, 2: 0}).exps == {1: 24}
 
 
 def test_chi():

@@ -68,6 +68,13 @@ def test_code_words_are_held_per_code(golay):
     assert golay.words() is first
 
 
+def test_code_refuses_generators_outside_length_24(golay):
+    # the lift reads 24 coordinates, so a wider code would give n1 weights its words do not have
+    for bad in (1 << 24, -1):
+        with pytest.raises(ValidationError, match="generators must be masks of 24 coordinates"):
+            lattice.BinaryCode(golay.generators[:11] + (golay.generators[11] | bad,))
+
+
 def test_leech_gram(leech):
     assert leech.gram_determinant() == 1
     g8 = leech.gram8()  # 8 * Gram: an even integer on the diagonal is 0 mod 16

@@ -392,13 +392,15 @@ def sparse_dense_states(draw):
 @settings(max_examples=40, deadline=None)
 @given(short_words, sparse_dense_states(), sparse_dense_states())
 def test_self_adjoint_matches_forms_of_images(words, a, b):
-    """A signed word e_C is self-adjoint for the form exactly when |C| is 0 mod 4, and
-    otherwise its adjoint is -e_C: <W a, b> = +-<a, W b> on random states."""
+    """The lemma behind n1's fact (c): for a signed even word W = +-e_C, W^2 = +1 exactly when
+    |C| is 0 mod 4 (else -1), and the adjoint of W carries the same sign: <W a, b> = +-<a, W b>
+    on random states, + where W^2 = 1."""
     for gens, sign in words:
         word = WordTable(sum(1 << i for i in gens), sign)
-        assert word.is_self_adjoint() == (len(gens) % 4 == 0)
+        square = word * word
+        assert square == WordTable(0, 1 if len(gens) % 4 == 0 else -1)
         left, right = bilinear_dense(word.apply(a), b), bilinear_dense(a, word.apply(b))
-        assert left == (right if word.is_self_adjoint() else -right)
+        assert left == (right if square.is_identity() else -right)
 
 
 @st.composite
