@@ -15,22 +15,16 @@ monomial 2x2 matrices (its Jordan-Wigner string) with entries of the form
 i^u * 2^t, times (1/sqrt(2))^(word length).  A WordTable stores words as
 arrays, one row per word: the pairs each toggles and the exponents u, t as
 affine functions of the bits of S, built straight from the word's mask.  A
-single word is a table of one row; the 4096 lifted Golay words are one table,
-squared in one pass and shown to be products of the 12 generator words, so
-only those 12 need to act on t v.  A word acts on a dense state as one
+single word is a table of one row.  A word acts on a dense state as one
 gather (the image entry's source and phase) and one shift (its power of
 two), from int16 and int8 tables built on a table's first application and
 kept on it.  t is applied one factor (1 + W)/2 at a time, W each of the
-lift's 12 generator words, through WordTable.images.  n1_checks proves
-<e_C t v, t v> = 0 for all 10,902 C of size 2 or 4 from four facts about the
-generator words W: (a) W t v = t v and (b) W^2 = 1, both checked exactly;
-(c) W is self-adjoint for the invariant form, which (b) gives, as for a signed
-even word W* and W^2 carry the same sign (-1)^(|C|(|C|+1)/2); and (d) some
-generator meets C in an odd number of points, so e_C W = -W e_C, which the
-code's weights give, as a doubly even code of dimension 12 in length 24 is
-self-dual, so a C of size 2 or 4 that meets every generator evenly would be a
-codeword of weight 2 or 4.  Nothing irrational is stored; only even-length
-words act on dense states.
+lift's 12 generator words, through WordTable.images.
+
+n1_checks reads W^2 = 1, the closure of the lifted words and fact (d) off the
+code's weights, and applies only the 12 generator words to t v; its docstring
+gives the proof.  Nothing irrational is stored; only even-length words act on
+dense states.
 """
 
 from __future__ import annotations
@@ -212,6 +206,8 @@ class WordTable:
 
     def __init__(self, cmasks, signs=1):
         cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
+        if ((cmasks < 0) | (cmasks >= 1 << NGEN)).any():
+            raise ValidationError("word masks must be of %d generators" % NGEN)
         signs = np.broadcast_to(signs, cmasks.shape)
         if (np.abs(signs) != 1).any():
             raise ValidationError("word sign must be +1 or -1")
@@ -273,9 +269,6 @@ class WordTable:
         if not isinstance(other, WordTable):
             return NotImplemented
         return len(self) == len(other) and not self.differs(other).any()
-
-    def is_identity(self) -> bool:
-        return not self.differs(WordTable(0)).item()
 
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
@@ -376,9 +369,8 @@ class GolayLift:
             masks = np.concatenate((masks, masks ^ gen))
             signs = np.concatenate((signs, signs * sign * (1 - 2 * flips)))
         self.section = dict(zip(masks.tolist(), signs.tolist()))
-        # construction order: row n is the product of the generator words in n, row 2^j is generator j
-        self.masks, self.words = masks, WordTable(masks, signs)
-        self._generators = tuple(self.words[1 << np.arange(ngen)])  # one-row tables, each keeping its gathers
+        self.masks = masks  # construction order: entry n is the sum of the generators in the bits of n
+        self._generators = tuple(WordTable(code.generators, self.generator_signs))  # one-row, keeping gathers
 
     # -- lifted word tables -------------------------------------------------
 
@@ -399,23 +391,16 @@ class GolayLift:
 
     def verify_squares(self):
         """(s(C) e_C)^2 = +1 for all 4096 codewords, exhaustively."""
-        bad = (self.words * self.words).differs(WordTable(0))
+        words = self.word_table(self.masks)
+        bad = (words * words).differs(WordTable(0))
         if bad.any():
             raise VerificationFailure("square of lifted %06x is not +1" % self.masks[bad].min())
         return True
 
     def verify_fixed(self, state: DenseState):
-        """All 4096 lifted words fix state: row n is row n - 2^j times generator j
-        (j the top bit of n), so from the identity at row 0 it is enough that the generators do;
-        the first generator in the code's order that moves state is named."""
-        if not self.words[:1].is_identity():
-            raise VerificationFailure("lifted 000000 is not the identity")
-        n = np.arange(1, len(self.words))
-        j = np.frexp(n)[1] - 1
-        bad = self.words[1:].differs(self.words[n - (1 << j)] * self.words[1 << j])
-        if bad.any():
-            raise VerificationFailure("lifted %06x is not its parent times generator %d"
-                                      % (self.masks[bad.argmax() + 1], j[bad.argmax()]))
+        """All 4096 lifted words fix state: each is a product of the 12 generator words by
+        construction, so it is enough that those 12 do; the first generator in the code's order
+        that moves state is named."""
         for gen, word in zip(self.code.generators, self._generators):
             re, im, shift = word.images(state)
             if (re != state.re << shift).any() or (im != state.im << shift).any():
@@ -454,16 +439,16 @@ def golay_lift_section(code, frame=None) -> GolayLift:
 
 
 def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
-    """Structure checks backing the supersymmetry element u = t v: the lifted group has
-    order 8192 with all squares +1, u is nonzero, fixed by t and by every lifted word, and
-    non-isotropic, and <e_C u, u> = 0 for all 10,902 C of size 2 or 4.  The last is proved
-    from four facts about the generator words W: (a) W u = u and (b) W^2 = 1, checked;
-    (c) W is self-adjoint for the form, by (b), as for a signed even word W* and W^2 carry the
-    same sign (-1)^(|C|(|C|+1)/2); and (d) some generator meets C in an odd number of points,
-    so e_C W = -W e_C, by the code's weights, as a doubly even code of dimension 12 in length
-    24 is self-dual, so a C of size 2 or 4 that meets every generator evenly would be a
-    codeword of weight 2 or 4.  Then <e_C u, u> = <e_C W u, W u> = <W e_C W u, u> = -<e_C u, u>.
-    That t fixes u follows from (a): each factor (1 + W)/2 of t fixes what W fixes.
+    """Structure checks backing the supersymmetry element u = t v: the code is doubly even with
+    no word of weight 4, the lifted group has order 8192, u is nonzero, fixed by t and by every
+    lifted word, and non-isotropic, and <e_C u, u> = 0 for all 10,902 C of size 2 or 4.  The
+    last is proved from four facts about the generator words W: (a) W u = u, checked;
+    (b) W^2 = 1, by the weights, as a signed even word squares to (-1)^(|C|(|C|+1)/2);
+    (c) W is self-adjoint for the form, as W* carries the same sign as W^2; and (d) some
+    generator meets C in an odd number of points, so e_C W = -W e_C, by the weights, as a doubly
+    even code of dimension 12 in length 24 is self-dual, so a C of size 2 or 4 that meets every
+    generator evenly would be a codeword of weight 2 or 4.
+    Then <e_C u, u> = <e_C W u, W u> = <W e_C W u, u> = -<e_C u, u>.
 
     Returns a report dict; raises VerificationFailure on any failure.
     """
@@ -471,10 +456,16 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     # them, and the benchmark's workloads stay fixed so that its runs compare across commits
     report = {}
 
-    # closure is proved, not sampled: as the lifted word of G_i ^ G_k (i < k) is g_i g_k, all
-    # squares +1 make the generator words g_j commuting involutions, and verify_fixed shows each
-    # lifted word is the product of the g_j in it; so s(C)e_C s(D)e_D = s(C ^ D)e_(C ^ D) for all C, D
-    lift.verify_squares()  # (b)
+    # the code check comes first, as the rest rests on it; closure is proved, not sampled:
+    # doubly even gives W^2 = 1 for every lifted word W, and even intersections, so any two
+    # lifted words commute, as e_C e_D = (-1)^(|C||D| - |C & D|) e_D e_C; so {+-prod_S g_j}
+    # over the generator words g_j is elementary abelian of order 8192, and
+    # t = prod_j (1 + g_j)/2 fixes what every g_j fixes
+    dist = lift.code.weight_distribution()
+    if any(w % 4 for w in dist) or 4 in dist:
+        c = min(w for w in lift.code.words() if w.bit_count() % 4 or w.bit_count() == 4)
+        raise VerificationFailure("C=%s is a codeword of weight %d"
+                                  % (tuple(i + 1 for i in range(c.bit_length()) if c >> i & 1), c.bit_count()))
     report["group_order"] = lift.group_order()
     if report["group_order"] != 8192:
         raise VerificationFailure("lifted group has order %d" % report["group_order"])
@@ -484,7 +475,7 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     if not report["tv_components"]:
         raise VerificationFailure("t v is zero")
 
-    # invariance of t v under every lifted sign change, exhaustively: (a)
+    # invariance of t v under every lifted sign change, from the 12 generator words: (a)
     lift.verify_fixed(tv)
     report["invariance_checked"] = len(lift.section)
 
@@ -492,11 +483,6 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     norm = bilinear_dense(tv, tv)
     if norm.is_zero():
         raise VerificationFailure("<t v, t v> = 0")
-    dist = lift.code.weight_distribution()  # (d): doubly even, with no word of weight 4
-    if any(w % 4 for w in dist) or 4 in dist:
-        c = min(w for w in lift.code.words() if w.bit_count() % 4 or w.bit_count() == 4)
-        raise VerificationFailure("C=%s is a codeword of weight %d"
-                                  % (tuple(i + 1 for i in range(c.bit_length()) if c >> i & 1), c.bit_count()))
     report["orthogonality_subsets"] = comb(NGEN, 2) + comb(NGEN, 4)
 
     report["tv_norm"] = norm

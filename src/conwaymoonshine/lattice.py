@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -126,7 +126,10 @@ class IntegerLattice:
     """Rank-24 lattice in sqrt(8)-scaled integer coordinates."""
 
     def __init__(self, basis):
-        self.basis = tuple(tuple(int(c) for c in row) for row in basis)
+        try:
+            self.basis = tuple(tuple(index(c) for c in row) for row in basis)
+        except TypeError:
+            raise ValidationError("basis entries must be integers") from None
         if len(self.basis) != LENGTH or any(len(r) != LENGTH for r in self.basis):
             raise ValidationError("basis must be 24 rows of 24 integers")
         # 24 pivots in 24 columns: the echelon basis is upper triangular with a
@@ -149,8 +152,13 @@ class IntegerLattice:
         return Fraction(det * det, 8**LENGTH)
 
     def contains(self, x) -> bool:
-        """Exact membership: reduce x against the integer echelon basis."""
-        x = [int(c) for c in x]
+        """Exact membership of a vector of 24 integers: reduce x against the echelon basis."""
+        try:
+            x = [index(c) for c in x]
+        except TypeError:
+            raise ValidationError("vector entries must be integers") from None
+        if len(x) != LENGTH:
+            raise ValidationError("vector has %d coordinates, not %d" % (len(x), LENGTH))
         for i, row in enumerate(self._echelon):
             q = x[i] // row[i]
             if q:

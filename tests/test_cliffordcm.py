@@ -212,7 +212,7 @@ def test_trace_is_sum_of_diagonal_images():
 
 def test_word_table_negative_controls():
     e1_squared = WordTable(1) * WordTable(1)
-    assert not e1_squared.is_identity()  # e_1^2 = -1
+    assert e1_squared != WordTable(0)  # e_1^2 = -1
     assert e1_squared == WordTable(0, -1)
     assert WordTable(0b11) != WordTable(0b11, -1)
     # e_1 e_2 squares to -1, so a "code" generated by it has no +1 lift
@@ -239,8 +239,7 @@ def test_word_table_rows():
         assert one.e == x.e + shift[r, 0] and np.array_equal(one.re, re_[r]) and np.array_equal(one.im, im_[r])
     # the single-word methods refuse a table of more rows
     out = np.zeros((2, 4096), dtype=np.int64)
-    for call in (table.is_identity,
-                 lambda: table.apply(DenseState.basis(0)),
+    for call in (lambda: table.apply(DenseState.basis(0)),
                  lambda: table.apply_into(DenseState.basis(0), *out, 2)):
         with pytest.raises(ValueError):
             call()
@@ -250,6 +249,10 @@ def test_word_table_rows():
             table[bare]
     with pytest.raises(ValidationError):
         WordTable(masks, [1, -1, 0, 1])
+    # a mask names generators 1..24 only: no bit above them is dropped, and no negative mask wraps
+    for outside in (1 << 24, -1, (1 << 24) | 3, [3, 1 << 30]):
+        with pytest.raises(ValidationError, match="word masks must be of 24 generators"):
+            WordTable(outside)
 
 
 def test_monomial_sqrt():
@@ -415,7 +418,7 @@ def t_oracle(lift, states):
     state with at most 64 nonzero entries, every word's image of each entry
     at once, from the words' normal form m_S -> i^U(S) 2^T(S) m_(S ^ toggle)
     with U = u0 + du.S and T = t0 + dt.S."""
-    words = lift.words
+    words = lift.word_table(lift.masks)
     assert not words.odd.any()
     outs = []
     for state in states:
@@ -574,19 +577,19 @@ def test_verify_fixed_names_first_moving_word(golay, lift):
             lift.verify_fixed(x)
 
 
-def test_verify_fixed_proof_negative_controls_and_cost(golay, lift, monkeypatch):
+def test_verify_fixed_and_n1_cost(golay, lift, monkeypatch):
     tv = lift.invariant_vector()
-    for cmask, match in ((0x4d2f31, "lifted 4d2f31 is not its parent times generator 10"),
-                         (0, "lifted 000000 is not the identity")):
-        spoiled = GolayLift(golay, lift.generator_signs)
-        spoiled.words.u0[spoiled.masks == cmask] ^= 2  # the word negated
-        with pytest.raises(VerificationFailure, match=match):
-            spoiled.verify_fixed(tv)
     # a pass applies the 12 generator words only, each once, from their stored tables
     applied, images = [], WordTable.images
     monkeypatch.setattr(WordTable, "images", lambda self, x: applied.append(self) or images(self, x))
     assert lift.verify_fixed(tv) and len(applied) == 12
     assert all(word is gen for word, gen in zip(applied, lift._generators))
+    # a fresh lift and n1 on it build no table of more than the 12 generator words
+    rows, init = [], WordTable.__init__
+    monkeypatch.setattr(WordTable, "__init__",
+                        lambda self, cmasks, signs=1: rows.append(np.size(cmasks)) or init(self, cmasks, signs))
+    assert n1_checks(GolayLift(golay))["passed"]
+    assert rows and max(rows) <= 12, rows
 
 
 def test_dense_equals_compares_values():
@@ -647,14 +650,16 @@ def test_lift_squares_and_closure(lift):
     assert lift.section[0] == 1  # s(empty) e_empty = 1
     # closure oracle: every lifted word times s(D) e_D is the lifted word of the sum
     rng = random.Random(5)
+    words = lift.word_table(lift.masks)
     for d in rng.sample(sorted(lift.section), 32):
-        assert lift.words * lift.word_table(d) == lift.word_table(lift.masks ^ d), hex(d)
+        assert words * lift.word_table(d) == lift.word_table(lift.masks ^ d), hex(d)
 
 
 def test_lift_rows_are_generator_products(golay, lift):
     assert list(lift.masks[1 << np.arange(12)]) == list(golay.generators)
-    assert len(lift.words) == 4096 and lift.words[1:2] == lift.word_table(golay.generators[0])
-    assert lift.words[5:6] == lift.word_table(golay.generators[0]) * lift.word_table(golay.generators[2])
+    words = lift.word_table(lift.masks)
+    assert len(words) == 4096 and words[1:2] == lift.word_table(golay.generators[0])
+    assert words[5:6] == lift.word_table(golay.generators[0]) * lift.word_table(golay.generators[2])
 
 
 def test_verify_squares_negative_control():
@@ -793,9 +798,23 @@ def test_n1_refuses_a_code_with_words_of_weight_4():
         n1_checks(lift)
 
 
-@pytest.mark.parametrize("fact", ["verify_squares", "verify_fixed", "weight_distribution"])
+def test_n1_refuses_a_code_that_is_not_doubly_even(golay):
+    """Negative control for the weights behind (b) and closure: generator 0 of the Golay code
+    without coordinates 1 and 2 spans an even code with words of weight 6 and 10, none of
+    weight 2 or 4, so only the test that every weight is 0 mod 4 refuses it."""
+    gens = list(golay.generators)
+    gens[0] ^= 0b11
+    assert gens[0] == 0x800ae0
+    code = BinaryCode(gens)
+    assert code.weight_distribution() == {0: 1, 6: 21, 8: 618, 10: 400, 12: 1960, 14: 546,
+                                          16: 493, 18: 56, 22: 1}
+    with pytest.raises(VerificationFailure, match=re.escape("C=(6, 7, 8, 10, 12, 24) is a codeword of weight 6")):
+        n1_checks(GolayLift(code))
+
+
+@pytest.mark.parametrize("fact", ["verify_fixed", "weight_distribution"])
 def test_n1_rests_on_the_four_facts(lift, monkeypatch, fact):
-    """n1_checks fails when (a), (b) or the code check behind (d) fails; (c) follows from (b)."""
+    """n1_checks fails when (a) or the code check behind (b)-(d) fails."""
     def refuse(self, *args):
         raise VerificationFailure("%s refused" % fact)
 

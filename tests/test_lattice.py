@@ -436,6 +436,22 @@ def test_negative_controls(leech):
         roots.verify()
 
 
+def test_lattice_refuses_vectors_that_are_not_24_integers(leech):
+    """No coordinate is truncated or dropped: 17/2 e_1 is not 8 e_1, and 8 e_1 with a 25th
+    coordinate is not 8 e_1 either."""
+    assert leech.contains([8] + [0] * 23) and leech.contains([np.int64(8)] + [0] * 23)
+    for x in ([Fraction(17, 2)] + [0] * 23, [8.5] + [0] * 23, [8.0] + [0] * 23):
+        with pytest.raises(ValidationError, match="must be integers"):
+            leech.contains(x)
+    for x in ([8] + [0] * 23 + [5], [8] + [0] * 22):
+        with pytest.raises(ValidationError, match="coordinates, not 24"):
+            leech.contains(x)
+    rows = [list(row) for row in leech.basis]
+    rows[3][5] += 0.5
+    with pytest.raises(ValidationError, match="basis entries must be integers"):
+        IntegerLattice(rows)
+
+
 def test_golay_refusals():
     # three extended Hamming [8,4,4] codes side by side: 42 words of weight 4
     hamming = (0b11110000, 0b11001100, 0b10101010, 0b11111111)

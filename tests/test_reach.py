@@ -50,10 +50,12 @@ def oracle(item):
 UNREACHED = {
     "cliffordcm:DenseState.equals": "exact state comparison of the tests",  # n1 reads t(t v) = t v off fact (a)
     "cliffordcm:GolayLift.tables": TRACER,
-    "cliffordcm:GolayLift.word_table": TRACER,  # its one caller in the package is the wrapped tables
+    "cliffordcm:GolayLift.verify_squares": TRACER,  # n1 reads W^2 = 1 off the code's weights
+    "cliffordcm:GolayLift.word_table": TRACER,  # its callers in the package are the wrapped tables and verify_squares
     "cliffordcm:WordTable.__eq__": EQ_HASH,  # value equality; it leaves the table unhashable
     "cliffordcm:WordTable.apply": TRACER,  # goes with the wrapped apply_into (ROADMAP item 8)
     "cliffordcm:WordTable.apply_into": TRACER,
+    "cliffordcm:WordTable.differs": "row comparison of `__eq__` and the wrapped `verify_squares`",
     "cliffordcm:reorder_sign": oracle(1),
     "cyclotomic:CycNumber.__add__": TRACER,
     "cyclotomic:CycNumber.__hash__": EQ_HASH,
