@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import index
 
 import numpy as np
 
@@ -137,7 +138,13 @@ class DenseState:
 
     @staticmethod
     def basis(mask: int) -> "DenseState":
-        """The basis vector m_S for the pair-subset bitmask S."""
+        """The basis vector m_S for the pair-subset bitmask S, 0 <= S < 4096."""
+        try:
+            mask = index(mask)
+        except TypeError:
+            raise ValidationError("basis mask must be an integer") from None
+        if not 0 <= mask < DIM:
+            raise ValidationError("basis mask %d is not a subset of the %d pairs" % (mask, PAIRS))
         re = np.zeros(DIM, dtype=np.int64)
         re[mask] = 1
         return DenseState(re, np.zeros(DIM, dtype=np.int64), 0)
@@ -205,7 +212,10 @@ class WordTable:
     __slots__ = ("toggle", "odd", "u0", "t0", "du", "dt", "_gathers")
 
     def __init__(self, cmasks, signs=1):
-        cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
+        cmasks = np.array(cmasks, ndmin=1)
+        if cmasks.size and cmasks.dtype.kind not in "iu":  # no float is truncated and no bool read as 0 or 1
+            raise ValidationError("word masks must be integers")
+        cmasks = cmasks.astype(np.int64, copy=False)
         if ((cmasks < 0) | (cmasks >= 1 << NGEN)).any():
             raise ValidationError("word masks must be of %d generators" % NGEN)
         signs = np.broadcast_to(signs, cmasks.shape)

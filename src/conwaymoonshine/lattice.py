@@ -28,7 +28,10 @@ class BinaryCode:
     """A binary linear code of length 24 given by 12 generator masks."""
 
     def __init__(self, generators):
-        self.generators = tuple(generators)
+        try:
+            self.generators = tuple(map(index, generators))
+        except TypeError:
+            raise ValidationError("generators must be integer masks") from None
         if len(self.generators) != 12:
             raise ValidationError("expected 12 generators, got %d" % len(self.generators))
         if any(not 0 <= g < 1 << LENGTH for g in self.generators):
@@ -151,20 +154,6 @@ class IntegerLattice:
         det = _covolume(self._echelon)
         return Fraction(det * det, 8**LENGTH)
 
-    def contains(self, x) -> bool:
-        """Exact membership of a vector of 24 integers: reduce x against the echelon basis."""
-        try:
-            x = [index(c) for c in x]
-        except TypeError:
-            raise ValidationError("vector entries must be integers") from None
-        if len(x) != LENGTH:
-            raise ValidationError("vector has %d coordinates, not %d" % (len(x), LENGTH))
-        for i, row in enumerate(self._echelon):
-            q = x[i] // row[i]
-            if q:
-                x = [a - q * c for a, c in zip(x, row)]
-        return not any(x)
-
     def verify(self):
         """Even, determinant one, no vectors of norm below 4: norm 2 is read
         from one _shells pass through norm 4, which shell_count(4) reuses."""
@@ -223,26 +212,28 @@ def _stored_basis() -> list:
 @lru_cache(maxsize=4)
 def build_leech(code: BinaryCode) -> IntegerLattice:
     """Standard Golay-code construction of the Leech lattice (SPLAG ch. 4
-    section 11), as a checked certificate.
-
-    The committed basis (_stored_basis) is a reduced basis of the lattice
-    spanned by _leech_generators(code), found once by LLL with deep
-    insertions; the search lives in the tests.  Here it is only checked:
-    every generator passes the defining congruences and lies in the stored
-    lattice, so the generators span a sublattice of it, and the two
-    covolumes (products of the integer echelon diagonals) agree, so the
-    sublattice is all of it.  Then all lattice invariants are verified.  A
-    code whose lattice the stored basis does not span is refused.
-    """
+    section 11), as a checked certificate: the committed basis
+    (_stored_basis) is a reduced basis of the lattice L spanned by
+    _leech_generators(code), found once by LLL with deep insertions (the
+    search lives in the tests).  Every generator passes the defining
+    congruences and has dot products 0 mod 8 with the stored rows (one
+    int64 product, bounded in Python ints first), so it lies in the dual
+    L*; the covolumes (integer echelon diagonals) agree; and verify() shows
+    L integral of determinant 1, so L* = L and the generators span all of
+    L.  A code whose lattice the stored basis does not span is refused."""
     gens = _leech_generators(code)
     for g in gens:
         if not _leech_congruences(g, code):
             raise ValidationError("generator %s fails the defining congruences" % (g,))
     lat = IntegerLattice(_stored_basis())
+    bound = LENGTH * max(abs(c) for g in gens for c in g) * max(abs(c) for row in lat.basis for c in row)
+    if bound >= _INT64:  # bounds every entry of G B^T
+        raise ValidationError("the generators' dot products need %d-bit integers, past int64" % bound.bit_length())
     refused = "the stored Leech basis does not span this code's lattice: "
-    for i, g in enumerate(gens):
-        if not lat.contains(g):
-            raise ValidationError(refused + "generator %d is not in it" % i)
+    G, B = np.array(gens, dtype=np.int64), np.array(lat.basis, dtype=np.int64)
+    outside = np.flatnonzero((G @ B.T % 8).any(axis=1))  # the generators outside L*
+    if outside.size:
+        raise ValidationError(refused + "generator %d is not in it" % outside[0])
     # the 8 e_i lie in the span of the generators, so it has rank 24 and pivots on the diagonal
     spanned, stored = _covolume(_integer_row_basis(gens)), _covolume(lat._echelon)
     if spanned != stored:
@@ -255,26 +246,23 @@ def _leech_congruences(x, code) -> bool:
     """The classical description: coordinates all congruent mod 2 (to m),
     the mod-4 pattern supported on a codeword, coordinate sum = 4m mod 8."""
     m = x[0] % 2
-    if any(c % 2 != m for c in x):
-        return False
     mask = sum(1 << i for i, c in enumerate(x) if (c - m) % 4 == 2)
-    if not code.contains(mask):
-        return False
-    return sum(x) % 8 == 4 * m % 8
+    return all(c % 2 == m for c in x) and code.contains(mask) and sum(x) % 8 == 4 * m % 8
 
 
 def coordinate_frame(lat: IntegerLattice):
-    """The 24 frame vectors 8 e_i, checked to lie in the lattice and to be
-    congruent mod 2*Lattice.  They are orthogonal of norm 8 by construction:
-    (8 e_i . 8 e_j)/8 = 8 delta_ij."""
-    frame = [tuple(8 * (j == i) for j in range(LENGTH)) for i in range(LENGTH)]
-    for i, v in enumerate(frame):
-        if not lat.contains(v):
-            raise ValidationError("frame vector %d is not in the lattice" % i)
-        # congruence mod 2*Lattice is an equivalence relation: frame[0] stands for every pair
-        if i and not lat.contains([(a - b) // 2 for a, b in zip(v, frame[0])]):
-            raise ValidationError("frame vectors not congruent mod doubled lattice")
-    return frame
+    """The 24 frame vectors 8 e_i of an integral lattice L of Gram
+    determinant 1, which is its own dual: an integer x lies in L when
+    x . b = 0 mod 8 for every basis row b.  8 e_i . b = 8 b_i, so each 8 e_i
+    lies in L, and 4(e_i - e_0) . b = 4(b_i - b_0), so the frame is
+    congruent mod 2L (an equivalence relation: e_0 stands for every pair)
+    when every row has coordinates of one parity; other lattices are
+    refused.  The vectors are orthogonal of norm 8: (8 e_i . 8 e_j)/8 = 8 delta_ij."""
+    if any(v % 8 for row in _gram(lat.basis) for v in row) or lat.gram_determinant() != 1:
+        raise ValidationError("the frame needs an integral lattice of Gram determinant 1")
+    if any((c - row[0]) % 2 for row in lat.basis for c in row):
+        raise ValidationError("frame vectors not congruent mod doubled lattice")
+    return [tuple(8 * (j == i) for j in range(LENGTH)) for i in range(LENGTH)]
 
 
 def sign_change_frameshape(codeword: int, code: BinaryCode):

@@ -255,6 +255,27 @@ def test_word_table_rows():
             WordTable(outside)
 
 
+def test_word_table_refuses_masks_that_are_not_integers():
+    # no float is truncated (2.7 was generator mask 2) and no bool is read as 0 or 1
+    for bad in (2.7, 2.0, [True], [3, 1.5], np.array([1.0])):
+        with pytest.raises(ValidationError, match="word masks must be integers"):
+            WordTable(bad)
+    assert len(WordTable([])) == 0
+    assert WordTable(np.array([3, 12], dtype=np.uint32)) == WordTable([3, 12])
+
+
+def test_basis_state_refuses_a_mask_outside_the_12_pairs():
+    # -1 was numpy's last entry, m_4095
+    assert DenseState.basis(np.int64(4095)).equals(DenseState.basis(4095))
+    assert DenseState.basis(5).re.nonzero()[0].tolist() == [5]
+    for bad in (-1, 4096, 1 << 40):
+        with pytest.raises(ValidationError, match="basis mask -?[0-9]+ is not a subset of the 12 pairs"):
+            DenseState.basis(bad)
+    for bad in (2.0, F(1), None):
+        with pytest.raises(ValidationError, match="basis mask must be an integer"):
+            DenseState.basis(bad)
+
+
 def test_monomial_sqrt():
     for x, y in [(1, 0), (0, -8), (F(-1, 2), 0), (0, F(1, 32))]:
         value = CycNumber(4, (F(x), F(y)))

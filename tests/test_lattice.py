@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from math import ceil, isqrt, prod
+from operator import index
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,20 @@ def test_code_refuses_generators_outside_length_24(golay):
     for bad in (1 << 24, -1):
         with pytest.raises(ValidationError, match="generators must be masks of 24 coordinates"):
             lattice.BinaryCode(golay.generators[:11] + (golay.generators[11] | bad,))
+
+
+def contains(lat, x):
+    """Exact membership of a vector of 24 integers in an IntegerLattice, the
+    test oracle for the package's dual criterion (x . b = 0 mod 8 for every
+    row b of a unimodular lattice): reduce x against the echelon basis,
+    whose row i pivots on column i."""
+    x = [index(c) for c in x]
+    assert len(x) == LENGTH
+    for i, row in enumerate(lat._echelon):
+        q = x[i] // row[i]
+        if q:
+            x = [a - q * c for a, c in zip(x, row)]
+    return not any(x)
 
 
 def test_leech_gram(leech):
@@ -361,8 +376,8 @@ def test_lll_reduce_keeps_the_lattice(leech):
     for basis in (echelon, skewed_basis(LENGTH, 5)):
         reduced = lll_reduce(basis)
         before, after = IntegerLattice(basis), IntegerLattice(reduced)
-        assert all(after.contains(row) for row in basis)
-        assert all(before.contains(row) for row in reduced)
+        assert all(contains(after, row) for row in basis)
+        assert all(contains(before, row) for row in reduced)
         # the transform from basis to reduced is integral, so det +-1 means unimodular
         assert prod(exact_gram_schmidt(reduced)[0]) == prod(exact_gram_schmidt(basis)[0])
 
@@ -426,9 +441,9 @@ def test_gram_determinant_matches_exact_gram_schmidt(leech):
 
 
 def test_negative_controls(leech):
-    assert leech.contains((-3,) + (1,) * 23)
-    assert not leech.contains((1,) + (0,) * 23)
-    assert not leech.contains((3,) + (1,) * 23)
+    assert contains(leech, (-3,) + (1,) * 23)
+    assert not contains(leech, (1,) + (0,) * 23)
+    assert not contains(leech, (3,) + (1,) * 23)
     roots = e8_cubed()
     assert roots.gram_determinant() == 1
     assert roots.shell_count(2) == 720
@@ -437,19 +452,26 @@ def test_negative_controls(leech):
 
 
 def test_lattice_refuses_vectors_that_are_not_24_integers(leech):
-    """No coordinate is truncated or dropped: 17/2 e_1 is not 8 e_1, and 8 e_1 with a 25th
-    coordinate is not 8 e_1 either."""
-    assert leech.contains([8] + [0] * 23) and leech.contains([np.int64(8)] + [0] * 23)
-    for x in ([Fraction(17, 2)] + [0] * 23, [8.5] + [0] * 23, [8.0] + [0] * 23):
-        with pytest.raises(ValidationError, match="must be integers"):
-            leech.contains(x)
-    for x in ([8] + [0] * 23 + [5], [8] + [0] * 22):
-        with pytest.raises(ValidationError, match="coordinates, not 24"):
-            leech.contains(x)
+    """No coordinate of a basis row is truncated or dropped: 17/2 is not 8, and a row with
+    a 25th coordinate is not the row without it; numpy integers are read as ints."""
     rows = [list(row) for row in leech.basis]
-    rows[3][5] += 0.5
-    with pytest.raises(ValidationError, match="basis entries must be integers"):
-        IntegerLattice(rows)
+    assert IntegerLattice([[np.int64(c) for c in row] for row in rows]).basis == leech.basis
+    for bad in (Fraction(17, 2), 8.5, 8.0):
+        spoiled = [row[:] for row in rows]
+        spoiled[3][5] = bad
+        with pytest.raises(ValidationError, match="basis entries must be integers"):
+            IntegerLattice(spoiled)
+    for row in (rows[3] + [5], rows[3][:-1]):
+        with pytest.raises(ValidationError, match="basis must be 24 rows of 24 integers"):
+            IntegerLattice(rows[:3] + [row] + rows[4:])
+
+
+def test_code_refuses_generators_that_are_not_integers(golay):
+    # 1.5 passed the range check and then failed in the GF(2) echelon with an AttributeError
+    for bad in (1.5, 2.0, Fraction(3)):
+        with pytest.raises(ValidationError, match="generators must be integer masks"):
+            lattice.BinaryCode(golay.generators[:11] + (bad,))
+    assert lattice.BinaryCode(np.array(golay.generators)).generators == golay.generators
 
 
 def test_golay_refusals():
@@ -468,8 +490,13 @@ def test_lattice_refusals():
     # the rows 8 e_i: Gram matrix 8 I, even and integral but of determinant 8^24
     with pytest.raises(ValidationError, match="Gram determinant 4722366482869645213696 != 1"):
         IntegerLattice(rows).verify()
-    with pytest.raises(ValidationError, match="frame vector 0 is not in the lattice"):
-        lattice.coordinate_frame(IntegerLattice([[16] + [0] * 23] + rows[1:]))
+    # 16 e_0 and the 8 e_i: integral, Gram determinant 2^74, so the frame is refused before its checks;
+    # 2 e_i (i < 12) and 4 e_i: Gram determinant 1 and rows of one parity, but Gram entries 1/2 and 2
+    halves = [[(2 + 2 * (i >= 12)) * (j == i) for j in range(LENGTH)] for i in range(LENGTH)]
+    assert IntegerLattice(halves).gram_determinant() == 1
+    for lat in (IntegerLattice([[16] + [0] * 23] + rows[1:]), IntegerLattice(halves)):
+        with pytest.raises(ValidationError, match="the frame needs an integral lattice of Gram determinant 1"):
+            lattice.coordinate_frame(lat)
 
 
 def spy_walks(monkeypatch):
@@ -551,7 +578,7 @@ def test_frame_properties(leech, frame):
     assert IntegerLattice(frame).gram8() == [[64 * (i == j) for j in range(24)] for i in range(24)]
     for i, v in enumerate(frame):
         for w in frame[i + 1 :]:
-            assert leech.contains([(a - b) // 2 for a, b in zip(v, w)])
+            assert contains(leech, [(a - b) // 2 for a, b in zip(v, w)])
 
 
 def test_sign_change_shapes(golay):
@@ -602,7 +629,7 @@ def test_sign_changes_preserve_membership(golay, leech):
         vectors.append(tuple(v))
     for w in words:
         for v in vectors:
-            assert leech.contains(apply_sign_change(w, v))
+            assert contains(leech, apply_sign_change(w, v))
             assert _leech_congruences(list(apply_sign_change(w, v)), golay)
 
 
@@ -635,17 +662,42 @@ def test_octad_sign_change_word_supertrace(golay, lift):
 
 
 def test_frame_congruence_negative_control():
-    # 8 e_i lies in 8Z^24 with norm 8, pairwise orthogonal, but 4 e_i - 4 e_j does not
+    # 8 e_i lies in 8Z^24 with norm 8, pairwise orthogonal, but 4 e_i - 4 e_j does not; 8Z^24
+    # has Gram determinant 8^24, so the frame is refused before its membership is read off
     scaled = IntegerLattice([[8 * (j == i) for j in range(LENGTH)] for i in range(LENGTH)])
-    with pytest.raises(ValidationError, match="not congruent"):
+    with pytest.raises(ValidationError, match="the frame needs an integral lattice of Gram determinant 1"):
         lattice.coordinate_frame(scaled)
 
 
-def test_frame_congruence_is_tested_against_one_vector(leech, monkeypatch):
-    calls, contains = [], IntegerLattice.contains
-    monkeypatch.setattr(IntegerLattice, "contains", lambda self, x: calls.append(x) or contains(self, x))
-    assert len(lattice.coordinate_frame(leech)) == 24
-    assert len(calls) == 24 + 23  # membership of each vector, then congruence with the first
+def tetrad_image(rows):
+    """x_i -> (x_0 + x_1 + x_2 + x_3)/2 - x_i for i < 4: minus the reflection in
+    (1, 1, 1, 1, 0, ..., 0), an isometry, integral on vectors whose first four
+    coordinates have an even sum."""
+    return [[sum(row[:4]) // 2 - c for c in row[:4]] + list(row[4:]) for row in rows]
+
+
+def test_frame_congruence_refuses_a_unimodular_lattice_of_mixed_parity(leech):
+    """The image of Leech under the tetrad map is even and unimodular, but 15 of its
+    rows mix odd and even coordinates, so 4(e_i - e_0) is not in it for some i."""
+    rows = tetrad_image(leech.basis)
+    image = IntegerLattice(rows)
+    assert image.gram_determinant() == 1 and image.verify()
+    assert sum(len({c % 2 for c in row}) > 1 for row in rows) == 15
+    assert not all(contains(image, [4 * (j == i) - 4 * (j == 0) for j in range(LENGTH)]) for i in range(LENGTH))
+    with pytest.raises(ValidationError, match="not congruent"):
+        lattice.coordinate_frame(image)
+
+
+def test_leech_checks_make_no_per_vector_reduction(golay, monkeypatch):
+    """coordinate_frame reads membership off unimodularity and reduces nothing;
+    build_leech reduces the stored basis (IntegerLattice.__init__) and the 37
+    generators, for their covolumes, and no generator or frame vector alone."""
+    calls, reduce = [], lattice._integer_row_basis
+    monkeypatch.setattr(lattice, "_integer_row_basis", lambda rows: calls.append(len(rows)) or reduce(rows))
+    lat = build_leech.__wrapped__(golay)
+    assert calls == [24, 37]
+    assert len(lattice.coordinate_frame(lat)) == 24
+    assert calls == [24, 37]
 
 
 def read_leech_basis():
@@ -676,20 +728,36 @@ def build_with_stored(monkeypatch, rows, code):
 
 
 def test_build_leech_refuses_a_sublattice(golay, leech, monkeypatch):
-    # a stored row doubled spans an index-2 sublattice, which misses a generator
+    # a stored row doubled spans an index-2 sublattice L of Leech; its dual holds Leech, so
+    # every generator passes the mod-8 test, and the covolume check refuses it before verify()
     rows = [list(row) for row in leech.basis]
     rows[5] = [2 * c for c in rows[5]]
-    with pytest.raises(ValidationError, match="does not span this code's lattice: generator [0-9]+ is not in it"):
+    assert not all(contains(IntegerLattice(rows), g) for g in _leech_generators(golay))
+    with pytest.raises(ValidationError, match="does not span this code's lattice: "
+                                              "its covolume is 137438953472, the generators' 68719476736"):
         build_with_stored(monkeypatch, rows, golay)
 
 
-def test_build_leech_refuses_a_superlattice_by_covolume(golay, leech, monkeypatch):
-    # Leech + Z (2, 2, 0, ..., 0): index 2 over it, so it holds every generator
-    # and only the covolume check tells the two apart, before verify() runs
+def test_build_leech_refuses_a_superlattice_by_its_dual(golay, leech, monkeypatch):
+    # Leech + Z (2, 2, 0, ..., 0): index 2 over it, so it holds every generator and has the
+    # covolume of neither; its dual is of index 2 in Leech and misses generator 0, whose dot
+    # product with (2, 2, 0, ..., 0) is -4, so the mod-8 test refuses it before verify()
     rows = _integer_row_basis(list(leech.basis) + [[2, 2] + [0] * 22])
-    assert all(IntegerLattice(rows).contains(g) for g in _leech_generators(golay))
-    with pytest.raises(ValidationError, match="does not span this code's lattice: "
-                                              "its covolume is 34359738368, the generators' 68719476736"):
+    assert all(contains(IntegerLattice(rows), g) for g in _leech_generators(golay))
+    with pytest.raises(ValidationError, match="does not span this code's lattice: generator 0 is not in it$"):
+        build_with_stored(monkeypatch, rows, golay)
+
+
+def test_build_leech_bounds_its_int64_product(golay, leech, monkeypatch):
+    """The generators' dot products with the stored rows are bounded by
+    24 max|G| max|B| in Python ints: Leech times 2^50 (bound 3 * 2^58) is
+    multiplied exactly, every generator passes, and the covolume refuses it;
+    Leech times 2^58 (bound 3 * 2^66) is refused before any product."""
+    rows = [[c << 50 for c in row] for row in leech.basis]
+    with pytest.raises(ValidationError, match="its covolume is %d, the generators' 68719476736" % 2**(36 + 50 * 24)):
+        build_with_stored(monkeypatch, rows, golay)
+    rows = [[c << 58 for c in row] for row in leech.basis]
+    with pytest.raises(ValidationError, match="dot products need 68-bit integers, past int64"):
         build_with_stored(monkeypatch, rows, golay)
 
 

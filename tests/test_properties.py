@@ -16,6 +16,7 @@ from test_frameshape import (  # noqa: E402
     fraction_eigenvalue_pairs,
     pairing_outcome,
 )
+from test_lattice import contains  # noqa: E402
 from test_qseries import (  # noqa: E402
     assert_log_derivative_matches_oracle,
     assert_text_and_residual_match_oracle,
@@ -526,3 +527,26 @@ def test_eta_truncation_bound_covers_the_tail(re, im, exps):
     tail = -(w * (u + u * u / 2)).sum()
     assert bound <= 1e-15
     assert abs(tail) <= bound * (1 + 1e-12)
+
+
+leech_moves = st.one_of(
+    st.dictionaries(st.integers(0, 23), st.sampled_from((-8, -4, -2, -1, 1, 2, 4, 8)), max_size=3),
+    st.lists(st.integers(-12, 12), min_size=24, max_size=24).map(lambda v: dict(enumerate(v))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=24, max_size=24), leech_moves)
+@example(coeffs=[0] * 24, moved={0: 4, 1: 4})  # 4(e_0 + e_1), a member
+@example(coeffs=[1] + [0] * 23, moved={5: 4})  # b_0 + 4 e_5, not one
+def test_dual_criterion_matches_echelon_oracle(leech, coeffs, moved):
+    """Leech is integral of determinant 1, so it is its own dual: an integer
+    vector x lies in it exactly when x . b = 0 mod 8 for every basis row b,
+    the test of build_leech and coordinate_frame.  The exact echelon
+    reduction agrees on members c B, on them moved at a few coordinates, and
+    on random vectors."""
+    basis = np.array(leech.basis, dtype=np.int64)
+    x = np.array(coeffs) @ basis + np.array([moved.get(j, 0) for j in range(24)])
+    assert (not (x @ basis.T % 8).any()) == contains(leech, x.tolist())
+    if not moved:
+        assert contains(leech, x.tolist())
