@@ -21,10 +21,10 @@ two), from int16 and int8 tables built on a table's first application and
 kept on it.  t is applied one factor (1 + W)/2 at a time, W each of the
 lift's 12 generator words, through WordTable.images.
 
-n1_checks reads W^2 = 1, the closure of the lifted words and fact (d) off the
-code's weights, and applies only the 12 generator words to t v; its docstring
-gives the proof.  Nothing irrational is stored; only even-length words act on
-dense states.
+n1_checks reads W^2 = 1, the closure of the lifted words, facts (a) and (d) and
+the group order off the code's weights, and applies the 12 generator words
+only as the factors of t; its docstring gives the proof.  Nothing irrational is
+stored; only even-length words act on dense states.
 """
 
 from __future__ import annotations
@@ -192,6 +192,15 @@ def _rotations(x, y):
     return np.concatenate((y, x, -y, -x, y))
 
 
+def _masks(cmasks):
+    """Word masks as an int64 array of at least one dimension; no float is truncated
+    and no bool read as 0 or 1."""
+    cmasks = np.array(cmasks, ndmin=1)
+    if cmasks.size and cmasks.dtype.kind not in "iu":
+        raise ValidationError("word masks must be integers")
+    return cmasks.astype(np.int64, copy=False)
+
+
 def _check_headroom(bits: int, size: int):
     """Refuse to shift entries of `size` bits left by up to `bits`, unless they
     stay below 2^61, so that adding two of them cannot wrap int64."""
@@ -212,10 +221,7 @@ class WordTable:
     __slots__ = ("toggle", "odd", "u0", "t0", "du", "dt", "_gathers")
 
     def __init__(self, cmasks, signs=1):
-        cmasks = np.array(cmasks, ndmin=1)
-        if cmasks.size and cmasks.dtype.kind not in "iu":  # no float is truncated and no bool read as 0 or 1
-            raise ValidationError("word masks must be integers")
-        cmasks = cmasks.astype(np.int64, copy=False)
+        cmasks = _masks(cmasks)
         if ((cmasks < 0) | (cmasks >= 1 << NGEN)).any():
             raise ValidationError("word masks must be of %d generators" % NGEN)
         signs = np.broadcast_to(signs, cmasks.shape)
@@ -386,7 +392,7 @@ class GolayLift:
 
     def word_table(self, cmasks) -> WordTable:
         """The words s(C) e_C for one codeword mask or a sequence of them."""
-        cmasks = np.array(cmasks, dtype=np.int64, ndmin=1)
+        cmasks = _masks(cmasks)
         try:
             signs = [self.section[c] for c in cmasks.tolist()]
         except KeyError as exc:
@@ -405,16 +411,6 @@ class GolayLift:
         bad = (words * words).differs(WordTable(0))
         if bad.any():
             raise VerificationFailure("square of lifted %06x is not +1" % self.masks[bad].min())
-        return True
-
-    def verify_fixed(self, state: DenseState):
-        """All 4096 lifted words fix state: each is a product of the 12 generator words by
-        construction, so it is enough that those 12 do; the first generator in the code's order
-        that moves state is named."""
-        for gen, word in zip(self.code.generators, self._generators):
-            re, im, shift = word.images(state)
-            if (re != state.re << shift).any() or (im != state.im << shift).any():
-                raise VerificationFailure("state moved by lifted %06x" % gen)
         return True
 
     def group_order(self) -> int:
@@ -450,14 +446,16 @@ def golay_lift_section(code, frame=None) -> GolayLift:
 
 def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
     """Structure checks backing the supersymmetry element u = t v: the code is doubly even with
-    no word of weight 4, the lifted group has order 8192, u is nonzero, fixed by t and by every
-    lifted word, and non-isotropic, and <e_C u, u> = 0 for all 10,902 C of size 2 or 4.  The
-    last is proved from four facts about the generator words W: (a) W u = u, checked;
-    (b) W^2 = 1, by the weights, as a signed even word squares to (-1)^(|C|(|C|+1)/2);
-    (c) W is self-adjoint for the form, as W* carries the same sign as W^2; and (d) some
-    generator meets C in an odd number of points, so e_C W = -W e_C, by the weights, as a doubly
-    even code of dimension 12 in length 24 is self-dual, so a C of size 2 or 4 that meets every
-    generator evenly would be a codeword of weight 2 or 4.
+    no word of weight 4, and u is nonzero and non-isotropic, checked; the order of the lifted
+    group is 8192 (BinaryCode refuses dependent generators, so the section has 4096 masks), u is
+    fixed by t and by every lifted word, and <e_C u, u> = 0 for all 10,902 C of size 2 or 4,
+    proved from four facts about the generator words W: (a) W u = u, by (b) and commutation:
+    W (1 + W)/2 = (1 + W)/2, and W commutes with the other factors of t = prod_j (1 + W_j)/2,
+    so W t = t; (b) W^2 = 1, by the weights, as a signed even word squares to
+    (-1)^(|C|(|C|+1)/2); (c) W is self-adjoint for the form, as W* carries the same sign as
+    W^2; and (d) some generator meets C in an odd number of points, so e_C W = -W e_C, by the
+    weights, as a doubly even code of dimension 12 in length 24 is self-dual, so a C of size 2
+    or 4 that meets every generator evenly would be a codeword of weight 2 or 4.
     Then <e_C u, u> = <e_C W u, W u> = <W e_C W u, u> = -<e_C u, u>.
 
     Returns a report dict; raises VerificationFailure on any failure.
@@ -468,25 +466,18 @@ def n1_checks(lift: GolayLift, *, seed=None, orth_samples=None):
 
     # the code check comes first, as the rest rests on it; closure is proved, not sampled:
     # doubly even gives W^2 = 1 for every lifted word W, and even intersections, so any two
-    # lifted words commute, as e_C e_D = (-1)^(|C||D| - |C & D|) e_D e_C; so {+-prod_S g_j}
-    # over the generator words g_j is elementary abelian of order 8192, and
-    # t = prod_j (1 + g_j)/2 fixes what every g_j fixes
+    # lifted words commute, as e_C e_D = (-1)^(|C||D| - |C & D|) e_D e_C
     dist = lift.code.weight_distribution()
     if any(w % 4 for w in dist) or 4 in dist:
         c = min(w for w in lift.code.words() if w.bit_count() % 4 or w.bit_count() == 4)
         raise VerificationFailure("C=%s is a codeword of weight %d"
                                   % (tuple(i + 1 for i in range(c.bit_length()) if c >> i & 1), c.bit_count()))
     report["group_order"] = lift.group_order()
-    if report["group_order"] != 8192:
-        raise VerificationFailure("lifted group has order %d" % report["group_order"])
 
     tv = lift.invariant_vector()
     report["tv_components"] = tv.nonzero_count()
     if not report["tv_components"]:
         raise VerificationFailure("t v is zero")
-
-    # invariance of t v under every lifted sign change, from the 12 generator words: (a)
-    lift.verify_fixed(tv)
     report["invariance_checked"] = len(lift.section)
 
     # norm of the invariant vector, and orthogonality over every short subset by (a)-(d)

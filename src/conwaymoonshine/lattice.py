@@ -53,6 +53,10 @@ class BinaryCode:
         return self._words
 
     def contains(self, mask: int) -> bool:
+        try:
+            mask = index(mask)
+        except TypeError:
+            raise ValidationError("masks must be integers") from None
         for row, piv in zip(self._echelon, self._pivots):
             if mask >> piv & 1:
                 mask ^= row
@@ -177,8 +181,12 @@ class IntegerLattice:
         that g2 (_flag) does not divide, else read from the widest pass of
         the exact dynamic program over the Gram-Schmidt flag (_shells) made
         for this lattice (_counts).  ValidationError when a level would need
-        more than _MAX_ROWS rows or values past int64."""
-        target8 = 8 * norm
+        more than _MAX_ROWS rows or values past int64, or for a norm that is
+        not an integer."""
+        try:
+            target8 = 8 * index(norm)
+        except TypeError:
+            raise ValidationError("shell norms must be integers") from None
         return 0 if target8 % _flag(self.basis)[1] else self._counts(target8).get(target8, 0)
 
     def _counts(self, target8: int) -> dict:
@@ -215,16 +223,16 @@ def build_leech(code: BinaryCode) -> IntegerLattice:
     section 11), as a checked certificate: the committed basis
     (_stored_basis) is a reduced basis of the lattice L spanned by
     _leech_generators(code), found once by LLL with deep insertions (the
-    search lives in the tests).  Every generator passes the defining
-    congruences and has dot products 0 mod 8 with the stored rows (one
-    int64 product, bounded in Python ints first), so it lies in the dual
-    L*; the covolumes (integer echelon diagonals) agree; and verify() shows
-    L integral of determinant 1, so L* = L and the generators span all of
-    L.  A code whose lattice the stored basis does not span is refused."""
+    search lives in the tests).  Every generator has dot products 0 mod 8
+    with the stored rows (one int64 product, bounded in Python ints first),
+    so it lies in the dual L*; the covolumes (integer echelon diagonals)
+    agree; and verify() shows L even of determinant 1, so L* = L and the
+    generators span all of L.  A code whose lattice the stored basis does
+    not span is refused.  The defining congruences then hold and are not
+    checked: (-3, 1^23), 4(e_1 + e_i) and 8 e_1 meet them by arithmetic, and
+    for 2 chi_C they ask |C| = 0 mod 4, which holds as 2 chi_C lies in the
+    even lattice L and has norm |C|/2."""
     gens = _leech_generators(code)
-    for g in gens:
-        if not _leech_congruences(g, code):
-            raise ValidationError("generator %s fails the defining congruences" % (g,))
     lat = IntegerLattice(_stored_basis())
     bound = LENGTH * max(abs(c) for g in gens for c in g) * max(abs(c) for row in lat.basis for c in row)
     if bound >= _INT64:  # bounds every entry of G B^T
@@ -240,14 +248,6 @@ def build_leech(code: BinaryCode) -> IntegerLattice:
         raise ValidationError(refused + "its covolume is %d, the generators' %d" % (stored, spanned))
     lat.verify()
     return lat
-
-
-def _leech_congruences(x, code) -> bool:
-    """The classical description: coordinates all congruent mod 2 (to m),
-    the mod-4 pattern supported on a codeword, coordinate sum = 4m mod 8."""
-    m = x[0] % 2
-    mask = sum(1 << i for i, c in enumerate(x) if (c - m) % 4 == 2)
-    return all(c % 2 == m for c in x) and code.contains(mask) and sum(x) % 8 == 4 * m % 8
 
 
 def coordinate_frame(lat: IntegerLattice):

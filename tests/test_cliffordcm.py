@@ -264,6 +264,16 @@ def test_word_table_refuses_masks_that_are_not_integers():
     assert WordTable(np.array([3, 12], dtype=np.uint32)) == WordTable([3, 12])
 
 
+def test_lifted_word_table_refuses_masks_that_are_not_integers(golay, lift):
+    # g + 0.5 was read as the word of g, and True as mask 1
+    g = golay.generators[0]
+    for bad in (g + 0.5, [g + 0.25, 0], True, np.array([float(g)])):
+        with pytest.raises(ValidationError, match="word masks must be integers"):
+            lift.word_table(bad)
+    assert len(lift.word_table([])) == 0
+    assert lift.word_table(np.array([g], dtype=np.uint32)) == lift.word_table(g)
+
+
 def test_basis_state_refuses_a_mask_outside_the_12_pairs():
     # -1 was numpy's last entry, m_4095
     assert DenseState.basis(np.int64(4095)).equals(DenseState.basis(4095))
@@ -483,7 +493,7 @@ def test_factor_tables_built_once_and_sign_sensitive(golay, lift, monkeypatch):
     fresh = GolayLift(golay, lift.generator_signs)
     tv = fresh.invariant_vector()
     kept = [word._gathers for word in fresh._generators]
-    assert fresh.apply_t_dense(tv).equals(tv) and fresh.verify_fixed(tv)
+    assert fresh.apply_t_dense(tv).equals(tv) and all(fixed_by(word, tv).all() for word in fresh._generators)
     # one index and one exponent table per generator word, kept for every later application
     assert built == [1] * 24 and len(fresh._generators) == 12
     assert all(word._gathers is k for word, k in zip(fresh._generators, kept))
@@ -562,6 +572,12 @@ def test_apply_into_guards():
         table.apply_into(near, *out, 3)
 
 
+def fixed_by(words, x):
+    """Per row of a word table, whether the word's image of x is x."""
+    re, im, shift = words.images(x)
+    return ~((re != x.re << shift) | (im != x.im << shift)).any(1)
+
+
 def first_moving(lift, x):
     """The first lifted word in mask order whose image of x is not x, sweeping
     all 4096 words 64 at a time."""
@@ -570,40 +586,17 @@ def first_moving(lift, x):
     masks = sorted(lift.section)
     words = lift.word_table(masks)
     for start in range(0, len(masks), 64):
-        re, im, shift = words[start:start + 64].images(x)
-        moved = ((re != x.re << shift) | (im != x.im << shift)).any(1)
+        moved = ~fixed_by(words[start:start + 64], x)
         if moved.any():
             return masks[start + int(moved.argmax())]
 
 
-def first_moving_generator(lift, x):
-    """The first generator mask, in the code's order, whose lifted word moves x, or None."""
-    for gen in lift.code.generators:
-        if not lift.word_table(gen).apply(x).equals(x):
-            return gen
-
-
-def test_verify_fixed_names_first_moving_word(golay, lift):
-    tv = lift.invariant_vector()
-    assert lift.verify_fixed(tv)
-    changed, woken = (DenseState(tv.re.copy(), tv.im.copy(), tv.e) for _ in range(2))
-    changed.re[np.flatnonzero(tv.re | tv.im)[7]] += 1  # a nonzero entry changed
-    woken.im[np.flatnonzero((tv.re | tv.im) == 0)[5]] = 3  # a zero entry made nonzero
-    other = GolayLift(golay, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
-    assert other.nonzero_count() and not other.equals(tv)
-    for x in (changed, woken, other):
-        assert first_moving(lift, x) is not None  # the sweep over all 4096 words finds a mover
-        gen = first_moving_generator(lift, x)
-        with pytest.raises(VerificationFailure, match="moved by lifted %06x$" % gen):
-            lift.verify_fixed(x)
-
-
-def test_verify_fixed_and_n1_cost(golay, lift, monkeypatch):
-    tv = lift.invariant_vector()
-    # a pass applies the 12 generator words only, each once, from their stored tables
+def test_n1_cost(golay, lift, monkeypatch):
+    # n1 applies the 12 generator words once each, as the factors of t, from their stored tables;
+    # fact (a) follows from the weights and costs no application of its own
     applied, images = [], WordTable.images
     monkeypatch.setattr(WordTable, "images", lambda self, x: applied.append(self) or images(self, x))
-    assert lift.verify_fixed(tv) and len(applied) == 12
+    assert n1_checks(lift)["passed"] and len(applied) == 12
     assert all(word is gen for word, gen in zip(applied, lift._generators))
     # a fresh lift and n1 on it build no table of more than the 12 generator words
     rows, init = [], WordTable.__init__
@@ -628,8 +621,9 @@ def test_dense_equals_compares_values():
 
 def test_batched_guards(lift):
     huge = DenseState(np.full(4096, 1 << 58, dtype=np.int64), np.zeros(4096, dtype=np.int64), 0)
-    with pytest.raises(ValidationError):  # the image entries would pass int64
-        lift.verify_fixed(huge)
+    assert lift._generators[0]._tables()[3] == 4
+    with pytest.raises(ValidationError):  # 59-bit entries shifted by up to 4 bits would pass 2^61
+        lift._generators[0].images(huge)
     with pytest.raises(ValidationError):
         WordTable(0b111).images(DenseState.basis(0))  # odd word: the 1/sqrt(2) is not Gaussian
     # at 25 + 24 bits the int64 sum is exact; one bit more is refused
@@ -717,7 +711,7 @@ def test_idempotent_and_invariance(lift):
     assert tv.nonzero_count()
     assert lift.apply_t_dense(tv).equals(tv)
     # fixed by the 12 signed generator words through the oracle, hence by the
-    # lifted group they generate (n1_checks tries all 4096 tables)
+    # lifted group they generate (n1_checks reads this, fact (a), off the weights)
     sv = sparse(tv)
     for cmask in lift.code.generators:
         assert oracle_table(cmask, lift.section[cmask], sv).equals(dense(sv))
@@ -811,7 +805,7 @@ def test_n1_refuses_a_code_with_words_of_weight_4():
     refuse it at the code check, naming the smallest one."""
     lift, tv = e8_cubed_lift()
     assert lift.code.weight_distribution() == {0: 1, 4: 42, 8: 591, 12: 2828, 16: 591, 20: 42, 24: 1}
-    assert lift.verify_squares() and lift.verify_fixed(tv) and lift.group_order() == 8192
+    assert lift.verify_squares() and fixed_by(lift.word_table(lift.code.generators), tv).all()
     c = 1 << 2 | 1 << 5 | 1 << 9 | 1 << 10
     assert min(w for w in lift.code.words() if w.bit_count() == 4) == c
     assert bilinear_dense(WordTable(c).apply(tv), tv) == lift.section[c] * bilinear_dense(tv, tv)  # not 0
@@ -833,12 +827,12 @@ def test_n1_refuses_a_code_that_is_not_doubly_even(golay):
         n1_checks(GolayLift(code))
 
 
-@pytest.mark.parametrize("fact", ["verify_fixed", "weight_distribution"])
+@pytest.mark.parametrize("fact", ["weight_distribution"])
 def test_n1_rests_on_the_four_facts(lift, monkeypatch, fact):
-    """n1_checks fails when (a) or the code check behind (b)-(d) fails."""
+    """n1_checks fails when the code check behind (a)-(d) fails."""
     def refuse(self, *args):
         raise VerificationFailure("%s refused" % fact)
 
-    monkeypatch.setattr(BinaryCode if fact == "weight_distribution" else GolayLift, fact, refuse)
+    monkeypatch.setattr(BinaryCode, fact, refuse)
     with pytest.raises(VerificationFailure, match="%s refused" % fact):
         n1_checks(lift)

@@ -23,7 +23,6 @@ from conwaymoonshine.lattice import (
     build_leech,
     sign_change_frameshape,
     _integer_row_basis,
-    _leech_congruences,
     _leech_generators,
     _shells,
 )
@@ -474,6 +473,28 @@ def test_code_refuses_generators_that_are_not_integers(golay):
     assert lattice.BinaryCode(np.array(golay.generators)).generators == golay.generators
 
 
+def test_masks_that_are_not_integers_are_refused(golay):
+    # 1.5 >> pivot raised TypeError in the GF(2) reduction
+    for bad in (1.5, 2.0, Fraction(3)):
+        with pytest.raises(ValidationError, match="masks must be integers"):
+            golay.contains(bad)
+        with pytest.raises(ValidationError, match="masks must be integers"):
+            sign_change_frameshape(bad, golay)
+    octad = next(w for w in golay.words() if w.bit_count() == 8)
+    assert golay.contains(np.int64(octad)) and sign_change_frameshape(np.int64(octad), golay)[1] == 8
+
+
+def test_shell_count_refuses_a_norm_that_is_not_an_integer(leech):
+    # on a fresh lattice 6.0 raised TypeError from isqrt, and after shell_count(6) it read the kept pass
+    lat = IntegerLattice(leech.basis)
+    for bad in (6.0, 4.0, Fraction(4), "4"):
+        with pytest.raises(ValidationError, match="shell norms must be integers"):
+            lat.shell_count(bad)
+    assert lat.shell_count(np.int64(6)) == 16773120
+    with pytest.raises(ValidationError, match="shell norms must be integers"):
+        lat.shell_count(6.0)
+
+
 def test_golay_refusals():
     # three extended Hamming [8,4,4] codes side by side: 42 words of weight 4
     hamming = (0b11110000, 0b11001100, 0b10101010, 0b11111111)
@@ -630,7 +651,6 @@ def test_sign_changes_preserve_membership(golay, leech):
     for w in words:
         for v in vectors:
             assert contains(leech, apply_sign_change(w, v))
-            assert _leech_congruences(list(apply_sign_change(w, v)), golay)
 
 
 def test_spinor_bridge_for_dodecads(golay, lift):
@@ -774,6 +794,17 @@ def test_build_leech_refuses_another_code(golay):
     assert code.verify()
     with pytest.raises(ValidationError, match="does not span this code's lattice: generator [0-9]+ is not in it"):
         build_leech(code)
+
+
+def test_build_leech_refuses_a_code_that_is_not_doubly_even(golay):
+    """Code generator 0 without coordinates 1 and 2 has weight 6, so its 2 chi_C, generator 1 of
+    the lattice, has odd norm 3 and fails the defining congruences; build_leech has no
+    congruence pass of its own and refuses the code by the dual test, before verify()."""
+    gens = list(golay.generators)
+    gens[0] ^= 0b11
+    assert gens[0] == 0x800ae0 and gens[0].bit_count() == 6
+    with pytest.raises(ValidationError, match="does not span this code's lattice: generator 1 is not in it$"):
+        build_leech.__wrapped__(lattice.BinaryCode(gens))
 
 
 def test_leech_shell_exits_2_on_a_refused_basis(golay, leech, monkeypatch, capsys):

@@ -10,7 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
-from test_cliffordcm import dense, first_moving, first_moving_generator, oracle_form  # noqa: E402
+from test_cliffordcm import dense, e8_cubed_lift, first_moving, fixed_by, oracle_form  # noqa: E402
 from test_frameshape import (  # noqa: E402
     brute_eigenvalues,
     fraction_eigenvalue_pairs,
@@ -34,7 +34,6 @@ from conwaymoonshine.errors import (  # noqa: E402
     NotRationalError,
     PrecisionError,
     ValidationError,
-    VerificationFailure,
 )
 from conwaymoonshine.fockoracle import (  # noqa: E402
     TWISTED,
@@ -439,18 +438,29 @@ def fixed_point_candidates(draw, lift, other):
 
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_verify_fixed_agrees_with_direct_sweep(golay, lift, data):
-    """verify_fixed passes exactly when no lifted word moves the state, as a
-    sweep over all 4096 words finds, and otherwise names the first generator
-    in the code's order that moves it."""
+def test_generator_words_agree_with_direct_sweep(golay, lift, data):
+    """The 12 generator words fix a state exactly when no lifted word moves it,
+    as a sweep over all 4096 words finds: each lifted word is their product."""
     other = GolayLift(golay, (1, 1, 1, -1, -1, 1, -1, 1, 1, 1, 1, -1)).invariant_vector()
     state = data.draw(fixed_point_candidates(lift, other))
-    if first_moving(lift, state) is None:
-        assert lift.verify_fixed(state)
-    else:
-        gen = first_moving_generator(lift, state)
-        with pytest.raises(VerificationFailure, match="moved by lifted %06x$" % gen):
-            lift.verify_fixed(state)
+    assert fixed_by(lift.word_table(golay.generators), state).all() == (first_moving(lift, state) is None)
+
+
+@pytest.fixture(scope="module")
+def e8_cubed_code():
+    return e8_cubed_lift()[0].code
+
+
+@settings(max_examples=20, deadline=None)
+@given(golay_code=st.booleans(), signs=st.lists(st.sampled_from((1, -1)), min_size=12, max_size=12),
+       state=small_states())
+def test_generator_words_fix_every_image_of_t(golay, e8_cubed_code, golay_code, signs, state):
+    """n1's fact (a) for any signs and any state: on a doubly even code the generator words
+    square to 1 and commute, so W (1 + W)/2 = (1 + W)/2 and each W fixes t v, on the Golay
+    code and on the e8^3 code alike."""
+    lift = GolayLift(golay if golay_code else e8_cubed_code, signs)
+    tv = lift.apply_t_dense(state)
+    assert all(fixed_by(word, tv).all() for word in lift._generators)
 
 
 sparse_states = st.dictionaries(

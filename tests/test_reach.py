@@ -48,9 +48,9 @@ def oracle(item):
 
 # "module:qualname" of each def no command enters, and why it stays
 UNREACHED = {
-    "cliffordcm:DenseState.equals": "exact state comparison of the tests",  # n1 reads t(t v) = t v off fact (a)
+    "cliffordcm:DenseState.equals": "exact state comparison of the tests",  # n1 reads t(t v) = t v off (a), a theorem
     "cliffordcm:GolayLift.tables": TRACER,
-    "cliffordcm:GolayLift.verify_squares": TRACER,  # n1 reads W^2 = 1 off the code's weights
+    "cliffordcm:GolayLift.verify_squares": TRACER,  # n1 reads W^2 = 1, and with it (a), off the code's weights
     "cliffordcm:GolayLift.word_table": TRACER,  # its callers in the package are the wrapped tables and verify_squares
     "cliffordcm:WordTable.__eq__": EQ_HASH,  # value equality; it leaves the table unhashable
     "cliffordcm:WordTable.apply": TRACER,  # goes with the wrapped apply_into (ROADMAP item 8)
@@ -70,6 +70,7 @@ UNREACHED = {
     "frameshape:FrameShape.__hash__": EQ_HASH,
     "frameshape:FrameShape.__repr__": REPR,
     "frameshape:FrameShape.__setattr__": EQ_HASH,  # immutability keeps the hash stable
+    "lattice:BinaryCode.contains": "membership test of `sign_change_frameshape`, an " + CRITERION,
     "lattice:IntegerLattice.__repr__": REPR,
     "lattice:IntegerLattice.gram8": CRITERION,
     "lattice:sign_change_frameshape": CRITERION,
