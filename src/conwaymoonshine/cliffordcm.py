@@ -192,13 +192,17 @@ def _rotations(x, y):
     return np.concatenate((y, x, -y, -x, y))
 
 
+_BOOLS = {bool, np.bool_}
+
+
 def _masks(cmasks):
     """Word masks as an int64 array of at least one dimension; no float is truncated
-    and no bool read as 0 or 1."""
-    cmasks = np.array(cmasks, ndmin=1)
-    if cmasks.size and cmasks.dtype.kind not in "iu":
+    and no bool read as 0 or 1, alone or in a list that numpy would read as integers."""
+    array = np.array(cmasks, ndmin=1)
+    entries = cmasks if isinstance(cmasks, (list, tuple)) else ()
+    if array.size and array.dtype.kind not in "iu" or not _BOOLS.isdisjoint(map(type, entries)):
         raise ValidationError("word masks must be integers")
-    return cmasks.astype(np.int64, copy=False)
+    return array.astype(np.int64, copy=False)
 
 
 def _check_headroom(bits: int, size: int):

@@ -7,9 +7,11 @@ eigenvalue multiset (no negative multiplicities after cancellation).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import index
+from types import MappingProxyType
 
 from .errors import PairingError, ParseError, ValidationError
 from .qseries import FracPowerSeries, eta_product
@@ -18,7 +20,7 @@ DEGREE = 24  # rank of the lattice whose automorphisms shapes describe
 
 
 class FrameShape:
-    """Immutable mapping m -> k_m with the two validity invariants."""
+    """Immutable mapping m -> k_m (`exps`, a read-only view) with the two validity invariants."""
 
     __slots__ = ("exps",)
 
@@ -31,13 +33,13 @@ class FrameShape:
         for m in clean:
             if m <= 0:
                 raise ValidationError("cycle length %d must be positive" % m)
-        object.__setattr__(self, "exps", clean)
+        object.__setattr__(self, "exps", MappingProxyType(clean))
         degree = sum(m * k for m, k in clean.items())
         if degree != DEGREE:
             raise ValidationError(
                 "degree %d != %d for shape %s" % (degree, DEGREE, _format(clean))
             )
-        for d, mult in _root_multiplicities(clean).items():
+        for d, mult in sorted(_root_multiplicities(clean).items()):
             if mult < 0:
                 raise ValidationError(
                     "eigenvalue e^(2*pi*i*%s) has multiplicity %d in shape %s"
@@ -139,19 +141,16 @@ class FrameShape:
 def _root_multiplicities(exps):
     """{d: multiplicity of each primitive d-th root of unity}.  The factor
     (1 - x^m)^(k_m) holds every d-th root of unity with d | m, so that
-    multiplicity is the divisor sum of k_m over the m that d divides.  Each
-    m adds its divisors in ascending order: FrameShape names the first
-    negative entry."""
+    multiplicity is the divisor sum of k_m over the m that d divides, one
+    pass over the divisor pairs d, m/d with d <= sqrt(m), keys unordered."""
     mult = {}
     for m, k in exps.items():
-        high = []  # the divisors above sqrt(m), descending
         for d in range(1, isqrt(m) + 1):
-            if m % d == 0:
+            q, r = divmod(m, d)
+            if not r:
                 mult[d] = mult.get(d, 0) + k
-                if d * d != m:
-                    high.append(m // d)
-        for d in reversed(high):
-            mult[d] = mult.get(d, 0) + k
+                if q != d:
+                    mult[q] = mult.get(q, 0) + k
     return mult
 
 
@@ -164,53 +163,37 @@ def _format(exps):
     return top + "/" + ".".join("%d^%d" % p for p in den)
 
 
+# one factor, INT["^"INT], after any run of separators; group 2 is "" for a bare "^"
+_FACTOR = re.compile(r"[ \t.]*(\d+)(?:\^(\d*))?")
+
+
 def parse(text: str) -> FrameShape:
     """Parse a Frame-shape string like "1^3.6^9/2^3.3^9" or "2^24/1^24".
 
-    Grammar: factor list, optionally "/" and a second factor list; factors
-    are INT["^"INT], separated by "." or whitespace.  Both validity
-    invariants are checked; errors carry the offending position.
+    Grammar: a factor list, optionally "/" and a second one; a list is one
+    or more matches of `_FACTOR`, then separators only.  A refusal carries
+    the position where the matches stop, or 0 when FrameShape refuses.
     """
     halves = text.split("/")
     if len(halves) > 2:
         raise ParseError("more than one '/'", text, text.index("/", text.index("/") + 1))
     exps = {}
-    offset = 0
-    for half_idx, half in enumerate(halves):
-        sign = 1 if half_idx == 0 else -1
-        for m, k, pos in _scan_factors(half, text, offset):
-            exps[m] = exps.get(m, 0) + sign * k
-        offset += len(half) + 1
+    start = 0
+    for sign, half in zip((1, -1), halves):
+        pos, end = start, start + len(half)
+        while match := _FACTOR.match(text, pos, end):
+            m, k = match.groups()
+            pos = match.end()
+            if k == "":
+                raise ParseError("expected an exponent after '^'", text, pos)
+            exps[int(m)] = exps.get(int(m), 0) + sign * int(k or 1)
+        rest = text[pos:end].lstrip(" \t.")
+        if rest:
+            raise ParseError("expected a factor", text, end - len(rest))
+        if pos == start:
+            raise ParseError("empty factor list", text, start)
+        start = end + 1
     try:
         return FrameShape(exps)
     except ValidationError as exc:
         raise ParseError(str(exc), text, 0) from exc
-
-
-def _scan_factors(half, full_text, offset):
-    i = 0
-    found = False
-    while i < len(half):
-        ch = half[i]
-        if ch in " \t.":
-            i += 1
-            continue
-        if not ch.isdecimal():
-            raise ParseError("expected a factor", full_text, offset + i)
-        start = i
-        while i < len(half) and half[i].isdecimal():
-            i += 1
-        m = int(half[start:i])
-        k = 1
-        if i < len(half) and half[i] == "^":
-            i += 1
-            estart = i
-            while i < len(half) and half[i].isdecimal():
-                i += 1
-            if estart == i:
-                raise ParseError("expected an exponent after '^'", full_text, offset + i)
-            k = int(half[estart:i])
-        found = True
-        yield m, k, offset + start
-    if not found:
-        raise ParseError("empty factor list", full_text, offset)

@@ -223,11 +223,9 @@ class FracPowerSeries:
             (Fraction(p, self.denom), c) for p, c in sorted(self.terms.items())
         )))
 
-    def agrees_with(self, other, through=None) -> bool:
-        """Equality of all coefficients below min(orders), or below `through`
-        (PrecisionError past min(orders))."""
-        through = min(self.order, other.order) if through is None else through
-        return combination(((self, 1), (other, -1)), through).is_zero()
+    def agrees_with(self, other) -> bool:
+        """Equality of all coefficients below min(orders)."""
+        return combination(((self, 1), (other, -1)), min(self.order, other.order)).is_zero()
 
     def max_residual(self):
         """Largest absolute coefficient as a Fraction (0 for the zero series)."""

@@ -256,8 +256,9 @@ def test_word_table_rows():
 
 
 def test_word_table_refuses_masks_that_are_not_integers():
-    # no float is truncated (2.7 was generator mask 2) and no bool is read as 0 or 1
-    for bad in (2.7, 2.0, [True], [3, 1.5], np.array([1.0])):
+    # no float is truncated (2.7 was generator mask 2) and no bool is read as 0 or 1,
+    # also beside integers, where numpy reads the list as int64
+    for bad in (2.7, 2.0, [True], [3, 1.5], np.array([1.0]), [True, 3], (3, np.False_)):
         with pytest.raises(ValidationError, match="word masks must be integers"):
             WordTable(bad)
     assert len(WordTable([])) == 0
@@ -265,9 +266,9 @@ def test_word_table_refuses_masks_that_are_not_integers():
 
 
 def test_lifted_word_table_refuses_masks_that_are_not_integers(golay, lift):
-    # g + 0.5 was read as the word of g, and True as mask 1
+    # g + 0.5 was read as the word of g, and True as mask 1, alone or beside g
     g = golay.generators[0]
-    for bad in (g + 0.5, [g + 0.25, 0], True, np.array([float(g)])):
+    for bad in (g + 0.5, [g + 0.25, 0], True, np.array([float(g)]), [True, g]):
         with pytest.raises(ValidationError, match="word masks must be integers"):
             lift.word_table(bad)
     assert len(lift.word_table([])) == 0

@@ -46,13 +46,29 @@ def test_parse_rejects_negative_multiplicity():
     # the cube roots (-1) and the sixth roots (-1) are both refused: the first in ascending order is named
     with pytest.raises(ParseError, match=re.escape("e^(2*pi*i*1/3) has multiplicity -1")):
         parse("2^15/6^1")
+    # whatever order the factors are written in (the 3 before the 2 named 1/3)
+    for text in ("1^29/2^1.3^1", "1^29/3^1.2^1"):
+        with pytest.raises(ParseError, match=re.escape("1/2) has multiplicity -1 in shape 1^29/2^1.3^1")):
+            parse(text)
 
 
 def test_parse_error_position():
-    # a digit that int() does not read, like the superscript 2, is not a digit here
-    for text, position in (("2^24/^", 5), ("1^2\u00b2", 3)):
+    # each grammar refusal, at the position where the factor matches stop; a
+    # digit that int() does not read, like the superscript 2, is not a digit here
+    for text, message, position in (
+        ("1^24/2^1/3^1", "more than one '/'", 8),
+        ("1^", "expected an exponent after '^'", 2),
+        ("2^24/1^", "expected an exponent after '^'", 7),
+        ("1^24/", "empty factor list", 5),
+        ("2^24/ .", "empty factor list", 5),
+        ("1^24x", "expected a factor", 4),
+        ("2^24/1^24 .x", "expected a factor", 11),
+        ("2^24/^", "expected a factor", 5),
+        ("1^2\u00b2", "expected a factor", 3),
+    ):
         with pytest.raises(ParseError) as err:
             parse(text)
+        assert str(err.value) == "%s (at position %d in %r)" % (message, position, text)
         assert err.value.position == position, text
 
 
@@ -70,6 +86,17 @@ def test_shape_refuses_values_that_are_not_integers():
         with pytest.raises(ValidationError, match="cycle lengths and exponents must be integers"):
             FrameShape(exps)
     assert FrameShape({1: 24, 2: 0}).exps == {1: 24}
+
+
+def test_shape_exponents_are_read_only():
+    # the hash reads exps, and registry shapes are shared cache keys
+    exps = {2: 24, 1: -24}
+    shape = FrameShape(exps)
+    before = hash(shape)
+    with pytest.raises(TypeError):
+        shape.exps[3] = 0
+    exps[2] = 0  # nor does the caller's dict reach it
+    assert shape.exps == {2: 24, 1: -24} and hash(shape) == before == hash(parse("2^24/1^24"))
 
 
 def test_chi():

@@ -18,6 +18,7 @@ from test_frameshape import (  # noqa: E402
 )
 from test_lattice import contains  # noqa: E402
 from test_qseries import (  # noqa: E402
+    agree_below,
     assert_log_derivative_matches_oracle,
     assert_text_and_residual_match_oracle,
 )
@@ -29,9 +30,11 @@ from conwaymoonshine.cliffordcm import (  # noqa: E402
     bilinear_dense,
     reorder_sign,
 )
+from conwaymoonshine.classdata import registry  # noqa: E402
 from conwaymoonshine.cyclotomic import CycNumber, _mobius, euler_phi  # noqa: E402
 from conwaymoonshine.errors import (  # noqa: E402
     NotRationalError,
+    ParseError,
     PrecisionError,
     ValidationError,
 )
@@ -43,7 +46,7 @@ from conwaymoonshine.fockoracle import (  # noqa: E402
     twisted_supertrace,
     untwisted_supertrace,
 )
-from conwaymoonshine.frameshape import FrameShape  # noqa: E402
+from conwaymoonshine.frameshape import FrameShape, parse  # noqa: E402
 from conwaymoonshine.modgroups import log_eta_product  # noqa: E402
 from conwaymoonshine.qseries import FracPowerSeries, combination, eta_product  # noqa: E402
 
@@ -205,7 +208,7 @@ def test_series_bounds_at_any_order(denom, order, terms):
     assert combination(((full, 1),), order).terms == below
     assert (full + FracPowerSeries(1, {}, order)).rescaled(denom).terms == below
     flipped = FracPowerSeries(denom, {p: -c for p, c in terms.items()}, top)
-    assert full.agrees_with(flipped, through=order) == (not below)
+    assert agree_below(full, flipped, order) == (not below)
 
 
 @st.composite
@@ -307,6 +310,59 @@ def test_divisor_sum_pairs_match_fraction_oracle(exps):
     for s in (shape, shape.negate()):
         got = pairing_outcome(FrameShape.eigenvalue_pairs, s)
         assert got == pairing_outcome(fraction_eigenvalue_pairs, s), str(s)
+
+
+@st.composite
+def shape_texts(draw, exps):
+    """`exps` as shape text, its factors in any order on their side of "/", with
+    runs of ".", space and tab around and between them, and "^1" at times left out."""
+    def factor_list(factors):
+        text = draw(st.text(" \t.", max_size=2))
+        for i, (m, k) in enumerate(draw(st.permutations(factors))):
+            text += draw(st.text(" \t.", min_size=1, max_size=2)) if i else ""
+            text += "%d" % m if k == 1 and draw(st.booleans()) else "%d^%d" % (m, k)
+        return text + draw(st.text(" \t.", max_size=2))
+    den = [(m, -k) for m, k in exps.items() if k < 0]
+    num = factor_list([(m, k) for m, k in exps.items() if k >= 0])
+    return num + "/" + factor_list(den) if den else num
+
+
+def with_texts(maps):
+    return maps.flatmap(lambda exps: st.tuples(st.just(exps), shape_texts(exps)))
+
+
+registry_maps = st.sampled_from(
+    [dict(s.exps) for rec in registry() for s in (rec.frame_shape, rec.frame_shape.negate())]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(with_texts(registry_maps))
+def test_shape_text_parses_alike_in_any_factor_order(case):
+    exps, text = case
+    assert parse(text) == FrameShape(exps), text
+
+
+def refusal(exps):
+    with pytest.raises(ValidationError) as err:
+        FrameShape(exps)
+    return str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(with_texts(degree_24_maps))
+@example(({1: 29, 3: -1, 2: -1}, "1^29/3^1.2^1"))  # named 1/3, not 1/2, while the order mattered
+def test_invalid_shape_names_its_least_root_order_in_any_factor_order(case):
+    exps, text = case
+    brute = brute_eigenvalues(exps)
+    bad = [t.denominator for t, k in brute.items() if k < 0]
+    assume(bad)
+    theta = F(1, min(bad)) % 1
+    message = refusal(dict(sorted(exps.items())))
+    assert message.startswith("eigenvalue e^(2*pi*i*%s) has multiplicity %d in shape " % (theta, brute[theta]))
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == "%s (at position 0 in %r)" % (message, text)
 
 
 @settings(max_examples=200, deadline=None)

@@ -69,7 +69,7 @@ UNREACHED = {
     "frameshape:FrameShape.__eq__": EQ_HASH,
     "frameshape:FrameShape.__hash__": EQ_HASH,
     "frameshape:FrameShape.__repr__": REPR,
-    "frameshape:FrameShape.__setattr__": EQ_HASH,  # immutability keeps the hash stable
+    "frameshape:FrameShape.__setattr__": EQ_HASH,  # with read-only exps, immutability keeps the hash stable
     "lattice:BinaryCode.contains": "membership test of `sign_change_frameshape`, an " + CRITERION,
     "lattice:IntegerLattice.__repr__": REPR,
     "lattice:IntegerLattice.gram8": CRITERION,
