@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import index
 
 import numpy as np
 
 from .cyclotomic import CycNumber
-from .errors import MembershipError, PairingError, ValidationError, VerificationFailure
+from .errors import MembershipError, PairingError, ValidationError, VerificationFailure, integer
 
 PAIRS = 12
 DIM = 1 << PAIRS  # 4096
@@ -139,10 +138,7 @@ class DenseState:
     @staticmethod
     def basis(mask: int) -> "DenseState":
         """The basis vector m_S for the pair-subset bitmask S, 0 <= S < 4096."""
-        try:
-            mask = index(mask)
-        except TypeError:
-            raise ValidationError("basis mask must be an integer") from None
+        mask = integer(mask, "basis mask must be an integer")
         if not 0 <= mask < DIM:
             raise ValidationError("basis mask %d is not a subset of the %d pairs" % (mask, PAIRS))
         re = np.zeros(DIM, dtype=np.int64)
@@ -192,17 +188,10 @@ def _rotations(x, y):
     return np.concatenate((y, x, -y, -x, y))
 
 
-_BOOLS = {bool, np.bool_}
-
-
 def _masks(cmasks):
-    """Word masks as an int64 array of at least one dimension; no float is truncated
-    and no bool read as 0 or 1, alone or in a list that numpy would read as integers."""
-    array = np.array(cmasks, ndmin=1)
-    entries = cmasks if isinstance(cmasks, (list, tuple)) else ()
-    if array.size and array.dtype.kind not in "iu" or not _BOOLS.isdisjoint(map(type, entries)):
-        raise ValidationError("word masks must be integers")
-    return array.astype(np.int64, copy=False)
+    """Masks as Python ints, each read by `integer` from an object array, where a bool beside ints stays a bool."""
+    return [c if c.__class__ is int else integer(c, "word masks must be integers")
+            for c in np.array(cmasks, dtype=object).ravel().tolist()]
 
 
 def _check_headroom(bits: int, size: int):
@@ -226,8 +215,9 @@ class WordTable:
 
     def __init__(self, cmasks, signs=1):
         cmasks = _masks(cmasks)
-        if ((cmasks < 0) | (cmasks >= 1 << NGEN)).any():
+        if not all(0 <= c < 1 << NGEN for c in cmasks):
             raise ValidationError("word masks must be of %d generators" % NGEN)
+        cmasks = np.array(cmasks, dtype=np.int64)
         signs = np.broadcast_to(signs, cmasks.shape)
         if (np.abs(signs) != 1).any():
             raise ValidationError("word sign must be +1 or -1")
@@ -293,18 +283,20 @@ class WordTable:
     def apply(self, state: DenseState) -> DenseState:
         """The word applied to a dense state, over the smallest denominator
         that keeps every image entry integral."""
+        if len(self) != 1:
+            raise ValidationError("a single word is applied from a table of one row, not %d" % len(self))
         (re,), (im,), shift = self.images(state)
         return DenseState(re, im, state.e + shift.item())
 
     def apply_into(self, state: DenseState, out_re, out_im, out_e: int):
         """Accumulate 2^out_e * (word applied to state) into out arrays."""
-        (re,), (im,), shift = self.images(state)
-        extra = out_e - state.e - shift.item()
+        image = self.apply(state)
+        extra = out_e - image.e
         if extra < 0:
             raise ValidationError("denominator headroom exhausted; raise out_e")
-        _check_headroom(extra, DenseState(re, im, 0).max_abs().bit_length())
-        out_re += re << extra
-        out_im += im << extra
+        _check_headroom(extra, image.max_abs().bit_length())
+        out_re += image.re << extra
+        out_im += image.im << extra
 
     def images(self, state: DenseState):
         """(re, im, shift): each word's image of state as a row over 2^(e + shift),
@@ -398,7 +390,7 @@ class GolayLift:
         """The words s(C) e_C for one codeword mask or a sequence of them."""
         cmasks = _masks(cmasks)
         try:
-            signs = [self.section[c] for c in cmasks.tolist()]
+            signs = [self.section[c] for c in cmasks]
         except KeyError as exc:
             raise MembershipError("mask %06x is not a word of the lifted code" % exc.args[0]) from None
         return WordTable(cmasks, signs)

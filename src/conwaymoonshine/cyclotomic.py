@@ -4,7 +4,7 @@ Numbers are stored at a fixed level N as rational coordinate vectors in
 the power basis 1, z, ..., z^(phi(N)-1), z = e^(2*pi*i/N), reduced
 eagerly modulo the N-th cyclotomic polynomial.  A coordinate is a Python
 int, or a Fraction when it is not integral.  Mixed-level arithmetic raises
-both operands to the lcm level first.
+both operands to the lcm level first.  Numbers taken in follow errors.rational.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import NotRationalError
+from .errors import NotRationalError, ValidationError, integer, rational
+
+_COORD = "cyclotomic coordinates must be ints or Fractions: %r"
+_OPERAND = "cyclotomic operands must be cyclotomic numbers, ints or Fractions: %r"
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +29,7 @@ def cyclotomic_polynomial(n: int) -> tuple:
     for ascending i.
     """
     if n < 1:
-        raise ValueError("level must be a positive integer")
+        raise ValidationError("level must be a positive integer")
     deg = euler_phi(n)
     poly = [1] + [0] * deg
     for d in range(1, n + 1):
@@ -63,15 +66,6 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-def _coord(c):
-    """Canonical coordinate: an int when integral, else a Fraction."""
-    if c.__class__ is int:
-        return c
-    if c.__class__ is not Fraction:
-        c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 @lru_cache(maxsize=None)
 def _phi_tail(n: int) -> tuple:
     """(j - phi(n), Phi_n[j]) for the nonzero coefficients below the
@@ -85,14 +79,14 @@ def _reduce_mod_phi(coeffs, n):
     """Reduce a rational polynomial modulo Phi_n; returns phi(n) coords."""
     deg = euler_phi(n)
     tail = _phi_tail(n)
-    coeffs = list(coeffs)
+    coeffs = [c if c.__class__ is int else rational(c, _COORD, c) for c in coeffs]
     for k in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs.pop()  # z^k = -sum_j Phi_n[j] z^(k - deg + j)
         if c:
             for j, p in tail:
                 coeffs[k + j] -= c * p
     coeffs += [0] * (deg - len(coeffs))
-    return tuple(map(_coord, coeffs))
+    return tuple([c if c.__class__ is int else rational(c, _COORD, c) for c in coeffs])
 
 
 class CycNumber:
@@ -102,6 +96,8 @@ class CycNumber:
 
     def __init__(self, level: int, coords):
         """coords: rational coefficients of 1, z, z^2, ..., reduced mod Phi_N."""
+        if level.__class__ is not int:
+            level = integer(level, "cyclotomic levels must be integers: %r", level)
         self.level = level
         self.coords = _reduce_mod_phi(coords, level)
 
@@ -125,7 +121,7 @@ class CycNumber:
         if m == self.level:
             return self
         if m % self.level != 0:
-            raise ValueError("new level must be a multiple of the old one")
+            raise ValidationError("new level must be a multiple of the old one")
         return self._map_exponents(m, m // self.level)
 
     def _map_exponents(self, level: int, a: int) -> "CycNumber":
@@ -152,13 +148,14 @@ class CycNumber:
         return CycNumber(self.level, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, CycNumber) else -Fraction(other))
+        return self + (-other if isinstance(other, CycNumber) else -rational(other, _OPERAND, other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycNumber):
+            other = rational(other, _OPERAND, other)
             return CycNumber(self.level, tuple(c * other for c in self.coords))
         a, b = self._common(other)
         out = [0] * (2 * len(a.coords))
@@ -189,9 +186,9 @@ class CycNumber:
         return rest / (self * rest).to_rational()
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return self * other.inverse()
+        if isinstance(other, CycNumber):
+            return self * other.inverse()
+        return self * Fraction(1, rational(other, _OPERAND, other))
 
     def conj(self) -> "CycNumber":
         """Complex conjugation, zeta -> zeta^(-1)."""

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one rule for exact
+inputs: `integer` takes an int or a numpy integer, `rational` a Fraction too,
+each in normal form; anything else, a bool or a float too, raises ValidationError."""
+
+from fractions import Fraction
+
+import numpy as np
 
 
 class MoonshineError(Exception):
@@ -34,6 +40,20 @@ class ParseError(MoonshineError):
 
 class ValidationError(MoonshineError):
     """A domain invariant failed (degree, eigenvalue multiplicity, ...)."""
+
+
+def integer(value, message, *args):
+    """value, an int or a numpy integer but not a bool, as a Python int; else ValidationError(message % args)."""
+    if value.__class__ is int or value.__class__ is not bool and isinstance(value, (int, np.integer)):
+        return int(value)
+    raise ValidationError(message % args if args else message)
+
+
+def rational(value, message, *args):
+    """value as an int when integral, else a Fraction; refuses what `integer` does, but a Fraction."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    return integer(value, message, *args)
 
 
 class PairingError(MoonshineError):

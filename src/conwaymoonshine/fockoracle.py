@@ -26,7 +26,7 @@ from math import ceil, lcm
 import numpy as np
 
 from .cyclotomic import CycNumber
-from .errors import ValidationError
+from .errors import ValidationError, rational
 from .qseries import FracPowerSeries
 
 UNTWISTED = "untwisted"
@@ -53,9 +53,10 @@ class ModeSystem:
     def __post_init__(self):
         if len(self.eigen_thetas) != 24:
             raise ValidationError("expected 24 eigenvalues, got %d" % len(self.eigen_thetas))
-        if not all(isinstance(t, (int, Fraction)) for t in self.eigen_thetas):
-            # a float's exact Fraction has a denominator near 2^55: the level of the ledger
-            raise ValidationError("eigenvalue angles must be ints or Fractions")
+        # a float's exact Fraction has a denominator near 2^55: the level of the ledger
+        object.__setattr__(self, "eigen_thetas", tuple(
+            rational(t, "eigenvalue angles must be ints or Fractions") for t in self.eigen_thetas))
+        object.__setattr__(self, "max_degree", rational(self.max_degree, "max_degree must be an int or a Fraction"))
         if self.sector not in (UNTWISTED, TWISTED):
             raise ValidationError("unknown sector %r" % self.sector)
         if self.max_degree <= 0:
@@ -66,7 +67,7 @@ class ModeSystem:
         thetas = []
         for t, mult in sorted(shape.eigenvalues().items()):
             thetas.extend([t] * mult)
-        return ModeSystem(tuple(thetas), sector, Fraction(max_degree))
+        return ModeSystem(tuple(thetas), sector, max_degree)
 
 
 def _sector(ms: ModeSystem, order):
@@ -191,9 +192,10 @@ def subset_enumeration_supertrace(ms: ModeSystem, budget=3, c_value=1) -> FracPo
     A budget <= 0 puts the order at or below the sector's anchor, where
     there is no state to count, and is refused.
     """
+    budget = rational(budget, "budget must be an int or a Fraction")
     if budget <= 0:
         raise ValidationError("budget must be positive")
-    order = Fraction(budget) + Fraction(1, _GRID[ms.sector][1])
+    order = budget + Fraction(1, _GRID[ms.sector][1])
     level, modes, bound = _sector(ms, order)
     stride = bound * (level - 1) + 1
     size = (bound + 1) * stride

@@ -10,10 +10,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import index
 from types import MappingProxyType
 
-from .errors import PairingError, ParseError, ValidationError
+from .errors import PairingError, ParseError, ValidationError, integer, rational
 from .qseries import FracPowerSeries, eta_product
 
 DEGREE = 24  # rank of the lattice whose automorphisms shapes describe
@@ -25,10 +24,9 @@ class FrameShape:
     __slots__ = ("exps",)
 
     def __init__(self, exps: dict):
-        try:
-            clean = {index(m): index(k) for m, k in exps.items()}
-        except TypeError:
-            raise ValidationError("cycle lengths and exponents must be integers: %r" % (exps,)) from None
+        message = "cycle lengths and exponents must be integers: %r"
+        clean = {m if m.__class__ is int else integer(m, message, exps):
+                 k if k.__class__ is int else integer(k, message, exps) for m, k in exps.items()}
         clean = {m: k for m, k in clean.items() if k}
         for m in clean:
             if m <= 0:
@@ -111,14 +109,11 @@ class FrameShape:
     def eta_quotient(self, s, order) -> FracPowerSeries:
         """prod_m eta(m*s*tau)^(k_m) as an exact series valid below `order`.
 
-        The valuation is s (= s * degree/24); an order at or below it is
-        refused.
+        The valuation is s (= s * degree/24); eta_product refuses an order
+        at or below it.  An integral s is an int (errors.rational), so int
+        scales make no Fraction product per factor.
         """
-        s, order = Fraction(s), Fraction(order)
-        if order <= s:
-            raise ValidationError("order %s does not reach the valuation %s" % (order, s))
-        if s.denominator == 1:  # int scales: no Fraction product per factor
-            s = s.numerator
+        s = rational(s, "eta quotient scales must be ints or Fractions: %r", s)
         return eta_product({m * s: k for m, k in self.exps.items()}, order)
 
     # -- formatting --------------------------------------------------------

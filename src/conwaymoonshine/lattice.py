@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import gcd, isqrt, prod
-from operator import index, mul
+from operator import mul
 
 import numpy as np
 
-from .errors import MembershipError, ValidationError
+from .errors import MembershipError, ValidationError, integer
 from .frameshape import FrameShape
 
 LENGTH = 24
@@ -28,10 +28,7 @@ class BinaryCode:
     """A binary linear code of length 24 given by 12 generator masks."""
 
     def __init__(self, generators):
-        try:
-            self.generators = tuple(map(index, generators))
-        except TypeError:
-            raise ValidationError("generators must be integer masks") from None
+        self.generators = tuple(integer(g, "generators must be integer masks") for g in generators)
         if len(self.generators) != 12:
             raise ValidationError("expected 12 generators, got %d" % len(self.generators))
         if any(not 0 <= g < 1 << LENGTH for g in self.generators):
@@ -53,10 +50,7 @@ class BinaryCode:
         return self._words
 
     def contains(self, mask: int) -> bool:
-        try:
-            mask = index(mask)
-        except TypeError:
-            raise ValidationError("masks must be integers") from None
+        mask = integer(mask, "masks must be integers")
         for row, piv in zip(self._echelon, self._pivots):
             if mask >> piv & 1:
                 mask ^= row
@@ -133,10 +127,8 @@ class IntegerLattice:
     """Rank-24 lattice in sqrt(8)-scaled integer coordinates."""
 
     def __init__(self, basis):
-        try:
-            self.basis = tuple(tuple(index(c) for c in row) for row in basis)
-        except TypeError:
-            raise ValidationError("basis entries must be integers") from None
+        self.basis = tuple(tuple(c if c.__class__ is int else integer(c, "basis entries must be integers")
+                                 for c in row) for row in basis)
         if len(self.basis) != LENGTH or any(len(r) != LENGTH for r in self.basis):
             raise ValidationError("basis must be 24 rows of 24 integers")
         # 24 pivots in 24 columns: the echelon basis is upper triangular with a
@@ -183,10 +175,7 @@ class IntegerLattice:
         for this lattice (_counts).  ValidationError when a level would need
         more than _MAX_ROWS rows or values past int64, or for a norm that is
         not an integer."""
-        try:
-            target8 = 8 * index(norm)
-        except TypeError:
-            raise ValidationError("shell norms must be integers") from None
+        target8 = 8 * integer(norm, "shell norms must be integers")
         return 0 if target8 % _flag(self.basis)[1] else self._counts(target8).get(target8, 0)
 
     def _counts(self, target8: int) -> dict:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classdata import ConjugacyClassRecord, registry
-from .errors import PrecisionError, ValidationError, VerificationFailure
+from .errors import PrecisionError, ValidationError, VerificationFailure, rational
 from .frameshape import FrameShape
 from .qseries import FracPowerSeries, combination, eta_product
 
@@ -82,7 +82,7 @@ def T_s_tw(source, order, c_value=None) -> FracPowerSeries:
     else:
         pi = source
         if c_value is None:
-            raise ValueError("supply c_value when passing a bare Frame shape")
+            raise ValidationError("supply c_value when passing a bare Frame shape")
         c = c_value
     return pi.eta_quotient(1, order) * c - pi.chi()
 
@@ -90,7 +90,6 @@ def T_s_tw(source, order, c_value=None) -> FracPowerSeries:
 def _lemma_terms(pi: FrameShape, c_g, order):
     """The lemma combination without its partner term, and eta_{negate pi}:
     t~(pi) - t~(negate pi) - c_g*eta_pi + 2*chi as one combination."""
-    order = Fraction(order)
     pin = pi.negate()
     parts = ((t_tilde(pi, order), 1), (t_tilde(pin, order), -1), (pi.eta_quotient(1, order), -c_g))
     return combination(parts, order, 2 * pi.chi()), pin.eta_quotient(1, order)
@@ -133,7 +132,7 @@ def verify_delta_identity(order=50) -> IdentityReport:
         (1/2) (D(t)^2/(D(2t) D(t/2)) - D(t/2)/D(t)) = 24 + 2^11 D(2t)/D(t)
 
     with D = eta^24, checked as an exact residual series."""
-    order = Fraction(order)
+    order = rational(order, "orders must be ints or Fractions: %r", order)
     if order <= 0:
         raise PrecisionError("order %s is too small: the delta identity needs 1 or more" % order)
     half = Fraction(1, 2)
@@ -150,7 +149,7 @@ def verify_hecke(order=40):
     f = D(2t)/D(t) and fit T2 f = a f^2 + b f + c from the first three
     coefficients; verify the rest of the expansion and return
     ((a, b, c), report).  The expected fit is (2048, 24, 0)."""
-    order = Fraction(order)
+    order = rational(order, "orders must be ints or Fractions: %r", order)
     if order <= 1:
         raise PrecisionError("order %s is too small: the Hecke fit needs 2 or more" % order)
     half = Fraction(1, 2)

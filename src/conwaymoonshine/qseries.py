@@ -4,7 +4,7 @@ A series stores a validity order O: every term with exponent below O is
 exact, nothing at or beyond O is known.  Exponents live on the grid
 (1/K)*Z for a per-series positive integer K; binary operations renormalize
 to the lcm of the two grids.  Coefficients are rational: a Python int, or
-a Fraction when the value is not integral.
+a Fraction when the value is not integral.  Numbers taken in follow errors.rational.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from operator import mul
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NotInvertibleError, NotRationalError, PrecisionError
+from .errors import (NotInvertibleError, NotRationalError, PrecisionError, ValidationError,
+                     integer, rational)
 
-
-def _norm_coeff(c):
-    """Canonical coefficient: an int when integral, else a Fraction."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+_ORDER = "series orders must be ints or Fractions: %r"
+_OPERAND = "series operands must be series, ints or Fractions: %r"
 
 
 def _grid_bound(order: Fraction, denom: int) -> int:
@@ -39,14 +36,16 @@ class FracPowerSeries:
 
     def __init__(self, denom: int, terms: dict, order):
         if order.__class__ is not Fraction:
-            order = Fraction(order)
+            order = Fraction(order if order.__class__ is int else rational(order, _ORDER, order))
+        if denom.__class__ is not int:
+            denom = integer(denom, "series denominators must be integers: %r", denom)
         if denom <= 0:
-            raise ValueError("denominator must be positive")
+            raise ValidationError("denominator must be positive")
         clean = {}
         bound = _grid_bound(order, denom)
         for p, c in terms.items():
             if c.__class__ is not int:
-                c = _norm_coeff(c)
+                c = rational(c, "series coefficients must be ints or Fractions: %r", c)
             if not c:
                 continue
             if p >= bound:
@@ -63,7 +62,6 @@ class FracPowerSeries:
     @staticmethod
     def from_fraction_terms(pairs, order) -> "FracPowerSeries":
         """Build a series from (Fraction exponent, coeff) pairs."""
-        order = Fraction(order)
         k = 1
         for e, _ in pairs:
             k = k * e.denominator // gcd(k, e.denominator)
@@ -76,7 +74,7 @@ class FracPowerSeries:
     # -- inspection ----------------------------------------------------
 
     def coeff(self, expo):
-        expo = Fraction(expo)
+        expo = rational(expo, "exponents must be ints or Fractions: %r", expo)
         if expo >= self.order:
             raise PrecisionError(
                 "coefficient at %s requested, series valid below %s"
@@ -102,7 +100,7 @@ class FracPowerSeries:
         if k == self.denom:
             return self
         if k % self.denom != 0:
-            raise ValueError("can only refine the exponent grid")
+            raise ValidationError("can only refine the exponent grid")
         step = k // self.denom
         return FracPowerSeries(k, {p * step: c for p, c in self.terms.items()}, self.order)
 
@@ -113,13 +111,11 @@ class FracPowerSeries:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if self.order <= 0:
-                return self
-            terms = dict(self.terms)
-            terms[0] = terms.get(0, 0) + other
-            return FracPowerSeries(self.denom, terms, self.order)
-        return combination(((self, 1), (other, 1)), min(self.order, other.order))
+        if isinstance(other, FracPowerSeries):
+            return combination(((self, 1), (other, 1)), min(self.order, other.order))
+        other = rational(other, _OPERAND, other)
+        terms = {**self.terms, 0: self.terms.get(0, 0) + other} if self.order > 0 else self.terms
+        return FracPowerSeries(self.denom, terms, self.order)
 
     __radd__ = __add__
 
@@ -127,10 +123,11 @@ class FracPowerSeries:
         return FracPowerSeries(self.denom, {p: -c for p, c in self.terms.items()}, self.order)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-other if isinstance(other, FracPowerSeries) else -rational(other, _OPERAND, other))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FracPowerSeries):
+            other = rational(other, _OPERAND, other)
             if not other:
                 return FracPowerSeries(1, {}, self.order)
             return FracPowerSeries(
@@ -198,9 +195,9 @@ class FracPowerSeries:
 
     def scale_tau(self, s) -> "FracPowerSeries":
         """Replace tau by s*tau: exponent r becomes r*s, order becomes O*s."""
-        s = Fraction(s)
+        s = rational(s, "scale factors must be ints or Fractions: %r", s)
         if s <= 0:
-            raise ValueError("scale factor must be positive")
+            raise ValidationError("scale factor must be positive")
         pairs = [(Fraction(p, self.denom) * s, c) for p, c in self.terms.items()]
         return FracPowerSeries.from_fraction_terms(pairs, self.order * s)
 
@@ -315,15 +312,17 @@ def combination(parts, order, constant=0) -> FracPowerSeries:
     an order above a part's raises PrecisionError; the constant goes in only
     when the order is positive.  The scales are taken times the lcm of their
     denominators, so int series sum in ints, divided once per term at the end."""
-    order = Fraction(order)
+    order = order if order.__class__ is int or order.__class__ is Fraction else rational(order, _ORDER, order)
+    constant = constant if constant.__class__ is int else rational(constant, _OPERAND, constant)
+    scales = [s if s.__class__ is int or s.__class__ is Fraction else rational(s, _OPERAND, s) for _, s, *_ in parts]
     reach = min((part[0].order for part in parts), default=order)
     if order > reach:
         raise PrecisionError("cannot extend validity from %s to %s" % (reach, order))
     denom = lcm(*(part[0].denom for part in parts))
-    unit = lcm(*(part[1].denominator for part in parts))  # ints have denominator 1
+    unit = lcm(*(s.denominator for s in scales))  # ints have denominator 1
     bound = _grid_bound(order, denom)
     terms = {0: constant * unit} if order > 0 and constant else {}
-    for series, scale, *shift in parts:
+    for (series, _, *shift), scale in zip(parts, scales):
         k, step = int(scale * unit), denom // series.denom
         for p, c in series.terms.items():
             if shift:
@@ -450,9 +449,15 @@ def _grid_key(exps):
     """(K, ((a*K, k_a), ...)) for prod_a eta(a*tau)^(k_a): the exponent grid
     K, the lcm of the denominators of the a/24, and the scales on it, sorted,
     with k_a = 0 dropped."""
-    if any(a.numerator <= 0 for a in exps):
-        raise ValueError("eta scales must be positive")
-    scales = {(a.numerator, a.denominator): k for a, k in exps.items() if k}  # a = n/d
+    scales = {}  # (n, d): k for a = n/d
+    for a, k in exps.items():
+        if a.__class__ is not int and a.__class__ is not Fraction:
+            a = rational(a, "eta scales must be ints or Fractions: %r", a)
+        k = k if k.__class__ is int else integer(k, "eta exponents must be integers: %r", k)
+        if a.numerator <= 0:
+            raise ValidationError("eta scales must be positive")
+        if k:
+            scales[a.numerator, a.denominator] = k
     denom = lcm(*(24 * d // gcd(n, 24) for n, d in scales))  # of each a/24 = n/(24d)
     return denom, tuple(sorted((n * denom // d, k) for (n, d), k in scales.items()))
 
@@ -493,7 +498,7 @@ def eta_product(exps, order) -> FracPowerSeries:
     below 2^62, and only the near part a dot product (see _continue): 3.6-5.3x
     faster than the dot products alone at 511 coefficients, the same lists.
     """
-    order = Fraction(order)
+    order = order if order.__class__ is int or order.__class__ is Fraction else rational(order, _ORDER, order)
     key = denom, on_grid = _grid_key(exps)
     lead = sum(k * a // 24 for a, k in on_grid)  # valuation * denom
     top = _grid_bound(order, denom)

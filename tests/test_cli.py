@@ -1,11 +1,16 @@
 import argparse
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import conwaymoonshine
 from conwaymoonshine.classdata import registry
 from conwaymoonshine.cli import build_parser, main
 from conwaymoonshine.qseries import FracPowerSeries as S
@@ -21,6 +26,23 @@ def test_verify_delta_exit_code(capsys):
     code, out = run(capsys, "verify", "delta", "--order", "20")
     assert code == 0
     assert "pass" in out
+
+
+def test_module_entry_point_keeps_the_documented_exit_codes():
+    """`python -m conwaymoonshine` in a fresh process: __main__ passes main's code to the exit status."""
+    src = str(Path(conwaymoonshine.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "conwaymoonshine", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = python_m("verify", "delta", "--order", "3")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert ok.stdout.split("\n")[:2] == ["delta-identity           order 3      residual 0  pass", "summary: 1/1 pass"]
+    bad = python_m("series", "--shape", "1^23")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("parse error: ") and bad.stderr.count("\n") == 1
 
 
 def test_series_tw_2a(capsys):

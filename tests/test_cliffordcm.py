@@ -241,7 +241,7 @@ def test_word_table_rows():
     out = np.zeros((2, 4096), dtype=np.int64)
     for call in (lambda: table.apply(DenseState.basis(0)),
                  lambda: table.apply_into(DenseState.basis(0), *out, 2)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="a single word is applied from a table of one row, not 4"):
             call()
     assert table[np.array([3, 1])] == WordTable([masks[3], masks[1]], [signs[3], signs[1]])
     for bare in (0, np.int64(0)):

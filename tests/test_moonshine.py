@@ -7,7 +7,7 @@ import pytest
 from conwaymoonshine import moonshine
 from conwaymoonshine.classdata import lookup, registry
 from conwaymoonshine.cliffordcm import spinor_supertrace_closed
-from conwaymoonshine.errors import ValidationError
+from conwaymoonshine.errors import PrecisionError
 from conwaymoonshine.frameshape import parse
 from conwaymoonshine.moonshine import (
     T_s,
@@ -206,9 +206,9 @@ def test_fused_lemma_negative_controls():
         assert got.denom == want.denom and got.to_json() == want.to_json()
     # eta_pi refuses an order at or below its valuation 1 before 2*chi is added
     for order in (F(-1, 4), F(1, 2), 1):
-        with pytest.raises(ValidationError) as got:
+        with pytest.raises(PrecisionError) as got:
             _lemma_terms(IDENT, 1, order)
-        with pytest.raises(ValidationError) as want:
+        with pytest.raises(PrecisionError) as want:
             operator_lemma_terms(IDENT, 1, order)
         assert str(got.value) == str(want.value)
 

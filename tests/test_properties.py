@@ -104,9 +104,11 @@ def mixed_cyclotomic_numbers(draw, levels=st.integers(1, 24)):
 
 
 def assert_canonical(x):
-    """Each coordinate an int, or a Fraction that is not integral; no float."""
-    for c in x.coords:
-        assert type(c) is int or (type(c) is F and c.denominator != 1), x.coords
+    """Each coordinate of a cyclotomic number or coefficient of a series an int,
+    or a Fraction that is not integral: never a float, a bool or a numpy type."""
+    values = list(x.terms.values()) if isinstance(x, FracPowerSeries) else x.coords
+    for c in values:
+        assert type(c) is int or (type(c) is F and c.denominator != 1), values
 
 
 def fraction_trace_hash(x):
@@ -259,6 +261,33 @@ def test_combination_matches_pair_merge(parts, below, constant):
     got = combination(parts, order, constant)
     assert got == pair_merge(parts, order, constant) and got.order == order
     assert got.denom == lcm(*(series.denom for series, *_ in parts))
+
+
+# what the exact-input rule accepts: ints, Fractions (integral ones too) and numpy integers
+exact_numbers = st.one_of(rationals, st.integers(-6, 6).map(np.int64), st.integers(0, 6).map(np.uint32))
+
+
+@st.composite
+def mixed_series(draw, order=4):
+    """Series given their coefficients as any of the exact_numbers."""
+    denom = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    exponents = st.integers(-2 * denom, order * denom - 1)
+    return FracPowerSeries(denom, draw(st.dictionaries(exponents, exact_numbers, max_size=6)), order)
+
+
+def as_numpy(exps):
+    """An eta exponent map with its int scales and every exponent as numpy ints."""
+    return {(np.int64(a) if type(a) is int else a): np.int64(k) for a, k in exps.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_series(), mixed_series(), exact_numbers, exponent_maps)
+def test_series_coefficients_stay_canonical(a, b, r, exps):
+    results = [a, b, a + b, a - b, a * b, a + r, a - r, a * r, combination(((a, r), (b, 1)), 4, r)]
+    results.append(eta_product(as_numpy(exps), valuation(exps) + 3))
+    for s in results:
+        assert_canonical(s)
+    assert results[-1] == eta_product(exps, valuation(exps) + 3)
 
 
 # exponent maps of degree 24: k_1 fills the degree left by the other cycles

@@ -10,7 +10,7 @@ import pytest
 
 from conwaymoonshine import modgroups, qseries
 from conwaymoonshine.classdata import lookup, registry
-from conwaymoonshine.errors import NotInvertibleError, NotRationalError, PrecisionError
+from conwaymoonshine.errors import NotInvertibleError, NotRationalError, PrecisionError, ValidationError
 from conwaymoonshine.frameshape import parse
 from conwaymoonshine.moonshine import T_s, T_s_tw, solve_c_neg
 from conwaymoonshine.qseries import FracPowerSeries as S, combination, eta, eta_product
@@ -230,9 +230,9 @@ def test_eta_product_errors_and_empty_map():
         eta_product({1: 24}, 1)  # valuation 1
     with pytest.raises(PrecisionError):
         eta_product({F(1, 2): 24, 1: -24}, F(-1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="eta scales must be positive"):
         eta_product({0: 1}, 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="eta scales must be positive"):
         eta_product({F(-1, 2): 2, 1: 1}, 5)
     assert eta_product({}, 5) == monomial(1, 0, 5)
     assert eta_product({3: 0}, F(1, 2)) == monomial(1, 0, F(1, 2))
@@ -502,8 +502,8 @@ def test_eta_cache_invalid_orders_raise_as_before(empty_eta_cache):
         ({1: 24}, 1, PrecisionError),
         ({1: 24}, F(1, 2), PrecisionError),
         ({F(1, 2): 24, 1: -24}, F(-1, 2), PrecisionError),
-        ({0: 1}, 5, ValueError),
-        ({F(-1, 2): 2, 1: 1}, 5, ValueError),
+        ({0: 1}, 5, ValidationError),
+        ({F(-1, 2): 2, 1: 1}, 5, ValidationError),
     ]
     for exps, order, error in cases:
         with pytest.raises(error) as cached:
