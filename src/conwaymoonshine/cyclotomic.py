@@ -16,6 +16,7 @@ from math import gcd, lcm
 from .errors import NotRationalError, ValidationError, integer, rational
 
 _COORD = "cyclotomic coordinates must be ints or Fractions: %r"
+_LEVEL = "cyclotomic levels must be integers: %r"
 _OPERAND = "cyclotomic operands must be cyclotomic numbers, ints or Fractions: %r"
 
 
@@ -97,7 +98,7 @@ class CycNumber:
     def __init__(self, level: int, coords):
         """coords: rational coefficients of 1, z, z^2, ..., reduced mod Phi_N."""
         if level.__class__ is not int:
-            level = integer(level, "cyclotomic levels must be integers: %r", level)
+            level = integer(level, _LEVEL, level)
         self.level = level
         self.coords = _reduce_mod_phi(coords, level)
 
@@ -110,14 +111,20 @@ class CycNumber:
     @staticmethod
     def from_exponents(level: int, weights: dict) -> "CycNumber":
         """Build sum_j weights[j] * zeta_level^j from an exponent dict."""
+        if level.__class__ is not int:
+            level = integer(level, _LEVEL, level)
         coeffs = [0] * level
         for j, w in weights.items():
-            coeffs[j % level] += w
+            if j.__class__ is not int:
+                j = integer(j, "cyclotomic exponents must be integers: %r", j)
+            coeffs[j % level] += w if w.__class__ is int or w.__class__ is Fraction else rational(w, _COORD, w)
         return CycNumber(level, coeffs)
 
     # -- level handling ----------------------------------------------------
 
     def raise_level(self, m: int) -> "CycNumber":
+        if m.__class__ is not int:
+            m = integer(m, _LEVEL, m)
         if m == self.level:
             return self
         if m % self.level != 0:

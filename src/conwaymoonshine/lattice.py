@@ -316,7 +316,13 @@ _INT64 = 2**62  # every int64 value of a level of the shell count stays below th
 def _gram(basis):
     """The integer Gram matrix of a basis given as a tuple of tuples, as a
     tuple of tuples of Python ints, built once per basis for
-    IntegerLattice.verify, IntegerLattice.gram8 and _flag."""
+    IntegerLattice.verify, IntegerLattice.gram8 and _flag: one int64 product
+    B B^T when its entries are bounded below _INT64 in Python ints first,
+    else sums of Python-int products."""
+    m = max(max(map(abs, row)) for row in basis)
+    if len(basis[0]) * m * m < _INT64:  # bounds every entry of B B^T
+        B = np.array(basis, dtype=np.int64)
+        return tuple(map(tuple, (B @ B.T).tolist()))
     return tuple(tuple(sum(map(mul, r, s)) for s in basis) for r in basis)
 
 
@@ -385,6 +391,13 @@ def _packing(D, P):
     return P, weights, ones, ((1 << F - 1) - D) * ones, j // per, F * (j % per), F
 
 
+def _divmod(x, m):
+    """np.divmod(x, m) for an int64 array x and an int m > 0: numpy's floor
+    division by one int runs several times faster than its remainder."""
+    q = x // m
+    return q, x - q * m
+
+
 def _shells(basis, target8: int) -> dict:
     """{norm8: count} for every scaled norm norm8 <= target8 of the vectors
     x.B of the lattice, by an exact dynamic program over the Gram-Schmidt
@@ -402,8 +415,10 @@ def _shells(basis, target8: int) -> dict:
     exact, |u| <= isqrt((c D_k target - a h) / b): floats give the square
     root's first guess and integer tests correct it, so every child has
     h' <= D_k target, and no float decides a count.  Equal (r', h') merge by
-    one lexsort over the residues packed into int64 words.  At level 0 the
-    states are the norms themselves.
+    one lexsort over the residues packed into int64 words and h', or over
+    one int64 key, h' above the fields, when they fill one word and leave
+    room for h' <= D_k target.  At level 0 the states are the norms
+    themselves.
 
     A state also merges with its mirror image: x -> -x carries the
     completions of y onto those of -y with the same norms, so (r', h') and
@@ -437,34 +452,47 @@ def _shells(basis, target8: int) -> dict:
         rk = R[:, k]
         lo = -((s + rk) // E)
         width = (s - rk) // E + 1 - lo
-        rows = int(width.sum())
+        ends = np.cumsum(width)
+        rows = int(ends[-1])  # the zero vector's state has the child x_k = 0, so there is a row
         if rows > _MAX_ROWS:
             raise ValidationError("norm %s needs about %d enumeration nodes, more than the %d allowed"
                                   % (Fraction(target8, 8), rows, _MAX_ROWS))
         parent = np.repeat(np.arange(len(width)), width)
-        x = np.arange(rows) + np.repeat(lo + width - np.cumsum(width), width)
+        x = np.arange(rows) + np.repeat(lo + width - ends, width)
         u = x * E + rk[parent]
-        h, h_rest = np.divmod(a * H[parent] + b * u * u, c)
-        base, base_rest = np.divmod(D * R[:, :k] + rk[:, None] * P, E)
+        h, h_rest = _divmod(a * H[parent] + b * u * u, c)
+        base, base_rest = _divmod(D * R[:, :k] + rk[:, None] * P, E)
         if h_rest.any() or base_rest.any():
             raise ValidationError("inexact division in the shell count at level %d" % k)
         # r' = base + x P mod D in packed words (_packing), x P mod D from a table over this level's x
         first = int(lo.min())
-        step = np.multiply.outer(np.arange(first, int((lo + width).max())), P) % D @ weights
-        r = (base % D @ weights)[parent] + step[x - first]
+        step = _divmod(np.multiply.outer(np.arange(first, int((lo + width).max())), P), D)[1] @ weights
+        r = (_divmod(base, D)[1] @ weights)[parent] + step[x - first]
         r -= ((r + add) >> F - 1 & ones) * D
         if k:
             # -r: every field D - r_j lies in [1, D], so no field borrows, and the fold turns D into 0
             neg = D * ones - r
             neg -= ((neg + add) >> F - 1 & ones) * D
-            at = np.arange(rows), (r != neg).argmax(axis=1)  # the first word where r and -r differ
-            r = np.where((neg[at] < r[at])[:, None], neg, r)
-        key = np.column_stack([r, h])
-        order = np.lexsort(key.T)
-        key = key[order]
-        starts = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]).any(axis=1)])
+            if r.shape[1] == 1:  # the order of one word is numeric order
+                r = np.minimum(r, neg)
+            else:
+                at = np.arange(rows), (r != neg).argmax(axis=1)  # the first word where r and -r differ
+                r = np.where((neg[at] < r[at])[:, None], neg, r)
+        # the sort keys: one int64, h above the fields of r, when r is one word and 0 <= h <= D top fits
+        shift = k * F
+        if r.shape[1] <= 1 and shift + (D * top).bit_length() <= 63:
+            keys = [h << shift | r[:, 0] if k else h]
+        else:
+            keys, shift = [*r.T, h], 0
+        order = np.lexsort(keys)
+        keys = [key[order] for key in keys]
+        new = np.zeros(rows, dtype=bool)
+        new[0] = True
+        for key in keys:
+            new[1:] |= key[1:] != key[:-1]
+        starts = np.flatnonzero(new)
         C = np.add.reduceat(C[parent[order]], starts)
-        key = key[starts]
-        R = key[:, cols] >> shifts & (1 << F) - 1
-        H = key[:, -1]
+        keys = [key[starts] for key in keys]
+        R = np.column_stack(keys)[:, cols] >> shifts & (1 << F) - 1
+        H = keys[-1] >> shift
     return {g * norm: count for norm, count in zip(H.tolist(), C.tolist())}

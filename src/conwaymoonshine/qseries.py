@@ -21,6 +21,8 @@ from .errors import (NotInvertibleError, NotRationalError, PrecisionError, Valid
 
 _ORDER = "series orders must be ints or Fractions: %r"
 _OPERAND = "series operands must be series, ints or Fractions: %r"
+_EXPONENT = "exponents must be ints or Fractions: %r"
+_COEFF = "series coefficients must be ints or Fractions: %r"
 
 
 def _grid_bound(order: Fraction, denom: int) -> int:
@@ -45,7 +47,7 @@ class FracPowerSeries:
         bound = _grid_bound(order, denom)
         for p, c in terms.items():
             if c.__class__ is not int:
-                c = rational(c, "series coefficients must be ints or Fractions: %r", c)
+                c = rational(c, _COEFF, c)
             if not c:
                 continue
             if p >= bound:
@@ -61,7 +63,9 @@ class FracPowerSeries:
 
     @staticmethod
     def from_fraction_terms(pairs, order) -> "FracPowerSeries":
-        """Build a series from (Fraction exponent, coeff) pairs."""
+        """Build a series from (exponent, coeff) pairs, each an int or a Fraction."""
+        pairs = [(e if e.__class__ is Fraction or e.__class__ is int else rational(e, _EXPONENT, e),
+                  c if c.__class__ is int or c.__class__ is Fraction else rational(c, _COEFF, c)) for e, c in pairs]
         k = 1
         for e, _ in pairs:
             k = k * e.denominator // gcd(k, e.denominator)
@@ -74,7 +78,7 @@ class FracPowerSeries:
     # -- inspection ----------------------------------------------------
 
     def coeff(self, expo):
-        expo = rational(expo, "exponents must be ints or Fractions: %r", expo)
+        expo = rational(expo, _EXPONENT, expo)
         if expo >= self.order:
             raise PrecisionError(
                 "coefficient at %s requested, series valid below %s"
@@ -176,6 +180,8 @@ class FracPowerSeries:
         return FracPowerSeries(k, out, self.order - Fraction(2 * v, k))
 
     def __pow__(self, n: int) -> "FracPowerSeries":
+        if n.__class__ is not int:
+            n = integer(n, "series powers must be integers: %r", n)
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:  # order - valuation is invariant under mul, pow and invert

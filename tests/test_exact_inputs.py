@@ -45,6 +45,10 @@ def sites(golay, leech, lift):
         ("series +", lambda v: SERIES + v, OPERAND, 2),
         ("series -", lambda v: SERIES - v, OPERAND, 2),
         ("series *", lambda v: SERIES * v, OPERAND, 2),
+        ("series **", lambda v: SERIES ** v, "series powers must be integers", 2),
+        ("fraction-terms exponent", lambda v: S.from_fraction_terms([(v, 1)], 3), "exponents must be ints or Fractions", 2),
+        ("fraction-terms coefficient", lambda v: S.from_fraction_terms([(1, v)], 3),
+         "series coefficients must be ints or Fractions", 2),
         ("combination order", lambda v: combination(((SERIES, 1),), v), "series orders must be ints or Fractions", 2),
         ("combination scale", lambda v: combination(((SERIES, v),), 3), OPERAND, 2),
         ("combination constant", lambda v: combination(((SERIES, 1),), 3, v), OPERAND, 2),
@@ -53,6 +57,11 @@ def sites(golay, leech, lift):
         ("eta_product exponent", lambda v: eta_product({1: v}, 5), "eta exponents must be integers", 2),
         ("cyclotomic coordinate", lambda v: CycNumber(4, (v, 0)), "cyclotomic coordinates must be ints or Fractions", 2),
         ("cyclotomic level", lambda v: CycNumber(v, (1,)), "cyclotomic levels must be integers", 2),
+        ("cyclotomic raise_level", ZETA.raise_level, "cyclotomic levels must be integers", 8),
+        ("exponent-dict level", lambda v: CycNumber.from_exponents(v, {1: 1}), "cyclotomic levels must be integers", 4),
+        ("exponent-dict exponent", lambda v: CycNumber.from_exponents(4, {v: 1}), "cyclotomic exponents must be integers", 2),
+        ("exponent-dict weight", lambda v: CycNumber.from_exponents(4, {1: v}),
+         "cyclotomic coordinates must be ints or Fractions", 2),
         ("cyclotomic *", lambda v: ZETA * v, CYC_OPERAND, 2),
         ("cyclotomic -", lambda v: ZETA - v, CYC_OPERAND, 2),
         ("cyclotomic /", lambda v: ZETA / v, CYC_OPERAND, 2),

@@ -263,6 +263,18 @@ def test_shells_negative_controls(leech, monkeypatch):
                 lat.shell_count(norm)
 
 
+def test_leech_norm_4_pass_has_2115_rows_at_its_widest_level(leech, monkeypatch):
+    """The pass that verify() makes and shell_count(4) reads: 2,115 child
+    rows at its widest level, so a merge lost from the walk (of equal
+    states, or of mirror images) fails here and not only in the benchmark."""
+    monkeypatch.setattr(lattice, "_MAX_ROWS", 2115)
+    lat = IntegerLattice(leech.basis)
+    assert (lat.shell_count(4), lat.shell_count(2)) == (196560, 0)
+    monkeypatch.setattr(lattice, "_MAX_ROWS", 2114)
+    with pytest.raises(ValidationError, match="norm 4 needs about 2115 enumeration nodes, more than the 2114 allowed"):
+        IntegerLattice(leech.basis).shell_count(4)
+
+
 def test_shell_count_refuses_beyond_the_node_ceiling(leech):
     """A level past _MAX_ROWS child rows is refused; with each state merged
     with its mirror image, Leech norm 20 stays under it (32,051 rows at its
