@@ -124,37 +124,33 @@ def build_golay() -> BinaryCode:
 
 
 class IntegerLattice:
-    """Rank-24 lattice in sqrt(8)-scaled integer coordinates."""
+    """Rank-24 lattice in sqrt(8)-scaled integer coordinates, kept as its Gram matrix and flag (_gram, _flag)."""
 
     def __init__(self, basis):
         self.basis = tuple(tuple(c if c.__class__ is int else integer(c, "basis entries must be integers")
                                  for c in row) for row in basis)
         if len(self.basis) != LENGTH or any(len(r) != LENGTH for r in self.basis):
             raise ValidationError("basis must be 24 rows of 24 integers")
-        # 24 pivots in 24 columns: the echelon basis is upper triangular with a
-        # positive diagonal, row i pivoting on column i.  It comes from the basis
-        # by unimodular row steps, so |det basis| is the product of that diagonal.
-        self._echelon = _integer_row_basis(self.basis)
-        if len(self._echelon) != LENGTH:
+        self._gram = _gram(self.basis)
+        self._flag = _flag(self._gram)
+        if not self._flag[2]:
             raise ValidationError("basis rows are linearly dependent")
         self._theta = (-1, {})  # the widest _shells pass made for this lattice: (target8, {norm8: count})
 
     def gram8(self):
         """Integer matrix of scaled dot products b_i . b_j (= 8 * Gram), a
-        fresh list of lists copied from the Gram matrix that _gram computes
-        once per basis and _flag reads too."""
-        return [list(row) for row in _gram(self.basis)]
+        fresh list of lists copied from the Gram matrix the lattice keeps."""
+        return [list(row) for row in self._gram]
 
     def gram_determinant(self) -> Fraction:
-        """det Gram = (det basis)^2 / 8^24, read off the echelon diagonal."""
-        det = _covolume(self._echelon)
-        return Fraction(det * det, 8**LENGTH)
+        """det Gram = g^24 det / 8^24, det the last leading minor of 8 Gram / g (_flag)."""
+        g, _, det, _ = self._flag
+        return Fraction(g**LENGTH * det, 8**LENGTH)
 
     def verify(self):
         """Even, determinant one, no vectors of norm below 4: norm 2 is read
         from one _shells pass through norm 4, which shell_count(4) reuses."""
-        g8 = _gram(self.basis)  # 8 * Gram: integral means 0 mod 8, even means 0 mod 16
-        for i, row in enumerate(g8):
+        for i, row in enumerate(self._gram):  # 8 * Gram: integral means 0 mod 8, even means 0 mod 16
             if row[i] % 16:
                 raise ValidationError("Gram diagonal %s is not an even integer" % Fraction(row[i], 8))
             for v in row:
@@ -176,12 +172,12 @@ class IntegerLattice:
         more than _MAX_ROWS rows or values past int64, or for a norm that is
         not an integer."""
         target8 = 8 * integer(norm, "shell norms must be integers")
-        return 0 if target8 % _flag(self.basis)[1] else self._counts(target8).get(target8, 0)
+        return 0 if target8 % self._flag[1] else self._counts(target8).get(target8, 0)
 
     def _counts(self, target8: int) -> dict:
         """{norm8: count} through at least target8: a pass to T cut at t <= T is the pass to t."""
         if target8 > self._theta[0]:
-            self._theta = target8, _shells(self.basis, target8)
+            self._theta = target8, _shells(self._flag, target8)
         return self._theta[1]
 
     def __repr__(self):
@@ -214,13 +210,14 @@ def build_leech(code: BinaryCode) -> IntegerLattice:
     _leech_generators(code), found once by LLL with deep insertions (the
     search lives in the tests).  Every generator has dot products 0 mod 8
     with the stored rows (one int64 product, bounded in Python ints first),
-    so it lies in the dual L*; the covolumes (integer echelon diagonals)
-    agree; and verify() shows L even of determinant 1, so L* = L and the
-    generators span all of L.  A code whose lattice the stored basis does
-    not span is refused.  The defining congruences then hold and are not
-    checked: (-3, 1^23), 4(e_1 + e_i) and 8 e_1 meet them by arithmetic, and
-    for 2 chi_C they ask |C| = 0 mod 4, which holds as 2 chi_C lies in the
-    even lattice L and has norm |C|/2."""
+    so it lies in the dual L*; the covolumes (the generators' echelon
+    diagonal, the stored rows' isqrt(det 8 Gram) from the flag) agree; and
+    verify() shows L even of determinant 1, so L* = L and the generators
+    span all of L.  A code whose lattice the stored basis does not span is
+    refused.  The defining congruences then hold and are not checked:
+    (-3, 1^23), 4(e_1 + e_i) and 8 e_1 meet them by arithmetic, and for
+    2 chi_C they ask |C| = 0 mod 4, which holds as 2 chi_C lies in the even
+    lattice L and has norm |C|/2."""
     gens = _leech_generators(code)
     lat = IntegerLattice(_stored_basis())
     bound = LENGTH * max(abs(c) for g in gens for c in g) * max(abs(c) for row in lat.basis for c in row)
@@ -232,7 +229,8 @@ def build_leech(code: BinaryCode) -> IntegerLattice:
     if outside.size:
         raise ValidationError(refused + "generator %d is not in it" % outside[0])
     # the 8 e_i lie in the span of the generators, so it has rank 24 and pivots on the diagonal
-    spanned, stored = _covolume(_integer_row_basis(gens)), _covolume(lat._echelon)
+    spanned = prod(row[i] for i, row in enumerate(_integer_row_basis(gens)))
+    stored = isqrt(lat._flag[0] ** LENGTH * lat._flag[2])  # det(8 Gram) = det(B B^T) = det(B)^2
     if spanned != stored:
         raise ValidationError(refused + "its covolume is %d, the generators' %d" % (stored, spanned))
     lat.verify()
@@ -247,7 +245,7 @@ def coordinate_frame(lat: IntegerLattice):
     congruent mod 2L (an equivalence relation: e_0 stands for every pair)
     when every row has coordinates of one parity; other lattices are
     refused.  The vectors are orthogonal of norm 8: (8 e_i . 8 e_j)/8 = 8 delta_ij."""
-    if any(v % 8 for row in _gram(lat.basis) for v in row) or lat.gram_determinant() != 1:
+    if lat._flag[0] % 8 or lat.gram_determinant() != 1:  # g, the gcd of 8 * Gram, is 0 mod 8 when every entry is
         raise ValidationError("the frame needs an integral lattice of Gram determinant 1")
     if any((c - row[0]) % 2 for row in lat.basis for c in row):
         raise ValidationError("frame vectors not congruent mod doubled lattice")
@@ -302,21 +300,13 @@ def _integer_row_basis(gens):
     return basis
 
 
-def _covolume(echelon) -> int:
-    """|det| of a rank-24 echelon basis from _integer_row_basis: row i
-    pivots on column i, so it is the product of the diagonal."""
-    return prod(row[i] for i, row in enumerate(echelon))
-
-
 _MAX_ROWS = 2**15  # child rows that one level of the shell count may create (Leech norm 20: 32,051, norm 22: 37,195)
 _INT64 = 2**62  # every int64 value of a level of the shell count stays below this
 
 
-@lru_cache(maxsize=4)
 def _gram(basis):
-    """The integer Gram matrix of a basis given as a tuple of tuples, as a
-    tuple of tuples of Python ints, built once per basis for
-    IntegerLattice.verify, IntegerLattice.gram8 and _flag: one int64 product
+    """The integer Gram matrix of a basis given as rows of ints, as a tuple
+    of tuples of Python ints, which IntegerLattice keeps: one int64 product
     B B^T when its entries are bounded below _INT64 in Python ints first,
     else sums of Python-int products."""
     m = max(max(map(abs, row)) for row in basis)
@@ -326,9 +316,9 @@ def _gram(basis):
     return tuple(tuple(sum(map(mul, r, s)) for s in basis) for r in basis)
 
 
-@lru_cache(maxsize=4)
-def _flag(basis):
-    """The Gram-Schmidt flag of the basis in exact integers, for _shells.
+def _flag(gram):
+    """The Gram-Schmidt flag of an integer Gram matrix in exact integers,
+    which IntegerLattice keeps and _shells walks.
 
     The Gram matrix G is divided by the gcd g of its entries, so every norm
     is g times an integer.  One fraction-free bordering pass keeps det G_k
@@ -338,19 +328,21 @@ def _flag(basis):
     those projections for j >= k (the classes of pi_(L_k)(lattice) / L_k);
     P_k = D_k p_k, p_k the coordinates of the projection of b_k; and d_k =
     |b*_k|^2 = det G_(k+1) / det G_k.  Returns g, g2 = gcd(G_ii, 2 G_ij),
-    which divides every norm x G x^T, and, per level, (D, E, a, b, c,
-    max |P|, _packing(D, P)) with E = D_(k+1) and h' = (a h + b u^2) / c the
-    step of _shells; a basis whose constants reach _INT64 is refused.
+    which divides every norm x G x^T, det, the last leading minor (0, with
+    no levels, at the first zero one: the rows are dependent), and per level
+    (D, E, a, b, c, static, P) with E = D_(k+1), h' = (a h + b u^2) / c the
+    step of _shells and static = max(a, b, c, (E + D)(D + max |P|)).
     """
-    gram = _gram(basis)
     g = gcd(*(v for row in gram for v in row))
     g2 = gcd(2 * g, *(row[i] for i, row in enumerate(gram)))  # 2 G_ij for all i, j has gcd 2g
-    gram = [[v // g for v in row] for row in gram]
+    gram = [[v // (g or 1) for v in row] for row in gram]  # the zero basis (g = 0) stops at its first minor
     M, det, found = [], 1, []
     for k, row in enumerate(gram):
         w = [r[0] for r in M]  # det G_k * p_k
         v = [sum(a * r[j] for a, r in zip(row, M)) for j in range(len(gram) - k)]  # g_k . M
         bordered = row[k] * det - v[0]
+        if not bordered:
+            return g, g2, 0, []
         denom = det // gcd(det, *(x for r in M for x in r))
         found.append((denom, [denom * x // det for x in w], bordered, det))
         # M for k + 1 from adj G_(k+1) = [[(det G_(k+1) adj G_k + w w^T) / det G_k, -w], [-w^T, det G_k]]
@@ -364,13 +356,9 @@ def _flag(basis):
         a, b, c = D * E * f, D * e, f * E * E
         q = gcd(a, b, c)
         a, b, c = a // q, b // q, c // q
-        pmax = max(map(abs, P), default=0)
-        static = max(a, b, c, (E + D) * (D + pmax))  # bounds D r + r_k P
-        if static >= _INT64:
-            raise ValidationError("the basis needs %d-bit integers, past the int64 values of the shell count"
-                                  % static.bit_length())
-        levels.append((D, E, a, b, c, pmax, _packing(D, P)))
-    return g, g2, levels
+        static = max(a, b, c, (E + D) * (D + max(map(abs, P), default=0)))  # bounds D r + r_k P
+        levels.append((D, E, a, b, c, static, P))
+    return g, g2, det, levels
 
 
 def _packing(D, P):
@@ -398,10 +386,10 @@ def _divmod(x, m):
     return q, x - q * m
 
 
-def _shells(basis, target8: int) -> dict:
+def _shells(flag, target8: int) -> dict:
     """{norm8: count} for every scaled norm norm8 <= target8 of the vectors
-    x.B of the lattice, by an exact dynamic program over the Gram-Schmidt
-    flag (_flag): the coset theta functions of Conway-Sloane, SPLAG ch. 4.
+    x.B of a lattice, by an exact dynamic program over its Gram-Schmidt flag
+    (_flag): the coset theta functions of Conway-Sloane, SPLAG ch. 4.
 
     Fincke-Pohst fixes x_(n-1) first and x_0 last, and the subtree below a
     partial vector y = sum_(j>k) x_j b_j depends only on the class of its
@@ -427,10 +415,11 @@ def _shells(basis, target8: int) -> dict:
     halves the states, near enough: Leech norm 4 takes 17,551 rows, not
     31,763, and the widest level of norm 20 fits under _MAX_ROWS.
 
-    Every level bounds its int64 values in Python ints first and refuses
-    past _INT64; a level of more than _MAX_ROWS child rows is refused too.
+    Every level bounds its int64 values, the flag's constants among them, in
+    Python ints first and refuses past _INT64 before it packs (_packing); a
+    level of more than _MAX_ROWS child rows is refused too.
     """
-    g, _, levels = _flag(tuple(map(tuple, basis)))
+    g, _, _, levels = flag
     top = target8 // g
     if top < 0:
         return {}
@@ -438,13 +427,14 @@ def _shells(basis, target8: int) -> dict:
     H = np.zeros(1, dtype=np.int64)
     C = np.ones(1, dtype=np.int64)
     for k in reversed(range(len(levels))):
-        D, E, a, b, c, pmax, (P, weights, ones, add, cols, shifts, F) = levels[k]
+        D, E, a, b, c, static, P = levels[k]
         limit = c * D * top  # a h + b u^2 <= limit, |x_k| <= xmax, and a state has at most 2 xmax children
         xmax = isqrt(limit // b) // E + 1
-        need = max(limit, xmax * pmax, int(C.sum()) * 2 * xmax)
+        need = max(static, limit, xmax * max(map(abs, P), default=0), int(C.sum()) * 2 * xmax)
         if need >= _INT64:
             raise ValidationError("norm %s needs %d-bit integers, past the int64 values of the shell count"
                                   % (Fraction(target8, 8), need.bit_length()))
+        P, weights, ones, add, cols, shifts, F = _packing(D, P)
         Q = (limit - a * H) // b
         s = np.sqrt(Q).astype(np.int64)
         s -= s * s > Q

@@ -20,7 +20,8 @@ upstream stays exact.  The class sweep evaluates the twisted trace
 C*eta_pi - chi (TwistedTrace) from one weighted sum of log(1 - q^j) over
 the j whose weight sum_(m | j) k_m is nonzero, truncated where a proven
 bound holds; a truncated series can still be checked, with a heuristic
-tail estimate plus a rounding bound (eval_series).
+tail estimate plus a rounding bound (eval_series).  Numbers taken in
+follow errors.integer and errors.rational, but tol, a float bound.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ParseError, PrecisionError, ValidationError
+from .errors import ParseError, PrecisionError, ValidationError, integer, rational
 from .qseries import FracPowerSeries
 
 
@@ -47,6 +48,11 @@ class GroupLabel:
     minus: bool
 
     def __post_init__(self):
+        for name in ("n", "h"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, integer(value, "label numbers n and h must be integers: %r", value))
+        object.__setattr__(self, "al_set", frozenset(
+            integer(e, "Atkin-Lehner divisors must be integers: %r", e) for e in self.al_set))
         if self.n <= 0 or self.h <= 0:
             raise ValidationError("level data must be positive")
         if self.n % self.h:
@@ -68,6 +74,7 @@ class GroupLabel:
 
 
 _LABEL = re.compile(r"(\d+)(?:\|(\d+))?(-|\+(?:\d+(?:,\d+)*)?)")
+_SEED = "seeds must be integers: %r"
 
 
 def parse_label(text: str) -> GroupLabel:
@@ -91,7 +98,7 @@ class TestMatrix:
 
     __test__ = False  # not a pytest case despite the name
 
-    a: Fraction
+    a: Fraction  # each entry an int when integral (errors.rational)
     b: Fraction
     c: Fraction
     d: Fraction
@@ -99,6 +106,12 @@ class TestMatrix:
     provenance: str
 
     def __post_init__(self):
+        for name in "abcd":
+            value = getattr(self, name)
+            if value.__class__ is not int:
+                object.__setattr__(self, name, rational(value, "matrix entries must be ints or Fractions: %r", value))
+        if self.scale_sq.__class__ is not int:
+            object.__setattr__(self, "scale_sq", integer(self.scale_sq, "scale_sq must be an integer"))
         det = self.a * self.d - self.b * self.c
         if det != self.scale_sq:
             raise ValidationError(
@@ -112,7 +125,7 @@ class TestMatrix:
 
     def compose_translation(self, shift: Fraction) -> "TestMatrix":
         """This matrix times (1, shift; 0, 1)."""
-        shift = Fraction(shift)
+        shift = rational(shift, "translation shifts must be ints or Fractions: %r", shift)
         return TestMatrix(
             self.a,
             self.a * shift + self.b,
@@ -139,9 +152,7 @@ class TestMatrix:
 def _gamma0_element(c: int, d: int) -> TestMatrix:
     a = pow(d, -1, c)
     b = (a * d - 1) // c
-    return TestMatrix(
-        Fraction(a), Fraction(b), Fraction(c), Fraction(d), 1, "gamma0-sample"
-    )
+    return TestMatrix(a, b, c, d, 1, "gamma0-sample")
 
 
 def sample_matrices(gl: GroupLabel, count: int = 12, seed: int = 2024):
@@ -152,26 +163,17 @@ def sample_matrices(gl: GroupLabel, count: int = 12, seed: int = 2024):
     The Atkin-Lehner matrix for e uses the exact-divisor solve
     u*e + v*(n/(h*e)) = 1:  (u*e, -v/h; n, e)/sqrt(e).
     """
-    rng = random.Random(seed)
+    count = integer(count, "sample counts must be integers: %r", count)
+    rng = random.Random(integer(seed, _SEED, seed))
     level = gl.n * gl.h
-    out = [TestMatrix(Fraction(1), Fraction(1), Fraction(0), Fraction(1), 1, "translation-1")]
+    out = [TestMatrix(1, 1, 0, 1, 1, "translation-1")]
     quotient = gl.n // gl.h
     for e in sorted(gl.al_set):
         if e == quotient:
-            out.append(
-                TestMatrix(
-                    Fraction(0), Fraction(-1, gl.h), Fraction(gl.n), Fraction(0),
-                    e, "fricke",
-                )
-            )
+            out.append(TestMatrix(0, Fraction(-1, gl.h), gl.n, 0, e, "fricke"))
         else:
             u, v = _bezout(e, quotient // e)
-            out.append(
-                TestMatrix(
-                    Fraction(u * e), Fraction(-v, gl.h), Fraction(gl.n), Fraction(e),
-                    e, "atkin-lehner-%d" % e,
-                )
-            )
+            out.append(TestMatrix(u * e, Fraction(-v, gl.h), gl.n, e, e, "atkin-lehner-%d" % e))
     while len(out) < count:
         k = rng.choice((1, 1, 1, 2)) if level <= 30 else 1
         c = level * k
@@ -383,11 +385,13 @@ def _sample_points(matrix: TestMatrix, count: int, rng) -> list:
     return pts
 
 
-def _check_request(tol: float, points: int):
+def _check_request(tol: float, points: int) -> int:
     if not 0 < tol < float("inf"):
         raise ValidationError("tol must be finite and positive, got %r" % tol)
+    points = integer(points, "points must be integers: %r", points)
     if points < 1:
         raise ValidationError("points must be at least 1, got %d" % points)
+    return points
 
 
 def _values(f, taus, target: float):
@@ -422,7 +426,8 @@ def invariance_check(
     how f was evaluated: `product_terms` and `truncation_bound` for a
     TwistedTrace, `order` for a series.
     """
-    _check_request(tol, points)
+    points = _check_request(tol, points)
+    seed = integer(seed, _SEED, seed)
     if not matrices:
         raise ValidationError("no matrices to check")
     rng = random.Random(seed)
@@ -503,7 +508,8 @@ def class_invariance_check(
     """invariance_check of the record's twisted trace C*eta_pi - chi,
     evaluated from its product formula (TwistedTrace), over kernel_matrices
     of its label."""
-    _check_request(tol, points)
+    points = _check_request(tol, points)
+    samples = integer(samples, "samples must be integers: %r", samples)
     if samples < 1:
         raise ValidationError("samples must be at least 1, got %d" % samples)
     f = TwistedTrace.of(rec)

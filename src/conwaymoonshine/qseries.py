@@ -46,8 +46,9 @@ class FracPowerSeries:
         clean = {}
         bound = _grid_bound(order, denom)
         for p, c in terms.items():
-            if c.__class__ is not int:
-                c = rational(c, _COEFF, c)
+            if c.__class__ is not int or p.__class__ is not int:
+                p = p if p.__class__ is int else integer(p, "series exponents must be integers: %r", p)
+                c = c if c.__class__ is int else rational(c, _COEFF, c)
             if not c:
                 continue
             if p >= bound:

@@ -1,20 +1,26 @@
 """The one rule for exact inputs (errors.integer and errors.rational), checked
 at every entry point that reads a number: bools, floats and strings are refused
 with the site's message, and numpy integers give what the equal int gives,
-held as Python ints."""
+held as Python ints.  Every reading site in the package names a message of
+this table, so a new site cannot skip it."""
 
+import ast
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conwaymoonshine.classdata import lookup
 from conwaymoonshine.cliffordcm import DenseState, WordTable
 from conwaymoonshine.cyclotomic import CycNumber, cyclotomic_polynomial
 from conwaymoonshine.errors import ValidationError, integer, rational
 from conwaymoonshine.fockoracle import UNTWISTED, ModeSystem, subset_enumeration_supertrace
 from conwaymoonshine.frameshape import FrameShape, parse
 from conwaymoonshine.lattice import BinaryCode, IntegerLattice
+from conwaymoonshine.modgroups import (GroupLabel, TestMatrix, TwistedTrace, class_invariance_check,
+                                       invariance_check, parse_label, sample_matrices)
 from conwaymoonshine.moonshine import T_s_tw, verify_delta_identity, verify_hecke
 from conwaymoonshine.qseries import FracPowerSeries as S, combination, eta_product
 
@@ -24,6 +30,10 @@ ZETA = CycNumber(4, (1, 1))  # 1 + i
 IDENT = parse("1^24")
 SCALED_CUBE = [[8 * (i == j) for j in range(24)] for i in range(24)]
 OPERAND = "series operands must be series, ints or Fractions"
+TRANSLATION = TestMatrix(1, 1, 0, 1, 1, "translation-1")
+LABEL = parse_label("6+")
+REC = lookup("2A")
+SRC = Path(__file__).resolve().parents[1] / "src" / "conwaymoonshine"
 CYC_OPERAND = "cyclotomic operands must be cyclotomic numbers, ints or Fractions"
 
 
@@ -40,6 +50,7 @@ def sites(golay, leech, lift):
         ("series coefficient", lambda v: S(1, {0: v}, 3), "series coefficients must be ints or Fractions", 2),
         ("series order", lambda v: S(1, {0: 1}, v), "series orders must be ints or Fractions", 2),
         ("series denominator", lambda v: S(v, {0: 1}, 3), "series denominators must be integers", 2),
+        ("series exponent key", lambda v: S(1, {v: 1}, 3), "series exponents must be integers", 2),
         ("coeff exponent", SERIES.coeff, "exponents must be ints or Fractions", 2),
         ("scale_tau", SERIES.scale_tau, "scale factors must be ints or Fractions", 2),
         ("series +", lambda v: SERIES + v, OPERAND, 2),
@@ -83,6 +94,25 @@ def sites(golay, leech, lift):
         ("word mask", WordTable, "word masks must be integers", 3),
         ("word masks", lambda v: WordTable([3, v]), "word masks must be integers", 3),
         ("lifted word mask", lift.word_table, "word masks must be integers", golay.generators[0]),
+        ("label n", lambda v: GroupLabel(v, 2, frozenset(), True), "label numbers n and h must be integers", 4),
+        ("label h", lambda v: GroupLabel(4, v, frozenset(), True), "label numbers n and h must be integers", 2),
+        ("Atkin-Lehner divisor", lambda v: GroupLabel(6, 1, frozenset({v}), False),
+         "Atkin-Lehner divisors must be integers", 2),
+        ("matrix entry", lambda v: TestMatrix(v, -1, 1, 0, 1, "s"), "matrix entries must be ints or Fractions", 2),
+        ("matrix scaling", lambda v: TestMatrix(2, 0, 0, 1, v, "s"), "scale_sq must be an integer", 2),
+        ("translation shift", TRANSLATION.compose_translation, "translation shifts must be ints or Fractions", 2),
+        ("sample count", lambda v: sample_matrices(LABEL, count=v), "sample counts must be integers", 3),
+        ("sample seed", lambda v: sample_matrices(LABEL, seed=v), "seeds must be integers", 7),
+        ("check points", lambda v: invariance_check(TwistedTrace.of(REC), LABEL, [TRANSLATION], points=v),
+         "points must be integers", 2),
+        ("check seed", lambda v: invariance_check(TwistedTrace.of(REC), LABEL, [TRANSLATION], points=2, seed=v),
+         "seeds must be integers", 7),
+        ("class check points", lambda v: class_invariance_check(REC, points=v, samples=2),
+         "points must be integers", 2),
+        ("class check samples", lambda v: class_invariance_check(REC, points=2, samples=v),
+         "samples must be integers", 2),
+        ("class check seed", lambda v: class_invariance_check(REC, points=2, samples=2, seed=v),
+         "seeds must be integers", 7),
     ]
 
 
@@ -93,7 +123,7 @@ def numbers(x):
     if isinstance(x, (int, F, np.integer, float)):
         return [x]
     if isinstance(x, S):
-        return [x.denom, *x.terms.values()]
+        return [x.denom, *x.terms, *x.terms.values()]
     if isinstance(x, CycNumber):
         return [x.level, *x.coords]
     if isinstance(x, FrameShape):
@@ -104,6 +134,12 @@ def numbers(x):
         return list(x.generators)
     if isinstance(x, IntegerLattice):
         return [c for row in x.basis for c in row]
+    if isinstance(x, GroupLabel):
+        return [x.n, x.h, *x.al_set]
+    if isinstance(x, TestMatrix):
+        return [x.a, x.b, x.c, x.d, x.scale_sq]
+    if isinstance(x, list):
+        return [n for item in x for n in numbers(item)]
     return []  # a report, a dense state or a word table: compared whole
 
 
@@ -126,6 +162,51 @@ def test_every_site_refuses_inexact_numbers_and_reads_numpy_integers_as_ints(gol
             assert same(got, want), (site, cast)
             for n in numbers(got):
                 assert type(n) is int or (type(n) is F and n.denominator != 1), (site, cast, n)
+
+
+def reading_sites():
+    """(file:line, message) of every integer(...) and rational(...) call of
+    the package outside errors.py, by name or as an attribute, the message resolved from a literal, a
+    module constant or a name assigned in the enclosing function; None when
+    it is none of these."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text())
+        scopes = {}  # id(call) -> the innermost function around it (ast.walk visits outer scopes first)
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+            for node in ast.walk(scope):
+                scopes[id(node)] = scope
+
+        def strings(scope):
+            body = scope.body if scope is tree else list(ast.walk(scope))
+            return {t.id: node.value.value for node in body if isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+                    for t in node.targets if isinstance(t, ast.Name)}
+
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None  # integer(...) or errors.integer(...)
+            if getattr(func, "id", getattr(func, "attr", None)) not in ("integer", "rational"):
+                continue
+            arg = node.args[1] if len(node.args) > 1 else None
+            if isinstance(arg, ast.Constant):
+                message = arg.value
+            elif isinstance(arg, ast.Name):
+                message = {**strings(tree), **strings(scopes[id(node)])}.get(arg.id)
+            else:
+                message = None
+            yield "%s:%d" % (path.name, node.lineno), message
+
+
+def test_every_reading_site_has_a_row(golay, leech, lift):
+    """A reading site whose message, up to its first % or :, is no row's
+    message has no row that checks it."""
+    rows = {message for _, _, message, _ in sites(golay, leech, lift)}
+    found = list(reading_sites())
+    assert len(found) >= 40
+    missing = [(where, message) for where, message in found
+               if message is None or re.split("[%:]", message)[0] not in rows]
+    assert missing == []
 
 
 def test_numpy_integers_are_python_ints_before_any_arithmetic():

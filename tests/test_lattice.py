@@ -24,7 +24,6 @@ from conwaymoonshine.lattice import (
     sign_change_frameshape,
     _integer_row_basis,
     _leech_generators,
-    _shells,
 )
 from conwaymoonshine.qseries import FracPowerSeries, eta_product
 from test_cliffordcm import word_supertrace
@@ -78,11 +77,11 @@ def test_code_refuses_generators_outside_length_24(golay):
 def contains(lat, x):
     """Exact membership of a vector of 24 integers in an IntegerLattice, the
     test oracle for the package's dual criterion (x . b = 0 mod 8 for every
-    row b of a unimodular lattice): reduce x against the echelon basis,
-    whose row i pivots on column i."""
+    row b of a unimodular lattice): reduce x against the echelon basis of
+    the lattice's rows, whose row i pivots on column i."""
     x = [index(c) for c in x]
     assert len(x) == LENGTH
-    for i, row in enumerate(lat._echelon):
+    for i, row in enumerate(_integer_row_basis(lat.basis)):
         q = x[i] // row[i]
         if q:
             x = [a - q * c for a, c in zip(x, row)]
@@ -101,13 +100,19 @@ def test_leech_no_short_vectors(leech):
         assert leech.shell_count(norm) == 0
 
 
+def shells(basis, target8):
+    """The _shells pass of any integer basis through target8, made from the
+    flag of its Gram matrix, as IntegerLattice makes it for its rank-24
+    bases; called through the module, so a spy on lattice._shells sees it."""
+    return lattice._shells(lattice._flag(lattice._gram(basis)), target8)
+
+
 def shell_count(basis, target8):
     """Count the vectors x.B of scaled norm target8 for any integer basis:
     one entry of a _shells pass, or 0 at once for a target that g2 (_flag),
     which divides every norm, does not divide.  IntegerLattice.shell_count
     does the same for its rank-24 bases, from the pass it keeps."""
-    basis = tuple(map(tuple, basis))
-    return 0 if target8 % lattice._flag(basis)[1] else lattice._shells(basis, target8).get(target8, 0)
+    return 0 if target8 % lattice._flag(lattice._gram(basis))[1] else shells(basis, target8).get(target8, 0)
 
 
 def e8_doubled_basis():
@@ -159,7 +164,7 @@ def test_shells_hold_the_whole_theta_series():
     class denominator D_1 is 10^6 agree with the box enumeration."""
     e8 = e8_doubled_basis()
     for basis in (e8, lll_reduce(e8)):
-        assert _shells(basis, 31) == {0: 1, 8: 240, 16: 2160, 24: 6720}
+        assert shells(basis, 31) == {0: 1, 8: 240, 16: 2160, 24: 6720}
     rng = random.Random(7)
     cases = [([[100, 0], [0, 101]], 1_250_804), ([[10**6, 0], [1, 1]], 100)]
     while len(cases) < 40:
@@ -169,7 +174,7 @@ def test_shells_hold_the_whole_theta_series():
             cases.append((basis, rng.randrange(60) * scale * scale // 2))
     for basis, target in cases:
         norms = box_norms(basis, target)
-        assert _shells(basis, target) == dict(Counter(norms[norms <= target].tolist()))
+        assert shells(basis, target) == dict(Counter(norms[norms <= target].tolist()))
 
 
 def test_norms_that_parity_rules_out_skip_the_dynamic_program(leech, monkeypatch):
@@ -177,14 +182,14 @@ def test_norms_that_parity_rules_out_skip_the_dynamic_program(leech, monkeypatch
     Leech in sqrt(8)-scaled coordinates and 8 for E8 in doubled ones, so
     their odd norms count 0 without entering _shells; Z^2 is odd (g2 = 1)
     and still counts its 4 vectors of norm 1."""
-    entered, shells = [], lattice._shells
-    monkeypatch.setattr(lattice, "_shells", lambda basis, t: entered.append(t) or shells(basis, t))
+    entered, spied = [], lattice._shells
+    monkeypatch.setattr(lattice, "_shells", lambda flag, t: entered.append(t) or spied(flag, t))
     assert [leech.shell_count(norm) for norm in (1, 3, 5)] == [0, 0, 0]
     e8 = e8_doubled_basis()
     assert [shell_count(e8, t) for t in (4, 12, 20, 28)] == [0, 0, 0, 0]
     assert entered == []
     assert shell_count([[1, 0], [0, 1]], 1) == 4 and entered == [1]
-    assert [lattice._flag(tuple(map(tuple, b)))[1] for b in (leech.basis, e8, [[1, 0], [0, 1]])] == [16, 8, 1]
+    assert [lattice._flag(lattice._gram(b))[1] for b in (leech.basis, e8, [[1, 0], [0, 1]])] == [16, 8, 1]
 
 
 def test_shell_count_guards():
@@ -199,6 +204,29 @@ def test_shell_count_guards():
     assert shell_count([[1, 0], [2**60, 1]], 1) == 4
     with pytest.raises(ValidationError, match="int64"):
         shell_count([[1, 0], [2**61, 1]], 1)
+
+
+def test_the_flag_is_exact_and_only_a_pass_bounds_int64(leech):
+    """The flag is exact for any integer basis, and the one int64 guard is
+    the pass's.  Z^24 with b_1 = e_1 + 2^61 e_0 (P_1 = 2^61, so the level's
+    constants pass 2^62) constructs, of Gram determinant 8^-24, and only its
+    shell count is refused, as is every shell count of [[2^32, 0], [1, 1]],
+    whose constants alone pass 2^62.  Leech times 2^58 constructs, of Gram
+    determinant 2^(2*58*24), and counts as Leech does, as the pass works on
+    Gram/g: 196560 vectors at norm 2^118 = 4 * 2^116, none at 2^117, and
+    none at norm 4, which g2 = 2^120 does not divide."""
+    skew = [[int(j == i) for j in range(LENGTH)] for i in range(LENGTH)]
+    skew[1][0] = 2**61
+    lat = IntegerLattice(skew)
+    assert lat.gram_determinant() == Fraction(1, 8**LENGTH)
+    with pytest.raises(ValidationError, match="^norm 1 needs 63-bit integers, past the int64 values of the shell"):
+        lat.shell_count(1)
+    # D_1 = 2^32: level 1's constants (E + D)(D + |P|) pass 2^64 while its norm bound stays small
+    with pytest.raises(ValidationError, match="^norm 1/4 needs 65-bit integers"):
+        shell_count([[2**32, 0], [1, 1]], 2)
+    scaled = IntegerLattice([[c << 58 for c in row] for row in leech.basis])
+    assert scaled.gram_determinant() == 2 ** (2 * 58 * LENGTH)
+    assert [scaled.shell_count(n) for n in (2**118, 2**117, 4)] == [196560, 0, 0]
 
 
 def theta_z(rank, order):
@@ -218,22 +246,22 @@ def test_int64_guard_at_its_bound():
     m = 2**26
     basis = [[m, 0], [0, m + 1]]
     want = Counter(m * m * a * a + (m + 1) ** 2 * b * b for a in range(-64, 65) for b in range(-64, 65))
-    assert _shells(basis, 2**62 - 1) == {n: c for n, c in want.items() if n < 2**62}
+    assert shells(basis, 2**62 - 1) == {n: c for n, c in want.items() if n < 2**62}
     with pytest.raises(ValidationError, match="int64"):
-        _shells(basis, 2**62)
+        shells(basis, 2**62)
     # Z^24 through norm 53 holds 1.06e18 vectors; the count bound (the total
     # times the widest x_k range) passes 2^62 at the target 54, although its
     # 1.32e18 vectors would fit
     z24 = np.eye(24, dtype=int).tolist()
-    assert _shells(z24, 53) == dict(enumerate(theta_z(24, 54)))
+    assert shells(z24, 53) == dict(enumerate(theta_z(24, 54)))
     with pytest.raises(ValidationError, match="int64"):
-        _shells(z24, 54)
+        shells(z24, 54)
     # [[1, 0], [2^60, 1]] is Z^2 with P_1 = 2^60: x_1 P_1 is bounded by
     # (isqrt(target) + 1) 2^60, under 2^62 through the target 8
     skew = [[1, 0], [2**60, 1]]
-    assert _shells(skew, 8) == {0: 1, 1: 4, 2: 4, 4: 4, 5: 8, 8: 4}
+    assert shells(skew, 8) == {0: 1, 1: 4, 2: 4, 4: 4, 5: 8, 8: 4}
     with pytest.raises(ValidationError, match="int64"):
-        _shells(skew, 9)
+        shells(skew, 9)
     # [[s, s], [0, s]]: Gram s^2 [[2, 1], [1, 2]], counted in units of g = s^2
     s = 2**19
     basis = [[s, s], [0, s]]
@@ -252,9 +280,9 @@ def test_shells_negative_controls(leech, monkeypatch):
     assert e8_cubed().shell_count(2) == 720
 
     for wrong in (lambda P: [0] * len(P), lambda P: [-p for p in P]):
-        def shifted(basis):
-            g, g2, levels = flag(basis)
-            return g, g2, [level[:-1] + (lattice._packing(level[0], wrong(level[-1][0].tolist())),) for level in levels]
+        def shifted(gram):
+            g, g2, det, levels = flag(gram)
+            return g, g2, det, [level[:-1] + (wrong(level[-1]),) for level in levels]
 
         monkeypatch.setattr(lattice, "_flag", shifted)
         # fresh lattices: the leech fixture keeps the pass its verify() made
@@ -307,7 +335,7 @@ def test_mirror_merge_reads_every_packed_word(monkeypatch):
             norms = wider
         want.update(norms)
     monkeypatch.setattr(lattice, "_MAX_ROWS", 33)
-    assert _shells(basis, target) == dict(want)
+    assert shells(basis, target) == dict(want)
 
 
 def exact_gram_schmidt(basis):
@@ -421,8 +449,8 @@ def test_theta_series_second_opinion(leech):
     theta = leech_theta(11)
     assert theta == [1, 0, 196560, 16773120, 398034000, 4629381120, 34417656000, 187489935360,
                      814879774800, 2975551488000, 9486551299680]
-    shells = _shells(leech.basis, 8 * 20)
-    assert shells == {16 * m: c for m, c in enumerate(theta) if c}
+    counts = shells(leech.basis, 8 * 20)
+    assert counts == {16 * m: c for m, c in enumerate(theta) if c}
     assert theta[2] == leech.shell_count(4)
     # Conway: every class of Leech/2Leech has a representative of norm at
     # most 8, unique up to sign at norms 4 and 6, and one of a frame of 48
@@ -516,10 +544,19 @@ def test_golay_refusals():
     assert code.weight_distribution()[4] == 42
 
 
-def test_lattice_refusals():
+def test_lattice_refusals(leech):
     rows = [[8 * (j == i) for j in range(LENGTH)] for i in range(LENGTH)]
     with pytest.raises(ValidationError, match="linearly dependent"):
         IntegerLattice(rows[:-1] + [rows[0]])
+    # Leech rows made dependent at the leading minors 1, 2, 13 and 24 of the flag, and the zero basis (g = 0)
+    leech_rows = [list(row) for row in leech.basis]
+    spoiled = [[[0] * LENGTH] + leech_rows[1:], leech_rows[:1] * 2 + leech_rows[2:],
+               leech_rows[:12] + [[a + b for a, b in zip(leech_rows[3], leech_rows[7])]] + leech_rows[13:],
+               leech_rows[:23] + [[-c for c in leech_rows[22]]], [[0] * LENGTH] * LENGTH]
+    for basis in spoiled:
+        assert lattice._flag(lattice._gram(basis))[2:] == (0, [])
+        with pytest.raises(ValidationError, match="^basis rows are linearly dependent$"):
+            IntegerLattice(basis)
     # the rows 8 e_i: Gram matrix 8 I, even and integral but of determinant 8^24
     with pytest.raises(ValidationError, match="Gram determinant 4722366482869645213696 != 1"):
         IntegerLattice(rows).verify()
@@ -534,8 +571,8 @@ def test_lattice_refusals():
 
 def spy_walks(monkeypatch):
     """The targets of the _shells passes made from now on."""
-    walks, shells = [], lattice._shells
-    monkeypatch.setattr(lattice, "_shells", lambda basis, t: walks.append(t) or shells(basis, t))
+    walks, spied = [], lattice._shells
+    monkeypatch.setattr(lattice, "_shells", lambda flag, t: walks.append(t) or spied(flag, t))
     return walks
 
 
@@ -557,9 +594,9 @@ def test_a_pass_cut_at_a_lower_target_is_the_pass_to_it(leech):
     """What lets a lattice keep one pass: a _shells pass to T cut at t <= T
     equals the pass to t, on Leech for t = 0, 8, ..., 40 with T = 48, and
     on seeded random bases of rank 1 to 7 for every t through T = 40."""
-    full = _shells(leech.basis, 48)
+    full = shells(leech.basis, 48)
     for t in range(0, 41, 8):
-        assert _shells(leech.basis, t) == {n: c for n, c in full.items() if n <= t}
+        assert shells(leech.basis, t) == {n: c for n, c in full.items() if n <= t}
     rng = random.Random(11)
     checked = 0
     while checked < 21:
@@ -567,9 +604,9 @@ def test_a_pass_cut_at_a_lower_target_is_the_pass_to_it(leech):
         basis = [[rng.randrange(-4, 5) for _ in range(rank)] for _ in range(rank)]
         if abs(np.linalg.det(np.array(basis, dtype=float))) < 0.5:
             continue
-        full = _shells(basis, 40)
+        full = shells(basis, 40)
         for t in range(41):
-            assert _shells(basis, t) == {n: c for n, c in full.items() if n <= t}
+            assert shells(basis, t) == {n: c for n, c in full.items() if n <= t}
         checked += 1
 
 
@@ -577,7 +614,7 @@ ONE_PASS = """
 import sys
 from conwaymoonshine import cli, lattice
 passes, shells = [], lattice._shells
-lattice._shells = lambda basis, t: passes.append(t) or shells(basis, t)
+lattice._shells = lambda flag, t: passes.append(t) or shells(flag, t)
 code = cli.main(sys.argv[1:])
 print(passes)
 sys.exit(code)
@@ -722,14 +759,14 @@ def test_frame_congruence_refuses_a_unimodular_lattice_of_mixed_parity(leech):
 
 def test_leech_checks_make_no_per_vector_reduction(golay, monkeypatch):
     """coordinate_frame reads membership off unimodularity and reduces nothing;
-    build_leech reduces the stored basis (IntegerLattice.__init__) and the 37
-    generators, for their covolumes, and no generator or frame vector alone."""
+    build_leech reduces the 37 generators once, for their covolume (the stored
+    basis's is read off its flag), and no generator or frame vector alone."""
     calls, reduce = [], lattice._integer_row_basis
     monkeypatch.setattr(lattice, "_integer_row_basis", lambda rows: calls.append(len(rows)) or reduce(rows))
     lat = build_leech.__wrapped__(golay)
-    assert calls == [24, 37]
+    assert calls == [37]
     assert len(lattice.coordinate_frame(lat)) == 24
-    assert calls == [24, 37]
+    assert calls == [37]
 
 
 def read_leech_basis():

@@ -98,7 +98,7 @@ def test_sampled_matrices_satisfy_membership_predicate():
         gl = parse_label(label)
         for m in sample_matrices(gl, count=10):
             assert (m.b * gl.h).denominator == 1
-            assert (m.c / gl.n).denominator == 1
+            assert (F(m.c) / gl.n).denominator == 1
 
 
 def test_atkin_lehner_solve_for_12_2():

@@ -1,7 +1,7 @@
 """Algebraic laws checked on random inputs with hypothesis."""
 
 from fractions import Fraction as F
-from math import ceil, gcd, lcm
+from math import ceil, gcd, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -47,6 +47,7 @@ from conwaymoonshine.fockoracle import (  # noqa: E402
     untwisted_supertrace,
 )
 from conwaymoonshine.frameshape import FrameShape, parse  # noqa: E402
+from conwaymoonshine.lattice import IntegerLattice, _integer_row_basis  # noqa: E402
 from conwaymoonshine.modgroups import log_eta_product  # noqa: E402
 from conwaymoonshine.qseries import FracPowerSeries, combination, eta_product  # noqa: E402
 
@@ -645,3 +646,26 @@ def test_dual_criterion_matches_echelon_oracle(leech, coeffs, moved):
     assert (not (x @ basis.T % 8).any()) == contains(leech, x.tolist())
     if not moved:
         assert contains(leech, x.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.integers(1, 9), st.sampled_from((2**31, 2**58, 3**40))),
+    st.lists(st.integers(1, 4), min_size=24, max_size=24),
+    st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23), st.integers(-4, 4)), max_size=30),
+)
+@example(scale=1, rows_by=[1] * 24, moves=[])  # Leech itself: determinant 1
+@example(scale=2**58, rows_by=[1] * 24, moves=[])  # past the int64 Gram product
+def test_gram_determinant_matches_echelon_oracle(leech, scale, rows_by, moves):
+    """gram_determinant(), read off the last leading minor of the flag,
+    equals (det B)^2 / 8^24 with det B the diagonal of the echelon oracle,
+    on Leech scaled as a whole and row by row, then moved by unimodular
+    steps: b_i += q b_j for i != j, a swap of b_i and b_j for q = 0."""
+    rows = [[scale * by * c for c in row] for by, row in zip(rows_by, leech.basis)]
+    for i, j, q in moves:
+        if i != j and q:
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        elif i != j:
+            rows[i], rows[j] = rows[j], rows[i]
+    diagonal = [row[i] for i, row in enumerate(_integer_row_basis(rows))]
+    assert IntegerLattice(rows).gram_determinant() == F(prod(diagonal) ** 2, 8**24)
